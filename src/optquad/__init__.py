@@ -20,13 +20,13 @@ from .kernel import (
     psi,
 )
 from .norm import (
-    DENSE_MULTIPLIER_MAX_N,
     InconsistentMultipliersError,
     MultiplierPair,
     NormReport,
     build_report,
     dense_multipliers,
     geometric_sums,
+    multiplier_routes,
     multipliers_closed_form,
     norm_expanded,
     norm_quadratic_form,
@@ -45,6 +45,7 @@ from .quadrature import (
 )
 from .spectral import SpectralConstants, constants, lambda1
 from .wiener_hopf import (
+    DENSE_MAX_N,
     SingularSystemError,
     SystemSolution,
     build_system,
@@ -57,7 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CATALOG",
-    "DENSE_MULTIPLIER_MAX_N",
+    "DENSE_MAX_N",
     "ConvergenceRow",
     "ErrorCheck",
     "IntegrationBudgetError",
@@ -84,6 +85,7 @@ __all__ = [
     "lambda1",
     "make_rule",
     "moment",
+    "multiplier_routes",
     "multipliers_closed_form",
     "norm_expanded",
     "norm_quadratic_form",

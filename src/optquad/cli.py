@@ -17,23 +17,17 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .coefficients import constraint_residuals, optimal_coefficients
+from .coefficients import constraint_residuals, make_rule, optimal_coefficients
 from .norm import (
-    DENSE_MULTIPLIER_MAX_N,
-    _expanded_form_value,
-    _multiplier_form_value,
     build_report,
-    dense_multipliers,
     geometric_sums,
-    multipliers_closed_form,
+    multiplier_routes,
     norm_quadratic_form,
     norm_theorem2,
 )
-from .quadrature import CATALOG, apply_rule, convergence_table, error_check
+from .quadrature import CATALOG, convergence_table, error_check
 from .spectral import constants
-from .wiener_hopf import solve_uniform
-
-SYSTEM_METHOD_MAX_N = 512  # node count <= 513 keeps the O(n^3) oracle honest
+from .wiener_hopf import DENSE_MAX_N, solve_uniform
 
 
 def _fmt_cell(value) -> str:
@@ -87,11 +81,6 @@ def _emit(payload: dict, rows_key: str | None, fmt: str, out: str | None) -> Non
 
 def cmd_coeffs(args) -> int:
     n = args.n
-    if args.method == "system" and n > SYSTEM_METHOD_MAX_N:
-        raise ValueError(
-            f"--method system is capped at n = {SYSTEM_METHOD_MAX_N}; "
-            "use --method closed for larger grids"
-        )
     sc = constants(n)  # validates n >= 1
     payload: dict = {
         "command": "coeffs",
@@ -104,14 +93,12 @@ def cmd_coeffs(args) -> int:
     }
     if args.method == "closed":
         rule = optimal_coefficients(n)
-        nodes, c = rule.nodes, rule.coefficients
-        r1, r2 = constraint_residuals(rule)
     else:
         sol = solve_uniform(n)
-        nodes, c = sol.nodes, sol.c
-        r1 = abs(math.fsum(c) - 1.0)
-        r2 = abs(math.fsum(c * np.exp(-nodes)) + math.expm1(-1.0))
+        rule = make_rule(sol.nodes, sol.c)
         payload.update(b0=sol.b0, d=sol.d, residual_inf=sol.residual_inf)
+    nodes, c = rule.nodes, rule.coefficients
+    r1, r2 = constraint_residuals(rule)
     payload["residual_constraint_sum"] = r1
     payload["residual_constraint_exp_neg"] = r2
     payload["rows"] = [
@@ -133,18 +120,13 @@ def cmd_norm(args) -> int:
         payload["via_quadratic_form"] = norm_quadratic_form(optimal_coefficients(n))
     elif args.methods == "theorem2":
         payload["via_theorem2"] = norm_theorem2(n)
-    else:  # multiplier / expanded need a multiplier pair
-        if n <= DENSE_MULTIPLIER_MAX_N:
-            rule, pair = dense_multipliers(n)
-            payload["multiplier_source"] = "dense_solve"
-        else:
-            rule = optimal_coefficients(n)
-            pair = multipliers_closed_form(n)
-            payload["multiplier_source"] = "closed_form"
+    else:
+        source, mult, expanded = multiplier_routes(n)
+        payload["multiplier_source"] = source
         if args.methods == "multiplier":
-            payload["via_multipliers"] = _multiplier_form_value(rule, pair)
+            payload["via_multipliers"] = mult
         else:
-            payload["via_expanded"] = _expanded_form_value(rule, pair)
+            payload["via_expanded"] = expanded
     _emit(payload, None, args.format, args.out)
     return 0
 
@@ -154,42 +136,30 @@ def cmd_validate(args) -> int:
     tol = args.tol
     if max_n < 1:
         raise ValueError("--max-n must be >= 1")
-    if max_n > SYSTEM_METHOD_MAX_N:
-        raise ValueError(f"--max-n is capped at {SYSTEM_METHOD_MAX_N} (dense oracle cost)")
+    if max_n > DENSE_MAX_N:
+        raise ValueError(f"--max-n is capped at {DENSE_MAX_N} (dense oracle cost)")
     if not tol > 0.0:
         raise ValueError("--tol must be positive")
 
-    checks: list[tuple[str, float]] = []
-
-    worst = 0.0
-    for n in range(1, max_n + 1):
-        closed = optimal_coefficients(n)
-        dense = solve_uniform(n)
-        worst = max(worst, float(np.abs(closed.coefficients - dense.c).max()))
-    checks.append(("coefficient_agreement", worst))
-
-    worst = 0.0
-    for n in range(1, max_n + 1):
-        r1, r2 = constraint_residuals(optimal_coefficients(n))
-        worst = max(worst, r1, r2)
-    checks.append(("constraint_residuals", worst))
-
-    worst = 0.0
-    for n in range(1, max_n + 1):
-        worst = max(worst, build_report(n).rel_diff_qf_mult)
-    checks.append(("norm_route_agreement", worst))
-
     rng = random.Random(1234)
     pairs = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(20)]
-    worst = 0.0
+    coef = cons = route = exact = 0.0
     for n in range(1, max_n + 1):
         rule = optimal_coefficients(n)
+        coef = max(coef, float(np.abs(rule.coefficients - solve_uniform(n).c).max()))
+        cons = max(cons, *constraint_residuals(rule))
+        route = max(route, build_report(n).rel_diff_qf_mult)
         s1 = math.fsum(rule.coefficients)
         s2 = math.fsum(rule.coefficients * np.exp(-rule.nodes))
         for a, b in pairs:
             err = abs(a * s1 + b * s2 - (a - b * math.expm1(-1.0)))
-            worst = max(worst, err / (abs(a) + abs(b)))
-    checks.append(("exactness_annihilated_span", worst))
+            exact = max(exact, err / (abs(a) + abs(b)))
+    checks = [
+        ("coefficient_agreement", coef),
+        ("constraint_residuals", cons),
+        ("norm_route_agreement", route),
+        ("exactness_annihilated_span", exact),
+    ]
 
     rng = random.Random(4321)
     worst = 0.0

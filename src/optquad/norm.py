@@ -40,26 +40,22 @@ import numpy as np
 from .coefficients import QuadratureRule, make_rule, optimal_coefficients
 from .kernel import double_moment, moment, psi
 from .spectral import constants, pow_q
-from .wiener_hopf import _eliminate, build_system, solve_uniform
+from .wiener_hopf import DENSE_MAX_N, build_system, solve_dense, solve_uniform
 
 __all__ = [
-    "DENSE_MULTIPLIER_MAX_N",
     "InconsistentMultipliersError",
     "MultiplierPair",
     "NormReport",
     "build_report",
     "dense_multipliers",
     "geometric_sums",
+    "multiplier_routes",
     "multipliers_closed_form",
     "norm_expanded",
     "norm_quadratic_form",
     "norm_theorem2",
     "norm_via_multipliers",
 ]
-
-# Above this grid size the O(count^3) dense solve is skipped and the report
-# falls back to the printed closed-form multipliers.
-DENSE_MULTIPLIER_MAX_N = 513
 
 # Verdict threshold on the symmetric relative differences.
 CONSISTENCY_RTOL = 1e-6
@@ -331,12 +327,9 @@ def dense_multipliers(n: int) -> tuple[QuadratureRule, MultiplierPair]:
     """Solve the uniform system and package its rule and multipliers.
 
     The a1/b1 amplitudes are not unknowns of the linear system; they are
-    filled in from their closed forms for reporting.
+    filled in from their closed forms for reporting.  solve_uniform enforces
+    the DENSE_MAX_N cap.
     """
-    if n > DENSE_MULTIPLIER_MAX_N:
-        raise ValueError(
-            f"dense solve capped at n = {DENSE_MULTIPLIER_MAX_N} (O(n^3) oracle)"
-        )
     sol = solve_uniform(n)
     sc = constants(n)
     qn = pow_q(sc.q, n)
@@ -345,6 +338,25 @@ def dense_multipliers(n: int) -> tuple[QuadratureRule, MultiplierPair]:
     b1 = -sc.k_scaled * (eh - sc.q) * qn
     rule = make_rule(sol.nodes, sol.c)
     return rule, MultiplierPair(d=sol.d, b0=sol.b0, a1=a1, b1=b1)
+
+
+def multiplier_routes(n: int) -> tuple[str, float, float]:
+    """Routes 2 and 3 in float64, with the source of their multipliers.
+
+    For n <= DENSE_MAX_N the dense solution supplies the rule and the
+    multipliers ("dense_solve"); above the cap the printed closed-form
+    weights and multipliers are inserted verbatim ("closed_form").  Neither
+    is rechecked against the system, unlike norm_via_multipliers and
+    norm_expanded.  Returns (multiplier_source, via_multipliers,
+    via_expanded).
+    """
+    if n <= DENSE_MAX_N:
+        rule, pair = dense_multipliers(n)
+        source = "dense_solve"
+    else:
+        rule, pair = optimal_coefficients(n), multipliers_closed_form(n)
+        source = "closed_form"
+    return source, _multiplier_form_value(rule, pair), _expanded_form_value(rule, pair)
 
 
 # ------------------------------------------------------------- the report
@@ -390,10 +402,10 @@ def _refined_uniform_solution(n: int):
         rows.append(1 - mp.fsum(c))
         rows.append(target_exp - mp.fsum(c[j] * en_k[j] for j in range(n + 1)))
         r = np.array([float(v) for v in rows])
-        delta = _eliminate(matrix_f, r)
-        c = [c[j] + mp.mpf(float(delta[j])) for j in range(n + 1)]
-        b0 += mp.mpf(float(delta[n + 1]))
-        d += mp.mpf(float(delta[n + 2]))
+        delta = solve_dense(matrix_f, r)
+        c = [c[j] + mp.mpf(float(delta.c[j])) for j in range(n + 1)]
+        b0 += mp.mpf(delta.b0)
+        d += mp.mpf(delta.d)
     return h, psi_k, m_k, en_k, c, b0, d
 
 
@@ -431,11 +443,10 @@ def _mp_routes(n, h, psi_k, m_k, en_k, c, b0, d):
 def build_report(n: int) -> NormReport:
     """Evaluate all four routes and classify their agreement.
 
-    For n <= DENSE_MULTIPLIER_MAX_N the three reduction routes are compared
-    on the refined dense solution; above the cap the dense oracle is skipped
-    (multiplier_source = "closed_form", coefficient_max_deviation = None)
-    and the printed closed-form multipliers are inserted verbatim, without
-    the solution recheck the public route functions enforce.
+    For n <= DENSE_MAX_N the three reduction routes are compared on the
+    refined dense solution; above the cap the dense oracle is skipped and
+    routes 2 and 3 come from multiplier_routes on the printed closed forms
+    (multiplier_source = "closed_form", coefficient_max_deviation = None).
     """
     if n < 1:
         raise ValueError("grid size must be >= 1")
@@ -443,21 +454,18 @@ def build_report(n: int) -> NormReport:
     closed_qf = norm_quadratic_form(closed_rule)
     thm2 = norm_theorem2(n)
 
-    if n <= DENSE_MULTIPLIER_MAX_N:
+    if n <= DENSE_MAX_N:
         with mp.workdps(_MP_DPS):
             h, psi_k, m_k, en_k, c, b0, d = _refined_uniform_solution(n)
             qf, mult, expanded, d_mult, d_exp = _mp_routes(n, h, psi_k, m_k, en_k, c, b0, d)
             dev = float(max(abs(c[i] - mp.mpf(float(closed_rule.coefficients[i]))) for i in range(n + 1)))
         source = "dense_solve"
     else:
-        pair = multipliers_closed_form(n)
+        source, mult, expanded = multiplier_routes(n)
         qf = closed_qf
-        mult = _multiplier_form_value(closed_rule, pair)
-        expanded = _expanded_form_value(closed_rule, pair)
         d_mult = _rel_diff(qf, mult)
         d_exp = _rel_diff(qf, expanded)
         dev = None
-        source = "closed_form"
 
     d_thm2 = _rel_diff(qf, thm2)
     return NormReport(

@@ -11,7 +11,8 @@ d are the Lagrange multipliers of the constraints.  Solving it directly is
 the independent oracle against which every closed form is judged.
 
 Arbitrary strictly increasing nodes in [0,1] are accepted; cost is
-O(count^3), so callers cap the node count (the CLI uses 513).
+O(count^3), so solve_uniform caps the uniform grid at DENSE_MAX_N
+subintervals.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import numpy as np
 from .kernel import moment, psi
 
 __all__ = [
+    "DENSE_MAX_N",
     "SingularSystemError",
     "SystemSolution",
     "build_system",
@@ -30,11 +32,14 @@ __all__ = [
     "solve_uniform",
 ]
 
-_PIVOT_FLOOR = 1e-13  # relative to the equilibrated row scale of 1
+# Largest uniform grid, in subintervals, that the O(n^3) dense solve accepts.
+DENSE_MAX_N = 513
+
+_RCOND_FLOOR = float(np.finfo(float).eps)
 
 
 class SingularSystemError(ValueError):
-    """Elimination hit a pivot below the numerical-rank floor."""
+    """The system is singular to working precision."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,44 +75,30 @@ def build_system(nodes) -> tuple[np.ndarray, np.ndarray]:
     return m, rhs
 
 
-def _eliminate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with scaled partial pivoting, vectorized updates."""
-    n = b.size
-    scale = np.abs(a).max(axis=1)
-    if not np.all(scale > 0.0):
-        raise SingularSystemError("system has an identically zero row")
-    a = a / scale[:, None]
-    b = b / scale
-    for k in range(n - 1):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) < _PIVOT_FLOOR:
-            raise SingularSystemError(f"pivot {a[p, k]:.3e} below {_PIVOT_FLOOR} at column {k}")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        mult = a[k + 1:, k] / a[k, k]
-        a[k + 1:, k + 1:] -= np.outer(mult, a[k, k + 1:])
-        a[k + 1:, k] = 0.0
-        b[k + 1:] -= mult * b[k]
-    if abs(a[-1, -1]) < _PIVOT_FLOOR:
-        raise SingularSystemError("trailing pivot below the rank floor")
-    x = np.empty(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x
-
-
 def solve_dense(matrix, rhs, nodes=None) -> SystemSolution:
     """Solve a system from build_system; residual is recomputed explicitly.
 
-    `nodes` is stored on the solution record; when omitted it is taken as
-    unknown (empty).
+    Rows are equilibrated to unit max-norm and the result is handed to
+    LAPACK.  SingularSystemError is raised on an identically zero row, on a
+    singular LU factor, or when the 1-norm reciprocal condition number of
+    the equilibrated matrix is below machine epsilon.  `nodes` is stored on
+    the solution record; when omitted it is taken as unknown (empty).
     """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != rhs.size:
         raise ValueError("matrix and right-hand side sizes do not match")
-    x = _eliminate(matrix, rhs)
+    scale = np.abs(matrix).max(axis=1)
+    if not np.all(scale > 0.0):
+        raise SingularSystemError("system has an identically zero row")
+    a = matrix / scale[:, None]
+    try:
+        x = np.linalg.solve(a, rhs / scale)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"LAPACK: {exc}") from None
+    rcond = 1.0 / np.linalg.cond(a, 1)
+    if rcond < _RCOND_FLOOR:
+        raise SingularSystemError(f"reciprocal condition number {rcond:.3e} below {_RCOND_FLOOR:.3e}")
     residual = matrix @ x - rhs
     n = rhs.size - 2
     stored = np.asarray(nodes, dtype=float) if nodes is not None else np.empty(0)
@@ -126,7 +117,9 @@ def solve_for_nodes(nodes) -> SystemSolution:
 
 
 def solve_uniform(n: int) -> SystemSolution:
-    """Solve on the uniform grid with n subintervals (n >= 1)."""
+    """Solve on the uniform grid with n subintervals, 1 <= n <= DENSE_MAX_N."""
     if n < 1:
         raise ValueError("grid size must be >= 1")
+    if n > DENSE_MAX_N:
+        raise ValueError(f"the dense solve is capped at n = {DENSE_MAX_N} (O(n^3) oracle)")
     return solve_for_nodes(np.linspace(0.0, 1.0, n + 1))

@@ -38,8 +38,14 @@ def test_coeffs_rejects_bad_n(capsys):
     code, _, err = run_cli(capsys, "coeffs", "--n", "0")
     assert code == 2
     assert "error" in err
-    code, _, _ = run_cli(capsys, "coeffs", "--n", "513", "--method", "system")
+    code, _, _ = run_cli(capsys, "coeffs", "--n", "514", "--method", "system")
     assert code == 2
+
+
+def test_coeffs_system_accepts_the_cap(capsys):
+    code, out, _ = run_cli(capsys, "coeffs", "--n", "513", "--method", "system", "--format", "csv")
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 514
 
 
 def test_norm_quadform(capsys):
@@ -91,6 +97,8 @@ def test_validate_rejects_bad_args(capsys):
     code, _, _ = run_cli(capsys, "validate", "--max-n", "0", "--tol", "1e-9")
     assert code == 2
     code, _, _ = run_cli(capsys, "validate", "--max-n", "4", "--tol", "-1")
+    assert code == 2
+    code, _, _ = run_cli(capsys, "validate", "--max-n", "514", "--tol", "1e-9")
     assert code == 2
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from optquad.coefficients import make_rule, optimal_coefficients, trapezoid_rule
 from optquad.norm import (
-    DENSE_MULTIPLIER_MAX_N,
     InconsistentMultipliersError,
     MultiplierPair,
     build_report,
@@ -19,6 +18,7 @@ from optquad.norm import (
     norm_theorem2,
     norm_via_multipliers,
 )
+from optquad.wiener_hopf import DENSE_MAX_N
 
 from highprec import quadratic_form_ref, theorem2_ref
 
@@ -203,7 +203,7 @@ def test_report_norm_decreases():
 
 
 def test_report_closed_form_fallback_above_cap():
-    rep = build_report(DENSE_MULTIPLIER_MAX_N + 7)
+    rep = build_report(DENSE_MAX_N + 7)
     assert rep.multiplier_source == "closed_form"
     assert rep.coefficient_max_deviation is None
     assert rep.verdict == "inconsistent"
@@ -245,7 +245,7 @@ def test_closed_form_rule_is_not_the_constrained_minimizer():
 
 def test_dense_multipliers_cap():
     with pytest.raises(ValueError):
-        dense_multipliers(DENSE_MULTIPLIER_MAX_N + 1)
+        dense_multipliers(DENSE_MAX_N + 1)
 
 
 def test_report_rejects_bad_n():

@@ -111,6 +111,10 @@ def test_singular_matrix_raises():
     m[3, 2] = 0.0
     with pytest.raises(SingularSystemError):
         solve_dense(m, np.ones(4))
+    # no zero row: exactly singular, then singular to working precision
+    for m in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]):
+        with pytest.raises(SingularSystemError):
+            solve_dense(m, np.ones(2))
 
 
 def test_solve_dense_shape_validation():
