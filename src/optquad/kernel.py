@@ -1,15 +1,14 @@
 """Kernel evaluation, its analytic moments, and an adaptive integration oracle.
 
 The quadrature error norm is a quadratic form in the rule weights built from
-the even kernel
+the even order-2 kernel
 
-    psi_m(x) = sign(x)/2 * (sinh x - sum_{k=1}^{m-1} x^(2k-1)/(2k-1)!),
+    psi_2(x) = (sinh|x| - |x|)/2,
 
-the fundamental-solution remainder of sinh after removing its odd Taylor
-prefix.  For m = 2 this is (sinh|x| - |x|)/2, which has a triple zero at the
-origin: naive evaluation of sinh x - x loses every significant digit below
-|x| ~ 1e-5, so the implementation switches to the odd Taylor tail under a
-fixed seam.
+the fundamental-solution remainder of sinh after removing its linear Taylor
+term.  It has a triple zero at the origin: naive evaluation of sinh x - x
+loses every significant digit below |x| ~ 1e-5, so the implementation
+switches to the odd Taylor tail under a fixed seam.
 
 The m = 2 moments over [0,1] have closed forms (`moment`, `double_moment`);
 `integrate_adaptive` is the independent numerical oracle used to cross-check
@@ -62,44 +61,18 @@ def _sinh_minus_x(t):
     return np.where(t <= _SEAM, _sinh_minus_x_series(t), _sinh_minus_x_direct(t))
 
 
-def _sinh_tail(m: int, t):
-    """sum_{k>=m} t^(2k-1)/(2k-1)! for t >= 0, all terms positive.
-
-    Converges in a handful of terms for t <= 2; the loop cap is generous.
-    """
-    k = m
-    term = t ** (2 * m - 1) / math.factorial(2 * m - 1)
-    acc = term
-    for _ in range(60):
-        term = term * t * t / ((2 * k) * (2 * k + 1))
-        acc = acc + term
-        k += 1
-        if np.all(term <= 1e-20 * np.abs(acc)):
-            break
-    return acc
-
-
 def psi(m: int, x):
-    """Evaluate the order-m kernel at x (scalar or ndarray).
+    """Evaluate the order-m kernel at x (scalar or ndarray); only m = 2 exists.
 
-    Even in x by construction (only |x| enters), psi_m(0) = 0, and for m = 2
-    equals (sinh|x| - |x|)/2.
+    psi_2(x) = (sinh|x| - |x|)/2, even in x by construction (only |x|
+    enters) with psi_2(0) = 0.  Any other order raises ValueError.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"kernel order must be an integer >= 1, got {m!r}")
+    if m != 2:
+        raise ValueError(f"only the order-2 kernel is implemented, got m={m!r}")
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("kernel argument must be finite")
-    t = np.abs(arr)
-    if m == 1:
-        out = np.sinh(t) / 2.0
-    elif m == 2:
-        out = _sinh_minus_x(t) / 2.0
-    else:
-        # The bracket is exactly the order-m tail of the sinh series; for
-        # small t sum it directly, otherwise subtract the finite prefix.
-        prefix = sum(t ** (2 * k - 1) / math.factorial(2 * k - 1) for k in range(1, m))
-        out = np.where(t <= _SEAM, _sinh_tail(m, t), np.sinh(t) - prefix) / 2.0
+    out = _sinh_minus_x(np.abs(arr)) / 2.0
     if arr.ndim == 0:
         return float(out)
     return out
