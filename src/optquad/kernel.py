@@ -62,10 +62,10 @@ def _sinh_minus_x(t):
 
 
 def psi(m: int, x):
-    """Evaluate the order-m kernel at x (scalar or ndarray); only m = 2 exists.
+    """Evaluate the order-m kernel at x (scalar or ndarray); m must be 2.
 
     psi_2(x) = (sinh|x| - |x|)/2, even in x by construction (only |x|
-    enters) with psi_2(0) = 0.  Any other order raises ValueError.
+    enters) with psi_2(0) = 0.  Any other order m raises ValueError.
     """
     if m != 2:
         raise ValueError(f"only the order-2 kernel is implemented, got m={m!r}")
