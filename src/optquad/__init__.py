@@ -29,6 +29,7 @@ from .norm import (
     multiplier_routes,
     multipliers_closed_form,
     norm_expanded,
+    norm_peano,
     norm_quadratic_form,
     norm_theorem2,
     norm_via_multipliers,
@@ -88,6 +89,7 @@ __all__ = [
     "multiplier_routes",
     "multipliers_closed_form",
     "norm_expanded",
+    "norm_peano",
     "norm_quadratic_form",
     "norm_theorem2",
     "norm_via_multipliers",

@@ -5,6 +5,12 @@ Routes, in decreasing order of independence:
   1. quadratic form        sum_bb' C C' psi_2(x_b - x_b')
                            - 2 sum_b C moment(x_b) + double_moment
                            -- meaningful for ANY rule; the ground truth.
+                           For a feasible rule (exact on span{1, e^-x}) it
+                           equals the Peano-kernel integral int_0^1 K^2,
+                           which norm_peano evaluates in O(n) without the
+                           cancellation of the O(n^2) float64 sum
+                           (norm_quadratic_form, kept as the small-n
+                           cross-check for arbitrary rules).
   2. multiplier form       -sum_b C (b0 + d e^(-x_b)) - sum_b C moment(x_b)
                            + double_moment
                            -- equals route 1 exactly when (C, b0, d) solve
@@ -37,12 +43,13 @@ from typing import Optional
 import mpmath as mp
 import numpy as np
 
-from .coefficients import QuadratureRule, make_rule, optimal_coefficients
+from .coefficients import QuadratureRule, constraint_residuals, make_rule, optimal_coefficients
 from .kernel import double_moment, moment, psi
 from .spectral import constants, pow_q
 from .wiener_hopf import DENSE_MAX_N, build_system, solve_dense, solve_uniform
 
 __all__ = [
+    "FEASIBILITY_TOL",
     "InconsistentMultipliersError",
     "MultiplierPair",
     "NormReport",
@@ -52,6 +59,7 @@ __all__ = [
     "multiplier_routes",
     "multipliers_closed_form",
     "norm_expanded",
+    "norm_peano",
     "norm_quadratic_form",
     "norm_theorem2",
     "norm_via_multipliers",
@@ -123,12 +131,104 @@ def norm_quadratic_form(rule: QuadratureRule) -> float:
 
     math.fsum over the complete term list makes the result the correctly
     rounded sum of the computed terms, hence independent of term order.
+    Valid for any rule, but the terms cancel down to the h^4 result: it is
+    7.5e-3 relative off at n = 512.  Feasible rules use norm_peano.
     """
     x = rule.nodes
     c = rule.coefficients
     kernel_terms = (c[:, None] * c[None, :] * psi(2, x[:, None] - x[None, :])).ravel()
     moment_terms = -2.0 * c * moment(x)
     return math.fsum(np.concatenate([kernel_terms, moment_terms, [double_moment()]]))
+
+
+# A rule must meet both moment constraints to this absolute residual before
+# norm_peano accepts it: the Peano kernel represents only functionals that
+# annihilate span{1, e^-x}.
+FEASIBILITY_TOL = 1e-12
+
+# Panels per chunk of norm_peano: bounds its (chunk, 15) temporaries.  Each
+# panel value is formed on its own and all are summed by one fsum, so the
+# result does not depend on this size.
+_PEANO_CHUNK = 4096
+
+_GL15_T, _GL15_W = np.polynomial.legendre.leggauss(15)
+_GL15_S = 0.5 * (1.0 + _GL15_T)  # nodes mapped to [0, 1]
+_GL15_HALF_W = 0.5 * _GL15_W
+
+# phi(u) = u + expm1(-u) = sum_{k>=2} (-u)^k/k!.  Horner coefficients for
+# k = 17 .. 2: at the seam u = 0.5 the first dropped term is ~5e-21 of phi,
+# while the direct form loses about a factor 5 to cancellation there.
+_PHI_SEAM = 0.5
+_PHI_COEFFS = tuple((-1.0) ** k / math.factorial(k) for k in range(17, 1, -1))
+
+
+def _phi(u, em):
+    """phi(u) = u + expm1(-u) for u >= 0, given em = expm1(-u)."""
+    acc = _PHI_COEFFS[0]
+    for coef in _PHI_COEFFS[1:]:
+        acc = acc * u + coef
+    return np.where(u <= _PHI_SEAM, acc * u * u, u + em)
+
+
+def norm_peano(rule: QuadratureRule) -> float:
+    """Squared norm of a feasible rule as the Peano-kernel integral; O(n).
+
+    The error functional of a rule exact on span{1, e^-x}, the null space
+    of L = D^2 + D, is l(f) = int_0^1 K(t) (Lf)(t) dt with
+
+        K(t) = (e^(t-1) - t) - sum_{x_b > t} c_b (1 - e^-(x_b - t)),
+
+    so its squared norm is int_0^1 K(t)^2 dt (Sard, Linear Approximation,
+    1963).  Raises ValueError unless both constraint residuals are at most
+    FEASIBILITY_TOL.
+
+    K is not summed as written: its terms cancel to the h^2 result.  Each
+    panel [x_j, x_j+1] of width w carries the 2-point rule exact on
+    {1, e^-x}, with beta = phi(w)/(-expm1(-w)) at x_j+1 and w - beta at x_j.
+    With delta_b the summed reference weight minus c_b and u = x_j+1 - t,
+    K on panel j is
+
+        (1 + beta_j) phi(u) - beta_j u + T_j - S_j expm1(-u),
+        S_j = e^(x_j+1) sum_{b>j} delta_b e^-x_b,  T_j = sum_{b>j} delta_b - S_j.
+
+    delta is small, so plain suffix sums of it are accurate.  Each panel is
+    integrated by 15-point Gauss-Legendre; one fsum adds the panel values.
+    Nodes need not include 0 and 1: a zero weight is added there.
+    """
+    r_sum, r_exp = constraint_residuals(rule)
+    if not (r_sum <= FEASIBILITY_TOL and r_exp <= FEASIBILITY_TOL):
+        raise ValueError(
+            f"rule is not exact on span{{1, e^-x}} (constraint residuals {r_sum:.3e}, "
+            f"{r_exp:.3e}; tolerance {FEASIBILITY_TOL}); its Peano-kernel norm is undefined"
+        )
+    x = rule.nodes
+    c = rule.coefficients
+    if x[0] > 0.0:
+        x, c = np.concatenate([[0.0], x]), np.concatenate([[0.0], c])
+    if x[-1] < 1.0:
+        x, c = np.concatenate([x, [1.0]]), np.concatenate([c, [0.0]])
+
+    width = np.diff(x)
+    em_w = np.expm1(-width)
+    beta = _phi(width, em_w) / -em_w
+    # delta_b = beta_(b-1) + (width_b - beta_b) - c_b, grouped so that the
+    # near-equal pairs cancel exactly on a uniform grid
+    delta = np.append(width, 0.0) - c
+    delta -= np.diff(np.concatenate([[0.0], beta, [0.0]]))
+    d_tail = np.cumsum(delta[::-1])[::-1][1:]
+    s = np.exp(x[1:]) * np.cumsum((delta * np.exp(-x))[::-1])[::-1][1:]
+    t = d_tail - s
+
+    panels = np.empty(width.size)
+    for lo in range(0, width.size, _PEANO_CHUNK):
+        hi = min(lo + _PEANO_CHUNK, width.size)
+        w = width[lo:hi, None]
+        b = beta[lo:hi, None]
+        u = w * _GL15_S
+        em = np.expm1(-u)
+        k = (1.0 + b) * _phi(u, em) - b * u + t[lo:hi, None] - s[lo:hi, None] * em
+        panels[lo:hi] = width[lo:hi] * (k * k * _GL15_HALF_W).sum(axis=1)
+    return math.fsum(panels)
 
 
 # ----------------------------------------------------------- routes 2 and 3

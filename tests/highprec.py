@@ -95,3 +95,36 @@ def theorem2_ref(n):
             - (1 - lam * eh) ** 2 * (lam - lam**n * eh)
         ) / (2 * (1 - lam * eh) * (lam - eh))
         return lead + h_block + k * (t1 + t2 + t3)
+
+
+def closed_weights_raw_ref(n):
+    """Closed-form weights at 50 digits from raw lambda1 powers, as printed."""
+    with mp.workdps(DPS):
+        h, lam, q, k, kt = spectral_ref(n)
+        eh = mp.e**h
+        out = []
+        for b in range(n + 1):
+            if b == 0:
+                out.append((eh - 1 - h) / (eh - 1) - k * (lam - lam**n))
+            elif b == n:
+                out.append((h * eh - eh + 1) / (eh - 1) - k * (lam - lam**n) * eh)
+            else:
+                out.append(h - k * ((lam - eh) * lam**b + (lam * eh - 1) * lam ** (n - b)))
+        return out
+
+
+def closed_quadratic_form_ref(n):
+    """The kernel quadratic form of the closed-form weights at 50 digits.
+
+    Weights from closed_weights_raw_ref at exact nodes b/n; the kernel sum is
+    taken in Toeplitz form, one psi_2(k/n) per lag k.
+    """
+    with mp.workdps(DPS):
+        c = closed_weights_raw_ref(n)
+        h = mp.mpf(1) / n
+        lags = mp.fsum(
+            psi2_ref(k * h) * mp.fsum(c[i] * c[i + k] for i in range(n + 1 - k))
+            for k in range(1, n + 1)
+        )
+        moments = mp.fsum(c[i] * moment_ref(i * h) for i in range(n + 1))
+        return 2 * lags - 2 * moments + double_moment_ref()

@@ -14,13 +14,14 @@ from optquad.norm import (
     geometric_sums,
     multipliers_closed_form,
     norm_expanded,
+    norm_peano,
     norm_quadratic_form,
     norm_theorem2,
     norm_via_multipliers,
 )
 from optquad.wiener_hopf import DENSE_MAX_N
 
-from highprec import quadratic_form_ref, theorem2_ref
+from highprec import closed_quadratic_form_ref, quadratic_form_ref, theorem2_ref
 
 QF_CLOSED_N2 = 2.7556816080848494e-4
 QF_DENSE_N2 = 1.9522972545191564e-4
@@ -251,3 +252,65 @@ def test_dense_multipliers_cap():
 def test_report_rejects_bad_n():
     with pytest.raises(ValueError):
         build_report(0)
+
+
+# ------------------------------------------------------------ Peano kernel
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
+def test_peano_matches_highprec_closed_form(n):
+    ref = closed_quadratic_form_ref(n)
+    assert abs(norm_peano(optimal_coefficients(n)) - float(ref)) <= 1e-11 * float(ref)
+
+
+@given(st.integers(2, 16), st.floats(0.0, 1e-3), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_peano_matches_quadratic_form_on_feasible_perturbations(n, amplitude, seed):
+    # n = 1 has no tangent direction: the two constraints fix both weights
+    rule, _ = dense_multipliers(n)
+    cons = np.stack([np.ones(n + 1), np.exp(-rule.nodes)])
+    basis, _ = np.linalg.qr(cons.T)
+    v = np.random.default_rng(seed).standard_normal(n + 1)
+    v -= basis @ (basis.T @ v)
+    v /= np.linalg.norm(v)
+    perturbed = make_rule(rule.nodes, rule.coefficients + amplitude * v)
+    value = norm_peano(perturbed)
+    assert abs(value - norm_quadratic_form(perturbed)) <= 1e-8 * value + 1e-15
+
+
+def test_peano_rejects_infeasible_rules():
+    for n in (2, 16, 64):
+        with pytest.raises(ValueError):
+            norm_peano(trapezoid_rule(n))
+    rule = optimal_coefficients(8)
+    bad = rule.coefficients.copy()
+    bad[3] = np.nan
+    with pytest.raises(ValueError):
+        norm_peano(make_rule(rule.nodes, bad))
+
+
+def test_peano_accepts_nodes_inside_the_interval():
+    # a 2-point rule exact on {1, e^-x} over [0, 1] has the same functional
+    # whether or not zero-weight endpoints are listed
+    x = np.array([0.25, 0.75])
+    c = np.linalg.solve(np.stack([np.ones(2), np.exp(-x)]), [1.0, -math.expm1(-1.0)])
+    inner = make_rule(x, c)
+    padded = make_rule([0.0, *x, 1.0], [0.0, *c, 0.0])
+    assert norm_peano(inner) == norm_peano(padded)
+    assert norm_peano(inner) == pytest.approx(norm_quadratic_form(inner), rel=1e-9)
+
+
+def test_peano_does_not_depend_on_chunk_size(monkeypatch):
+    rule = optimal_coefficients(1000)
+    value = norm_peano(rule)
+    monkeypatch.setattr("optquad.norm._PEANO_CHUNK", 7)
+    assert norm_peano(rule) == value
+
+
+@pytest.mark.parametrize("n", [100_000, 1_000_000])
+def test_peano_follows_the_h4_asymptote(n):
+    # 720 n^4 N - 1 ~ 10/(3n); at n = 10^6 rounding in the float64 weights
+    # adds about 3e-7, still inside the bound
+    excess = 720.0 * n**4 * norm_peano(optimal_coefficients(n)) - 1.0
+    assert 0.0 < excess < 4.0 / n
+
