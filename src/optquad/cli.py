@@ -22,7 +22,7 @@ from .norm import (
     build_report,
     geometric_sums,
     multiplier_routes,
-    norm_quadratic_form,
+    norm_peano,
     norm_theorem2,
 )
 from .quadrature import CATALOG, convergence_table, error_check
@@ -117,7 +117,7 @@ def cmd_norm(args) -> int:
         report = build_report(n)
         payload.update(asdict(report))
     elif args.methods == "quadform":
-        payload["via_quadratic_form"] = norm_quadratic_form(optimal_coefficients(n))
+        payload["via_quadratic_form"] = norm_peano(optimal_coefficients(n))
     elif args.methods == "theorem2":
         payload["via_theorem2"] = norm_theorem2(n)
     else:
@@ -224,7 +224,7 @@ def cmd_apply(args) -> int:
             f"unknown function {args.function!r}; catalog: {', '.join(sorted(CATALOG))}"
         )
     rule = optimal_coefficients(args.n)
-    check = error_check(rule, f, norm_quadratic_form(rule))
+    check = error_check(rule, f, norm_peano(rule))
     payload = {"command": "apply", "function": args.function, "n": args.n, "h": rule.h}
     payload.update(asdict(check))
     _emit(payload, None, args.format, args.out)

@@ -27,8 +27,10 @@ are compared on the dense-solve solution (the one object for which the
 2->1 and 3->1 reductions are mathematically valid); because the compared
 values decay like h^4 while any double-stored solution carries residuals
 around 1e-17, the report refines the dense solution and evaluates the three
-routes in 40-digit arithmetic, then rounds the results.  The double
-precision entry points below stay pure float64.
+routes in 40-digit arithmetic, then rounds the results.  The closed-form
+rule's norm (closed_rule_quadratic_form, and via_quadratic_form above the
+dense cap) is norm_peano.  The double precision entry points below stay
+pure float64.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
 magnitude (its h-block diverges like 3/h^2 as the grid refines); the report
@@ -547,11 +549,13 @@ def build_report(n: int) -> NormReport:
     refined dense solution; above the cap the dense oracle is skipped and
     routes 2 and 3 come from multiplier_routes on the printed closed forms
     (multiplier_source = "closed_form", coefficient_max_deviation = None).
+    The closed-form rule's norm is norm_peano; above the cap it is also
+    via_quadratic_form.
     """
     if n < 1:
         raise ValueError("grid size must be >= 1")
     closed_rule = optimal_coefficients(n)
-    closed_qf = norm_quadratic_form(closed_rule)
+    closed_qf = norm_peano(closed_rule)
     thm2 = norm_theorem2(n)
 
     if n <= DENSE_MAX_N:

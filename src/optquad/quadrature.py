@@ -1,10 +1,10 @@
 """Applying rules to integrands and auditing the a-priori error bound.
 
-The error of a rule on a function f is bounded by ||l|| * |f|, where ||l||
-is the square root of the norm quadratic form and |f| the seminorm
-sqrt(int_0^1 (f'' + f')^2 dx).  The functional annihilates span{1, e^-x}
-(the seminorm's null space), so rules here are exact on that span by
-construction.
+The error of a rule on a function f is bounded by ||l|| * |f|, where
+||l||^2 is the squared norm (norm_peano, the Peano-kernel integral) and |f|
+the seminorm sqrt(int_0^1 (f'' + f')^2 dx).  The functional annihilates
+span{1, e^-x} (the seminorm's null space), so rules here are exact on that
+span by construction.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .coefficients import QuadratureRule, optimal_coefficients
 from .kernel import integrate_adaptive
-from .norm import norm_quadratic_form
+from .norm import norm_peano
 
 __all__ = [
     "CATALOG",
@@ -138,6 +138,8 @@ def convergence_table(
 ) -> list[ConvergenceRow]:
     """Norm decay along a grid refinement; per-function errors when f given.
 
+    norm_sq is norm_peano of the closed-form rule, O(n) per grid size.
+
     The empirical order log2(prev/current)/log2(n_cur/n_prev) is computed on
     the squared norm to keep square-root noise out of the estimate.
     """
@@ -150,7 +152,7 @@ def convergence_table(
     prev: Optional[ConvergenceRow] = None
     for n in ns:
         rule = optimal_coefficients(n)
-        norm_sq = norm_quadratic_form(rule)
+        norm_sq = norm_peano(rule)
         ratio = order = None
         if prev is not None:
             ratio = norm_sq / prev.norm_sq

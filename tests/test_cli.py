@@ -183,3 +183,15 @@ def test_out_file(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload["n"] == 2
     assert math.isfinite(payload["lambda1"])
+
+
+def test_apply_and_convergence_at_a_million_nodes(capsys):
+    # O(n) end to end: an (n+1)^2 temporary would be 8 TB here
+    code, out, _ = run_cli(capsys, "apply", "--n", "1000000", "--function", "sin")
+    assert code == 0
+    assert json.loads(out)["bound_satisfied"] is True
+    code, out, _ = run_cli(capsys, "convergence", "--n-list", "1000,1000000")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["n"] for row in rows] == [1000, 1000000]
+    assert rows[1]["order_estimate"] == pytest.approx(4.0, abs=1e-3)

@@ -314,3 +314,12 @@ def test_peano_follows_the_h4_asymptote(n):
     excess = 720.0 * n**4 * norm_peano(optimal_coefficients(n)) - 1.0
     assert 0.0 < excess < 4.0 / n
 
+
+def test_closed_rule_norm_is_not_below_the_minimum():
+    # the refined dense minimum bounds every feasible rule's norm from below;
+    # the float64 quadratic form broke this at n = 512 (2.019e-14 < 2.032e-14)
+    for n in (16, 128, 512):
+        rep = build_report(n)
+        closed = norm_peano(optimal_coefficients(n))
+        assert rep.closed_rule_quadratic_form == closed
+        assert closed >= rep.via_quadratic_form, n
