@@ -1,8 +1,10 @@
 """Command-line interface: coefficients, norms, validation, convergence, apply.
 
 Exit codes: 0 success (a discrepant verdict is data, not failure), 1 a
-validation check failed, 2 usage or domain error.  Output is JSON or CSV on
-stdout (or --out FILE); identical invocations produce byte-identical output.
+validation check failed, 2 usage or domain error, or an arithmetic,
+integration-budget or memory failure (reported on stderr, no traceback).
+Output is JSON or CSV on stdout (or --out FILE); identical invocations
+produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .coefficients import constraint_residuals, make_rule, optimal_coefficients
+from .kernel import IntegrationBudgetError
 from .norm import (
     build_report,
     geometric_sums,
@@ -289,8 +292,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, IntegrationBudgetError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from optquad.cli import main
+from optquad.kernel import IntegrationBudgetError, IntegrationResult
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +184,34 @@ def test_out_file(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload["n"] == 2
     assert math.isfinite(payload["lambda1"])
+
+
+def _raiser(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+
+    return raise_it
+
+
+@pytest.mark.parametrize(
+    "target, exc, argv",
+    [
+        ("optquad.cli.constants", OverflowError("math range error"), ("coeffs", "--n", "4")),
+        ("optquad.cli.norm_theorem2", ZeroDivisionError("float division by zero"),
+         ("norm", "--n", "4", "--methods", "theorem2")),
+        ("optquad.quadrature.integrate_adaptive",
+         IntegrationBudgetError("no convergence", IntegrationResult(0.0, 1.0, 22)),
+         ("apply", "--n", "4", "--function", "sin")),
+        ("optquad.cli.norm_peano", MemoryError(), ("norm", "--n", "4", "--methods", "quadform")),
+    ],
+)
+def test_failures_exit_2_without_traceback(monkeypatch, capsys, target, exc, argv):
+    monkeypatch.setattr(target, _raiser(exc))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.strip() != "error:"
 
 
 def test_apply_and_convergence_at_a_million_nodes(capsys):
