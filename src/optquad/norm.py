@@ -27,7 +27,11 @@ are compared on the dense-solve solution (the one object for which the
 2->1 and 3->1 reductions are mathematically valid); because the compared
 values decay like h^4 while any double-stored solution carries residuals
 around 1e-17, the report refines the dense solution and evaluates the three
-routes in 40-digit arithmetic, then rounds the results.  The closed-form
+routes in 40-digit arithmetic, then rounds the results.  psi_2 is
+exponential-polynomial, so the kernel matrix is semiseparable and every mp
+kernel sweep (two refinement residuals, one quadratic form) takes O(n)
+operations from prefix and suffix sums; the float64 dense solves (one seed,
+two corrections) are the only superlinear work.  The closed-form
 rule's norm (closed_rule_quadratic_form, and via_quadratic_form above the
 dense cap) is norm_peano.  The double precision entry points below stay
 pure float64.
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import mpmath as mp
@@ -464,67 +469,101 @@ def multiplier_routes(n: int) -> tuple[str, float, float]:
 # ------------------------------------------------------------- the report
 
 
-def _mp_psi2(x):
-    return mp.sign(x) / 2 * (mp.sinh(x) - x)
-
-
-def _mp_moment(y):
-    return (mp.e**y + mp.e**-y + mp.e ** (1 - y) + mp.e ** (y - 1) - 4) / 4 - (
-        y * y + (1 - y) * (1 - y)
-    ) / 4
-
-
 def _mp_double_moment():
     return (mp.e**2 - 1) / (2 * mp.e) - mp.mpf(7) / 6
+
+
+def _mp_grid(n: int):
+    """Uniform-grid tables (x, ep, en, m) at the working precision.
+
+    x_k = k h, ep_k = e^(x_k), en_k = e^(-x_k) and m_k = moment(x_k), the
+    last from the first three through e^(1-y) = e e^(-y) and
+    e^(y-1) = e^y / e, so no exponential is evaluated twice.
+    """
+    h = mp.mpf(1) / n
+    x = [k * h for k in range(n + 1)]
+    ep = [mp.exp(v) for v in x]
+    en = [mp.exp(-v) for v in x]
+    e = mp.e
+    m = [
+        (p + q + e * q + p / e - 4) / 4 - (v * v + (1 - v) * (1 - v)) / 4
+        for v, p, q in zip(x, ep, en)
+    ]
+    return x, ep, en, m
+
+
+def _psi2_rows(x, ep, en, c):
+    """sum_j psi_2(|x_i - x_j|) c_j for every i, in O(n) operations.
+
+    psi_2(|t|) = (e^|t| - e^-|t|)/4 - |t|/2 separates in x_i and x_j.  The
+    terms j < i of row i sum to
+
+        (e^(x_i) sum c e^-x - e^(-x_i) sum c e^x)/4 - (x_i sum c - sum c x)/2
+
+    over that prefix, and the terms j > i to the same expression over the
+    suffix with the sign flipped.  ep and en hold e^(x_j) and e^(-x_j).
+    """
+    zero = mp.mpf(0)
+
+    def prefix_minus_suffix(w):
+        before = [zero, *accumulate(w[:-1])]
+        after = [*accumulate(w[:0:-1])][::-1] + [zero]
+        return [a - b for a, b in zip(before, after)]
+
+    s_en = prefix_minus_suffix([cj * q for cj, q in zip(c, en)])
+    s_ep = prefix_minus_suffix([cj * p for cj, p in zip(c, ep)])
+    s_c = prefix_minus_suffix(c)
+    s_x = prefix_minus_suffix([cj * v for cj, v in zip(c, x)])
+    return [
+        (p * a - q * b) / 4 - (v * g - k) / 2
+        for v, p, q, a, b, g, k in zip(x, ep, en, s_en, s_ep, s_c, s_x)
+    ]
 
 
 def _refined_uniform_solution(n: int):
     """Dense solution of the exact uniform-grid system, with mp refinement.
 
-    The float64 solve seeds two rounds of iterative refinement whose
-    residuals are computed in mp arithmetic against the exact-rational-node
-    system, leaving a true residual far below double precision.  Returns
-    (h, psi_k, moment_k, expneg_k, c, b0, d) with mp scalars/lists.
+    One float64 assembly of the system serves the seed solve and both
+    correction solves.  Each of the two refinement rounds computes the
+    residual against the exact-rational-node system in mp arithmetic, with
+    the kernel rows from _psi2_rows (O(n) mp operations per round), leaving
+    a true residual far below double precision.  The caller enforces
+    n <= DENSE_MAX_N.  Returns (grid, c, b0, d): the _mp_grid tables and
+    mp scalars/lists.
     """
-    seed = solve_uniform(n)
-    matrix_f, _ = build_system(np.linspace(0.0, 1.0, n + 1))
-    h = mp.mpf(1) / n
-    psi_k = [_mp_psi2(k * h) for k in range(n + 1)]
-    m_k = [_mp_moment(k * h) for k in range(n + 1)]
-    en_k = [mp.e ** (-k * h) for k in range(n + 1)]
+    matrix_f, rhs_f = build_system(np.linspace(0.0, 1.0, n + 1))
+    seed = solve_dense(matrix_f, rhs_f)
+    grid = _mp_grid(n)
+    x, ep, en, m = grid
     c = [mp.mpf(float(v)) for v in seed.c]
     b0 = mp.mpf(seed.b0)
     d = mp.mpf(seed.d)
     target_exp = 1 - mp.e**-1
     for _ in range(2):
-        rows = [
-            m_k[i] - mp.fsum(psi_k[abs(i - j)] * c[j] for j in range(n + 1)) - b0 - d * en_k[i]
-            for i in range(n + 1)
-        ]
+        kernel_rows = _psi2_rows(x, ep, en, c)
+        rows = [mi - ki - b0 - d * q for mi, ki, q in zip(m, kernel_rows, en)]
         rows.append(1 - mp.fsum(c))
-        rows.append(target_exp - mp.fsum(c[j] * en_k[j] for j in range(n + 1)))
+        rows.append(target_exp - mp.fsum(cj * v for cj, v in zip(c, en)))
         r = np.array([float(v) for v in rows])
         delta = solve_dense(matrix_f, r)
         c = [c[j] + mp.mpf(float(delta.c[j])) for j in range(n + 1)]
         b0 += mp.mpf(delta.b0)
         d += mp.mpf(delta.d)
-    return h, psi_k, m_k, en_k, c, b0, d
+    return grid, c, b0, d
 
 
-def _mp_routes(n, h, psi_k, m_k, en_k, c, b0, d):
-    """Routes 1-3 evaluated in mp on the refined dense solution."""
+def _mp_routes(grid, c, b0, d):
+    """Routes 1-3 evaluated in mp on the refined dense solution; O(n)."""
+    x, ep, en, m = grid
     dm = _mp_double_moment()
-    s_moment = mp.fsum(c[i] * m_k[i] for i in range(n + 1))
-    qf = (
-        mp.fsum(c[i] * c[j] * psi_k[abs(i - j)] for i in range(n + 1) for j in range(n + 1))
-        - 2 * s_moment
-        + dm
-    )
-    mult = -mp.fsum(c[i] * (b0 + d * en_k[i]) for i in range(n + 1)) - s_moment + dm
+    s_moment = mp.fsum(ci * mi for ci, mi in zip(c, m))
+    kernel_rows = _psi2_rows(x, ep, en, c)
+    qf = mp.fsum(ci * ri for ci, ri in zip(c, kernel_rows)) - 2 * s_moment + dm
+    mult = -mp.fsum(ci * (b0 + d * v) for ci, v in zip(c, en)) - s_moment + dm
     e = mp.e
-    s_exp = mp.fsum(c[i] * e ** (i * h) for i in range(n + 1))
-    s_x2 = mp.fsum(c[i] * (i * h) ** 2 for i in range(n + 1))
-    s_x = mp.fsum(c[i] * (i * h) for i in range(n + 1))
+    s_exp = mp.fsum(ci * v for ci, v in zip(c, ep))
+    s_x2 = mp.fsum(ci * v * v for ci, v in zip(c, x))
+    s_x = mp.fsum(ci * v for ci, v in zip(c, x))
     expanded = (
         -b0
         + (1 - e) / e * d
@@ -560,8 +599,8 @@ def build_report(n: int) -> NormReport:
 
     if n <= DENSE_MAX_N:
         with mp.workdps(_MP_DPS):
-            h, psi_k, m_k, en_k, c, b0, d = _refined_uniform_solution(n)
-            qf, mult, expanded, d_mult, d_exp = _mp_routes(n, h, psi_k, m_k, en_k, c, b0, d)
+            grid, c, b0, d = _refined_uniform_solution(n)
+            qf, mult, expanded, d_mult, d_exp = _mp_routes(grid, c, b0, d)
             dev = float(max(abs(c[i] - mp.mpf(float(closed_rule.coefficients[i]))) for i in range(n + 1)))
         source = "dense_solve"
     else:
