@@ -1,5 +1,7 @@
 import math
+import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,10 +20,21 @@ from optquad.norm import (
     norm_quadratic_form,
     norm_theorem2,
     norm_via_multipliers,
+    _MP_DPS,
+    _mp_grid,
+    _psi2_rows,
+    _refined_uniform_solution,
 )
 from optquad.wiener_hopf import DENSE_MAX_N
 
-from highprec import closed_quadratic_form_ref, quadratic_form_ref, theorem2_ref
+from highprec import (
+    DPS,
+    closed_quadratic_form_ref,
+    moment_ref,
+    psi2_ref,
+    quadratic_form_ref,
+    theorem2_ref,
+)
 
 QF_CLOSED_N2 = 2.7556816080848494e-4
 QF_DENSE_N2 = 1.9522972545191564e-4
@@ -317,9 +330,49 @@ def test_peano_follows_the_h4_asymptote(n):
 
 def test_closed_rule_norm_is_not_below_the_minimum():
     # the refined dense minimum bounds every feasible rule's norm from below;
-    # the float64 quadratic form broke this at n = 512 (2.019e-14 < 2.032e-14)
-    for n in (16, 128, 512):
+    # the float64 quadratic form broke this at n = 512 (2.019e-14 < 2.032e-14).
+    # Every n <= 32, the powers of two with their neighbours, and the cap.
+    for n in [*range(1, 33), 64, 127, 128, 255, 256, 383, 511, 512, DENSE_MAX_N]:
         rep = build_report(n)
         closed = norm_peano(optimal_coefficients(n))
-        assert rep.closed_rule_quadratic_form == closed
+        assert rep.closed_rule_quadratic_form == closed, n
         assert closed >= rep.via_quadratic_form, n
+
+
+# ------------------------------------------------- the report's mp refinement
+
+
+def _toeplitz_rows_ref(n, c):
+    """sum_j psi_2(|i - j| / n) c_j at DPS digits, one psi2_ref per lag."""
+    with mp.workdps(DPS):
+        h = mp.mpf(1) / n
+        psi_k = [psi2_ref(k * h) for k in range(n + 1)]
+        return [mp.fsum(psi_k[abs(i - j)] * c[j] for j in range(n + 1)) for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_psi2_rows_match_the_toeplitz_sum(n):
+    rng = random.Random(n)
+    with mp.workdps(_MP_DPS):
+        x, ep, en, _ = _mp_grid(n)
+        # weights in [-1, 1) carrying about 39 random digits
+        weights = [mp.mpf(rng.getrandbits(130)) / 2**129 - 1 for _ in range(n + 1)]
+        _, refined, _, _ = _refined_uniform_solution(n)
+        for c in (weights, refined):
+            rows = _psi2_rows(x, ep, en, c)
+            ref = _toeplitz_rows_ref(n, c)
+            assert max(abs(a - b) for a, b in zip(rows, ref)) <= mp.mpf("1e-35")
+
+
+@pytest.mark.parametrize("n", [2, 16, 128])
+def test_refined_solution_solves_the_exact_system(n):
+    # measured: 1.2e-41, 8.6e-41 and 1.0e-33
+    with mp.workdps(_MP_DPS):
+        _, c, b0, d = _refined_uniform_solution(n)
+    rows = _toeplitz_rows_ref(n, c)
+    with mp.workdps(DPS):
+        h = mp.mpf(1) / n
+        resid = [moment_ref(i * h) - rows[i] - b0 - d * mp.exp(-i * h) for i in range(n + 1)]
+        resid.append(1 - mp.fsum(c))
+        resid.append(1 - mp.exp(-1) - mp.fsum(c[j] * mp.exp(-j * h) for j in range(n + 1)))
+        assert max(abs(r) for r in resid) <= mp.mpf("1e-30")
