@@ -9,6 +9,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -16,6 +17,7 @@ import math
 import random
 import sys
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -43,40 +45,93 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _write(text: str, out: str | None) -> None:
+# Rows formatted and written per write call; the output does not depend on it.
+_ROWS_PER_CHUNK = 4096
+
+# Scalars that name the call; CSV does not repeat them on every row.
+_CSV_OMITTED = ("command", "method", "function")
+
+
+@contextlib.contextmanager
+def _sink(out: str | None):
+    """Yield the write function of --out FILE, or of sys.stdout as bound now."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh.write
     else:
-        sys.stdout.write(text)
+        yield sys.stdout.write
 
 
-def _emit(payload: dict, rows_key: str | None, fmt: str, out: str | None) -> None:
-    """Serialize payload as JSON, or as CSV with one header row.
-
-    For CSV, scalar fields are repeated on every row alongside the per-row
-    columns named in `rows_key` (or emitted as a single row when None).
-    """
-    if fmt == "json":
-        _write(json.dumps(payload, indent=2) + "\n", out)
-        return
+def _csv_line(cells) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    scalars = {k: v for k, v in payload.items() if k != rows_key}
-    if rows_key is None:
-        writer.writerow(scalars.keys())
-        writer.writerow([_fmt_cell(v) for v in scalars.values()])
-    else:
-        rows = payload[rows_key]
-        row_fields = list(rows[0].keys()) if rows else []
-        scalar_fields = [k for k in scalars if k not in ("command", "method", "function")]
-        writer.writerow(row_fields + scalar_fields)
-        for row in rows:
-            writer.writerow(
-                [_fmt_cell(row[k]) for k in row_fields]
-                + [_fmt_cell(scalars[k]) for k in scalar_fields]
-            )
-    _write(buf.getvalue(), out)
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
+def _directive(column, fmt: str) -> str:
+    """The %-directive that spells one column's cells.
+
+    CSV formats float arrays (17 significant digits, as _fmt_cell does) and
+    ranges or signed-integer arrays straight from the values; every other
+    cell is a string from _column_cells.
+    """
+    if fmt == "csv" and isinstance(column, (range, np.ndarray)):
+        kind = "i" if isinstance(column, range) else column.dtype.kind
+        return {"f": "%.16e", "i": "%d"}.get(kind, "%s")
+    return "%s"
+
+
+def _column_cells(column, start: int, fmt: str, directive: str) -> list:
+    """One chunk of a column from row `start`, as values for `directive`."""
+    part = column[start:start + _ROWS_PER_CHUNK]
+    values = part.tolist() if isinstance(part, np.ndarray) else list(part)
+    if directive != "%s":
+        return values
+    if fmt == "json":
+        # the C encoder spells numbers, booleans and None as json.dumps does
+        # inside a payload; none of those spellings contains ", "
+        return json.dumps(values)[1:-1].split(", ")
+    return list(map(_fmt_cell, values))
+
+
+def _emit(scalars: dict, fmt: str, out: str | None, rows: dict | None = None) -> None:
+    """Serialize scalars, and optionally a table of rows, as JSON or CSV.
+
+    `rows` maps each row field to its column: a numpy array, range or list
+    of numbers, booleans or None, all of one length >= 1.  JSON prints the
+    table last, under "rows", as one object per row, laid out as by
+    json.dumps(indent=2).  CSV prints one header row; with a table, each row
+    holds its cells followed by every scalar not in _CSV_OMITTED; without
+    one, a single row holds all scalars.  Scalars are formatted once and
+    rows _ROWS_PER_CHUNK at a time, each chunk written as soon as it is
+    formatted, so the extra memory does not grow with the table.
+    """
+    with _sink(out) as write:
+        if rows is None:
+            if fmt == "json":
+                write(json.dumps(scalars, indent=2) + "\n")
+            else:
+                write(_csv_line(scalars) + _csv_line(map(_fmt_cell, scalars.values())))
+            return
+        columns = list(rows.values())
+        directives = [_directive(column, fmt) for column in columns]
+        if fmt == "json":
+            head = json.dumps({**scalars, "rows": []}, indent=2)  # ends in "[]\n}"
+            write(head[:-4] + "[\n")
+            fields = ",\n".join(f"      {json.dumps(k).replace('%', '%%')}: %s" for k in rows)
+            row, sep, tail = "    {\n" + fields + "\n    }", ",\n", "\n  ]\n}\n"
+        else:
+            kept = [k for k in scalars if k not in _CSV_OMITTED]
+            write(_csv_line([*rows, *kept]))
+            # csv quotes a lone empty cell but not one among others: the
+            # leading empty cell gives each scalar its mid-row spelling
+            suffix = _csv_line(["", *(_fmt_cell(scalars[k]) for k in kept)])[:-1] if kept else ""
+            row, sep, tail = ",".join(directives) + suffix.replace("%", "%%") + "\n", "", ""
+        for start in range(0, len(columns[0]), _ROWS_PER_CHUNK):
+            cells = [_column_cells(c, start, fmt, d) for c, d in zip(columns, directives)]
+            chunk = sep.join([row] * len(cells[0]))
+            write((sep if start else "") + chunk % tuple(chain.from_iterable(zip(*cells))))
+        write(tail)
 
 
 # ----------------------------------------------------------------- commands
@@ -100,22 +155,19 @@ def cmd_coeffs(args) -> int:
         sol = solve_uniform(n)
         rule = make_rule(sol.nodes, sol.c)
         payload.update(b0=sol.b0, d=sol.d, residual_inf=sol.residual_inf)
-    nodes, c = rule.nodes, rule.coefficients
     r1, r2 = constraint_residuals(rule)
     payload["residual_constraint_sum"] = r1
     payload["residual_constraint_exp_neg"] = r2
-    payload["rows"] = [
-        {"beta": int(b), "x": float(nodes[b]), "c": float(c[b])} for b in range(n + 1)
-    ]
-    _emit(payload, "rows", args.format, args.out)
+    columns = {"beta": range(n + 1), "x": rule.nodes, "c": rule.coefficients}
+    _emit(payload, args.format, args.out, columns)
     return 0
 
 
 def cmd_norm(args) -> int:
     n = args.n
-    payload: dict = {"command": "norm", "methods": args.methods, "n": n, "h": 1.0 / n if n >= 1 else None}
     if n < 1:
         raise ValueError("--n must be >= 1")
+    payload: dict = {"command": "norm", "methods": args.methods, "n": n, "h": 1.0 / n}
     if args.methods == "all":
         report = build_report(n)
         payload.update(asdict(report))
@@ -130,7 +182,7 @@ def cmd_norm(args) -> int:
             payload["via_multipliers"] = mult
         else:
             payload["via_expanded"] = expanded
-    _emit(payload, None, args.format, args.out)
+    _emit(payload, args.format, args.out)
     return 0
 
 
@@ -149,9 +201,10 @@ def cmd_validate(args) -> int:
     coef = cons = route = exact = 0.0
     for n in range(1, max_n + 1):
         rule = optimal_coefficients(n)
-        coef = max(coef, float(np.abs(rule.coefficients - solve_uniform(n).c).max()))
+        report = build_report(n)  # n <= DENSE_MAX_N: deviation from the dense oracle
+        coef = max(coef, report.coefficient_max_deviation)
         cons = max(cons, *constraint_residuals(rule))
-        route = max(route, build_report(n).rel_diff_qf_mult)
+        route = max(route, report.rel_diff_qf_mult)
         s1 = math.fsum(rule.coefficients)
         s2 = math.fsum(rule.coefficients * np.exp(-rule.nodes))
         for a, b in pairs:
@@ -191,7 +244,8 @@ def cmd_validate(args) -> int:
         lines.append(f"{name:<{width}}  {value:13.6e}  {tol:9.1e}  {'PASS' if ok else 'FAIL'}")
     if failed:
         lines.append(f"first failing check: {failed[0]}")
-    _write("\n".join(lines) + "\n", args.out)
+    with _sink(args.out) as write:
+        write("\n".join(lines) + "\n")
     return 1 if failed else 0
 
 
@@ -207,16 +261,10 @@ def cmd_convergence(args) -> int:
             raise ValueError(
                 f"unknown function {args.function!r}; catalog: {', '.join(sorted(CATALOG))}"
             )
-    rows = convergence_table(ns, f)
-    payload: dict = {
-        "command": "convergence",
-        "function": args.function,
-        "rows": [asdict(r) for r in rows],
-    }
-    if f is None:
-        for row in payload["rows"]:
-            row.pop("abs_error")
-    _emit(payload, "rows", args.format, args.out)
+    table = [asdict(r) for r in convergence_table(ns, f)]
+    fields = [k for k in table[0] if f is not None or k != "abs_error"]
+    columns = {k: [row[k] for row in table] for k in fields}
+    _emit({"command": "convergence", "function": args.function}, args.format, args.out, columns)
     return 0
 
 
@@ -230,7 +278,7 @@ def cmd_apply(args) -> int:
     check = error_check(rule, f, norm_peano(rule))
     payload = {"command": "apply", "function": args.function, "n": args.n, "h": rule.h}
     payload.update(asdict(check))
-    _emit(payload, None, args.format, args.out)
+    _emit(payload, args.format, args.out)
     return 0
 
 

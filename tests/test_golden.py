@@ -1,7 +1,8 @@
 """Frozen CLI outputs: the stdout bytes and exit code of fixed invocations.
 
 Each file under tests/golden/ is the exact stdout of `optquad.cli.main(argv)`
-for the argv recorded in CASES.  A refactor leaves every file byte-identical;
+for the argv recorded in CASES, and the exact file that argv plus
+`--out FILE` writes.  A refactor leaves every file byte-identical;
 a change that moves a number on purpose regenerates only the affected files
 and records which fields changed, and by how much, in CHANGES.md:
 
@@ -59,6 +60,16 @@ def test_golden_output(name):
     code, out = run(argv)
     assert code == expected_code
     assert out == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_with_out_file(name, tmp_path):
+    argv, expected_code = CASES[name]
+    target = tmp_path / name
+    code, out = run([*argv, "--out", str(target)])
+    assert code == expected_code
+    assert out == b""
+    assert target.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":
