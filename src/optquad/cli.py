@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (a discrepant verdict is data, not failure), 1 a
 validation check failed, 2 usage or domain error, or an arithmetic,
-integration-budget or memory failure (reported on stderr, no traceback).
-Output is JSON or CSV on stdout (or --out FILE); identical invocations
-produce byte-identical output.
+integration-budget, memory or output (OSError, e.g. a closed pipe) failure
+(reported on stderr, no traceback).  Output is JSON or CSV on stdout (or
+--out FILE), written as it is formatted; identical invocations produce
+byte-identical output.
 """
 from __future__ import annotations
 
@@ -340,7 +341,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, ArithmeticError, IntegrationBudgetError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, IntegrationBudgetError, MemoryError, OSError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 

@@ -186,6 +186,14 @@ def test_out_file(tmp_path, capsys):
     assert math.isfinite(payload["lambda1"])
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "coeffs.json"
+    code, out, err = run_cli(capsys, "coeffs", "--n", "2", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def _raiser(exc):
     def raise_it(*args, **kwargs):
         raise exc
