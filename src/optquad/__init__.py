@@ -20,7 +20,6 @@ from .kernel import (
     psi,
 )
 from .norm import (
-    InconsistentMultipliersError,
     MultiplierPair,
     NormReport,
     build_report,
@@ -28,11 +27,9 @@ from .norm import (
     geometric_sums,
     multiplier_routes,
     multipliers_closed_form,
-    norm_expanded,
     norm_peano,
     norm_quadratic_form,
     norm_theorem2,
-    norm_via_multipliers,
 )
 from .quadrature import (
     CATALOG,
@@ -64,7 +61,6 @@ __all__ = [
     "ErrorCheck",
     "IntegrationBudgetError",
     "IntegrationResult",
-    "InconsistentMultipliersError",
     "MultiplierPair",
     "NormReport",
     "QuadratureRule",
@@ -88,11 +84,9 @@ __all__ = [
     "moment",
     "multiplier_routes",
     "multipliers_closed_form",
-    "norm_expanded",
     "norm_peano",
     "norm_quadratic_form",
     "norm_theorem2",
-    "norm_via_multipliers",
     "optimal_coefficients",
     "psi",
     "solve_dense",

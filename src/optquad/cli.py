@@ -138,6 +138,13 @@ def _emit(scalars: dict, fmt: str, out: str | None, rows: dict | None = None) ->
 # ----------------------------------------------------------------- commands
 
 
+def _catalog_function(name: str):
+    f = CATALOG.get(name)
+    if f is None:
+        raise ValueError(f"unknown function {name!r}; catalog: {', '.join(sorted(CATALOG))}")
+    return f
+
+
 def cmd_coeffs(args) -> int:
     n = args.n
     sc = constants(n)  # validates n >= 1
@@ -226,12 +233,12 @@ def cmd_validate(args) -> int:
             lam = rng.uniform(-0.9, 0.9)
         n = rng.randint(2, 50)
         s1, s2 = geometric_sums(lam, n)
-        b1 = math.fsum(lam**g * g for g in range(1, n))
-        b2 = math.fsum(lam**g * g * g for g in range(1, n))
+        ref1 = math.fsum(lam**g * g for g in range(1, n))
+        ref2 = math.fsum(lam**g * g * g for g in range(1, n))
         worst = max(
             worst,
-            abs(s1 - b1) / max(abs(b1), 1e-300),
-            abs(s2 - b2) / max(abs(b2), 1e-300),
+            abs(s1 - ref1) / max(abs(ref1), 1e-300),
+            abs(s2 - ref2) / max(abs(ref2), 1e-300),
         )
     checks.append(("geometric_sum_identities", worst))
 
@@ -255,13 +262,7 @@ def cmd_convergence(args) -> int:
         ns = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValueError(f"--n-list must be comma-separated integers: {exc}") from None
-    f = None
-    if args.function is not None:
-        f = CATALOG.get(args.function)
-        if f is None:
-            raise ValueError(
-                f"unknown function {args.function!r}; catalog: {', '.join(sorted(CATALOG))}"
-            )
+    f = None if args.function is None else _catalog_function(args.function)
     table = [asdict(r) for r in convergence_table(ns, f)]
     fields = [k for k in table[0] if f is not None or k != "abs_error"]
     columns = {k: [row[k] for row in table] for k in fields}
@@ -270,11 +271,7 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_apply(args) -> int:
-    f = CATALOG.get(args.function)
-    if f is None:
-        raise ValueError(
-            f"unknown function {args.function!r}; catalog: {', '.join(sorted(CATALOG))}"
-        )
+    f = _catalog_function(args.function)
     rule = optimal_coefficients(args.n)
     check = error_check(rule, f, norm_peano(rule))
     payload = {"command": "apply", "function": args.function, "n": args.n, "h": rule.h}

@@ -33,8 +33,8 @@ kernel sweep (two refinement residuals, one quadratic form) takes O(n)
 operations from prefix and suffix sums; the float64 dense solves (one seed,
 two corrections) are the only superlinear work.  The closed-form
 rule's norm (closed_rule_quadratic_form, and via_quadratic_form above the
-dense cap) is norm_peano.  The double precision entry points below stay
-pure float64.
+dense cap) is norm_peano.  Routes 2 and 3 have one public entry,
+multiplier_routes(n), which evaluates both in float64.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
 magnitude (its h-block diverges like 3/h^2 as the grid refines); the report
@@ -57,7 +57,6 @@ from .wiener_hopf import DENSE_MAX_N, build_system, solve_dense, solve_uniform
 
 __all__ = [
     "FEASIBILITY_TOL",
-    "InconsistentMultipliersError",
     "MultiplierPair",
     "NormReport",
     "build_report",
@@ -65,40 +64,24 @@ __all__ = [
     "geometric_sums",
     "multiplier_routes",
     "multipliers_closed_form",
-    "norm_expanded",
     "norm_peano",
     "norm_quadratic_form",
     "norm_theorem2",
-    "norm_via_multipliers",
 ]
 
 # Verdict threshold on the symmetric relative differences.
 CONSISTENCY_RTOL = 1e-6
 
-# Multiplier-based routes require the inputs to actually solve the system.
-MULTIPLIER_RESIDUAL_TOL = 1e-8
-
 _TINY = 1e-300
 _MP_DPS = 40
 
 
-class InconsistentMultipliersError(ValueError):
-    """(rule, multipliers) do not satisfy the stationarity system."""
-
-
 @dataclass(frozen=True)
 class MultiplierPair:
-    """Lagrange multipliers d and b0, plus the derived amplitudes a1, b1.
-
-    a1 = K (e^h - lambda1) and b1 = K (1 - lambda1 e^h); stored in the
-    overflow-safe forms a1 = -Kscaled (1 - e^h q) q^N and
-    b1 = -Kscaled (e^h - q) q^N.
-    """
+    """Lagrange multipliers d and b0 of the stationarity system."""
 
     d: float
     b0: float
-    a1: float
-    b1: float
 
 
 @dataclass(frozen=True)
@@ -241,25 +224,6 @@ def norm_peano(rule: QuadratureRule) -> float:
 # ----------------------------------------------------------- routes 2 and 3
 
 
-def _system_residual_inf(rule: QuadratureRule, mult: MultiplierPair) -> float:
-    x = rule.nodes
-    c = rule.coefficients
-    rows = psi(2, x[:, None] - x[None, :]) @ c + mult.b0 + mult.d * np.exp(-x) - moment(x)
-    r_sum = math.fsum(c) - 1.0
-    r_exp = math.fsum(c * np.exp(-x)) + math.expm1(-1.0)
-    return max(float(np.abs(rows).max()), abs(r_sum), abs(r_exp))
-
-
-def _check_multipliers(rule: QuadratureRule, mult: MultiplierPair) -> None:
-    resid = _system_residual_inf(rule, mult)
-    if resid > MULTIPLIER_RESIDUAL_TOL:
-        raise InconsistentMultipliersError(
-            f"(rule, multipliers) leave a system residual of {resid:.3e} "
-            f"(tolerance {MULTIPLIER_RESIDUAL_TOL}); the multiplier-based norm "
-            "routes are only valid at an actual solution"
-        )
-
-
 def _multiplier_form_value(rule: QuadratureRule, mult: MultiplierPair) -> float:
     x = rule.nodes
     c = rule.coefficients
@@ -269,12 +233,6 @@ def _multiplier_form_value(rule: QuadratureRule, mult: MultiplierPair) -> float:
         [double_moment()],
     ])
     return math.fsum(terms)
-
-
-def norm_via_multipliers(rule: QuadratureRule, mult: MultiplierPair) -> float:
-    """Squared norm via the Lagrange multipliers; requires a solving pair."""
-    _check_multipliers(rule, mult)
-    return _multiplier_form_value(rule, mult)
 
 
 def _expanded_form_value(rule: QuadratureRule, mult: MultiplierPair) -> float:
@@ -294,12 +252,6 @@ def _expanded_form_value(rule: QuadratureRule, mult: MultiplierPair) -> float:
         -0.5 * s_x,
         (e * e - 1.0) / (2.0 * e) - 7.0 / 6.0,
     ])
-
-
-def norm_expanded(rule: QuadratureRule, mult: MultiplierPair) -> float:
-    """Squared norm via the expanded multiplier identity, exactly as printed."""
-    _check_multipliers(rule, mult)
-    return _expanded_form_value(rule, mult)
 
 
 # ----------------------------------------------------------------- route 4
@@ -359,14 +311,14 @@ def norm_theorem2(n: int) -> float:
 def multipliers_closed_form(n: int) -> MultiplierPair:
     """The printed closed forms for d and b0, in q-safe arithmetic.
 
-    Exact rewrites (a = 1 - e^h q, b = e^h - q):
+    The printed forms carry the amplitudes A = K (e^h - lam) = -Kscaled a q^N
+    and B = K (1 - lam e^h) = -Kscaled b q^N.  Exact rewrites
+    (a = 1 - e^h q, b = e^h - q):
 
-      a1 = K (e^h - lam)           = -Kscaled a q^N
-      b1 = K (1 - lam e^h)        = -Kscaled b q^N
-      a1 lam e^h / (1 - lam e^h)  =  Kscaled a q^N e^h / b
-      b1 lam^N e^h / (lam - e^h)  = -Kscaled b q   e^h / a
-      h a1 lam / (1 - lam)^2      = -h Kscaled a q^(N+1) / (1-q)^2
-      h b1 lam^(N+1) / (1-lam)^2  = -h Kscaled b q       / (1-q)^2
+      A lam e^h / (1 - lam e^h)   =  Kscaled a q^N e^h / b
+      B lam^N e^h / (lam - e^h)   = -Kscaled b q   e^h / a
+      h A lam / (1 - lam)^2       = -h Kscaled a q^(N+1) / (1-q)^2
+      h B lam^(N+1) / (1-lam)^2   = -h Kscaled b q       / (1-q)^2
 
     The d value produced by the printed formula does not reproduce the
     dense-solve multiplier (the b0 value does); callers compare, they must
@@ -381,8 +333,6 @@ def multipliers_closed_form(n: int) -> MultiplierPair:
     qn = pow_q(q, n)
     a = 1.0 - eh * q
     b = eh - q
-    a1 = -ks * a * qn
-    b1 = -ks * b * qn
 
     c = rule.coefficients
     x = rule.nodes
@@ -403,7 +353,7 @@ def multipliers_closed_form(n: int) -> MultiplierPair:
         - s_x / 2.0
         + 1.25
     )
-    return MultiplierPair(d=d, b0=-minus_b0, a1=a1, b1=b1)
+    return MultiplierPair(d=d, b0=-minus_b0)
 
 
 # --------------------------------------------------------- geometric sums
@@ -433,29 +383,21 @@ def geometric_sums(lam: float, n: int) -> tuple[float, float]:
 def dense_multipliers(n: int) -> tuple[QuadratureRule, MultiplierPair]:
     """Solve the uniform system and package its rule and multipliers.
 
-    The a1/b1 amplitudes are not unknowns of the linear system; they are
-    filled in from their closed forms for reporting.  solve_uniform enforces
-    the DENSE_MAX_N cap.
+    solve_uniform enforces the DENSE_MAX_N cap.
     """
     sol = solve_uniform(n)
-    sc = constants(n)
-    qn = pow_q(sc.q, n)
-    eh = math.exp(sc.h)
-    a1 = -sc.k_scaled * (1.0 - eh * sc.q) * qn
-    b1 = -sc.k_scaled * (eh - sc.q) * qn
-    rule = make_rule(sol.nodes, sol.c)
-    return rule, MultiplierPair(d=sol.d, b0=sol.b0, a1=a1, b1=b1)
+    return make_rule(sol.nodes, sol.c), MultiplierPair(d=sol.d, b0=sol.b0)
 
 
 def multiplier_routes(n: int) -> tuple[str, float, float]:
     """Routes 2 and 3 in float64, with the source of their multipliers.
 
-    For n <= DENSE_MAX_N the dense solution supplies the rule and the
-    multipliers ("dense_solve"); above the cap the printed closed-form
-    weights and multipliers are inserted verbatim ("closed_form").  Neither
-    is rechecked against the system, unlike norm_via_multipliers and
-    norm_expanded.  Returns (multiplier_source, via_multipliers,
-    via_expanded).
+    The one public entry to both routes.  For n <= DENSE_MAX_N the dense
+    solution supplies the rule and the multipliers ("dense_solve"); above
+    the cap the printed closed-form weights and multipliers are inserted
+    verbatim ("closed_form").  Neither is rechecked against the system;
+    the printed pair does not solve it (see multipliers_closed_form).
+    Returns (multiplier_source, via_multipliers, via_expanded).
     """
     if n <= DENSE_MAX_N:
         rule, pair = dense_multipliers(n)
@@ -575,9 +517,8 @@ def _mp_routes(grid, c, b0, d):
         + (e**2 - 1) / (2 * e)
         - mp.mpf(7) / 6
     )
-    tiny = mp.mpf("1e-300")
-    d_mult = abs(qf - mult) / max(abs(qf), abs(mult), tiny)
-    d_exp = abs(qf - expanded) / max(abs(qf), abs(expanded), tiny)
+    d_mult = _rel_diff(qf, mult)
+    d_exp = _rel_diff(qf, expanded)
     return float(qf), float(mult), float(expanded), float(d_mult), float(d_exp)
 
 

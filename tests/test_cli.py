@@ -144,6 +144,7 @@ def test_apply_unknown_function_lists_catalog(capsys):
     code, _, err = run_cli(capsys, "apply", "--n", "8", "--function", "nope")
     assert code == 2
     assert "exp_neg" in err and "const1" in err
+    assert run_cli(capsys, "convergence", "--n-list", "2", "--function", "nope") == (2, "", err)
 
 
 def test_determinism_byte_identical(capsys):

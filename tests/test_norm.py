@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 
 from optquad.coefficients import make_rule, optimal_coefficients, trapezoid_rule
 from optquad.norm import (
-    InconsistentMultipliersError,
-    MultiplierPair,
     build_report,
     dense_multipliers,
     geometric_sums,
+    multiplier_routes,
     multipliers_closed_form,
-    norm_expanded,
     norm_peano,
     norm_quadratic_form,
     norm_theorem2,
-    norm_via_multipliers,
     _MP_DPS,
     _mp_grid,
     _psi2_rows,
@@ -77,37 +74,17 @@ def test_quadratic_form_order_independent():
     assert norm_quadratic_form(mirrored) == pytest.approx(a, rel=1e-11)
 
 
-def test_via_multipliers_matches_quadratic_form_on_dense_pair():
-    for n in (1, 2, 3, 8):
-        rule, pair = dense_multipliers(n)
-        qf = norm_quadratic_form(rule)
-        mult = norm_via_multipliers(rule, pair)
-        assert abs(qf - mult) / qf <= 1e-8, n
-    rule, pair = dense_multipliers(1)
-    assert abs(norm_quadratic_form(rule) - norm_via_multipliers(rule, pair)) / QF_CLOSED_N1 <= 1e-10
-
-
-def test_via_multipliers_frozen_value():
-    rule, pair = dense_multipliers(2)
-    assert norm_via_multipliers(rule, pair) == pytest.approx(QF_DENSE_N2, rel=1e-10)
-
-
-def test_via_multipliers_rejects_non_solution():
-    # the closed-form rule does not solve the system, so pairing it with the
-    # dense multipliers must trip the residual recheck
-    _, pair = dense_multipliers(2)
-    with pytest.raises(InconsistentMultipliersError):
-        norm_via_multipliers(optimal_coefficients(2), pair)
-    with pytest.raises(InconsistentMultipliersError):
-        norm_expanded(optimal_coefficients(2), pair)
-
-
-def test_expanded_matches_multiplier_route():
-    for n in (1, 2, 5, 16):
-        rule, pair = dense_multipliers(n)
-        a = norm_via_multipliers(rule, pair)
-        b = norm_expanded(rule, pair)
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(a) / 1e-8), n
+def test_multiplier_routes_match_quadratic_form_on_dense_solution():
+    for n in (1, 2, 3, 5, 8, 16):
+        source, mult, expanded = multiplier_routes(n)
+        assert source == "dense_solve", n
+        qf = norm_quadratic_form(dense_multipliers(n)[0])
+        # the two constraints alone fix the n = 1 rule
+        assert abs(qf - mult) / qf <= (1e-10 if n == 1 else 1e-8), n
+        assert abs(mult - expanded) <= 1e-12 * max(1.0, abs(mult) / 1e-8), n
+    assert multiplier_routes(2)[1] == pytest.approx(QF_DENSE_N2, rel=1e-10)
+    assert multiplier_routes(DENSE_MAX_N)[0] == "dense_solve"
+    assert multiplier_routes(DENSE_MAX_N + 1)[0] == "closed_form"
 
 
 def test_expanded_partial_sums_desk_values():
@@ -144,12 +121,9 @@ def test_theorem2_bracket_desk_value():
 
 
 def test_multipliers_closed_form_signs_and_finiteness():
-    pair = multipliers_closed_form(2)
-    assert pair.a1 > 0.0 and pair.b1 > 0.0
-    assert pair.a1 == pytest.approx(0.0027774358954531, rel=1e-10)
-    assert pair.b1 == pytest.approx(0.0053576744648792, rel=1e-10)
-    pair1 = multipliers_closed_form(1)
-    assert math.isfinite(pair1.d) and math.isfinite(pair1.b0)
+    for n in (1, 2):
+        pair = multipliers_closed_form(n)
+        assert math.isfinite(pair.d) and math.isfinite(pair.b0), n
 
 
 def test_multipliers_closed_form_vs_dense():

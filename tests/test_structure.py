@@ -1,0 +1,41 @@
+"""Module boundaries of the package, checked from its source files.
+
+Each module keeps its `_`-prefixed names to itself, and every name a
+module lists in `__all__` exists.  The source is parsed rather than
+imported where it can be, because importing `__main__` runs the CLI.
+"""
+import ast
+import importlib
+from pathlib import Path
+
+import optquad
+
+SOURCES = sorted(Path(optquad.__file__).parent.glob("*.py"))
+
+
+def test_no_module_imports_a_private_name():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}: {node.module}.{a.name}" for a in node.names
+                          if a.name.startswith("_")]
+    assert found == []
+
+
+def test_every_all_entry_resolves():
+    checked = []
+    missing = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if not any(isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                   for node in tree.body):
+            continue
+        module = importlib.import_module(
+            "optquad" if path.stem == "__init__" else f"optquad.{path.stem}")
+        checked.append(module.__name__)
+        missing += [f"{module.__name__}.{name}" for name in module.__all__
+                    if not hasattr(module, name)]
+    assert "optquad" in checked
+    assert missing == []
