@@ -74,15 +74,29 @@ def test_quadratic_form_order_independent():
     assert norm_quadratic_form(mirrored) == pytest.approx(a, rel=1e-11)
 
 
-def test_multiplier_routes_match_quadratic_form_on_dense_solution():
+def test_via_multipliers_matches_quadratic_form_on_dense_pair():
+    # route 2 of multiplier_routes against the O(n^2) oracle on the same dense rule
     for n in (1, 2, 3, 5, 8, 16):
-        source, mult, expanded = multiplier_routes(n)
+        source, mult, _ = multiplier_routes(n)
         assert source == "dense_solve", n
         qf = norm_quadratic_form(dense_multipliers(n)[0])
-        # the two constraints alone fix the n = 1 rule
-        assert abs(qf - mult) / qf <= (1e-10 if n == 1 else 1e-8), n
-        assert abs(mult - expanded) <= 1e-12 * max(1.0, abs(mult) / 1e-8), n
+        assert abs(qf - mult) / qf <= 1e-8, n
+    # the two constraints alone fix the n = 1 rule
+    qf1 = norm_quadratic_form(dense_multipliers(1)[0])
+    assert abs(qf1 - multiplier_routes(1)[1]) / QF_CLOSED_N1 <= 1e-10
+
+
+def test_via_multipliers_frozen_value():
     assert multiplier_routes(2)[1] == pytest.approx(QF_DENSE_N2, rel=1e-10)
+
+
+def test_expanded_matches_multiplier_route():
+    for n in (1, 2, 3, 5, 8, 16):
+        _, a, b = multiplier_routes(n)
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(a) / 1e-8), n
+
+
+def test_multiplier_routes_source_switches_at_dense_cap():
     assert multiplier_routes(DENSE_MAX_N)[0] == "dense_solve"
     assert multiplier_routes(DENSE_MAX_N + 1)[0] == "closed_form"
 
