@@ -33,8 +33,9 @@ kernel sweep (two refinement residuals, one quadratic form) takes O(n)
 operations from prefix and suffix sums; the float64 dense solves (one seed,
 two corrections) are the only superlinear work.  The closed-form
 rule's norm (closed_rule_quadratic_form, and via_quadratic_form above the
-dense cap) is norm_peano.  Routes 2 and 3 have one public entry,
-multiplier_routes(n), which evaluates both in float64.
+dense cap) is norm_peano.  One evaluator serves routes 2 and 3 in float64,
+behind their public entry multiplier_routes(n), and in 40 digits on the
+report's mp tables, which are numpy object arrays of mpf.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
 magnitude (its h-block diverges like 3/h^2 as the grid refines); the report
@@ -44,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
 import mpmath as mp
@@ -224,34 +224,32 @@ def norm_peano(rule: QuadratureRule) -> float:
 # ----------------------------------------------------------- routes 2 and 3
 
 
-def _multiplier_form_value(rule: QuadratureRule, mult: MultiplierPair) -> float:
-    x = rule.nodes
-    c = rule.coefficients
-    terms = np.concatenate([
-        -c * (mult.b0 + mult.d * np.exp(-x)),
-        -c * moment(x),
-        [double_moment()],
-    ])
-    return math.fsum(terms)
+def _double_moment(e):
+    """(e^2 - 1)/(2e) - 7/6 = int int psi_2 over the unit square, in e's type."""
+    return (e * e - 1) / (2 * e) - type(e)(7) / 6
 
 
-def _expanded_form_value(rule: QuadratureRule, mult: MultiplierPair) -> float:
-    x = rule.nodes
-    c = rule.coefficients
-    e = math.e
-    s_exp = math.fsum(c * np.exp(x))
-    s_x2 = math.fsum(c * x * x)
-    s_x = math.fsum(c * x)
-    return math.fsum([
-        -mult.b0,
-        (1.0 - e) / e * mult.d,
-        -(e + 1.0) / (4.0 * e) * s_exp,
-        -(1.0 + e) / 4.0 * (1.0 - math.exp(-1.0)),
-        1.25,
-        0.5 * s_x2,
-        -0.5 * s_x,
-        (e * e - 1.0) / (2.0 * e) - 7.0 / 6.0,
+def _route_values(c, grid, b0, d, fsum, e):
+    """(via_multipliers, via_expanded) of weights c on grid = (x, e^x, e^-x, moment(x)).
+
+    Either float64 arrays with math.fsum and e = math.e, or object arrays of
+    mpf with mp.fsum and an mpf e.  Arrays stay left of scalars: an mpf on
+    the left would first try to convert (and repr) the whole array.
+    """
+    x, ep, en, m = grid
+    dm = _double_moment(e)
+    mult = fsum(np.concatenate([-c * (en * d + b0), -c * m, [dm]]))
+    expanded = fsum([
+        -b0,
+        (1 - e) / e * d,
+        -(e + 1) / (4 * e) * fsum(c * ep),
+        -(1 + e) / 4 * (1 - 1 / e),
+        type(e)(5) / 4,
+        fsum(c * x * x) / 2,
+        -fsum(c * x) / 2,
+        dm,
     ])
+    return mult, expanded
 
 
 # ----------------------------------------------------------------- route 4
@@ -308,8 +306,8 @@ def norm_theorem2(n: int) -> float:
 # ------------------------------------------------------- closed multipliers
 
 
-def multipliers_closed_form(n: int) -> MultiplierPair:
-    """The printed closed forms for d and b0, in q-safe arithmetic.
+def multipliers_closed_form(rule: QuadratureRule) -> MultiplierPair:
+    """The printed closed forms for d and b0 of rule = optimal_coefficients(n), q-safe.
 
     The printed forms carry the amplitudes A = K (e^h - lam) = -Kscaled a q^N
     and B = K (1 - lam e^h) = -Kscaled b q^N.  Exact rewrites
@@ -324,8 +322,8 @@ def multipliers_closed_form(n: int) -> MultiplierPair:
     dense-solve multiplier (the b0 value does); callers compare, they must
     not assume equality.
     """
+    n = rule.n
     sc = constants(n)
-    rule = optimal_coefficients(n)
     h, q, ks = sc.h, sc.q, sc.k_scaled
     eh = math.exp(h)
     em1 = math.expm1(h)
@@ -403,34 +401,30 @@ def multiplier_routes(n: int) -> tuple[str, float, float]:
         rule, pair = dense_multipliers(n)
         source = "dense_solve"
     else:
-        rule, pair = optimal_coefficients(n), multipliers_closed_form(n)
+        rule = optimal_coefficients(n)
+        pair = multipliers_closed_form(rule)
         source = "closed_form"
-    return source, _multiplier_form_value(rule, pair), _expanded_form_value(rule, pair)
+    x = rule.nodes
+    grid = (x, np.exp(x), np.exp(-x), moment(x))
+    mult, expanded = _route_values(rule.coefficients, grid, pair.b0, pair.d, math.fsum, math.e)
+    return source, mult, expanded
 
 
 # ------------------------------------------------------------- the report
 
 
-def _mp_double_moment():
-    return (mp.e**2 - 1) / (2 * mp.e) - mp.mpf(7) / 6
-
-
 def _mp_grid(n: int):
-    """Uniform-grid tables (x, ep, en, m) at the working precision.
+    """Uniform-grid tables (x, ep, en, m): object arrays of working-precision mpf.
 
     x_k = k h, ep_k = e^(x_k), en_k = e^(-x_k) and m_k = moment(x_k), the
     last from the first three through e^(1-y) = e e^(-y) and
     e^(y-1) = e^y / e, so no exponential is evaluated twice.
     """
-    h = mp.mpf(1) / n
-    x = [k * h for k in range(n + 1)]
-    ep = [mp.exp(v) for v in x]
-    en = [mp.exp(-v) for v in x]
-    e = mp.e
-    m = [
-        (p + q + e * q + p / e - 4) / 4 - (v * v + (1 - v) * (1 - v)) / 4
-        for v, p, q in zip(x, ep, en)
-    ]
+    exp = np.frompyfunc(mp.exp, 1, 1)
+    x = np.arange(n + 1, dtype=object) * (mp.mpf(1) / n)
+    ep = exp(x)
+    en = exp(-x)
+    m = (ep + en + en * mp.e + ep / mp.e - 4) / 4 - (x * x + (1 - x) * (1 - x)) / 4
     return x, ep, en, m
 
 
@@ -445,21 +439,18 @@ def _psi2_rows(x, ep, en, c):
     over that prefix, and the terms j > i to the same expression over the
     suffix with the sign flipped.  ep and en hold e^(x_j) and e^(-x_j).
     """
-    zero = mp.mpf(0)
+    zero = np.zeros(1, dtype=object)
 
     def prefix_minus_suffix(w):
-        before = [zero, *accumulate(w[:-1])]
-        after = [*accumulate(w[:0:-1])][::-1] + [zero]
-        return [a - b for a, b in zip(before, after)]
+        before = np.concatenate([zero, np.cumsum(w[:-1])])
+        after = np.concatenate([np.cumsum(w[:0:-1])[::-1], zero])
+        return before - after
 
-    s_en = prefix_minus_suffix([cj * q for cj, q in zip(c, en)])
-    s_ep = prefix_minus_suffix([cj * p for cj, p in zip(c, ep)])
+    s_en = prefix_minus_suffix(c * en)
+    s_ep = prefix_minus_suffix(c * ep)
     s_c = prefix_minus_suffix(c)
-    s_x = prefix_minus_suffix([cj * v for cj, v in zip(c, x)])
-    return [
-        (p * a - q * b) / 4 - (v * g - k) / 2
-        for v, p, q, a, b, g, k in zip(x, ep, en, s_en, s_ep, s_c, s_x)
-    ]
+    s_x = prefix_minus_suffix(c * x)
+    return (ep * s_en - en * s_ep) / 4 - (x * s_c - s_x) / 2
 
 
 def _refined_uniform_solution(n: int):
@@ -470,25 +461,22 @@ def _refined_uniform_solution(n: int):
     residual against the exact-rational-node system in mp arithmetic, with
     the kernel rows from _psi2_rows (O(n) mp operations per round), leaving
     a true residual far below double precision.  The caller enforces
-    n <= DENSE_MAX_N.  Returns (grid, c, b0, d): the _mp_grid tables and
-    mp scalars/lists.
+    n <= DENSE_MAX_N.  Returns (grid, c, b0, d): the _mp_grid tables, the
+    weights as an object array of mpf and the mp multipliers.
     """
     matrix_f, rhs_f = build_system(np.linspace(0.0, 1.0, n + 1))
     seed = solve_dense(matrix_f, rhs_f)
     grid = _mp_grid(n)
     x, ep, en, m = grid
-    c = [mp.mpf(float(v)) for v in seed.c]
+    c = np.frompyfunc(mp.mpf, 1, 1)(seed.c)
     b0 = mp.mpf(seed.b0)
     d = mp.mpf(seed.d)
     target_exp = 1 - mp.e**-1
     for _ in range(2):
-        kernel_rows = _psi2_rows(x, ep, en, c)
-        rows = [mi - ki - b0 - d * q for mi, ki, q in zip(m, kernel_rows, en)]
-        rows.append(1 - mp.fsum(c))
-        rows.append(target_exp - mp.fsum(cj * v for cj, v in zip(c, en)))
-        r = np.array([float(v) for v in rows])
+        rows = m - _psi2_rows(x, ep, en, c) - b0 - en * d
+        r = np.append(rows, [1 - mp.fsum(c), target_exp - mp.fsum(c * en)]).astype(float)
         delta = solve_dense(matrix_f, r)
-        c = [c[j] + mp.mpf(float(delta.c[j])) for j in range(n + 1)]
+        c = c + delta.c
         b0 += mp.mpf(delta.b0)
         d += mp.mpf(delta.d)
     return grid, c, b0, d
@@ -497,26 +485,10 @@ def _refined_uniform_solution(n: int):
 def _mp_routes(grid, c, b0, d):
     """Routes 1-3 evaluated in mp on the refined dense solution; O(n)."""
     x, ep, en, m = grid
-    dm = _mp_double_moment()
-    s_moment = mp.fsum(ci * mi for ci, mi in zip(c, m))
+    e = mp.mpf(mp.e)
     kernel_rows = _psi2_rows(x, ep, en, c)
-    qf = mp.fsum(ci * ri for ci, ri in zip(c, kernel_rows)) - 2 * s_moment + dm
-    mult = -mp.fsum(ci * (b0 + d * v) for ci, v in zip(c, en)) - s_moment + dm
-    e = mp.e
-    s_exp = mp.fsum(ci * v for ci, v in zip(c, ep))
-    s_x2 = mp.fsum(ci * v * v for ci, v in zip(c, x))
-    s_x = mp.fsum(ci * v for ci, v in zip(c, x))
-    expanded = (
-        -b0
-        + (1 - e) / e * d
-        - (e + 1) / (4 * e) * s_exp
-        - (1 + e) / 4 * (1 - e**-1)
-        + mp.mpf(5) / 4
-        + s_x2 / 2
-        - s_x / 2
-        + (e**2 - 1) / (2 * e)
-        - mp.mpf(7) / 6
-    )
+    qf = mp.fsum(c * kernel_rows) - 2 * mp.fsum(c * m) + _double_moment(e)
+    mult, expanded = _route_values(c, grid, b0, d, mp.fsum, e)
     d_mult = _rel_diff(qf, mult)
     d_exp = _rel_diff(qf, expanded)
     return float(qf), float(mult), float(expanded), float(d_mult), float(d_exp)
@@ -542,7 +514,7 @@ def build_report(n: int) -> NormReport:
         with mp.workdps(_MP_DPS):
             grid, c, b0, d = _refined_uniform_solution(n)
             qf, mult, expanded, d_mult, d_exp = _mp_routes(grid, c, b0, d)
-            dev = float(max(abs(c[i] - mp.mpf(float(closed_rule.coefficients[i]))) for i in range(n + 1)))
+            dev = float(np.max(np.abs(c - closed_rule.coefficients)))
         source = "dense_solve"
     else:
         source, mult, expanded = multiplier_routes(n)

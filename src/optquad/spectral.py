@@ -34,6 +34,8 @@ _SEAM = 0.25
 # D(h) = sum_{j>=3} 2 (j - 2^(j-1)) / j! * h^j     (all coefficients < 0)
 _A_COEFFS = tuple((j - 2) * 2 ** (j - 1) / math.factorial(j) for j in range(3, 36))
 _D_COEFFS = tuple(2 * (j - 2 ** (j - 1)) / math.factorial(j) for j in range(3, 36))
+# 2e^h - 2 - he^h - h = sum_{j>=3} (2 - j) / j! * h^j   (all coefficients < 0)
+_S_COEFFS = tuple((2.0 - j) / math.factorial(j) for j in range(3, 21))
 
 
 def _poly_h3(coeffs, h: float) -> float:
@@ -107,14 +109,10 @@ class SpectralConstants:
 def _shape_factor(h: float) -> float:
     """2e^h - 2 - he^h - h = -(h^3/6)(1 + h/2 + ...), strictly negative.
 
-    Power series sum_{j>=3} (2-j)/j! h^j below the seam (same-sign terms),
-    expm1 form above.
+    Power series below the seam (same-sign terms), expm1 form above.
     """
     if h < _SEAM:
-        acc = 0.0
-        for j in range(20, 2, -1):
-            acc = acc * h + (2.0 - j) / math.factorial(j)
-        return acc * h * h * h
+        return _poly_h3(_S_COEFFS, h)
     t = math.expm1(h)
     return 2.0 * t - h * (t + 2.0)
 

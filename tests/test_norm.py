@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from optquad import norm
 from optquad.coefficients import make_rule, optimal_coefficients, trapezoid_rule
 from optquad.norm import (
     build_report,
@@ -101,6 +102,45 @@ def test_multiplier_routes_source_switches_at_dense_cap():
     assert multiplier_routes(DENSE_MAX_N + 1)[0] == "closed_form"
 
 
+def test_multiplier_routes_builds_the_closed_rule_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return optimal_coefficients(n)
+
+    monkeypatch.setattr(norm, "optimal_coefficients", counted)
+    multiplier_routes(DENSE_MAX_N + 1)
+    assert calls == [DENSE_MAX_N + 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+def test_float64_routes_agree_with_the_40_digit_report(n):
+    # float64 on the dense solve against 40 digits on the refined solve;
+    # measured worst 6.1e-9 relative, at n = 16
+    _, mult, expanded = multiplier_routes(n)
+    report = build_report(n)
+    assert abs(mult - report.via_multipliers) <= 1e-7 * report.via_multipliers
+    assert abs(expanded - report.via_expanded) <= 1e-7 * report.via_expanded
+
+
+def test_mp_routes_never_print_an_mpf(monkeypatch):
+    # an mpf on the left of an object array makes mpmath build the array's
+    # repr before numpy takes the product over; none may be built
+    mpf_type = type(mp.mpf(1))
+    plain_repr = mpf_type.__repr__
+    calls = []
+
+    def counted(self):
+        calls.append(1)
+        return plain_repr(self)
+
+    monkeypatch.setattr(mpf_type, "__repr__", counted)
+    build_report(16)
+    multiplier_routes(16)
+    assert calls == []
+
+
 def test_expanded_partial_sums_desk_values():
     rule = optimal_coefficients(2)
     c, x = rule.coefficients, rule.nodes
@@ -136,7 +176,7 @@ def test_theorem2_bracket_desk_value():
 
 def test_multipliers_closed_form_signs_and_finiteness():
     for n in (1, 2):
-        pair = multipliers_closed_form(n)
+        pair = multipliers_closed_form(optimal_coefficients(n))
         assert math.isfinite(pair.d) and math.isfinite(pair.b0), n
 
 
@@ -144,7 +184,7 @@ def test_multipliers_closed_form_vs_dense():
     # the printed b0 reproduces the dense multiplier, the printed d does not;
     # both facts are recorded, neither is "corrected"
     for n in (1, 2, 4):
-        printed = multipliers_closed_form(n)
+        printed = multipliers_closed_form(optimal_coefficients(n))
         _, dense = dense_multipliers(n)
         assert printed.b0 == pytest.approx(dense.b0, rel=1e-9, abs=1e-14), n
         assert abs(printed.d - dense.d) > 1e-4 * max(1.0, abs(dense.d)), n
@@ -344,7 +384,9 @@ def test_psi2_rows_match_the_toeplitz_sum(n):
     with mp.workdps(_MP_DPS):
         x, ep, en, _ = _mp_grid(n)
         # weights in [-1, 1) carrying about 39 random digits
-        weights = [mp.mpf(rng.getrandbits(130)) / 2**129 - 1 for _ in range(n + 1)]
+        weights = np.array(
+            [mp.mpf(rng.getrandbits(130)) / 2**129 - 1 for _ in range(n + 1)], dtype=object
+        )
         _, refined, _, _ = _refined_uniform_solution(n)
         for c in (weights, refined):
             rows = _psi2_rows(x, ep, en, c)
