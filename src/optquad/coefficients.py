@@ -57,6 +57,8 @@ def make_rule(nodes, coefficients) -> QuadratureRule:
         raise ValueError("nodes and coefficients must be 1-D arrays of equal length")
     if nodes.size < 1:
         raise ValueError("a rule needs at least one node")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError("nodes must be finite")
     if np.any(np.diff(nodes) <= 0.0):
         raise ValueError("nodes must be strictly increasing")
     if nodes[0] < 0.0 or nodes[-1] > 1.0:

@@ -30,8 +30,9 @@ around 1e-17, the report refines the dense solution and evaluates the three
 routes in 40-digit arithmetic, then rounds the results.  psi_2 is
 exponential-polynomial, so the kernel matrix is semiseparable and every mp
 kernel sweep (two refinement residuals, one quadratic form) takes O(n)
-operations from prefix and suffix sums; the float64 dense solves (one seed,
-two corrections) are the only superlinear work.  The closed-form
+operations from prefix and suffix sums; the float64 dense work (one
+solve for the seed, plus two re-solves of the same equilibrated system for
+the corrections) is the only superlinear work.  The closed-form
 rule's norm (closed_rule_quadratic_form, and via_quadratic_form above the
 dense cap) is norm_peano.  One evaluator serves routes 2 and 3 in float64,
 behind their public entry multiplier_routes(n), and in 40 digits on the
@@ -53,7 +54,7 @@ import numpy as np
 from .coefficients import QuadratureRule, constraint_residuals, make_rule, optimal_coefficients
 from .kernel import double_moment, moment, psi
 from .spectral import constants, pow_q
-from .wiener_hopf import DENSE_MAX_N, build_system, solve_dense, solve_uniform
+from .wiener_hopf import DENSE_MAX_N, resolve, solve_uniform
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -360,8 +361,9 @@ def multipliers_closed_form(rule: QuadratureRule) -> MultiplierPair:
 def geometric_sums(lam: float, n: int) -> tuple[float, float]:
     """Closed forms for sum_{g=1}^{N-1} lam^g g and sum lam^g g^2.
 
-    Production callers pass |lam| < 1 (powers of q), for which lam^(N+1) is
-    always representable.
+    The one production caller, validate, checks them against brute-force
+    sums at random lam in [-0.9, 0.9] and n <= 50, where every lam^N is
+    representable.
     """
     if lam == 1.0:
         raise ValueError("the closed forms are singular at lam = 1")
@@ -387,6 +389,13 @@ def dense_multipliers(n: int) -> tuple[QuadratureRule, MultiplierPair]:
     return make_rule(sol.nodes, sol.c), MultiplierPair(d=sol.d, b0=sol.b0)
 
 
+def _float_routes(rule: QuadratureRule, pair: MultiplierPair) -> tuple[float, float]:
+    """(via_multipliers, via_expanded) of rule and its multipliers, in float64."""
+    x = rule.nodes
+    grid = (x, np.exp(x), np.exp(-x), moment(x))
+    return _route_values(rule.coefficients, grid, pair.b0, pair.d, math.fsum, math.e)
+
+
 def multiplier_routes(n: int) -> tuple[str, float, float]:
     """Routes 2 and 3 in float64, with the source of their multipliers.
 
@@ -398,16 +407,9 @@ def multiplier_routes(n: int) -> tuple[str, float, float]:
     Returns (multiplier_source, via_multipliers, via_expanded).
     """
     if n <= DENSE_MAX_N:
-        rule, pair = dense_multipliers(n)
-        source = "dense_solve"
-    else:
-        rule = optimal_coefficients(n)
-        pair = multipliers_closed_form(rule)
-        source = "closed_form"
-    x = rule.nodes
-    grid = (x, np.exp(x), np.exp(-x), moment(x))
-    mult, expanded = _route_values(rule.coefficients, grid, pair.b0, pair.d, math.fsum, math.e)
-    return source, mult, expanded
+        return ("dense_solve", *_float_routes(*dense_multipliers(n)))
+    rule = optimal_coefficients(n)
+    return ("closed_form", *_float_routes(rule, multipliers_closed_form(rule)))
 
 
 # ------------------------------------------------------------- the report
@@ -456,16 +458,16 @@ def _psi2_rows(x, ep, en, c):
 def _refined_uniform_solution(n: int):
     """Dense solution of the exact uniform-grid system, with mp refinement.
 
-    One float64 assembly of the system serves the seed solve and both
-    correction solves.  Each of the two refinement rounds computes the
-    residual against the exact-rational-node system in mp arithmetic, with
-    the kernel rows from _psi2_rows (O(n) mp operations per round), leaving
-    a true residual far below double precision.  The caller enforces
-    n <= DENSE_MAX_N.  Returns (grid, c, b0, d): the _mp_grid tables, the
-    weights as an object array of mpf and the mp multipliers.
+    The seed is solve_uniform(n), which enforces the DENSE_MAX_N cap; both
+    corrections re-solve the seed's own equilibrated float64 system through
+    resolve.  Each of the two refinement rounds computes the residual
+    against the exact-rational-node system in mp arithmetic, with the
+    kernel rows from _psi2_rows (O(n) mp operations per round), leaving a
+    true residual far below double precision.  Returns (grid, c, b0, d):
+    the _mp_grid tables, the weights as an object array of mpf and the mp
+    multipliers.
     """
-    matrix_f, rhs_f = build_system(np.linspace(0.0, 1.0, n + 1))
-    seed = solve_dense(matrix_f, rhs_f)
+    seed = solve_uniform(n)
     grid = _mp_grid(n)
     x, ep, en, m = grid
     c = np.frompyfunc(mp.mpf, 1, 1)(seed.c)
@@ -475,10 +477,10 @@ def _refined_uniform_solution(n: int):
     for _ in range(2):
         rows = m - _psi2_rows(x, ep, en, c) - b0 - en * d
         r = np.append(rows, [1 - mp.fsum(c), target_exp - mp.fsum(c * en)]).astype(float)
-        delta = solve_dense(matrix_f, r)
-        c = c + delta.c
-        b0 += mp.mpf(delta.b0)
-        d += mp.mpf(delta.d)
+        delta = resolve(seed, r)
+        c = c + delta[:-2]
+        b0 += mp.mpf(delta[-2])
+        d += mp.mpf(delta[-1])
     return grid, c, b0, d
 
 
@@ -499,8 +501,9 @@ def build_report(n: int) -> NormReport:
 
     For n <= DENSE_MAX_N the three reduction routes are compared on the
     refined dense solution; above the cap the dense oracle is skipped and
-    routes 2 and 3 come from multiplier_routes on the printed closed forms
-    (multiplier_source = "closed_form", coefficient_max_deviation = None).
+    routes 2 and 3 are evaluated in float64, as in multiplier_routes, on the
+    printed closed forms (multiplier_source = "closed_form",
+    coefficient_max_deviation = None).
     The closed-form rule's norm is norm_peano; above the cap it is also
     via_quadratic_form.
     """
@@ -517,7 +520,8 @@ def build_report(n: int) -> NormReport:
             dev = float(np.max(np.abs(c - closed_rule.coefficients)))
         source = "dense_solve"
     else:
-        source, mult, expanded = multiplier_routes(n)
+        mult, expanded = _float_routes(closed_rule, multipliers_closed_form(closed_rule))
+        source = "closed_form"
         qf = closed_qf
         d_mult = _rel_diff(qf, mult)
         d_exp = _rel_diff(qf, expanded)

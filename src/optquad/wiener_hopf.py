@@ -12,7 +12,9 @@ the independent oracle against which every closed form is judged.
 
 Arbitrary strictly increasing nodes in [0,1] are accepted; cost is
 O(count^3), so solve_uniform caps the uniform grid at DENSE_MAX_N
-subintervals.
+subintervals.  A solution keeps its row-equilibrated matrix, so that
+resolve can solve the same system for another right-hand side (the norm
+report's refinement corrections) without assembling or checking it again.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ __all__ = [
     "SingularSystemError",
     "SystemSolution",
     "build_system",
+    "resolve",
     "solve_dense",
     "solve_for_nodes",
     "solve_uniform",
@@ -49,6 +52,9 @@ class SystemSolution:
     b0: float
     d: float
     residual_inf: float
+    # the row-equilibrated matrix handed to LAPACK and its row scales
+    equilibrated: np.ndarray
+    scale: np.ndarray
 
 
 def build_system(nodes) -> tuple[np.ndarray, np.ndarray]:
@@ -108,7 +114,19 @@ def solve_dense(matrix, rhs, nodes=None) -> SystemSolution:
         b0=float(x[n]),
         d=float(x[n + 1]),
         residual_inf=float(np.abs(residual).max()),
+        equilibrated=a,
+        scale=scale,
     )
+
+
+def resolve(solution: SystemSolution, rhs) -> np.ndarray:
+    """Solve solution's own equilibrated system for another right-hand side.
+
+    The matrix was checked when solution was computed; no residual or
+    condition estimate is formed here.  Returns the unknowns in
+    build_system's ordering: the weights, then b0, then d.
+    """
+    return np.linalg.solve(solution.equilibrated, np.asarray(rhs, dtype=float) / solution.scale)
 
 
 def solve_for_nodes(nodes) -> SystemSolution:

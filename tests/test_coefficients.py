@@ -120,3 +120,8 @@ def test_make_rule_validation():
         make_rule([0.0, 1.2], [0.5, 0.5])
     with pytest.raises(ValueError):
         make_rule([0.0, 1.0], [0.5])
+    # every comparison with NaN is false, so NaN nodes pass the order checks
+    with pytest.raises(ValueError):
+        make_rule([0.0, math.nan, 1.0], [0.5, 0.0, 0.5])
+    with pytest.raises(ValueError):
+        make_rule([math.nan], [1.0])

@@ -1,7 +1,8 @@
 """Module boundaries of the package, checked from its source files.
 
-Each module keeps its `_`-prefixed names to itself, and every name a
-module lists in `__all__` exists.  The source is parsed rather than
+Each module keeps its `_`-prefixed names to itself, every name a module
+lists in `__all__` exists, and the dense system is assembled and factored
+only inside `wiener_hopf`.  The source is parsed rather than
 imported where it can be, because importing `__main__` runs the CLI.
 """
 import ast
@@ -39,3 +40,18 @@ def test_every_all_entry_resolves():
                     if not hasattr(module, name)]
     assert "optquad" in checked
     assert missing == []
+
+
+def test_only_wiener_hopf_assembles_and_factors_the_system():
+    # other modules reach the dense oracle through solve_uniform (and the
+    # report's corrections through resolve), so a faster solver replaces
+    # one module
+    found = []
+    for path in SOURCES:
+        if path.stem in ("wiener_hopf", "__init__"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}: {a.name}" for a in node.names
+                          if a.name in ("build_system", "solve_dense")]
+    assert found == []

@@ -8,6 +8,7 @@ from optquad.kernel import moment, psi
 from optquad.wiener_hopf import (
     SingularSystemError,
     build_system,
+    resolve,
     solve_dense,
     solve_for_nodes,
     solve_uniform,
@@ -99,6 +100,16 @@ def test_asymmetry_matches_closed_form_direction():
     for n in range(1, 33):
         sol = solve_uniform(n)
         assert sol.c[-1] > sol.c[0], n
+
+
+def test_resolve_repeats_the_solve_for_any_right_hand_side():
+    nodes = np.array([0.0, 0.1, 0.25, 0.6, 0.9, 1.0])
+    matrix, rhs = build_system(nodes)
+    sol = solve_dense(matrix, rhs, nodes=nodes)
+    again = resolve(sol, rhs)
+    assert np.array_equal(again, np.concatenate([sol.c, [sol.b0, sol.d]]))
+    other = np.random.default_rng(3).uniform(-1.0, 1.0, size=rhs.size)
+    assert np.abs(matrix @ resolve(sol, other) - other).max() <= 1e-12
 
 
 def test_singular_matrix_raises():
