@@ -1,6 +1,6 @@
 """Optimal uniform-grid quadrature on [0,1] for the seminorm |f''+f'|_L2.
 
-Weights from the printed closed form, the dense stationarity-system oracle,
+Weights from the printed closed form, the stationarity-system oracle,
 four cross-validated evaluations of the squared error-functional norm, and
 a CLI for reproducible reports.
 """

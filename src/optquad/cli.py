@@ -200,7 +200,7 @@ def cmd_validate(args) -> int:
     if max_n < 1:
         raise ValueError("--max-n must be >= 1")
     if max_n > DENSE_MAX_N:
-        raise ValueError(f"--max-n is capped at {DENSE_MAX_N} (dense oracle cost)")
+        raise ValueError(f"--max-n is capped at {DENSE_MAX_N}, the system solve's cap")
     if not tol > 0.0:
         raise ValueError("--tol must be positive")
 
@@ -209,7 +209,7 @@ def cmd_validate(args) -> int:
     coef = cons = route = exact = 0.0
     for n in range(1, max_n + 1):
         rule = optimal_coefficients(n)
-        report = build_report(n)  # n <= DENSE_MAX_N: deviation from the dense oracle
+        report = build_report(n)  # n <= DENSE_MAX_N: deviation from the system's solution
         coef = max(coef, report.coefficient_max_deviation)
         cons = max(cons, *constraint_residuals(rule))
         route = max(route, report.rel_diff_qf_mult)

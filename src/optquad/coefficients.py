@@ -20,7 +20,7 @@ below double precision).
 
 Note: these are the printed closed-form weights.  They satisfy both moment
 constraints exactly, but they do *not* coincide with the minimizer computed
-by the dense stationarity solve (see `wiener_hopf`); the validation suite
+by the stationarity-system solve (see `wiener_hopf`); the validation suite
 measures and reports that discrepancy rather than hiding it.
 """
 from __future__ import annotations

@@ -23,18 +23,20 @@ Routes, in decreasing order of independence:
                            as a formula under test, never as an oracle.
 
 `build_report` evaluates all four and classifies the outcome.  Routes 1-3
-are compared on the dense-solve solution (the one object for which the
-2->1 and 3->1 reductions are mathematically valid); because the compared
-values decay like h^4 while any double-stored solution carries residuals
-around 1e-17, the report refines the dense solution and evaluates the three
-routes in 40-digit arithmetic, then rounds the results.  psi_2 is
-exponential-polynomial, so the kernel matrix is semiseparable and every mp
-kernel sweep (two refinement residuals, one quadratic form) takes O(n)
-operations from prefix and suffix sums; the float64 dense work (one
-solve for the seed, plus two re-solves of the same equilibrated system for
-the corrections) is the only superlinear work.  The closed-form
-rule's norm (closed_rule_quadratic_form, and via_quadratic_form above the
-dense cap) is norm_peano.  One evaluator serves routes 2 and 3 in float64,
+are compared on the solution of the stationarity system (the one object
+for which the 2->1 and 3->1 reductions are mathematically valid); because
+the compared values decay like h^4 while any double-stored solution
+carries residuals around 1e-17, the report refines the solution and
+evaluates the three routes in 40-digit arithmetic, then rounds the
+results.  Each refinement round forms its residual in O(n) mp operations:
+full kernel sums for the rows that wiener_hopf's O(n) solve keeps, and the
+filtered interior rows straight from the band of filter_band.  resolve
+turns it into the correction, in O(n) float64 work like the seed from
+solve_uniform.  psi_2 is exponential-polynomial, so the kernel matrix is
+semiseparable and the mp quadratic form takes O(n) operations from prefix
+and suffix sums.  No step is superlinear.  The closed-form rule's norm
+(closed_rule_quadratic_form, and via_quadratic_form above the cap) is
+norm_peano.  One evaluator serves routes 2 and 3 in float64,
 behind their public entry multiplier_routes(n), and in 40 digits on the
 report's mp tables, which are numpy object arrays of mpf.
 
@@ -54,7 +56,7 @@ import numpy as np
 from .coefficients import QuadratureRule, constraint_residuals, make_rule, optimal_coefficients
 from .kernel import double_moment, moment, psi
 from .spectral import constants, pow_q
-from .wiener_hopf import DENSE_MAX_N, resolve, solve_uniform
+from .wiener_hopf import DENSE_MAX_N, filter_band, kept_rows, resolve, solve_uniform
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -226,8 +228,15 @@ def norm_peano(rule: QuadratureRule) -> float:
 
 
 def _double_moment(e):
-    """(e^2 - 1)/(2e) - 7/6 = int int psi_2 over the unit square, in e's type."""
-    return (e * e - 1) / (2 * e) - type(e)(7) / 6
+    """sinh(1) - 7/6 = int int psi_2 over the unit square, in e's type.
+
+    Summed as the series sum_{k>=2} 1/(2k+1)!, whose terms are all
+    positive: (e^2 - 1)/(2e) - 7/6 would round 1.175 and 1.167 and leave an
+    absolute error of 1.5e-16, which is 0.75 % of the routes' value at
+    n = 512.  The 20 terms reach 40 digits.
+    """
+    one = type(e)(1)
+    return sum(one / math.factorial(2 * k + 1) for k in range(21, 1, -1))
 
 
 def _route_values(c, grid, b0, d, fsum, e):
@@ -381,7 +390,7 @@ def geometric_sums(lam: float, n: int) -> tuple[float, float]:
 
 
 def dense_multipliers(n: int) -> tuple[QuadratureRule, MultiplierPair]:
-    """Solve the uniform system and package its rule and multipliers.
+    """Solve the uniform system (solve_uniform) and package its rule and multipliers.
 
     solve_uniform enforces the DENSE_MAX_N cap.
     """
@@ -399,7 +408,7 @@ def _float_routes(rule: QuadratureRule, pair: MultiplierPair) -> tuple[float, fl
 def multiplier_routes(n: int) -> tuple[str, float, float]:
     """Routes 2 and 3 in float64, with the source of their multipliers.
 
-    The one public entry to both routes.  For n <= DENSE_MAX_N the dense
+    The one public entry to both routes.  For n <= DENSE_MAX_N the system's
     solution supplies the rule and the multipliers ("dense_solve"); above
     the cap the printed closed-form weights and multipliers are inserted
     verbatim ("closed_form").  Neither is rechecked against the system;
@@ -456,28 +465,41 @@ def _psi2_rows(x, ep, en, c):
 
 
 def _refined_uniform_solution(n: int):
-    """Dense solution of the exact uniform-grid system, with mp refinement.
+    """Solution of the exact uniform-grid system, with mp refinement.
 
     The seed is solve_uniform(n), which enforces the DENSE_MAX_N cap; both
-    corrections re-solve the seed's own equilibrated float64 system through
-    resolve.  Each of the two refinement rounds computes the residual
-    against the exact-rational-node system in mp arithmetic, with the
-    kernel rows from _psi2_rows (O(n) mp operations per round), leaving a
-    true residual far below double precision.  Returns (grid, c, b0, d):
-    the _mp_grid tables, the weights as an object array of mpf and the mp
+    corrections come from resolve.  Each of the two refinement rounds forms
+    the residual of the exact-rational-node system in mp arithmetic: the
+    full kernel sum for the rows kept_rows(n) and both constraints, and the
+    filtered rows 2 .. n-2 directly as (g0 + 2 g1) h - (g1 c_(i-1) + g0 c_i
+    + g1 c_(i+1)), with the band of filter_band, so no rounded residual is
+    filtered.  That is O(n) mp operations per round and leaves a true
+    residual far below double precision.  Returns (grid, c, b0, d): the
+    _mp_grid tables, the weights as an object array of mpf and the mp
     multipliers.
     """
     seed = solve_uniform(n)
     grid = _mp_grid(n)
     x, ep, en, m = grid
+    psi_k = (ep - en) / 4 - x / 2
+    lags = np.arange(n + 1)
+    if n >= 4:
+        g0, g1 = filter_band(psi_k[1], psi_k[2], psi_k[3], ep[1] + en[1])
+        band_rhs = (g0 + 2 * g1) * x[1]
     c = np.frompyfunc(mp.mpf, 1, 1)(seed.c)
     b0 = mp.mpf(seed.b0)
     d = mp.mpf(seed.d)
     target_exp = 1 - mp.e**-1
+    r = np.zeros(n + 3)
     for _ in range(2):
-        rows = m - _psi2_rows(x, ep, en, c) - b0 - en * d
-        r = np.append(rows, [1 - mp.fsum(c), target_exp - mp.fsum(c * en)]).astype(float)
-        delta = resolve(seed, r)
+        for i in kept_rows(n):
+            r[i] = m[i] - mp.fsum(psi_k[np.abs(lags - i)] * c) - b0 - en[i] * d
+        r[n + 1:] = [1 - mp.fsum(c), target_exp - mp.fsum(c * en)]
+        filtered = np.empty(0)
+        if n >= 4:
+            band = (c[1:n - 2] + c[3:n]) * g1 + c[2:n - 1] * g0
+            filtered = (-band + band_rhs).astype(float)
+        delta = resolve(seed, r, filtered)
         c = c + delta[:-2]
         b0 += mp.mpf(delta[-2])
         d += mp.mpf(delta[-1])
@@ -485,7 +507,7 @@ def _refined_uniform_solution(n: int):
 
 
 def _mp_routes(grid, c, b0, d):
-    """Routes 1-3 evaluated in mp on the refined dense solution; O(n)."""
+    """Routes 1-3 evaluated in mp on the refined solution; O(n)."""
     x, ep, en, m = grid
     e = mp.mpf(mp.e)
     kernel_rows = _psi2_rows(x, ep, en, c)
@@ -500,7 +522,7 @@ def build_report(n: int) -> NormReport:
     """Evaluate all four routes and classify their agreement.
 
     For n <= DENSE_MAX_N the three reduction routes are compared on the
-    refined dense solution; above the cap the dense oracle is skipped and
+    refined solution of the system; above the cap the system is skipped and
     routes 2 and 3 are evaluated in float64, as in multiplier_routes, on the
     printed closed forms (multiplier_source = "closed_form",
     coefficient_max_deviation = None).

@@ -1,4 +1,4 @@
-"""Dense assembly and solve of the stationarity system for the rule weights.
+"""The stationarity system for the rule weights: dense oracle and O(n) solve.
 
 Minimizing the error-norm quadratic form over the weights, subject to the
 two moment constraints, yields a discrete Wiener-Hopf-type linear system:
@@ -7,17 +7,33 @@ one kernel row per node,
     sum_g C_g psi_2(x_b - x_g) + b0 + d e^(-x_b) = moment(x_b),
 
 plus the constraint rows sum C = 1 and sum C e^(-x) = 1 - e^-1, where b0 and
-d are the Lagrange multipliers of the constraints.  Solving it directly is
-the independent oracle against which every closed form is judged.
+d are the Lagrange multipliers of the constraints.
 
-Arbitrary strictly increasing nodes in [0,1] are accepted; cost is
-O(count^3), so solve_uniform caps the uniform grid at DENSE_MAX_N
-subintervals.  A solution keeps its row-equilibrated matrix, so that
-resolve can solve the same system for another right-hand side (the norm
-report's refinement corrections) without assembling or checking it again.
+build_system and solve_dense assemble and factor it densely for arbitrary
+strictly increasing nodes in [0,1], in O(count^3): the independent test
+oracle.  solve_uniform and resolve solve the uniform grid with n
+subintervals in O(n), by Sobolev's discrete analogue of the operator
+(Sobolev, Introduction to the Theory of Cubature Formulas, 1974; Hayotov,
+Milovanovic and Shadimetov, Numer. Algorithms 57, 2011).  The samples
+psi_2(kh) satisfy the recurrence with characteristic polynomial
+(z-1)^2 (z-e^h) (z-e^-h), so the filter
+
+    [1, -(a+2), 2a+2, -(a+2), 1],  a = 2 cosh h,
+
+applied to kernel rows i-2 .. i+2 removes both multiplier columns and
+leaves the band g1 C_(i-1) + g0 C_i + g1 C_(i+1) (filter_band) with the
+right-hand side (g0 + 2 g1) h, for every i = 2 .. n-2.  Its solutions are
+a particular solution plus A mu^(b-1) + B mu^(n-1-b) on the interior
+nodes, mu the root of g1 z^2 + g0 z + g1 inside the unit circle.  The
+amplitudes A and B, the end weights and both multipliers then solve a
+bordered system of at most 6 x 6: four unfiltered kernel rows (kept_rows)
+and the two constraints, each entry an O(n) dot product.  Below n = 4 no
+row is filtered and the same bordered solve keeps every row.  Both entries
+keep the size cap of DENSE_MAX_N subintervals.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +45,22 @@ __all__ = [
     "SingularSystemError",
     "SystemSolution",
     "build_system",
+    "filter_band",
+    "kept_rows",
     "resolve",
     "solve_dense",
     "solve_for_nodes",
     "solve_uniform",
 ]
 
-# Largest uniform grid, in subintervals, that the O(n^3) dense solve accepts.
+# Largest uniform grid, in subintervals, that solve_uniform accepts.
 DENSE_MAX_N = 513
 
 _RCOND_FLOOR = float(np.finfo(float).eps)
+
+# The taps mu^|k| of the inverse band are kept while |mu|^k >= 2^-64; at
+# every n >= 4, |mu| < 0.27, so about 34 taps on each side.
+_TAP_FLOOR = 2.0**-64
 
 
 class SingularSystemError(ValueError):
@@ -52,9 +74,6 @@ class SystemSolution:
     b0: float
     d: float
     residual_inf: float
-    # the row-equilibrated matrix handed to LAPACK and its row scales
-    equilibrated: np.ndarray
-    scale: np.ndarray
 
 
 def build_system(nodes) -> tuple[np.ndarray, np.ndarray]:
@@ -81,19 +100,13 @@ def build_system(nodes) -> tuple[np.ndarray, np.ndarray]:
     return m, rhs
 
 
-def solve_dense(matrix, rhs, nodes=None) -> SystemSolution:
-    """Solve a system from build_system; residual is recomputed explicitly.
+def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve by LAPACK after scaling every row to unit max-norm.
 
-    Rows are equilibrated to unit max-norm and the result is handed to
-    LAPACK.  SingularSystemError is raised on an identically zero row, on a
-    singular LU factor, or when the 1-norm reciprocal condition number of
-    the equilibrated matrix is below machine epsilon.  `nodes` is stored on
-    the solution record; when omitted it is taken as unknown (empty).
+    SingularSystemError is raised on an identically zero row, on a singular
+    LU factor, or when the 1-norm reciprocal condition number of the
+    equilibrated matrix is below machine epsilon.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != rhs.size:
-        raise ValueError("matrix and right-hand side sizes do not match")
     scale = np.abs(matrix).max(axis=1)
     if not np.all(scale > 0.0):
         raise SingularSystemError("system has an identically zero row")
@@ -105,6 +118,21 @@ def solve_dense(matrix, rhs, nodes=None) -> SystemSolution:
     rcond = 1.0 / np.linalg.cond(a, 1)
     if rcond < _RCOND_FLOOR:
         raise SingularSystemError(f"reciprocal condition number {rcond:.3e} below {_RCOND_FLOOR:.3e}")
+    return x
+
+
+def solve_dense(matrix, rhs, nodes=None) -> SystemSolution:
+    """Solve a system from build_system; residual is recomputed explicitly.
+
+    The solve is _equilibrated_solve, with its SingularSystemError.
+    `nodes` is stored on the solution record; when omitted it is taken as
+    unknown (empty).
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != rhs.size:
+        raise ValueError("matrix and right-hand side sizes do not match")
+    x = _equilibrated_solve(matrix, rhs)
     residual = matrix @ x - rhs
     n = rhs.size - 2
     stored = np.asarray(nodes, dtype=float) if nodes is not None else np.empty(0)
@@ -114,19 +142,7 @@ def solve_dense(matrix, rhs, nodes=None) -> SystemSolution:
         b0=float(x[n]),
         d=float(x[n + 1]),
         residual_inf=float(np.abs(residual).max()),
-        equilibrated=a,
-        scale=scale,
     )
-
-
-def resolve(solution: SystemSolution, rhs) -> np.ndarray:
-    """Solve solution's own equilibrated system for another right-hand side.
-
-    The matrix was checked when solution was computed; no residual or
-    condition estimate is formed here.  Returns the unknowns in
-    build_system's ordering: the weights, then b0, then d.
-    """
-    return np.linalg.solve(solution.equilibrated, np.asarray(rhs, dtype=float) / solution.scale)
 
 
 def solve_for_nodes(nodes) -> SystemSolution:
@@ -134,10 +150,157 @@ def solve_for_nodes(nodes) -> SystemSolution:
     return solve_dense(matrix, rhs, nodes=nodes)
 
 
-def solve_uniform(n: int) -> SystemSolution:
-    """Solve on the uniform grid with n subintervals, 1 <= n <= DENSE_MAX_N."""
+# ------------------------------------------------------- the O(n) solve
+
+
+def filter_band(psi1, psi2, psi3, a):
+    """(g0, g1): the band that the filter leaves of the kernel rows.
+
+    psi1, psi2, psi3 are psi_2(h), psi_2(2h), psi_2(3h) and a = 2 cosh h;
+    the result has their type, so float64 and mpf arguments both serve.
+    """
+    g0 = 2 * psi2 - 2 * (a + 2) * psi1
+    g1 = psi3 - (a + 2) * psi2 + (2 * a + 3) * psi1
+    return g0, g1
+
+
+def kept_rows(n: int) -> np.ndarray:
+    """The kernel rows the O(n) solve keeps unfiltered, n subintervals.
+
+    Every row below n = 4, where no row is filtered; from n = 4 the rows
+    0, n//3, 2n//3 and n.  Kernel-row residuals away from these rows are
+    interpolated between them by span{1, x, e^x, e^-x}, so spread rows
+    pass on their rounding about unchanged.  Rows 0, 1, n-1 and n would
+    amplify it about 40-fold at n = 512, to a residual of 1.6e-16, and
+    through it an error of 0.5 % in the multiplier route.
+    """
+    if n < 4:
+        return np.arange(n + 1)
+    return np.array([0, n // 3, 2 * n // 3, n])
+
+
+class _UniformGrid:
+    """Samples and band constants of the uniform grid with n subintervals.
+
+    The nodes are k/n, correctly rounded, and psi_k = psi_2(k/n): the
+    kernel matrix is the symmetric Toeplitz matrix of psi_0 .. psi_n.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.x = np.arange(n + 1) / n
+        self.en = np.exp(-self.x)
+        self.psi = psi(2, self.x)
+        self.rows = kept_rows(n)
+        self.kept = self.psi[np.abs(self.rows[:, None] - np.arange(n + 1))]
+        if n < 4:
+            self.basis = np.eye(n + 1)
+            return
+        a = 2.0 * math.cosh(1.0 / n)
+        self.taps = np.array([1.0, -(a + 2.0), 2.0 * a + 2.0, -(a + 2.0), 1.0])
+        self.g0, self.g1 = filter_band(*self.psi[1:4], a)
+        kappa = self.g1 / self.g0
+        self.mu = -2.0 * kappa / (1.0 + math.sqrt(1.0 - 4.0 * kappa * kappa))
+        # C_0, C_n and the interior homogeneous solutions mu^(b-1), mu^(n-1-b)
+        self.basis = np.zeros((n + 1, 4))
+        self.basis[0, 0] = self.basis[n, 1] = 1.0
+        self.basis[1:n, 2] = self.mu ** np.arange(n - 1)
+        self.basis[1:n, 3] = self.basis[n - 1:0:-1, 2]
+
+    def particular(self, filtered: np.ndarray) -> np.ndarray:
+        """Weights, zero at both ends, that meet the filtered rows 2 .. n-2.
+
+        The band's infinite Toeplitz inverse has the taps
+        mu^|k| / (g0 + 2 g1 mu), so one convolution gives the solution.
+        """
+        p = np.zeros(self.n + 1)
+        if filtered.size:
+            k = math.ceil(math.log(_TAP_FLOOR) / math.log(abs(self.mu)))
+            w = self.mu ** np.abs(np.arange(-k, k + 1)) / (self.g0 + 2.0 * self.g1 * self.mu)
+            p[1:self.n] = np.convolve(filtered, w)[k - 1:k + self.n - 2]
+        return p
+
+    def solve(self, particular, kept_rhs, constraint_rhs) -> np.ndarray:
+        """Unknowns in build_system's ordering, from the bordered system.
+
+        The weights are particular + basis @ theta; theta and both
+        multipliers solve the kept kernel rows and the two constraints.
+        """
+        q = self.basis.shape[1]
+        k = self.rows.size
+        m = np.zeros((k + 2, q + 2))
+        m[:k, :q] = self.kept @ self.basis
+        m[:k, q] = 1.0
+        m[:k, q + 1] = self.en[self.rows]
+        m[k, :q] = self.basis.sum(axis=0)
+        m[k + 1, :q] = self.en @ self.basis
+        r = np.concatenate([
+            kept_rhs - self.kept @ particular,
+            constraint_rhs - [particular.sum(), self.en @ particular],
+        ])
+        theta = _equilibrated_solve(m, r)
+        return np.concatenate([particular + self.basis @ theta[:q], theta[q:]])
+
+    def residual_inf(self, x: np.ndarray) -> float:
+        """Largest residual of x in the unfiltered system, matrix-free."""
+        n = self.n
+        c = x[:n + 1]
+        toeplitz = np.concatenate([self.psi[:0:-1], self.psi])
+        rows = np.convolve(toeplitz, c, "valid") + x[n + 1] + x[n + 2] * self.en - moment(self.x)
+        constraints = [c.sum() - 1.0, self.en @ c + np.expm1(-1.0)]
+        return float(max(np.abs(rows).max(), *np.abs(constraints)))
+
+
+def _uniform_grid(n: int) -> _UniformGrid:
     if n < 1:
         raise ValueError("grid size must be >= 1")
     if n > DENSE_MAX_N:
-        raise ValueError(f"the dense solve is capped at n = {DENSE_MAX_N} (O(n^3) oracle)")
-    return solve_for_nodes(np.linspace(0.0, 1.0, n + 1))
+        raise ValueError(f"the system solve is capped at n = {DENSE_MAX_N}")
+    return _UniformGrid(n)
+
+
+def solve_uniform(n: int) -> SystemSolution:
+    """Solve on the uniform grid with n subintervals, 1 <= n <= DENSE_MAX_N; O(n).
+
+    From n = 4 the interior weights h + A mu^(b-1) + B mu^(n-1-b) meet
+    every filtered row exactly and the bordered system fixes the rest.
+    SingularSystemError is raised as by solve_dense, on the bordered
+    matrix.  residual_inf is the largest
+    residual in the unfiltered system, every kernel row and both
+    constraints.
+    """
+    grid = _uniform_grid(n)
+    particular = np.zeros(n + 1)
+    if n >= 4:
+        particular[1:n] = 1.0 / n
+    x = grid.solve(particular, moment(grid.x[grid.rows]), np.array([1.0, -np.expm1(-1.0)]))
+    return SystemSolution(
+        nodes=np.linspace(0.0, 1.0, n + 1),
+        c=x[:n + 1],
+        b0=float(x[n + 1]),
+        d=float(x[n + 2]),
+        residual_inf=grid.residual_inf(x),
+    )
+
+
+def resolve(solution: SystemSolution, rhs, filtered=None) -> np.ndarray:
+    """Solve solution's uniform-grid system for another right-hand side; O(n).
+
+    solution comes from solve_uniform; rhs has build_system's ordering and
+    size n+3.  The filter is applied to rhs's kernel rows in float64 unless
+    filtered, the filtered rows 2 .. n-2 formed elsewhere (say in higher
+    precision, from a residual), is given.  Only rhs's kept_rows(n) and
+    constraint entries are then read.  Returns the unknowns in
+    build_system's ordering: the weights, then b0, then d.
+    """
+    grid = _uniform_grid(solution.nodes.size - 1)
+    n = grid.n
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (n + 3,):
+        raise ValueError(f"right-hand side must have size {n + 3}")
+    if filtered is None:
+        filtered = np.convolve(rhs[:n + 1], grid.taps, "valid") if n >= 4 else np.empty(0)
+    filtered = np.asarray(filtered, dtype=float)
+    if filtered.shape != (max(n - 3, 0),):
+        raise ValueError(f"filtered rows must have size {max(n - 3, 0)}")
+    return grid.solve(grid.particular(filtered), rhs[grid.rows], rhs[n + 1:])

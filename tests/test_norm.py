@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optquad import norm, wiener_hopf
+from optquad.cli import main
 from optquad.coefficients import make_rule, optimal_coefficients, trapezoid_rule
 from optquad.norm import (
     build_report,
@@ -118,19 +119,36 @@ def test_multiplier_routes_builds_the_closed_rule_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 16, DENSE_MAX_N])
-def test_build_report_factors_its_system_once(monkeypatch, n):
-    # the seed is solve_uniform's one solve_dense; both refinement
-    # corrections re-solve the seed's equilibrated matrix through resolve
+def test_build_report_factors_its_system_once(monkeypatch, capsys, n):
+    # every uniform-grid path solves through solve_uniform and resolve,
+    # which factor at most a 6 x 6 bordered matrix: the dense (n+3)-size
+    # system is never assembled, factored or condition-estimated
     calls = []
-    plain = wiener_hopf.solve_dense
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return plain(*args, **kwargs)
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(wiener_hopf, "solve_dense", counted)
+    def small_cond(a, *args):
+        assert np.shape(a)[0] <= 6, np.shape(a)
+        return plain_cond(a, *args)
+
+    plain_cond = np.linalg.cond
+    monkeypatch.setattr(wiener_hopf, "solve_dense", counted(wiener_hopf.solve_dense))
+    monkeypatch.setattr(wiener_hopf, "build_system", counted(wiener_hopf.build_system))
+    monkeypatch.setattr(np.linalg, "cond", small_cond)
     build_report(n)
-    assert len(calls) == 1
+    for argv in (
+        ["coeffs", "--method", "system"],
+        ["norm", "--methods", "multiplier"],
+        ["norm", "--methods", "expanded"],
+        ["norm", "--methods", "all"],
+    ):
+        assert main([*argv, "--n", str(n)]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 16])
@@ -141,6 +159,15 @@ def test_float64_routes_agree_with_the_40_digit_report(n):
     report = build_report(n)
     assert abs(mult - report.via_multipliers) <= 1e-7 * report.via_multipliers
     assert abs(expanded - report.via_expanded) <= 1e-7 * report.via_expanded
+
+
+def test_float64_multiplier_route_near_the_cap():
+    # the route cancels terms near 1e-2 down to about 2e-14 at n = 512, so
+    # every 1e-16 of solve residual or rounded constant shows: measured
+    # worst 1.2e-4, at n = 511 (6.0e-3 at n = 512 with the LAPACK solve)
+    for n in (383, 384, 511, 512, DENSE_MAX_N):
+        ref = build_report(n).via_multipliers
+        assert abs(multiplier_routes(n)[1] - ref) <= 1e-3 * ref, n
 
 
 def test_mp_routes_never_print_an_mpf(monkeypatch):
@@ -384,8 +411,8 @@ def test_closed_rule_norm_is_not_below_the_minimum():
         closed = norm_peano(optimal_coefficients(n))
         assert rep.closed_rule_quadratic_form == closed, n
         assert closed >= rep.via_quadratic_form, n
-        # measured worst 1.17e-15, at n = 513
-        assert max(rep.rel_diff_qf_mult, rep.rel_diff_qf_expanded) <= 3e-15, n
+        # measured worst over every n <= 513: 7.2e-27, at n = 505
+        assert max(rep.rel_diff_qf_mult, rep.rel_diff_qf_expanded) <= 1e-20, n
 
 
 # ------------------------------------------------- the report's mp refinement

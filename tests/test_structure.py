@@ -1,12 +1,16 @@
 """Module boundaries of the package, checked from its source files.
 
 Each module keeps its `_`-prefixed names to itself, every name a module
-lists in `__all__` exists, and the dense system is assembled and factored
-only inside `wiener_hopf`.  The source is parsed rather than
-imported where it can be, because importing `__main__` runs the CLI.
+lists in `__all__` exists, the dense system is assembled and factored
+only inside `wiener_hopf`, and importing the package loads no scipy.  The
+source is parsed rather than imported where it can be, because importing
+`__main__` runs the CLI.
 """
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import optquad
@@ -43,9 +47,9 @@ def test_every_all_entry_resolves():
 
 
 def test_only_wiener_hopf_assembles_and_factors_the_system():
-    # other modules reach the dense oracle through solve_uniform (and the
-    # report's corrections through resolve), so a faster solver replaces
-    # one module
+    # other modules reach the system through solve_uniform (and the
+    # report's corrections through resolve); the dense assembly and solve
+    # are the test oracle
     found = []
     for path in SOURCES:
         if path.stem in ("wiener_hopf", "__init__"):
@@ -55,3 +59,14 @@ def test_only_wiener_hopf_assembles_and_factors_the_system():
                 found += [f"{path.name}: {a.name}" for a in node.names
                           if a.name in ("build_system", "solve_dense")]
     assert found == []
+
+
+def test_import_leaves_scipy_unloaded():
+    # a cold `import scipy.linalg` takes longer than importing the whole
+    # package does; the O(n) solve is numpy only
+    src = str(Path(optquad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, optquad; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,18 +1,25 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optquad.coefficients import optimal_coefficients
 from optquad.kernel import moment, psi
+from optquad.norm import _MP_DPS, _refined_uniform_solution
 from optquad.wiener_hopf import (
     SingularSystemError,
     build_system,
+    filter_band,
     resolve,
     solve_dense,
     solve_for_nodes,
     solve_uniform,
 )
+
+from highprec import DPS, moment_ref, psi2_ref
 
 # Frozen 50-digit dense solution of the uniform 3-node system.
 DENSE_C_N2 = [0.18147809599809316, 0.62654229512702072, 0.19197960887488613]
@@ -102,14 +109,80 @@ def test_asymmetry_matches_closed_form_direction():
         assert sol.c[-1] > sol.c[0], n
 
 
+def test_filter_leaves_the_band():
+    # 50 digits at n = 16: the filter applied to kernel rows i-2 .. i+2
+    # leaves g1, g0, g1 around column i and nothing else, removes both
+    # multiplier columns and turns the moments into (g0 + 2 g1) h
+    n = 16
+    with mp.workdps(DPS):
+        h = mp.mpf(1) / n
+        a = 2 * mp.cosh(h)
+        taps = [1, -(a + 2), 2 * a + 2, -(a + 2), 1]
+        lag = [psi2_ref(k * h) for k in range(n + 1)]
+        g0, g1 = filter_band(lag[1], lag[2], lag[3], a)
+        tiny = mp.mpf("1e-40")
+        for i in range(2, n - 1):
+            rows = range(i - 2, i + 3)
+            for j in range(n + 1):
+                band = {0: g0, 1: g1}.get(abs(i - j), 0)
+                assert abs(mp.fsum(t * lag[abs(r - j)] for t, r in zip(taps, rows)) - band) <= tiny
+            assert abs(mp.fsum(t * mp.exp(-r * h) for t, r in zip(taps, rows))) <= tiny
+            filtered_moment = mp.fsum(t * moment_ref(r * h) for t, r in zip(taps, rows))
+            assert abs(filtered_moment - (g0 + 2 * g1) * h) <= tiny
+        assert abs(mp.fsum(taps)) <= tiny
+
+
 def test_resolve_repeats_the_solve_for_any_right_hand_side():
-    nodes = np.array([0.0, 0.1, 0.25, 0.6, 0.9, 1.0])
-    matrix, rhs = build_system(nodes)
-    sol = solve_dense(matrix, rhs, nodes=nodes)
-    again = resolve(sol, rhs)
-    assert np.array_equal(again, np.concatenate([sol.c, [sol.b0, sol.d]]))
-    other = np.random.default_rng(3).uniform(-1.0, 1.0, size=rhs.size)
-    assert np.abs(matrix @ resolve(sol, other) - other).max() <= 1e-12
+    for n in (2, 5, 16):
+        sol = solve_uniform(n)
+        matrix, rhs = build_system(sol.nodes)
+        again = resolve(sol, rhs)
+        # the float64-filtered moments carry rounding the seed's exact
+        # band constant does not: measured 3.2e-12 relative at n = 16
+        x = np.concatenate([sol.c, [sol.b0, sol.d]])
+        assert np.abs(again - x).max() <= 1e-10 * np.abs(x).max(), n
+        other = np.random.default_rng(n).uniform(-1.0, 1.0, size=rhs.size)
+        y = resolve(sol, other)
+        # backward stable: each residual is rounding of its row's terms
+        bound = 1e-14 * (np.abs(matrix) @ np.abs(y) + np.abs(other))
+        assert np.all(np.abs(matrix @ y - other) <= bound), n
+
+
+def test_resolve_rejects_a_mismatched_right_hand_side():
+    sol = solve_uniform(8)
+    with pytest.raises(ValueError):
+        resolve(sol, np.zeros(10))
+    with pytest.raises(ValueError):
+        resolve(sol, np.zeros(11), np.zeros(4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_resolve_matches_the_dense_solve(n, seed):
+    sol = solve_uniform(n)
+    matrix, _ = build_system(sol.nodes)
+    rng = np.random.default_rng(seed)
+    rhs = rng.uniform(-1.0, 1.0, size=n + 3) * 10.0 ** rng.uniform(-3.0, 3.0, size=n + 3)
+    dense = solve_dense(matrix, rhs)
+    ref = np.concatenate([dense.c, [dense.b0, dense.d]])
+    # both solves lose digits with the system's condition, which grows
+    # like n^4: measured worst 1.7e-9 relative at n = 64
+    assert np.abs(resolve(sol, rhs) - ref).max() <= 1e-14 * n**4 * np.abs(ref).max()
+
+
+def test_solve_uniform_is_closer_to_the_minimizer_than_the_dense_solve():
+    # the 40-digit refined minimizer as reference; measured worst 4.5e-11
+    # relative for the O(n) solve against 3.6e-5 for LAPACK, both at n = 513.
+    # Below n = 4 both solve the same small system, and the two differ by
+    # rounding (n = 3: 4.5e-16 against 3.0e-16), so a few ulp count as a tie.
+    for n in [*range(1, 33), 64, 127, 128, 255, 256, 383, 511, 512, 513]:
+        with mp.workdps(_MP_DPS):
+            ref = _refined_uniform_solution(n)[1].astype(float)
+        scale = np.abs(ref).max()
+        err = np.abs(solve_uniform(n).c - ref).max() / scale
+        dense = np.abs(solve_for_nodes(np.linspace(0.0, 1.0, n + 1)).c - ref).max() / scale
+        assert err <= 1e-8, n
+        assert err <= max(dense, 8 * np.finfo(float).eps), n
 
 
 def test_singular_matrix_raises():
