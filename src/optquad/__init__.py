@@ -47,7 +47,6 @@ from .wiener_hopf import (
     SingularSystemError,
     SystemSolution,
     build_system,
-    resolve,
     solve_dense,
     solve_for_nodes,
     solve_uniform,
@@ -90,7 +89,6 @@ __all__ = [
     "norm_theorem2",
     "optimal_coefficients",
     "psi",
-    "resolve",
     "solve_dense",
     "solve_for_nodes",
     "solve_uniform",

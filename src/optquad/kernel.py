@@ -108,10 +108,12 @@ def moment(y):
 def double_moment() -> float:
     """Integral of the m=2 kernel over the unit square: sinh(1) - 7/6.
 
-    sinh(1) is exactly (e^2 - 1)/(2e); the sinh form avoids the needless
-    division rounding.
+    Summed by math.fsum as the positive series sum_{k>=2} 1/(2k+1)!, which
+    lands within 0.5 ulp of the true value; sinh(1.0) - 7/6 cancels 1.175
+    against 1.167 and comes out 1.5e-16 (88 ulp) low.  The terms through
+    k = 11 reach 5e-21 relative.
     """
-    return math.sinh(1.0) - 7.0 / 6.0
+    return math.fsum(1.0 / math.factorial(2 * k + 1) for k in range(2, 12))
 
 
 @dataclass(frozen=True)

@@ -26,19 +26,20 @@ Routes, in decreasing order of independence:
 are compared on the solution of the stationarity system (the one object
 for which the 2->1 and 3->1 reductions are mathematically valid); because
 the compared values decay like h^4 while any double-stored solution
-carries residuals around 1e-17, the report refines the solution and
+carries residuals around 1e-17, the report solves the system and
 evaluates the three routes in 40-digit arithmetic, then rounds the
-results.  Each refinement round forms its residual in O(n) mp operations:
-full kernel sums for the rows that wiener_hopf's O(n) solve keeps, and the
-filtered interior rows straight from the band of filter_band.  resolve
-turns it into the correction, in O(n) float64 work like the seed from
-solve_uniform.  psi_2 is exponential-polynomial, so the kernel matrix is
-semiseparable and the mp quadratic form takes O(n) operations from prefix
-and suffix sums.  No step is superlinear.  The closed-form rule's norm
+results.  On the uniform grid the solution's weights are a few pieces
+(two end weights, h plus two geometric boundary layers in mu), and
+psi_2 is exponential-polynomial, so every entry of the 6 x 6 bordered
+system and every sum the routes take -- route 1's quadratic form
+included, from kernel rows and pair sums of the pieces -- has a closed
+form (ExpSums).  The report's mp work is therefore the same at every n;
+only the float64 weights behind coefficient_max_deviation, norm_peano and
+the printed rule are O(n).  The closed-form rule's norm
 (closed_rule_quadratic_form, and via_quadratic_form above the cap) is
-norm_peano.  One evaluator serves routes 2 and 3 in float64,
-behind their public entry multiplier_routes(n), and in 40 digits on the
-report's mp tables, which are numpy object arrays of mpf.
+norm_peano.  Routes 2 and 3 behind their public entry multiplier_routes(n)
+run in float64 on the weight arrays of solve_uniform (or, above the cap,
+of the printed rule); route 3's formula serves both precisions.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
 magnitude (its h-block diverges like 3/h^2 as the grid refines); the report
@@ -48,15 +49,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import mpmath as mp
 import numpy as np
 
+from ._expsums import ONE, ExpSums
 from .coefficients import QuadratureRule, constraint_residuals, make_rule, optimal_coefficients
 from .kernel import double_moment, moment, psi
 from .spectral import constants, pow_q
-from .wiener_hopf import DENSE_MAX_N, filter_band, kept_rows, resolve, solve_uniform
+from .wiener_hopf import DENSE_MAX_N, filter_band, solve_uniform
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -239,27 +241,22 @@ def _double_moment(e):
     return sum(one / math.factorial(2 * k + 1) for k in range(21, 1, -1))
 
 
-def _route_values(c, grid, b0, d, fsum, e):
-    """(via_multipliers, via_expanded) of weights c on grid = (x, e^x, e^-x, moment(x)).
+def _expanded_route(b0, d, s_ep, s_x, s_xx, dm, fsum, e):
+    """Route 3 from sum C e^x, sum C x and sum C x^2, in e's type.
 
-    Either float64 arrays with math.fsum and e = math.e, or object arrays of
-    mpf with mp.fsum and an mpf e.  Arrays stay left of scalars: an mpf on
-    the left would first try to convert (and repr) the whole array.
+    Either float64 with math.fsum and e = math.e, or mpf with mp.fsum and
+    an mpf e.
     """
-    x, ep, en, m = grid
-    dm = _double_moment(e)
-    mult = fsum(np.concatenate([-c * (en * d + b0), -c * m, [dm]]))
-    expanded = fsum([
+    return fsum([
         -b0,
         (1 - e) / e * d,
-        -(e + 1) / (4 * e) * fsum(c * ep),
+        -(e + 1) / (4 * e) * s_ep,
         -(1 + e) / 4 * (1 - 1 / e),
         type(e)(5) / 4,
-        fsum(c * x * x) / 2,
-        -fsum(c * x) / 2,
+        s_xx / 2,
+        -s_x / 2,
         dm,
     ])
-    return mult, expanded
 
 
 # ----------------------------------------------------------------- route 4
@@ -400,9 +397,12 @@ def dense_multipliers(n: int) -> tuple[QuadratureRule, MultiplierPair]:
 
 def _float_routes(rule: QuadratureRule, pair: MultiplierPair) -> tuple[float, float]:
     """(via_multipliers, via_expanded) of rule and its multipliers, in float64."""
-    x = rule.nodes
-    grid = (x, np.exp(x), np.exp(-x), moment(x))
-    return _route_values(rule.coefficients, grid, pair.b0, pair.d, math.fsum, math.e)
+    c, x = rule.coefficients, rule.nodes
+    dm = _double_moment(math.e)
+    mult = math.fsum(np.concatenate([-c * (np.exp(-x) * pair.d + pair.b0), -c * moment(x), [dm]]))
+    expanded = _expanded_route(pair.b0, pair.d, math.fsum(c * np.exp(x)), math.fsum(c * x),
+                               math.fsum(c * x * x), dm, math.fsum, math.e)
+    return mult, expanded
 
 
 def multiplier_routes(n: int) -> tuple[str, float, float]:
@@ -424,108 +424,194 @@ def multiplier_routes(n: int) -> tuple[str, float, float]:
 # ------------------------------------------------------------- the report
 
 
-def _mp_grid(n: int):
-    """Uniform-grid tables (x, ep, en, m): object arrays of working-precision mpf.
+class _Piece(NamedTuple):
+    """Weights scale * ratio^j for lo <= j <= hi, ratio as ExpSums exponents."""
 
-    x_k = k h, ep_k = e^(x_k), en_k = e^(-x_k) and m_k = moment(x_k), the
-    last from the first three through e^(1-y) = e e^(-y) and
-    e^(y-1) = e^y / e, so no exponential is evaluated twice.
+    scale: object
+    ratio: tuple[int, int]
+    lo: int
+    hi: int
+
+
+@dataclass(frozen=True)
+class _ExactSolution:
+    """The uniform system's solution in mp, with weights c_j = sum_p amplitude_p piece_p(j).
+
+    From n = 4 the pieces are the deltas at 0 and n, mu^(j-1) and
+    mu^(n-1-j) on 1 .. n-1 (amplitudes c_0, c_n, A, B) and the constant h
+    there (amplitude 1); below, one delta per node.  mirror[p] is the
+    piece whose values are piece p's read from the other end,
+    piece_p(j) = piece_mirror[p](n - j).  rows maps each kept row i to the
+    kernel row sums sum_j psi_2(|i - j| h) piece_p(j).
     """
-    exp = np.frompyfunc(mp.exp, 1, 1)
-    x = np.arange(n + 1, dtype=object) * (mp.mpf(1) / n)
-    ep = exp(x)
-    en = exp(-x)
-    m = (ep + en + en * mp.e + ep / mp.e - 4) / 4 - (x * x + (1 - x) * (1 - x)) / 4
-    return x, ep, en, m
+
+    sums: ExpSums
+    pieces: tuple[_Piece, ...]
+    mirror: tuple[int, ...]
+    amplitudes: tuple
+    b0: object
+    d: object
+    rows: dict
 
 
-def _psi2_rows(x, ep, en, c):
-    """sum_j psi_2(|x_i - x_j|) c_j for every i, in O(n) operations.
+def _piece_sum(sums: ExpSums, piece: _Piece, k: int, shift: int):
+    """sum_j j^k e^(shift x_j) piece(j)."""
+    ratio = (piece.ratio[0], piece.ratio[1] + shift)
+    return piece.scale * sums.geom(k, ratio, piece.lo, piece.hi)
 
-    psi_2(|t|) = (e^|t| - e^-|t|)/4 - |t|/2 separates in x_i and x_j.  The
-    terms j < i of row i sum to
 
-        (e^(x_i) sum c e^-x - e^(-x_i) sum c e^x)/4 - (x_i sum c - sum c x)/2
+def _gauss_solve(matrix, rhs):
+    """Solve a small dense system by Gaussian elimination with partial pivoting."""
+    size = len(rhs)
+    a = [list(row) + [r] for row, r in zip(matrix, rhs)]
+    for k in range(size):
+        pivot = max(range(k, size), key=lambda i: abs(a[i][k]))
+        a[k], a[pivot] = a[pivot], a[k]
+        for i in range(k + 1, size):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, size + 1):
+                a[i][j] -= f * a[k][j]
+    x = [None] * size
+    for k in reversed(range(size)):
+        x[k] = (a[k][size] - sum(a[k][j] * x[j] for j in range(k + 1, size))) / a[k][k]
+    return x
 
-    over that prefix, and the terms j > i to the same expression over the
-    suffix with the sign flipped.  ep and en hold e^(x_j) and e^(-x_j).
+
+def _exact_solution(n: int) -> _ExactSolution:
+    """The exact minimizer of the uniform system in working-precision mp; O(1) per n.
+
+    From n = 4 the interior weights h + A mu^(b-1) + B mu^(n-1-b) meet
+    every filtered row of wiener_hopf's O(n) solve exactly, with mu from
+    filter_band in mp.  c_0, c_n, A, B, b0 and d then solve four kernel
+    rows and the two constraints, a 6 x 6 system whose entries are
+    closed-form sums (ExpSums).  Once the filtered rows hold, the kernel
+    rows' residual is a combination of 1, x, e^x and e^-x over the nodes,
+    which vanishes when it vanishes at any four nodes, so any four rows
+    fix the same solution.  The rows 0, n//3, n - n//3 and n are
+    mirror-symmetric, and a piece's row i is row n - i of its mirror image
+    (mu^(n-1-b) of mu^(b-1), c_n of c_0, h of itself), so half of their
+    row sums serve twice.  Below n = 4 the unknowns are every weight and
+    every row is kept.  No size cap: the cost does not grow with n.
     """
-    zero = np.zeros(1, dtype=object)
+    sums = ExpSums(n)
+    h = sums.h
+    if n < 4:
+        pieces = [_Piece(1, ONE, k, k) for k in range(n + 1)]
+        mirror = tuple(range(n, -1, -1))
+        kept = range(n + 1)
+    else:
+        a = sums.exp(1) + sums.exp(-1)
+        g0, g1 = filter_band(sums.kernel(1), sums.kernel(2), sums.kernel(3), a)
+        kappa = g1 / g0
+        sums.mu = mu = -2 * kappa / (1 + mp.sqrt(1 - 4 * kappa * kappa))
+        pieces = [
+            _Piece(1, ONE, 0, 0),
+            _Piece(1, ONE, n, n),
+            _Piece(1 / mu, (1, 0), 1, n - 1),
+            _Piece(mu ** (n - 1), (-1, 0), 1, n - 1),
+            _Piece(h, ONE, 1, n - 1),
+        ]
+        mirror = (1, 0, 3, 2, 4)
+        kept = [0, n // 3, n - n // 3, n]
+    cache = {}
 
-    def prefix_minus_suffix(w):
-        before = np.concatenate([zero, np.cumsum(w[:-1])])
-        after = np.concatenate([np.cumsum(w[:0:-1])[::-1], zero])
-        return before - after
+    def row_sum(p, i):
+        p, i = min((p, i), (mirror[p], n - i))
+        if (p, i) not in cache:
+            piece = pieces[p]
+            cache[p, i] = piece.scale * sums.row(piece.ratio, i, piece.lo, piece.hi)
+        return cache[p, i]
 
-    s_en = prefix_minus_suffix(c * en)
-    s_ep = prefix_minus_suffix(c * ep)
-    s_c = prefix_minus_suffix(c)
-    s_x = prefix_minus_suffix(c * x)
-    return (ep * s_en - en * s_ep) / 4 - (x * s_c - s_x) / 2
+    rows = {i: [row_sum(p, i) for p in range(len(pieces))] for i in kept}
+
+    e = sums.exp(n)
+    free = n + 1 if n < 4 else 4
+    matrix, rhs = [], []
+    for i in kept:
+        y, ep, en = mp.mpf(i) / n, sums.exp(i), sums.exp(-i)
+        moment_i = (ep + en + en * e + ep / e - 4) / 4 - (y * y + (1 - y) * (1 - y)) / 4
+        matrix.append([*rows[i][:free], mp.mpf(1), en])
+        rhs.append(moment_i - sum(rows[i][free:]))
+    for shift, target in ((0, 1), (-1, 1 - 1 / e)):
+        sums_p = [_piece_sum(sums, piece, 0, shift) for piece in pieces]
+        matrix.append([*sums_p[:free], mp.mpf(0), mp.mpf(0)])
+        rhs.append(target - sum(sums_p[free:]))
+    *amplitudes, b0, d = _gauss_solve(matrix, rhs)
+    amplitudes += [1] * (len(pieces) - free)
+    return _ExactSolution(sums, tuple(pieces), mirror, tuple(amplitudes), b0, d, rows)
 
 
-def _refined_uniform_solution(n: int):
-    """Solution of the exact uniform-grid system, with mp refinement.
+def _kernel_form(sol: _ExactSolution):
+    """sum_ij c_i c_j psi_2(|i - j| h) over the pieces, in O(1) mp operations.
 
-    The seed is solve_uniform(n), which enforces the DENSE_MAX_N cap; both
-    corrections come from resolve.  Each of the two refinement rounds forms
-    the residual of the exact-rational-node system in mp arithmetic: the
-    full kernel sum for the rows kept_rows(n) and both constraints, and the
-    filtered rows 2 .. n-2 directly as (g0 + 2 g1) h - (g1 c_(i-1) + g0 c_i
-    + g1 c_(i+1)), with the band of filter_band, so no rounded residual is
-    filtered.  That is O(n) mp operations per round and leaves a true
-    residual far below double precision.  Returns (grid, c, b0, d): the
-    _mp_grid tables, the weights as an object array of mpf and the mp
-    multipliers.
+    A delta piece at node k pairs with every piece through kernel row k,
+    which the solve kept; two spread pieces pair through their pair sum,
+    which equals that of their mirror images.
     """
-    seed = solve_uniform(n)
-    grid = _mp_grid(n)
-    x, ep, en, m = grid
-    psi_k = (ep - en) / 4 - x / 2
-    lags = np.arange(n + 1)
-    if n >= 4:
-        g0, g1 = filter_band(psi_k[1], psi_k[2], psi_k[3], ep[1] + en[1])
-        band_rhs = (g0 + 2 * g1) * x[1]
-    c = np.frompyfunc(mp.mpf, 1, 1)(seed.c)
-    b0 = mp.mpf(seed.b0)
-    d = mp.mpf(seed.d)
-    target_exp = 1 - mp.e**-1
-    r = np.zeros(n + 3)
-    for _ in range(2):
-        for i in kept_rows(n):
-            r[i] = m[i] - mp.fsum(psi_k[np.abs(lags - i)] * c) - b0 - en[i] * d
-        r[n + 1:] = [1 - mp.fsum(c), target_exp - mp.fsum(c * en)]
-        filtered = np.empty(0)
-        if n >= 4:
-            band = (c[1:n - 2] + c[3:n]) * g1 + c[2:n - 1] * g0
-            filtered = (-band + band_rhs).astype(float)
-        delta = resolve(seed, r, filtered)
-        c = c + delta[:-2]
-        b0 += mp.mpf(delta[-2])
-        d += mp.mpf(delta[-1])
-    return grid, c, b0, d
+    pieces, amps, mirror = sol.pieces, sol.amplitudes, sol.mirror
+    deltas = [p for p, piece in enumerate(pieces) if piece.lo == piece.hi]
+    spread = [p for p, piece in enumerate(pieces) if piece.lo < piece.hi]
+    terms = []
+    for p in deltas:
+        row = sol.rows[pieces[p].lo]
+        terms += [amps[p] * amps[q] * row[q] for q in deltas]
+        terms += [2 * amps[p] * amps[q] * row[q] for q in spread]
+    pairs = {}
+    for k, p in enumerate(spread):
+        for q in spread[k:]:
+            key = min(tuple(sorted((p, q))), tuple(sorted((mirror[p], mirror[q]))))
+            if key not in pairs:
+                a, b = pieces[key[0]], pieces[key[1]]
+                pairs[key] = a.scale * b.scale * sol.sums.pair(a.ratio, b.ratio, a.lo, a.hi)
+            terms.append((1 if p == q else 2) * amps[p] * amps[q] * pairs[key])
+    return mp.fsum(terms)
 
 
-def _mp_routes(grid, c, b0, d):
-    """Routes 1-3 evaluated in mp on the refined solution; O(n)."""
-    x, ep, en, m = grid
-    e = mp.mpf(mp.e)
-    kernel_rows = _psi2_rows(x, ep, en, c)
-    qf = mp.fsum(c * kernel_rows) - 2 * mp.fsum(c * m) + _double_moment(e)
-    mult, expanded = _route_values(c, grid, b0, d, mp.fsum, e)
-    d_mult = _rel_diff(qf, mult)
-    d_exp = _rel_diff(qf, expanded)
-    return float(qf), float(mult), float(expanded), float(d_mult), float(d_exp)
+def _exact_routes(sol: _ExactSolution):
+    """Routes 1-3 on the exact solution, in mp, from closed-form sums."""
+    sums, h = sol.sums, sol.sums.h
+
+    def weighted(k, shift):
+        """sum_j j^k e^(shift x_j) c_j."""
+        return sum(a * _piece_sum(sums, p, k, shift) for a, p in zip(sol.amplitudes, sol.pieces))
+
+    e = sums.exp(sums.n)
+    dm = _double_moment(e)
+    s_c, s_ep, s_en = weighted(0, 0), weighted(0, 1), weighted(0, -1)
+    s_x, s_xx = h * weighted(1, 0), h * h * weighted(2, 0)
+    # moment(x) = ((1 + 1/e) e^x + (1 + e) e^-x)/4 - 5/4 - x^2/2 + x/2
+    s_m = mp.fsum([(1 + 1 / e) * s_ep / 4, (1 + e) * s_en / 4, -s_c * 5 / 4, -s_xx / 2, s_x / 2])
+    qf = mp.fsum([_kernel_form(sol), -2 * s_m, dm])
+    mult = mp.fsum([-sol.d * s_en, -sol.b0 * s_c, -s_m, dm])
+    expanded = _expanded_route(sol.b0, sol.d, s_ep, s_x, s_xx, dm, mp.fsum, e)
+    return qf, mult, expanded
+
+
+def _float_weights(sol: _ExactSolution) -> np.ndarray:
+    """The weights in float64 from the mp amplitudes; O(n) float work.
+
+    Each piece is anchored at the end of its range where it is largest and
+    stepped from there by its ratio, so nothing overflows or underflows.
+    """
+    c = np.zeros(sol.sums.n + 1)
+    for amp, (scale, ratio, lo, hi) in zip(sol.amplitudes, sol.pieces):
+        step = sol.sums.power(ratio, 1)
+        grows = abs(step) > 1
+        anchor = hi if grows else lo
+        start = float(amp * scale * sol.sums.power(ratio, anchor))
+        steps = float(1 / step if grows else step) ** np.arange(hi - lo + 1)
+        c[lo:hi + 1] += start * (steps[::-1] if grows else steps)
+    return c
 
 
 def build_report(n: int) -> NormReport:
     """Evaluate all four routes and classify their agreement.
 
     For n <= DENSE_MAX_N the three reduction routes are compared on the
-    refined solution of the system; above the cap the system is skipped and
-    routes 2 and 3 are evaluated in float64, as in multiplier_routes, on the
-    printed closed forms (multiplier_source = "closed_form",
-    coefficient_max_deviation = None).
+    exact solution of the system, in 40 digits; above the cap the system is
+    skipped and routes 2 and 3 are evaluated in float64, as in
+    multiplier_routes, on the printed closed forms (multiplier_source =
+    "closed_form", coefficient_max_deviation = None).
     The closed-form rule's norm is norm_peano; above the cap it is also
     via_quadratic_form.
     """
@@ -537,9 +623,12 @@ def build_report(n: int) -> NormReport:
 
     if n <= DENSE_MAX_N:
         with mp.workdps(_MP_DPS):
-            grid, c, b0, d = _refined_uniform_solution(n)
-            qf, mult, expanded, d_mult, d_exp = _mp_routes(grid, c, b0, d)
-            dev = float(np.max(np.abs(c - closed_rule.coefficients)))
+            sol = _exact_solution(n)
+            qf, mult, expanded = _exact_routes(sol)
+            d_mult = float(_rel_diff(qf, mult))
+            d_exp = float(_rel_diff(qf, expanded))
+            qf, mult, expanded = float(qf), float(mult), float(expanded)
+            dev = float(np.max(np.abs(_float_weights(sol) - closed_rule.coefficients)))
         source = "dense_solve"
     else:
         mult, expanded = _float_routes(closed_rule, multipliers_closed_form(closed_rule))

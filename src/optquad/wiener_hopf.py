@@ -11,9 +11,9 @@ d are the Lagrange multipliers of the constraints.
 
 build_system and solve_dense assemble and factor it densely for arbitrary
 strictly increasing nodes in [0,1], in O(count^3): the independent test
-oracle.  solve_uniform and resolve solve the uniform grid with n
-subintervals in O(n), by Sobolev's discrete analogue of the operator
-(Sobolev, Introduction to the Theory of Cubature Formulas, 1974; Hayotov,
+oracle.  solve_uniform solves the uniform grid with n subintervals in
+O(n), by Sobolev's discrete analogue of the operator (Sobolev,
+Introduction to the Theory of Cubature Formulas, 1974; Hayotov,
 Milovanovic and Shadimetov, Numer. Algorithms 57, 2011).  The samples
 psi_2(kh) satisfy the recurrence with characteristic polynomial
 (z-1)^2 (z-e^h) (z-e^-h), so the filter
@@ -23,13 +23,14 @@ psi_2(kh) satisfy the recurrence with characteristic polynomial
 applied to kernel rows i-2 .. i+2 removes both multiplier columns and
 leaves the band g1 C_(i-1) + g0 C_i + g1 C_(i+1) (filter_band) with the
 right-hand side (g0 + 2 g1) h, for every i = 2 .. n-2.  Its solutions are
-a particular solution plus A mu^(b-1) + B mu^(n-1-b) on the interior
-nodes, mu the root of g1 z^2 + g0 z + g1 inside the unit circle.  The
-amplitudes A and B, the end weights and both multipliers then solve a
-bordered system of at most 6 x 6: four unfiltered kernel rows (kept_rows)
-and the two constraints, each entry an O(n) dot product.  Below n = 4 no
-row is filtered and the same bordered solve keeps every row.  Both entries
-keep the size cap of DENSE_MAX_N subintervals.
+h plus A mu^(b-1) + B mu^(n-1-b) on the interior nodes, mu the root of
+g1 z^2 + g0 z + g1 inside the unit circle.  The amplitudes A and B, the
+end weights and both multipliers then solve a bordered system of at most
+6 x 6: four unfiltered kernel rows (kept_rows) and the two constraints,
+each entry an O(n) dot product.  Below n = 4 no row is filtered and the
+same bordered solve keeps every row.  solve_uniform keeps the size cap of
+DENSE_MAX_N subintervals.  The norm report solves a bordered system of
+the same shape in mp, every entry in closed form (norm.build_report).
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ __all__ = [
     "build_system",
     "filter_band",
     "kept_rows",
-    "resolve",
     "solve_dense",
     "solve_for_nodes",
     "solve_uniform",
@@ -57,10 +57,6 @@ __all__ = [
 DENSE_MAX_N = 513
 
 _RCOND_FLOOR = float(np.finfo(float).eps)
-
-# The taps mu^|k| of the inverse band are kept while |mu|^k >= 2^-64; at
-# every n >= 4, |mu| < 0.27, so about 34 taps on each side.
-_TAP_FLOOR = 2.0**-64
 
 
 class SingularSystemError(ValueError):
@@ -180,7 +176,7 @@ def kept_rows(n: int) -> np.ndarray:
 
 
 class _UniformGrid:
-    """Samples and band constants of the uniform grid with n subintervals.
+    """Samples and bordered-system basis of the uniform grid with n subintervals.
 
     The nodes are k/n, correctly rounded, and psi_k = psi_2(k/n): the
     kernel matrix is the symmetric Toeplitz matrix of psi_0 .. psi_n.
@@ -196,29 +192,14 @@ class _UniformGrid:
         if n < 4:
             self.basis = np.eye(n + 1)
             return
-        a = 2.0 * math.cosh(1.0 / n)
-        self.taps = np.array([1.0, -(a + 2.0), 2.0 * a + 2.0, -(a + 2.0), 1.0])
-        self.g0, self.g1 = filter_band(*self.psi[1:4], a)
-        kappa = self.g1 / self.g0
+        g0, g1 = filter_band(*self.psi[1:4], 2.0 * math.cosh(1.0 / n))
+        kappa = g1 / g0
         self.mu = -2.0 * kappa / (1.0 + math.sqrt(1.0 - 4.0 * kappa * kappa))
         # C_0, C_n and the interior homogeneous solutions mu^(b-1), mu^(n-1-b)
         self.basis = np.zeros((n + 1, 4))
         self.basis[0, 0] = self.basis[n, 1] = 1.0
         self.basis[1:n, 2] = self.mu ** np.arange(n - 1)
         self.basis[1:n, 3] = self.basis[n - 1:0:-1, 2]
-
-    def particular(self, filtered: np.ndarray) -> np.ndarray:
-        """Weights, zero at both ends, that meet the filtered rows 2 .. n-2.
-
-        The band's infinite Toeplitz inverse has the taps
-        mu^|k| / (g0 + 2 g1 mu), so one convolution gives the solution.
-        """
-        p = np.zeros(self.n + 1)
-        if filtered.size:
-            k = math.ceil(math.log(_TAP_FLOOR) / math.log(abs(self.mu)))
-            w = self.mu ** np.abs(np.arange(-k, k + 1)) / (self.g0 + 2.0 * self.g1 * self.mu)
-            p[1:self.n] = np.convolve(filtered, w)[k - 1:k + self.n - 2]
-        return p
 
     def solve(self, particular, kept_rhs, constraint_rhs) -> np.ndarray:
         """Unknowns in build_system's ordering, from the bordered system.
@@ -251,14 +232,6 @@ class _UniformGrid:
         return float(max(np.abs(rows).max(), *np.abs(constraints)))
 
 
-def _uniform_grid(n: int) -> _UniformGrid:
-    if n < 1:
-        raise ValueError("grid size must be >= 1")
-    if n > DENSE_MAX_N:
-        raise ValueError(f"the system solve is capped at n = {DENSE_MAX_N}")
-    return _UniformGrid(n)
-
-
 def solve_uniform(n: int) -> SystemSolution:
     """Solve on the uniform grid with n subintervals, 1 <= n <= DENSE_MAX_N; O(n).
 
@@ -269,7 +242,11 @@ def solve_uniform(n: int) -> SystemSolution:
     residual in the unfiltered system, every kernel row and both
     constraints.
     """
-    grid = _uniform_grid(n)
+    if n < 1:
+        raise ValueError("grid size must be >= 1")
+    if n > DENSE_MAX_N:
+        raise ValueError(f"the system solve is capped at n = {DENSE_MAX_N}")
+    grid = _UniformGrid(n)
     particular = np.zeros(n + 1)
     if n >= 4:
         particular[1:n] = 1.0 / n
@@ -281,26 +258,3 @@ def solve_uniform(n: int) -> SystemSolution:
         d=float(x[n + 2]),
         residual_inf=grid.residual_inf(x),
     )
-
-
-def resolve(solution: SystemSolution, rhs, filtered=None) -> np.ndarray:
-    """Solve solution's uniform-grid system for another right-hand side; O(n).
-
-    solution comes from solve_uniform; rhs has build_system's ordering and
-    size n+3.  The filter is applied to rhs's kernel rows in float64 unless
-    filtered, the filtered rows 2 .. n-2 formed elsewhere (say in higher
-    precision, from a residual), is given.  Only rhs's kept_rows(n) and
-    constraint entries are then read.  Returns the unknowns in
-    build_system's ordering: the weights, then b0, then d.
-    """
-    grid = _uniform_grid(solution.nodes.size - 1)
-    n = grid.n
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (n + 3,):
-        raise ValueError(f"right-hand side must have size {n + 3}")
-    if filtered is None:
-        filtered = np.convolve(rhs[:n + 1], grid.taps, "valid") if n >= 4 else np.empty(0)
-    filtered = np.asarray(filtered, dtype=float)
-    if filtered.shape != (max(n - 3, 0),):
-        raise ValueError(f"filtered rows must have size {max(n - 3, 0)}")
-    return grid.solve(grid.particular(filtered), rhs[grid.rows], rhs[n + 1:])

@@ -2,9 +2,12 @@
 
 Everything here evaluates the formulas naively at high precision (raw
 lambda powers and all), independent of the production code's rearranged,
-cancellation-safe double-precision paths.
+cancellation-safe double-precision paths.  The uniform-grid tables and
+kernel rows at the end take O(n) mp operations from prefix and suffix
+sums: the oracle for the report's closed-form sums.
 """
 import mpmath as mp
+import numpy as np
 
 DPS = 50
 
@@ -128,3 +131,58 @@ def closed_quadratic_form_ref(n):
         )
         moments = mp.fsum(c[i] * moment_ref(i * h) for i in range(n + 1))
         return 2 * lags - 2 * moments + double_moment_ref()
+
+
+# ------------------------------------------------ O(n) oracle on the uniform grid
+
+
+def mp_grid(n):
+    """Uniform-grid tables (x, ep, en, m): object arrays of working-precision mpf.
+
+    x_k = k h, ep_k = e^(x_k), en_k = e^(-x_k) and m_k = moment(x_k), the
+    last from the first three through e^(1-y) = e e^(-y) and
+    e^(y-1) = e^y / e, so no exponential is evaluated twice.
+    """
+    exp = np.frompyfunc(mp.exp, 1, 1)
+    x = np.arange(n + 1, dtype=object) * (mp.mpf(1) / n)
+    ep = exp(x)
+    en = exp(-x)
+    m = (ep + en + en * mp.e + ep / mp.e - 4) / 4 - (x * x + (1 - x) * (1 - x)) / 4
+    return x, ep, en, m
+
+
+def psi2_rows(x, ep, en, c):
+    """sum_j psi_2(|x_i - x_j|) c_j for every i, in O(n) operations.
+
+    psi_2(|t|) = (e^|t| - e^-|t|)/4 - |t|/2 separates in x_i and x_j.  The
+    terms j < i of row i sum to
+
+        (e^(x_i) sum c e^-x - e^(-x_i) sum c e^x)/4 - (x_i sum c - sum c x)/2
+
+    over that prefix, and the terms j > i to the same expression over the
+    suffix with the sign flipped.  ep and en hold e^(x_j) and e^(-x_j).
+    """
+    zero = np.zeros(1, dtype=object)
+
+    def prefix_minus_suffix(w):
+        before = np.concatenate([zero, np.cumsum(w[:-1])])
+        after = np.concatenate([np.cumsum(w[:0:-1])[::-1], zero])
+        return before - after
+
+    s_en = prefix_minus_suffix(c * en)
+    s_ep = prefix_minus_suffix(c * ep)
+    s_c = prefix_minus_suffix(c)
+    s_x = prefix_minus_suffix(c * x)
+    return (ep * s_en - en * s_ep) / 4 - (x * s_c - s_x) / 2
+
+
+def piece_weights(sol):
+    """The weights of norm's exact solution in mp, one term per piece and node.
+
+    Evaluated directly from the amplitudes and pieces; O(n) mp work.
+    """
+    c = np.array([mp.mpf(0)] * (sol.sums.n + 1), dtype=object)
+    for amp, (scale, ratio, lo, hi) in zip(sol.amplitudes, sol.pieces):
+        for j in range(lo, hi + 1):
+            c[j] += amp * scale * sol.sums.power(ratio, j)
+    return c

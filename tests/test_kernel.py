@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from optquad.kernel import (
     psi,
 )
 
-from highprec import double_moment_ref, moment_ref, psi2_ref
+from highprec import DPS, double_moment_ref, moment_ref, psi2_ref
 
 
 def test_psi_values():
@@ -96,10 +97,17 @@ def test_moment_against_adaptive_oracle():
 
 
 def test_double_moment_forms():
-    assert double_moment() == math.sinh(1.0) - 7.0 / 6.0
+    assert double_moment() == pytest.approx(math.sinh(1.0) - 7.0 / 6.0, rel=1e-13)
     assert double_moment() == pytest.approx((math.e**2 - 1) / (2 * math.e) - 7.0 / 6.0, rel=1e-13)
     assert double_moment() == pytest.approx(float(double_moment_ref()), rel=1e-12)
     assert double_moment() == pytest.approx(0.0085345269771347902, rel=1e-12)
+
+
+def test_double_moment_is_correctly_rounded():
+    # sinh(1.0) - 7/6 was 88 ulp low; the series sum is within half an ulp
+    with mp.workdps(DPS):
+        ref = mp.sinh(1) - mp.mpf(7) / 6
+        assert abs(mp.mpf(double_moment()) - ref) <= math.ulp(float(ref)) / 2
 
 
 def test_double_moment_against_iterated_oracle():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -20,17 +21,18 @@ from optquad.norm import (
     norm_quadratic_form,
     norm_theorem2,
     _MP_DPS,
-    _mp_grid,
-    _psi2_rows,
-    _refined_uniform_solution,
+    _exact_solution,
+    _kernel_form,
 )
 from optquad.wiener_hopf import DENSE_MAX_N
 
 from highprec import (
     DPS,
     closed_quadratic_form_ref,
-    moment_ref,
+    mp_grid,
+    piece_weights,
     psi2_ref,
+    psi2_rows,
     quadratic_form_ref,
     theorem2_ref,
 )
@@ -120,9 +122,10 @@ def test_multiplier_routes_builds_the_closed_rule_once(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 16, DENSE_MAX_N])
 def test_build_report_factors_its_system_once(monkeypatch, capsys, n):
-    # every uniform-grid path solves through solve_uniform and resolve,
-    # which factor at most a 6 x 6 bordered matrix: the dense (n+3)-size
-    # system is never assembled, factored or condition-estimated
+    # every uniform-grid path solves through solve_uniform, which factors
+    # at most a 6 x 6 bordered matrix, or the report's 6 x 6 mp solve: the
+    # dense (n+3)-size system is never assembled, factored or
+    # condition-estimated
     calls = []
 
     def counted(fn):
@@ -153,7 +156,7 @@ def test_build_report_factors_its_system_once(monkeypatch, capsys, n):
 
 @pytest.mark.parametrize("n", [1, 2, 8, 16])
 def test_float64_routes_agree_with_the_40_digit_report(n):
-    # float64 on the dense solve against 40 digits on the refined solve;
+    # float64 on the dense solve against 40 digits on the exact solve;
     # measured worst 6.1e-9 relative, at n = 16
     _, mult, expanded = multiplier_routes(n)
     report = build_report(n)
@@ -403,7 +406,7 @@ def test_peano_follows_the_h4_asymptote(n):
 
 
 def test_closed_rule_norm_is_not_below_the_minimum():
-    # the refined dense minimum bounds every feasible rule's norm from below;
+    # the exact minimum bounds every feasible rule's norm from below;
     # the float64 quadratic form broke this at n = 512 (2.019e-14 < 2.032e-14).
     # Every n <= 32, the powers of two with their neighbours, and the cap.
     for n in [*range(1, 33), 64, 127, 128, 255, 256, 383, 511, 512, DENSE_MAX_N]:
@@ -411,11 +414,11 @@ def test_closed_rule_norm_is_not_below_the_minimum():
         closed = norm_peano(optimal_coefficients(n))
         assert rep.closed_rule_quadratic_form == closed, n
         assert closed >= rep.via_quadratic_form, n
-        # measured worst over every n <= 513: 7.2e-27, at n = 505
+        # measured worst over every n <= 513: 1.3e-27, at n = 467
         assert max(rep.rel_diff_qf_mult, rep.rel_diff_qf_expanded) <= 1e-20, n
 
 
-# ------------------------------------------------- the report's mp refinement
+# --------------------------------------------------- the report's exact solve
 
 
 def _toeplitz_rows_ref(n, c):
@@ -428,29 +431,84 @@ def _toeplitz_rows_ref(n, c):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
 def test_psi2_rows_match_the_toeplitz_sum(n):
+    # the O(n) oracle against the O(n^2) one
     rng = random.Random(n)
     with mp.workdps(_MP_DPS):
-        x, ep, en, _ = _mp_grid(n)
+        x, ep, en, _ = mp_grid(n)
         # weights in [-1, 1) carrying about 39 random digits
         weights = np.array(
             [mp.mpf(rng.getrandbits(130)) / 2**129 - 1 for _ in range(n + 1)], dtype=object
         )
-        _, refined, _, _ = _refined_uniform_solution(n)
-        for c in (weights, refined):
-            rows = _psi2_rows(x, ep, en, c)
+        exact = piece_weights(_exact_solution(n))
+        for c in (weights, exact):
+            rows = psi2_rows(x, ep, en, c)
             ref = _toeplitz_rows_ref(n, c)
             assert max(abs(a - b) for a, b in zip(rows, ref)) <= mp.mpf("1e-35")
 
 
-@pytest.mark.parametrize("n", [2, 16, 128])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 128, 513, 4096])
 def test_refined_solution_solves_the_exact_system(n):
-    # measured: 1.2e-41, 8.6e-41 and 1.0e-33
+    # the closed-form 40-digit solve, which has no size cap, against the
+    # O(n) oracle in 50 digits: each of the n + 3 equations holds to 1e-30
+    # of its row's scale (sum of the absolute values of its terms);
+    # measured worst 1.8e-39, at n = 513
     with mp.workdps(_MP_DPS):
-        _, c, b0, d = _refined_uniform_solution(n)
-    rows = _toeplitz_rows_ref(n, c)
+        sol = _exact_solution(n)
     with mp.workdps(DPS):
-        h = mp.mpf(1) / n
-        resid = [moment_ref(i * h) - rows[i] - b0 - d * mp.exp(-i * h) for i in range(n + 1)]
-        resid.append(1 - mp.fsum(c))
-        resid.append(1 - mp.exp(-1) - mp.fsum(c[j] * mp.exp(-j * h) for j in range(n + 1)))
-        assert max(abs(r) for r in resid) <= mp.mpf("1e-30")
+        c = piece_weights(sol)
+        x, ep, en, m = mp_grid(n)
+        rows = psi2_rows(x, ep, en, c)
+        gross = psi2_rows(x, ep, en, np.abs(c))  # psi_2 >= 0
+        worst = max(
+            abs(m[i] - rows[i] - sol.b0 - sol.d * en[i])
+            / (abs(m[i]) + gross[i] + abs(sol.b0) + abs(sol.d * en[i]))
+            for i in range(n + 1))
+        target = 1 - mp.exp(-1)
+        worst = max(worst,
+                    abs(1 - mp.fsum(c)) / (1 + mp.fsum(np.abs(c))),
+                    abs(target - mp.fsum(c * en)) / (target + mp.fsum(np.abs(c) * en)))
+        assert worst <= mp.mpf("1e-30")
+
+
+@pytest.mark.parametrize("n", [4, 5, 16, 64])
+def test_kernel_form_matches_the_o_n_quadratic_form(n):
+    # route 1 from kept rows and pair sums against the O(n) oracle, for
+    # random amplitudes of the five pieces, the mirrored one included;
+    # measured worst 2.3e-40 of the gross sum
+    rng = random.Random(n)
+    with mp.workdps(_MP_DPS):
+        sol = _exact_solution(n)
+        trial = dataclasses.replace(
+            sol, amplitudes=tuple(mp.mpf(rng.uniform(-1.0, 1.0)) for _ in sol.amplitudes))
+        value = _kernel_form(trial)
+    with mp.workdps(DPS):
+        c = piece_weights(trial)
+        x, ep, en, _ = mp_grid(n)
+        ref = mp.fsum(c * psi2_rows(x, ep, en, c))
+        gross = mp.fsum(np.abs(c) * psi2_rows(x, ep, en, np.abs(c)))
+        assert abs(value - ref) <= mp.mpf("1e-35") * gross
+
+
+def test_report_mp_work_does_not_grow_with_n(monkeypatch):
+    # every mp operation of the report is a closed-form sum: the count of
+    # mpf arithmetic calls is the same at n = 64 and n = 512 (measured 1100
+    # at both; 5371 and 41659 while the report swept O(n) mp tables)
+    mpf_type = type(mp.mpf(1))
+    calls = []
+
+    def counted(plain):
+        def wrapper(*args):
+            calls.append(1)
+            return plain(*args)
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__", "__abs__"):
+        monkeypatch.setattr(mpf_type, name, counted(getattr(mpf_type, name)))
+    counts = []
+    for n in (64, 512):
+        calls.clear()
+        build_report(n)
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert abs(counts[1] - counts[0]) <= 16, counts

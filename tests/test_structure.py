@@ -47,9 +47,9 @@ def test_every_all_entry_resolves():
 
 
 def test_only_wiener_hopf_assembles_and_factors_the_system():
-    # other modules reach the system through solve_uniform (and the
-    # report's corrections through resolve); the dense assembly and solve
-    # are the test oracle
+    # other modules reach the system through solve_uniform (the report
+    # solves its own 6 x 6 bordered system in mp); the dense assembly and
+    # solve are the test oracle
     found = []
     for path in SOURCES:
         if path.stem in ("wiener_hopf", "__init__"):

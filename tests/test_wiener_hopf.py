@@ -3,23 +3,20 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from optquad.coefficients import optimal_coefficients
 from optquad.kernel import moment, psi
-from optquad.norm import _MP_DPS, _refined_uniform_solution
+from optquad.norm import _MP_DPS, _exact_solution
 from optquad.wiener_hopf import (
     SingularSystemError,
     build_system,
     filter_band,
-    resolve,
     solve_dense,
     solve_for_nodes,
     solve_uniform,
 )
 
-from highprec import DPS, moment_ref, psi2_ref
+from highprec import DPS, moment_ref, piece_weights, psi2_ref
 
 # Frozen 50-digit dense solution of the uniform 3-node system.
 DENSE_C_N2 = [0.18147809599809316, 0.62654229512702072, 0.19197960887488613]
@@ -132,52 +129,14 @@ def test_filter_leaves_the_band():
         assert abs(mp.fsum(taps)) <= tiny
 
 
-def test_resolve_repeats_the_solve_for_any_right_hand_side():
-    for n in (2, 5, 16):
-        sol = solve_uniform(n)
-        matrix, rhs = build_system(sol.nodes)
-        again = resolve(sol, rhs)
-        # the float64-filtered moments carry rounding the seed's exact
-        # band constant does not: measured 3.2e-12 relative at n = 16
-        x = np.concatenate([sol.c, [sol.b0, sol.d]])
-        assert np.abs(again - x).max() <= 1e-10 * np.abs(x).max(), n
-        other = np.random.default_rng(n).uniform(-1.0, 1.0, size=rhs.size)
-        y = resolve(sol, other)
-        # backward stable: each residual is rounding of its row's terms
-        bound = 1e-14 * (np.abs(matrix) @ np.abs(y) + np.abs(other))
-        assert np.all(np.abs(matrix @ y - other) <= bound), n
-
-
-def test_resolve_rejects_a_mismatched_right_hand_side():
-    sol = solve_uniform(8)
-    with pytest.raises(ValueError):
-        resolve(sol, np.zeros(10))
-    with pytest.raises(ValueError):
-        resolve(sol, np.zeros(11), np.zeros(4))
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
-def test_resolve_matches_the_dense_solve(n, seed):
-    sol = solve_uniform(n)
-    matrix, _ = build_system(sol.nodes)
-    rng = np.random.default_rng(seed)
-    rhs = rng.uniform(-1.0, 1.0, size=n + 3) * 10.0 ** rng.uniform(-3.0, 3.0, size=n + 3)
-    dense = solve_dense(matrix, rhs)
-    ref = np.concatenate([dense.c, [dense.b0, dense.d]])
-    # both solves lose digits with the system's condition, which grows
-    # like n^4: measured worst 1.7e-9 relative at n = 64
-    assert np.abs(resolve(sol, rhs) - ref).max() <= 1e-14 * n**4 * np.abs(ref).max()
-
-
 def test_solve_uniform_is_closer_to_the_minimizer_than_the_dense_solve():
-    # the 40-digit refined minimizer as reference; measured worst 4.5e-11
+    # the 40-digit exact minimizer as reference; measured worst 4.5e-11
     # relative for the O(n) solve against 3.6e-5 for LAPACK, both at n = 513.
     # Below n = 4 both solve the same small system, and the two differ by
     # rounding (n = 3: 4.5e-16 against 3.0e-16), so a few ulp count as a tie.
     for n in [*range(1, 33), 64, 127, 128, 255, 256, 383, 511, 512, 513]:
         with mp.workdps(_MP_DPS):
-            ref = _refined_uniform_solution(n)[1].astype(float)
+            ref = piece_weights(_exact_solution(n)).astype(float)
         scale = np.abs(ref).max()
         err = np.abs(solve_uniform(n).c - ref).max() / scale
         dense = np.abs(solve_for_nodes(np.linspace(0.0, 1.0, n + 1)).c - ref).max() / scale
