@@ -22,6 +22,9 @@ from __future__ import annotations
 
 import mpmath as mp
 
+__all__ = ["ONE", "ExpSums"]
+
+# The exponents (a, b) of the ratio 1.
 ONE = (0, 0)
 
 
