@@ -473,7 +473,7 @@ def _gauss_solve(matrix, rhs):
                 a[i][j] -= f * a[k][j]
     x = [None] * size
     for k in reversed(range(size)):
-        x[k] = (a[k][size] - sum(a[k][j] * x[j] for j in range(k + 1, size))) / a[k][k]
+        x[k] = (a[k][size] - mp.fdot(a[k][k + 1:size], x[k + 1:])) / a[k][k]
     return x
 
 
@@ -573,7 +573,7 @@ def _exact_routes(sol: _ExactSolution):
 
     def weighted(k, shift):
         """sum_j j^k e^(shift x_j) c_j."""
-        return sum(a * _piece_sum(sums, p, k, shift) for a, p in zip(sol.amplitudes, sol.pieces))
+        return mp.fsum(a * _piece_sum(sums, p, k, shift) for a, p in zip(sol.amplitudes, sol.pieces))
 
     e = sums.exp(sums.n)
     dm = _double_moment(e)

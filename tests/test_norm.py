@@ -491,7 +491,7 @@ def test_kernel_form_matches_the_o_n_quadratic_form(n):
 
 def test_report_mp_work_does_not_grow_with_n(monkeypatch):
     # every mp operation of the report is a closed-form sum: the count of
-    # mpf arithmetic calls is the same at n = 64 and n = 512 (measured 1100
+    # mpf arithmetic calls is the same at n = 64 and n = 512 (measured 1070
     # at both; 5371 and 41659 while the report swept O(n) mp tables)
     mpf_type = type(mp.mpf(1))
     calls = []
