@@ -201,12 +201,19 @@ class _UniformGrid:
         self.basis[1:n, 2] = self.mu ** np.arange(n - 1)
         self.basis[1:n, 3] = self.basis[n - 1:0:-1, 2]
 
-    def solve(self, particular, kept_rhs, constraint_rhs) -> np.ndarray:
+    def solve(self) -> np.ndarray:
         """Unknowns in build_system's ordering, from the bordered system.
 
-        The weights are particular + basis @ theta; theta and both
-        multipliers solve the kept kernel rows and the two constraints.
+        The weights are h on the interior (nothing below n = 4) plus
+        basis @ theta; theta and both multipliers solve the kept kernel
+        rows and the two constraints.
         """
+        n = self.n
+        particular = np.zeros(n + 1)
+        if n >= 4:
+            particular[1:n] = 1.0 / n
+        kept_rhs = moment(self.x[self.rows])
+        constraint_rhs = np.array([1.0, -np.expm1(-1.0)])
         q = self.basis.shape[1]
         k = self.rows.size
         m = np.zeros((k + 2, q + 2))
@@ -247,10 +254,7 @@ def solve_uniform(n: int) -> SystemSolution:
     if n > DENSE_MAX_N:
         raise ValueError(f"the system solve is capped at n = {DENSE_MAX_N}")
     grid = _UniformGrid(n)
-    particular = np.zeros(n + 1)
-    if n >= 4:
-        particular[1:n] = 1.0 / n
-    x = grid.solve(particular, moment(grid.x[grid.rows]), np.array([1.0, -np.expm1(-1.0)]))
+    x = grid.solve()
     return SystemSolution(
         nodes=np.linspace(0.0, 1.0, n + 1),
         c=x[:n + 1],
