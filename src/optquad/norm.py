@@ -27,19 +27,22 @@ are compared on the solution of the stationarity system (the one object
 for which the 2->1 and 3->1 reductions are mathematically valid); because
 the compared values decay like h^4 while any double-stored solution
 carries residuals around 1e-17, the report solves the system and
-evaluates the three routes in 40-digit arithmetic, then rounds the
+evaluates the three routes in 50-digit arithmetic, then rounds the
 results.  On the uniform grid the solution's weights are a few pieces
 (two end weights, h plus two geometric boundary layers in mu), and
 psi_2 is exponential-polynomial, so every entry of the 6 x 6 bordered
 system and every sum the routes take -- route 1's quadratic form
 included, from kernel rows and pair sums of the pieces -- has a closed
-form (ExpSums).  The report's mp work is therefore the same at every n;
-only the float64 weights behind coefficient_max_deviation, norm_peano and
-the printed rule are O(n).  The closed-form rule's norm
-(closed_rule_quadratic_form, and via_quadratic_form above the cap) is
-norm_peano.  Routes 2 and 3 behind their public entry multiplier_routes(n)
-run in float64 on the weight arrays of solve_uniform (or, above the cap,
-of the printed rule); route 3's formula serves both precisions.
+form (ExpSums).  The report's mp work is therefore the same at every n,
+and the report has one path with no size cap.  psi_2's triple zero
+costs about 3 log10 n digits in those sums, which 50 digits leave room
+for up to n = 10^6.  Only the float64 weights behind
+coefficient_max_deviation, norm_peano and the printed rule are O(n).  The
+closed-form rule's norm (closed_rule_quadratic_form) is norm_peano.
+Routes 2 and 3 behind their public entry multiplier_routes(n) run in
+float64 on the weight arrays of solve_uniform (or, above the cap, on the
+printed rule and its printed multipliers); route 3's formula serves both
+precisions.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
 magnitude (its h-block diverges like 3/h^2 as the grid refines); the report
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -78,7 +81,7 @@ __all__ = [
 CONSISTENCY_RTOL = 1e-6
 
 _TINY = 1e-300
-_MP_DPS = 40
+_MP_DPS = 50
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ class NormReport:
     verdict: str
     multiplier_source: str
     closed_rule_quadratic_form: float
-    coefficient_max_deviation: Optional[float]
+    coefficient_max_deviation: float
 
 
 def _rel_diff(a: float, b: float) -> float:
@@ -227,18 +230,6 @@ def norm_peano(rule: QuadratureRule) -> float:
 
 
 # ----------------------------------------------------------- routes 2 and 3
-
-
-def _double_moment(e):
-    """sinh(1) - 7/6 = int int psi_2 over the unit square, in e's type.
-
-    Summed as the series sum_{k>=2} 1/(2k+1)!, whose terms are all
-    positive: (e^2 - 1)/(2e) - 7/6 would round 1.175 and 1.167 and leave an
-    absolute error of 1.5e-16, which is 0.75 % of the routes' value at
-    n = 512.  The 20 terms reach 40 digits.
-    """
-    one = type(e)(1)
-    return sum(one / math.factorial(2 * k + 1) for k in range(21, 1, -1))
 
 
 def _expanded_route(b0, d, s_ep, s_x, s_xx, dm, fsum, e):
@@ -398,7 +389,7 @@ def dense_multipliers(n: int) -> tuple[QuadratureRule, MultiplierPair]:
 def _float_routes(rule: QuadratureRule, pair: MultiplierPair) -> tuple[float, float]:
     """(via_multipliers, via_expanded) of rule and its multipliers, in float64."""
     c, x = rule.coefficients, rule.nodes
-    dm = _double_moment(math.e)
+    dm = double_moment()
     mult = math.fsum(np.concatenate([-c * (np.exp(-x) * pair.d + pair.b0), -c * moment(x), [dm]]))
     expanded = _expanded_route(pair.b0, pair.d, math.fsum(c * np.exp(x)), math.fsum(c * x),
                                math.fsum(c * x * x), dm, math.fsum, math.e)
@@ -576,7 +567,7 @@ def _exact_routes(sol: _ExactSolution):
         return mp.fsum(a * _piece_sum(sums, p, k, shift) for a, p in zip(sol.amplitudes, sol.pieces))
 
     e = sums.exp(sums.n)
-    dm = _double_moment(e)
+    dm = double_moment(mp.mpf)
     s_c, s_ep, s_en = weighted(0, 0), weighted(0, 1), weighted(0, -1)
     s_x, s_xx = h * weighted(1, 0), h * h * weighted(2, 0)
     # moment(x) = ((1 + 1/e) e^x + (1 + e) e^-x)/4 - 5/4 - x^2/2 + x/2
@@ -607,37 +598,24 @@ def _float_weights(sol: _ExactSolution) -> np.ndarray:
 def build_report(n: int) -> NormReport:
     """Evaluate all four routes and classify their agreement.
 
-    For n <= DENSE_MAX_N the three reduction routes are compared on the
-    exact solution of the system, in 40 digits; above the cap the system is
-    skipped and routes 2 and 3 are evaluated in float64, as in
-    multiplier_routes, on the printed closed forms (multiplier_source =
-    "closed_form", coefficient_max_deviation = None).
-    The closed-form rule's norm is norm_peano; above the cap it is also
-    via_quadratic_form.
+    The three reduction routes are compared on the exact solution of the
+    system, solved and evaluated in 50 digits at every n (multiplier_source
+    is always "dense_solve").  coefficient_max_deviation is the largest
+    gap between its float64 weights and the printed rule's.  The printed
+    rule's norm is norm_peano.
     """
     if n < 1:
         raise ValueError("grid size must be >= 1")
     closed_rule = optimal_coefficients(n)
     closed_qf = norm_peano(closed_rule)
     thm2 = norm_theorem2(n)
-
-    if n <= DENSE_MAX_N:
-        with mp.workdps(_MP_DPS):
-            sol = _exact_solution(n)
-            qf, mult, expanded = _exact_routes(sol)
-            d_mult = float(_rel_diff(qf, mult))
-            d_exp = float(_rel_diff(qf, expanded))
-            qf, mult, expanded = float(qf), float(mult), float(expanded)
-            dev = float(np.max(np.abs(_float_weights(sol) - closed_rule.coefficients)))
-        source = "dense_solve"
-    else:
-        mult, expanded = _float_routes(closed_rule, multipliers_closed_form(closed_rule))
-        source = "closed_form"
-        qf = closed_qf
-        d_mult = _rel_diff(qf, mult)
-        d_exp = _rel_diff(qf, expanded)
-        dev = None
-
+    with mp.workdps(_MP_DPS):
+        sol = _exact_solution(n)
+        qf, mult, expanded = _exact_routes(sol)
+        d_mult = float(_rel_diff(qf, mult))
+        d_exp = float(_rel_diff(qf, expanded))
+        qf, mult, expanded = float(qf), float(mult), float(expanded)
+        dev = float(np.max(np.abs(_float_weights(sol) - closed_rule.coefficients)))
     d_thm2 = _rel_diff(qf, thm2)
     return NormReport(
         n=n,
@@ -650,7 +628,7 @@ def build_report(n: int) -> NormReport:
         rel_diff_qf_expanded=d_exp,
         rel_diff_qf_thm2=d_thm2,
         verdict=_verdict(d_mult, d_exp, d_thm2),
-        multiplier_source=source,
+        multiplier_source="dense_solve",
         closed_rule_quadratic_form=closed_qf,
         coefficient_max_deviation=dev,
     )

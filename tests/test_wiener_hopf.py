@@ -130,7 +130,7 @@ def test_filter_leaves_the_band():
 
 
 def test_solve_uniform_is_closer_to_the_minimizer_than_the_dense_solve():
-    # the 40-digit exact minimizer as reference; measured worst 4.5e-11
+    # the 50-digit exact minimizer as reference; measured worst 4.5e-11
     # relative for the O(n) solve against 3.6e-5 for LAPACK, both at n = 513.
     # Below n = 4 both solve the same small system, and the two differ by
     # rounding (n = 3: 4.5e-16 against 3.0e-16), so a few ulp count as a tie.
