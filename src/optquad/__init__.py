@@ -1,15 +1,14 @@
 """Optimal uniform-grid quadrature on [0,1] for the seminorm |f''+f'|_L2.
 
-Weights from the printed closed form, the stationarity-system oracle,
-four cross-validated evaluations of the squared error-functional norm, and
-a CLI for reproducible reports.
+Weights from the printed closed form and from the O(n) stationarity-system
+solve, four cross-validated evaluations of the squared error-functional
+norm, and a CLI for reproducible reports.
 """
 from .coefficients import (
     QuadratureRule,
     constraint_residuals,
     make_rule,
     optimal_coefficients,
-    trapezoid_rule,
 )
 from .kernel import (
     IntegrationBudgetError,
@@ -23,12 +22,10 @@ from .norm import (
     MultiplierPair,
     NormReport,
     build_report,
-    dense_multipliers,
     geometric_sums,
     multiplier_routes,
     multipliers_closed_form,
     norm_peano,
-    norm_quadratic_form,
     norm_theorem2,
 )
 from .quadrature import (
@@ -46,9 +43,6 @@ from .wiener_hopf import (
     DENSE_MAX_N,
     SingularSystemError,
     SystemSolution,
-    build_system,
-    solve_dense,
-    solve_for_nodes,
     solve_uniform,
 )
 
@@ -70,11 +64,9 @@ __all__ = [
     "TestFunction",
     "apply_rule",
     "build_report",
-    "build_system",
     "constants",
     "constraint_residuals",
     "convergence_table",
-    "dense_multipliers",
     "double_moment",
     "error_check",
     "geometric_sums",
@@ -85,13 +77,9 @@ __all__ = [
     "multiplier_routes",
     "multipliers_closed_form",
     "norm_peano",
-    "norm_quadratic_form",
     "norm_theorem2",
     "optimal_coefficients",
     "psi",
-    "solve_dense",
-    "solve_for_nodes",
     "solve_uniform",
     "sobolev_seminorm",
-    "trapezoid_rule",
 ]

@@ -342,7 +342,9 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except (ValueError, ArithmeticError, IntegrationBudgetError, MemoryError, OSError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        # stderr may be the same closed pipe as stdout
+        with contextlib.suppress(OSError):
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "constraint_residuals",
     "make_rule",
     "optimal_coefficients",
-    "trapezoid_rule",
 ]
 
 
@@ -87,16 +86,6 @@ def optimal_coefficients(n: int) -> QuadratureRule:
 
     nodes = np.linspace(0.0, 1.0, n + 1)
     return QuadratureRule(n=n, h=h, nodes=nodes, coefficients=c)
-
-
-def trapezoid_rule(n: int) -> QuadratureRule:
-    """Uniform trapezoid weights, a deliberately suboptimal comparison rule."""
-    if n < 1:
-        raise ValueError("grid size must be >= 1")
-    h = 1.0 / n
-    c = np.full(n + 1, h)
-    c[0] = c[-1] = h / 2.0
-    return QuadratureRule(n=n, h=h, nodes=np.linspace(0.0, 1.0, n + 1), coefficients=c)
 
 
 def constraint_residuals(rule: QuadratureRule) -> tuple[float, float]:

@@ -8,9 +8,9 @@ Routes, in decreasing order of independence:
                            For a feasible rule (exact on span{1, e^-x}) it
                            equals the Peano-kernel integral int_0^1 K^2,
                            which norm_peano evaluates in O(n) without the
-                           cancellation of the O(n^2) float64 sum
-                           (norm_quadratic_form, kept as the small-n
-                           cross-check for arbitrary rules).
+                           cancellation of the O(n^2) float64 sum (the
+                           tests keep that sum as the small-n cross-check
+                           for arbitrary rules).
   2. multiplier form       -sum_b C (b0 + d e^(-x_b)) - sum_b C moment(x_b)
                            + double_moment
                            -- equals route 1 exactly when (C, b0, d) solve
@@ -59,7 +59,7 @@ import numpy as np
 
 from ._expsums import ONE, ExpSums
 from .coefficients import QuadratureRule, constraint_residuals, make_rule, optimal_coefficients
-from .kernel import double_moment, moment, psi
+from .kernel import double_moment, moment
 from .spectral import constants, pow_q
 from .wiener_hopf import DENSE_MAX_N, filter_band, solve_uniform
 
@@ -68,12 +68,10 @@ __all__ = [
     "MultiplierPair",
     "NormReport",
     "build_report",
-    "dense_multipliers",
     "geometric_sums",
     "multiplier_routes",
     "multipliers_closed_form",
     "norm_peano",
-    "norm_quadratic_form",
     "norm_theorem2",
 ]
 
@@ -122,21 +120,6 @@ def _verdict(d_mult: float, d_expanded: float, d_thm2: float) -> str:
 
 
 # ----------------------------------------------------------------- route 1
-
-
-def norm_quadratic_form(rule: QuadratureRule) -> float:
-    """Squared norm via the kernel quadratic form; O(count^2), compensated.
-
-    math.fsum over the complete term list makes the result the correctly
-    rounded sum of the computed terms, hence independent of term order.
-    Valid for any rule, but the terms cancel down to the h^4 result: it is
-    7.5e-3 relative off at n = 512.  Feasible rules use norm_peano.
-    """
-    x = rule.nodes
-    c = rule.coefficients
-    kernel_terms = (c[:, None] * c[None, :] * psi(2, x[:, None] - x[None, :])).ravel()
-    moment_terms = -2.0 * c * moment(x)
-    return math.fsum(np.concatenate([kernel_terms, moment_terms, [double_moment()]]))
 
 
 # A rule must meet both moment constraints to this absolute residual before
@@ -377,15 +360,6 @@ def geometric_sums(lam: float, n: int) -> tuple[float, float]:
     return s1, s2
 
 
-def dense_multipliers(n: int) -> tuple[QuadratureRule, MultiplierPair]:
-    """Solve the uniform system (solve_uniform) and package its rule and multipliers.
-
-    solve_uniform enforces the DENSE_MAX_N cap.
-    """
-    sol = solve_uniform(n)
-    return make_rule(sol.nodes, sol.c), MultiplierPair(d=sol.d, b0=sol.b0)
-
-
 def _float_routes(rule: QuadratureRule, pair: MultiplierPair) -> tuple[float, float]:
     """(via_multipliers, via_expanded) of rule and its multipliers, in float64."""
     c, x = rule.coefficients, rule.nodes
@@ -400,14 +374,17 @@ def multiplier_routes(n: int) -> tuple[str, float, float]:
     """Routes 2 and 3 in float64, with the source of their multipliers.
 
     The one public entry to both routes.  For n <= DENSE_MAX_N the system's
-    solution supplies the rule and the multipliers ("dense_solve"); above
-    the cap the printed closed-form weights and multipliers are inserted
-    verbatim ("closed_form").  Neither is rechecked against the system;
-    the printed pair does not solve it (see multipliers_closed_form).
+    solution (solve_uniform) supplies the rule and the multipliers
+    ("dense_solve"); above the cap the printed closed-form weights and
+    multipliers are inserted verbatim ("closed_form").  Neither is
+    rechecked against the system; the printed pair does not solve it (see
+    multipliers_closed_form).
     Returns (multiplier_source, via_multipliers, via_expanded).
     """
     if n <= DENSE_MAX_N:
-        return ("dense_solve", *_float_routes(*dense_multipliers(n)))
+        sol = solve_uniform(n)
+        pair = MultiplierPair(d=sol.d, b0=sol.b0)
+        return ("dense_solve", *_float_routes(make_rule(sol.nodes, sol.c), pair))
     rule = optimal_coefficients(n)
     return ("closed_form", *_float_routes(rule, multipliers_closed_form(rule)))
 

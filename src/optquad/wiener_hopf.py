@@ -1,4 +1,4 @@
-"""The stationarity system for the rule weights: dense oracle and O(n) solve.
+"""The stationarity system for the rule weights and its O(n) solve.
 
 Minimizing the error-norm quadratic form over the weights, subject to the
 two moment constraints, yields a discrete Wiener-Hopf-type linear system:
@@ -9,14 +9,12 @@ one kernel row per node,
 plus the constraint rows sum C = 1 and sum C e^(-x) = 1 - e^-1, where b0 and
 d are the Lagrange multipliers of the constraints.
 
-build_system and solve_dense assemble and factor it densely for arbitrary
-strictly increasing nodes in [0,1], in O(count^3): the independent test
-oracle.  solve_uniform solves the uniform grid with n subintervals in
-O(n), by Sobolev's discrete analogue of the operator (Sobolev,
-Introduction to the Theory of Cubature Formulas, 1974; Hayotov,
-Milovanovic and Shadimetov, Numer. Algorithms 57, 2011).  The samples
-psi_2(kh) satisfy the recurrence with characteristic polynomial
-(z-1)^2 (z-e^h) (z-e^-h), so the filter
+solve_uniform solves it on the uniform grid with n subintervals in O(n),
+by Sobolev's discrete analogue of the operator (Sobolev, Introduction to
+the Theory of Cubature Formulas, 1974; Hayotov, Milovanovic and
+Shadimetov, Numer. Algorithms 57, 2011).  The samples psi_2(kh) satisfy
+the recurrence with characteristic polynomial (z-1)^2 (z-e^h) (z-e^-h),
+so the filter
 
     [1, -(a+2), 2a+2, -(a+2), 1],  a = 2 cosh h,
 
@@ -31,6 +29,8 @@ each entry an O(n) dot product.  Below n = 4 no row is filtered and the
 same bordered solve keeps every row.  solve_uniform keeps the size cap of
 DENSE_MAX_N subintervals.  The norm report solves a bordered system of
 the same shape in mp, every entry in closed form (norm.build_report).
+The dense assembly for arbitrary nodes, O(count^3), is a test oracle
+(tests/oracles.py) and shares _equilibrated_solve with solve_uniform.
 """
 from __future__ import annotations
 
@@ -45,11 +45,8 @@ __all__ = [
     "DENSE_MAX_N",
     "SingularSystemError",
     "SystemSolution",
-    "build_system",
     "filter_band",
     "kept_rows",
-    "solve_dense",
-    "solve_for_nodes",
     "solve_uniform",
 ]
 
@@ -72,30 +69,6 @@ class SystemSolution:
     residual_inf: float
 
 
-def build_system(nodes) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the (count+2) x (count+2) matrix and right-hand side.
-
-    Unknown ordering: C_0..C_count-1, then b0, then d.  The kernel block is
-    symmetric (the kernel is even) with a zero diagonal.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 1 or nodes.size < 2:
-        raise ValueError("need at least two nodes")
-    if np.any(np.diff(nodes) <= 0.0):
-        raise ValueError("nodes must be strictly increasing (no duplicates)")
-    if nodes[0] < 0.0 or nodes[-1] > 1.0:
-        raise ValueError("nodes must lie within [0, 1]")
-    n = nodes.size
-    m = np.zeros((n + 2, n + 2))
-    m[:n, :n] = psi(2, nodes[:, None] - nodes[None, :])
-    m[:n, n] = 1.0
-    m[:n, n + 1] = np.exp(-nodes)
-    m[n, :n] = 1.0
-    m[n + 1, :n] = np.exp(-nodes)
-    rhs = np.concatenate([moment(nodes), [1.0, -np.expm1(-1.0)]])
-    return m, rhs
-
-
 def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve by LAPACK after scaling every row to unit max-norm.
 
@@ -115,38 +88,6 @@ def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if rcond < _RCOND_FLOOR:
         raise SingularSystemError(f"reciprocal condition number {rcond:.3e} below {_RCOND_FLOOR:.3e}")
     return x
-
-
-def solve_dense(matrix, rhs, nodes=None) -> SystemSolution:
-    """Solve a system from build_system; residual is recomputed explicitly.
-
-    The solve is _equilibrated_solve, with its SingularSystemError.
-    `nodes` is stored on the solution record; when omitted it is taken as
-    unknown (empty).
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != rhs.size:
-        raise ValueError("matrix and right-hand side sizes do not match")
-    x = _equilibrated_solve(matrix, rhs)
-    residual = matrix @ x - rhs
-    n = rhs.size - 2
-    stored = np.asarray(nodes, dtype=float) if nodes is not None else np.empty(0)
-    return SystemSolution(
-        nodes=stored,
-        c=x[:n],
-        b0=float(x[n]),
-        d=float(x[n + 1]),
-        residual_inf=float(np.abs(residual).max()),
-    )
-
-
-def solve_for_nodes(nodes) -> SystemSolution:
-    matrix, rhs = build_system(nodes)
-    return solve_dense(matrix, rhs, nodes=nodes)
-
-
-# ------------------------------------------------------- the O(n) solve
 
 
 def filter_band(psi1, psi2, psi3, a):
@@ -202,7 +143,7 @@ class _UniformGrid:
         self.basis[1:n, 3] = self.basis[n - 1:0:-1, 2]
 
     def solve(self) -> np.ndarray:
-        """Unknowns in build_system's ordering, from the bordered system.
+        """Unknowns C_0 .. C_n, b0, d, from the bordered system.
 
         The weights are h on the interior (nothing below n = 4) plus
         basis @ theta; theta and both multipliers solve the kept kernel
@@ -244,10 +185,9 @@ def solve_uniform(n: int) -> SystemSolution:
 
     From n = 4 the interior weights h + A mu^(b-1) + B mu^(n-1-b) meet
     every filtered row exactly and the bordered system fixes the rest.
-    SingularSystemError is raised as by solve_dense, on the bordered
-    matrix.  residual_inf is the largest
-    residual in the unfiltered system, every kernel row and both
-    constraints.
+    SingularSystemError is raised by _equilibrated_solve on the bordered
+    matrix.  residual_inf is the largest residual in the unfiltered
+    system, every kernel row and both constraints.
     """
     if n < 1:
         raise ValueError("grid size must be >= 1")

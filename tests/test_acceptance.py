@@ -16,24 +16,14 @@ import time
 import numpy as np
 import pytest
 
-from optquad.coefficients import (
-    constraint_residuals,
-    make_rule,
-    optimal_coefficients,
-    trapezoid_rule,
-)
-from optquad.norm import (
-    build_report,
-    dense_multipliers,
-    geometric_sums,
-    norm_quadratic_form,
-    norm_theorem2,
-)
+from optquad.coefficients import constraint_residuals, make_rule, optimal_coefficients
+from optquad.norm import build_report, geometric_sums, norm_theorem2
 from optquad.quadrature import TestFunction, apply_rule, convergence_table
 from optquad.spectral import constants, lambda1
 from optquad.wiener_hopf import solve_uniform
 
 from highprec import lambda1_ref, quadratic_form_ref, theorem2_ref
+from oracles import norm_quadratic_form, trapezoid_rule
 
 
 def _line(ok: bool, label: str, detail: str = "") -> bool:
@@ -126,8 +116,9 @@ def test_criterion_05_optimality_witness_n2():
         and abs(v_trap - 5.92e-4) <= 1e-5
     )
 
-    # perturbation witness at the constrained minimizer (the dense solution)
-    rule, _ = dense_multipliers(2)
+    # perturbation witness at the constrained minimizer (the system's solution)
+    sol = solve_uniform(2)
+    rule = make_rule(sol.nodes, sol.c)
     base = norm_quadratic_form(rule)
     rng = np.random.default_rng(20240917)
     cons = np.stack([np.ones(3), np.exp(-rule.nodes)])

@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import optquad
 from optquad.cli import main
 from optquad.kernel import IntegrationBudgetError, IntegrationResult
 
@@ -193,6 +198,23 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_pipe_on_both_streams_exits_2(fmt):
+    # stderr on the same closed pipe cannot take the error message either;
+    # the exit code still reports an output failure, not a failed check
+    src = str(Path(optquad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "optquad", "coeffs", "--n", "20000", "--format", fmt],
+            stdout=write_end, stderr=write_end, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
 
 
 def _raiser(exc):

@@ -7,11 +7,11 @@ from optquad.coefficients import (
     constraint_residuals,
     make_rule,
     optimal_coefficients,
-    trapezoid_rule,
 )
 from optquad.spectral import constants
 
 from highprec import coefficients_ref
+from oracles import trapezoid_rule
 
 
 def test_n1_is_constraint_determined():

@@ -1,10 +1,9 @@
 """Module boundaries of the package, checked from its source files.
 
 Each module keeps its `_`-prefixed names to itself, every name a module
-lists in `__all__` exists, the dense system is assembled and factored
-only inside `wiener_hopf`, and importing the package loads no scipy.  The
-source is parsed rather than imported where it can be, because importing
-`__main__` runs the CLI.
+lists in `__all__` exists and is reachable from `cli.main`, and importing
+the package loads no scipy.  The source is parsed rather than imported
+where it can be, because importing `__main__` runs the CLI.
 """
 import ast
 import importlib
@@ -46,19 +45,54 @@ def test_every_all_entry_resolves():
     assert missing == []
 
 
-def test_only_wiener_hopf_assembles_and_factors_the_system():
-    # other modules reach the system through solve_uniform (the report
-    # solves its own 6 x 6 bordered system in mp); the dense assembly and
-    # solve are the test oracle
-    found = []
+def _bindings(tree):
+    """Top-level name -> the def, class or assignment that binds it."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                        found[name.id] = node
+    return found
+
+
+def test_every_exported_name_is_reachable_from_the_cli():
+    # a name-level walk from cli.main: a top-level binding is reached when a
+    # reached binding mentions its name, through the package's own imports.
+    # An exported name that nothing reaches is code only the tests run.
+    bindings, imports, exported = {}, {}, []
     for path in SOURCES:
-        if path.stem in ("wiener_hopf", "__init__"):
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imports[module, alias.asname or alias.name] = (node.module, alias.name)
+        for name, node in _bindings(tree).items():
+            bindings[module, name] = node
+        if (module, "__all__") in bindings:
+            exported += [(module, e.value) for e in bindings[module, "__all__"].value.elts]
+
+    def origin(module, name):
+        while (module, name) in imports:
+            module, name = imports[module, name]
+        return module, name
+
+    reached, todo = set(), [("cli", "main")]
+    while todo:
+        key = todo.pop()
+        if key in reached or key not in bindings:
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom):
-                found += [f"{path.name}: {a.name}" for a in node.names
-                          if a.name in ("build_system", "solve_dense")]
-    assert found == []
+        reached.add(key)
+        todo += [origin(key[0], node.id) for node in ast.walk(bindings[key])
+                 if isinstance(node, ast.Name)]
+    assert ("cli", "main") in reached
+    unreached = {origin(*key) for key in exported} - reached
+    assert not unreached, sorted(f"{module}.{name}" for module, name in unreached)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -8,15 +8,15 @@ from optquad.coefficients import optimal_coefficients
 from optquad.kernel import moment, psi
 from optquad.norm import _MP_DPS, _exact_solution
 from optquad.wiener_hopf import (
+    DENSE_MAX_N,
     SingularSystemError,
-    build_system,
+    _equilibrated_solve,
     filter_band,
-    solve_dense,
-    solve_for_nodes,
     solve_uniform,
 )
 
 from highprec import DPS, moment_ref, piece_weights, psi2_ref
+from oracles import build_system, solve_dense
 
 # Frozen 50-digit dense solution of the uniform 3-node system.
 DENSE_C_N2 = [0.18147809599809316, 0.62654229512702072, 0.19197960887488613]
@@ -77,7 +77,7 @@ def test_solution_satisfies_constraints_for_arbitrary_nodes():
     for _ in range(5):
         interior = np.sort(rng.uniform(0.05, 0.95, size=6))
         nodes = np.concatenate([[0.0], interior, [1.0]])
-        sol = solve_for_nodes(nodes)
+        sol = solve_dense(nodes)
         assert abs(math.fsum(sol.c) - 1.0) <= 1e-11
         assert abs(math.fsum(sol.c * np.exp(-nodes)) - (1 - math.exp(-1))) <= 1e-11
 
@@ -85,7 +85,7 @@ def test_solution_satisfies_constraints_for_arbitrary_nodes():
 def test_multiplier_rows_close():
     # substituting (C, b0, d) back into each kernel row
     nodes = np.array([0.0, 0.25, 0.6, 1.0])
-    sol = solve_for_nodes(nodes)
+    sol = solve_dense(nodes)
     rows = psi(2, nodes[:, None] - nodes[None, :]) @ sol.c + sol.b0 + sol.d * np.exp(-nodes)
     assert np.abs(rows - moment(nodes)).max() <= 1e-10
 
@@ -139,29 +139,28 @@ def test_solve_uniform_is_closer_to_the_minimizer_than_the_dense_solve():
             ref = piece_weights(_exact_solution(n)).astype(float)
         scale = np.abs(ref).max()
         err = np.abs(solve_uniform(n).c - ref).max() / scale
-        dense = np.abs(solve_for_nodes(np.linspace(0.0, 1.0, n + 1)).c - ref).max() / scale
+        dense = np.abs(solve_dense(np.linspace(0.0, 1.0, n + 1)).c - ref).max() / scale
         assert err <= 1e-8, n
         assert err <= max(dense, 8 * np.finfo(float).eps), n
 
 
 def test_singular_matrix_raises():
+    # the equilibrated LAPACK solve behind solve_uniform's bordered system
     m = np.zeros((4, 4))
     with pytest.raises(SingularSystemError):
-        solve_dense(m, np.zeros(4))
+        _equilibrated_solve(m, np.zeros(4))
     m = np.eye(4)
     m[2, 2] = 0.0
     m[2, 3] = 0.0
     m[3, 2] = 0.0
     with pytest.raises(SingularSystemError):
-        solve_dense(m, np.ones(4))
+        _equilibrated_solve(m, np.ones(4))
     # no zero row: exactly singular, then singular to working precision
     for m in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]):
         with pytest.raises(SingularSystemError):
-            solve_dense(m, np.ones(2))
+            _equilibrated_solve(np.array(m), np.ones(2))
 
 
-def test_solve_dense_shape_validation():
+def test_solve_uniform_cap():
     with pytest.raises(ValueError):
-        solve_dense(np.zeros((3, 4)), np.zeros(3))
-    with pytest.raises(ValueError):
-        solve_dense(np.eye(3), np.zeros(4))
+        solve_uniform(DENSE_MAX_N + 1)
