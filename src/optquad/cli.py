@@ -70,29 +70,49 @@ def _csv_line(cells) -> str:
 
 
 def _directive(column, fmt: str) -> str:
-    """The %-directive that spells one column's cells.
+    """The %-directive that spells one value of a column.
 
-    CSV formats float arrays (17 significant digits, as _fmt_cell does) and
-    ranges or signed-integer arrays straight from the values; every other
-    cell is a string from _column_cells.
+    Float arrays take 17 significant digits in CSV, as _fmt_cell does, and
+    float.__repr__ in JSON, the spelling json uses for finite floats; ranges
+    and signed-integer arrays take %d.  Every other column takes %s and is
+    spelled cell by cell in _column_cells.
     """
-    if fmt == "csv" and isinstance(column, (range, np.ndarray)):
-        kind = "i" if isinstance(column, range) else column.dtype.kind
-        return {"f": "%.16e", "i": "%d"}.get(kind, "%s")
+    if isinstance(column, range):
+        return "%d"
+    if isinstance(column, np.ndarray):
+        return {"f": "%.16e" if fmt == "csv" else "%r", "i": "%d"}.get(column.dtype.kind, "%s")
     return "%s"
 
 
-def _column_cells(column, start: int, fmt: str, directive: str) -> list:
-    """One chunk of a column from row `start`, as values for `directive`."""
+def _column_cells(column, start: int, fmt: str) -> tuple[str, list | range]:
+    """One chunk of a column from row `start`: the directive and its cells.
+
+    A numeric array chunk spells each distinct value once and gathers the
+    spellings by index, unless every value is distinct: then its values go
+    to the row template's own directive.
+    """
     part = column[start:start + _ROWS_PER_CHUNK]
-    values = part.tolist() if isinstance(part, np.ndarray) else list(part)
-    if directive != "%s":
-        return values
-    if fmt == "json":
-        # the C encoder spells numbers, booleans and None as json.dumps does
-        # inside a payload; none of those spellings contains ", "
-        return json.dumps(values)[1:-1].split(", ")
-    return list(map(_fmt_cell, values))
+    directive = _directive(column, fmt)
+    if isinstance(part, range):
+        return directive, part
+    if directive == "%s":
+        values = part.tolist() if isinstance(part, np.ndarray) else list(part)
+        if fmt == "json":
+            # the C encoder spells numbers, booleans and None as json.dumps
+            # does inside a payload; none of those spellings contains ", "
+            return directive, json.dumps(values)[1:-1].split(", ")
+        return directive, list(map(_fmt_cell, values))
+    # distinct bit patterns, so that -0.0 and 0.0 keep their own spellings
+    bits, index = np.unique(part.view(f"u{part.itemsize}"), return_inverse=True)
+    distinct = bits.view(part.dtype)
+    nonfinite = np.flatnonzero(~np.isfinite(distinct)) if fmt == "json" else ()
+    if distinct.size == part.size and not len(nonfinite):
+        return directive, part.tolist()
+    values = distinct.tolist()
+    spelled = ((directive + " ") * len(values) % tuple(values)).split()
+    for i in nonfinite:
+        spelled[i] = json.dumps(values[i])  # NaN, Infinity, -Infinity
+    return "%s", np.array(spelled, dtype=object)[index].tolist()
 
 
 def _emit(scalars: dict, fmt: str, out: str | None, rows: dict | None = None) -> None:
@@ -115,11 +135,12 @@ def _emit(scalars: dict, fmt: str, out: str | None, rows: dict | None = None) ->
                 write(_csv_line(scalars) + _csv_line(map(_fmt_cell, scalars.values())))
             return
         columns = list(rows.values())
-        directives = [_directive(column, fmt) for column in columns]
+        # each chunk fills the directives of this row template first, so
+        # text in it is escaped twice: "%%%%" prints "%"
         if fmt == "json":
             head = json.dumps({**scalars, "rows": []}, indent=2)  # ends in "[]\n}"
             write(head[:-4] + "[\n")
-            fields = ",\n".join(f"      {json.dumps(k).replace('%', '%%')}: %s" for k in rows)
+            fields = ",\n".join(f"      {json.dumps(k).replace('%', '%%%%')}: %s" for k in rows)
             row, sep, tail = "    {\n" + fields + "\n    }", ",\n", "\n  ]\n}\n"
         else:
             kept = [k for k in scalars if k not in _CSV_OMITTED]
@@ -127,10 +148,11 @@ def _emit(scalars: dict, fmt: str, out: str | None, rows: dict | None = None) ->
             # csv quotes a lone empty cell but not one among others: the
             # leading empty cell gives each scalar its mid-row spelling
             suffix = _csv_line(["", *(_fmt_cell(scalars[k]) for k in kept)])[:-1] if kept else ""
-            row, sep, tail = ",".join(directives) + suffix.replace("%", "%%") + "\n", "", ""
+            row = ",".join(["%s"] * len(columns)) + suffix.replace("%", "%%%%") + "\n"
+            sep, tail = "", ""
         for start in range(0, len(columns[0]), _ROWS_PER_CHUNK):
-            cells = [_column_cells(c, start, fmt, d) for c, d in zip(columns, directives)]
-            chunk = sep.join([row] * len(cells[0]))
+            directives, cells = zip(*(_column_cells(c, start, fmt) for c in columns))
+            chunk = sep.join([row % directives] * len(cells[0]))
             write((sep if start else "") + chunk % tuple(chain.from_iterable(zip(*cells))))
         write(tail)
 
@@ -216,8 +238,8 @@ def cmd_validate(args) -> int:
         coef = max(coef, report.coefficient_max_deviation)
         cons = max(cons, *constraint_residuals(rule))
         route = max(route, report.rel_diff_qf_mult)
-        s1 = math.fsum(rule.coefficients)
-        s2 = math.fsum(rule.coefficients * np.exp(-rule.nodes))
+        s1 = math.fsum(memoryview(rule.coefficients))
+        s2 = math.fsum(memoryview(rule.coefficients * np.exp(-rule.nodes)))
         for a, b in pairs:
             err = abs(a * s1 + b * s2 - (a - b * math.expm1(-1.0)))
             exact = max(exact, err / (abs(a) + abs(b)))

@@ -16,7 +16,9 @@ q = 1/lambda1 and Kscaled = K lambda1^(N+1):
 
 so only nonnegative powers of q appear and grids up to N = 10^6 evaluate
 without overflow (deep q powers underflow to exact zero, a correction far
-below double precision).
+below double precision).  Only the powers that do not underflow are
+formed: past them, a few dozen nodes from each end, every interior weight
+is h exactly.
 
 Note: these are the printed closed-form weights.  They satisfy both moment
 constraints exactly, but they do *not* coincide with the minimizer computed
@@ -80,9 +82,16 @@ def optimal_coefficients(n: int) -> QuadratureRule:
     c[0] = (em1 - h) / em1 - corr  # (e^h - 1 - h)/(e^h - 1) - corr
     c[n] = (h * eh - em1) / em1 - corr * eh  # (he^h - e^h + 1)/(e^h - 1) - corr*e^h
     if n > 1:
-        qp = np.power(q, np.arange(n + 1, dtype=float))
-        # interior: h - Kscaled [(1 - e^h q) q^(N-b) + (e^h - q) q^b]
-        c[1:n] = h - ks * ((1.0 - eh * q) * qp[n - 1:0:-1] + (eh - q) * qp[1:n])
+        # q^b rounds to zero below half the least subnormal, 2^-1075, so it
+        # is zero from b = k on; qp[k] = 0 stands for every such power
+        k = min(n, math.ceil(1075 * math.log(2.0) / -math.log(q)) + 1)
+        qp = np.append(np.power(q, np.arange(k, dtype=float)), 0.0)
+        # interior: h - Kscaled [(1 - e^h q) q^(N-b) + (e^h - q) q^b], which
+        # is h exactly where both powers are zero
+        c[1:n] = h
+        b = np.concatenate([np.arange(1, k), np.arange(max(k, n - k + 1), n)])
+        terms = (1.0 - eh * q) * qp[np.minimum(n - b, k)] + (eh - q) * qp[np.minimum(b, k)]
+        c[b] = h - ks * terms
 
     nodes = np.linspace(0.0, 1.0, n + 1)
     return QuadratureRule(n=n, h=h, nodes=nodes, coefficients=c)
@@ -95,7 +104,8 @@ def constraint_residuals(rule: QuadratureRule) -> tuple[float, float]:
     summation error-free so the residuals measure formula error only.
     """
     c = rule.coefficients
-    r1 = abs(math.fsum(c) - 1.0)
+    # a memoryview hands fsum Python floats one at a time, with no list of them
+    r1 = abs(math.fsum(memoryview(c)) - 1.0)
     weighted = c * np.exp(-rule.nodes)
-    r2 = abs(math.fsum(weighted) + math.expm1(-1.0))  # target 1 - e^-1
+    r2 = abs(math.fsum(memoryview(weighted)) + math.expm1(-1.0))  # target 1 - e^-1
     return r1, r2

@@ -187,7 +187,8 @@ def solve_uniform(n: int) -> SystemSolution:
     every filtered row exactly and the bordered system fixes the rest.
     SingularSystemError is raised by _equilibrated_solve on the bordered
     matrix.  residual_inf is the largest residual in the unfiltered
-    system, every kernel row and both constraints.
+    system, every kernel row and both constraints.  The nodes are the
+    k/n it was solved on.
     """
     if n < 1:
         raise ValueError("grid size must be >= 1")
@@ -196,7 +197,7 @@ def solve_uniform(n: int) -> SystemSolution:
     grid = _UniformGrid(n)
     x = grid.solve()
     return SystemSolution(
-        nodes=np.linspace(0.0, 1.0, n + 1),
+        nodes=grid.x,
         c=x[:n + 1],
         b0=float(x[n + 1]),
         d=float(x[n + 2]),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,25 @@ def test_large_grid_is_finite():
     assert np.all(np.isfinite(rule.coefficients))
 
 
+def _full_power_table_interior(n):
+    """The interior weights from every power q^0 .. q^n, underflowed ones included."""
+    sc = constants(n)
+    h, q, ks = sc.h, sc.q, sc.k_scaled
+    eh = math.exp(h)
+    qp = np.power(q, np.arange(n + 1, dtype=float))
+    return h - ks * ((1.0 - eh * q) * qp[n - 1:0:-1] + (eh - q) * qp[1:n])
+
+
+@pytest.mark.parametrize(
+    "ns", [range(2, 3000), (10**4, 10**5, 123_457, 10**6)], ids=["n<3000", "large"]
+)
+def test_interior_from_the_nonzero_powers_is_bitwise_the_full_table(ns):
+    for n in ns:
+        interior = optimal_coefficients(n).coefficients[1:n]
+        np.testing.assert_array_equal(interior.view(np.uint64),
+                                      _full_power_table_interior(n).view(np.uint64), err_msg=str(n))
+
+
 def test_rejects_bad_n():
     with pytest.raises(ValueError):
         optimal_coefficients(0)
@@ -111,6 +131,19 @@ def test_constraint_residuals_on_handmade_rules():
     expected = abs(0.25 + 0.5 * math.exp(-0.5) + 0.25 * math.exp(-1.0) - (1 - math.exp(-1.0)))
     assert r2 == pytest.approx(expected, rel=1e-12)
     assert r2 > 1e-3
+
+
+def test_constraint_residuals_build_no_list_of_the_weights():
+    # two float64 temporaries of 0.8 MB each; a list of the 10^5 weights
+    # as Python floats would add 3.2 MB (30 MB at n = 10^6)
+    rule = optimal_coefficients(10**5)
+    tracemalloc.start()
+    try:
+        constraint_residuals(rule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_400_000
 
 
 def test_make_rule_validation():

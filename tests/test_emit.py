@@ -88,6 +88,15 @@ def test_coeffs_closed_matches_reference_at_the_chunk_edges(n, fmt):
     assert run(*coeffs_argv(n, "closed", fmt)) == emit_ref(coeffs_payload(n, "closed"), "rows", fmt)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_coeffs_closed_matches_reference_where_weights_repeat(fmt):
+    # q^b underflows a few dozen nodes in: most chunks repeat h thousands of times
+    n = 10_000
+    rule = optimal_coefficients(n)
+    assert np.unique(rule.coefficients[:CHUNK]).size < CHUNK // 10
+    assert run(*coeffs_argv(n, "closed", fmt)) == emit_ref(coeffs_payload(n, "closed"), "rows", fmt)
+
+
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(1, 64), fmt=FORMATS)
 def test_coeffs_system_matches_reference(n, fmt):
@@ -165,6 +174,46 @@ def test_synthetic_tables_match_reference(table, chunk, fmt):
     with mock.patch.object(cli, "_ROWS_PER_CHUNK", chunk):
         out = emitted(scalars, fmt, columns)
     assert out == emit_ref({**scalars, "rows": rows}, "rows", fmt)
+
+
+@st.composite
+def pooled_tables(draw):
+    """(columns, rows as dicts): a range and float and integer arrays whose
+    values come from small pools, so that chunks mix repeats and distinct
+    values."""
+    n_rows = draw(st.integers(1, 40))
+    columns = {"beta": range(n_rows)}
+    for name, cells, dtype in (("c", CELLS["float_array"], float),
+                               ("k", CELLS["int_array"], np.int64)):
+        pool = draw(st.lists(cells, min_size=1, max_size=4))
+        values = draw(st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows))
+        columns[name] = np.array(values, dtype=dtype)
+    rows = [{"beta": b, "c": c, "k": k}
+            for b, c, k in zip(columns["beta"], columns["c"].tolist(), columns["k"].tolist())]
+    return columns, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=pooled_tables(), chunk=st.integers(1, 9), fmt=FORMATS)
+def test_pooled_columns_match_reference(table, chunk, fmt):
+    columns, rows = table
+    scalars = {"command": "pooled", "n": len(rows)}
+    with mock.patch.object(cli, "_ROWS_PER_CHUNK", chunk):
+        out = emitted(scalars, fmt, columns)
+    assert out == emit_ref({**scalars, "rows": rows}, "rows", fmt)
+
+
+@pytest.mark.parametrize("chunk", [3, 8, CHUNK])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_nonfinite_and_signed_zero_match_reference(chunk, fmt):
+    # chunks of 3: all distinct and non-finite, all distinct and finite, mixed
+    nan, inf = float("nan"), float("inf")
+    c = np.array([nan, inf, -inf, -0.0, 0.0, 1.0, -0.0, nan])
+    columns = {"beta": range(c.size), "c": c}
+    rows = [{"beta": b, "c": v} for b, v in enumerate(c.tolist())]
+    with mock.patch.object(cli, "_ROWS_PER_CHUNK", chunk):
+        out = emitted({"command": "edge"}, fmt, columns)
+    assert out == emit_ref({"command": "edge", "rows": rows}, "rows", fmt)
 
 
 @settings(max_examples=50, deadline=None)

@@ -164,3 +164,9 @@ def test_singular_matrix_raises():
 def test_solve_uniform_cap():
     with pytest.raises(ValueError):
         solve_uniform(DENSE_MAX_N + 1)
+
+
+def test_solve_uniform_returns_the_nodes_it_solved_on():
+    # k/n, correctly rounded; linspace differs from it in the last bit at n = 5
+    for n in range(1, DENSE_MAX_N + 1):
+        np.testing.assert_array_equal(solve_uniform(n).nodes, np.arange(n + 1) / n, err_msg=str(n))
