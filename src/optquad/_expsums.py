@@ -1,4 +1,4 @@
-"""Closed forms for exponential-polynomial sums on the uniform grid, in mp.
+"""Closed forms for exponential-polynomial sums on the uniform grid, in decimal.
 
 On the grid x_j = j h, h = 1/n, the stationarity system's weights are sums
 of pieces r^j over index ranges: deltas, a constant and two geometric
@@ -8,19 +8,20 @@ boundary layers.  psi_2(|i - j| h) = g(|i - j|) with the odd function
 
 which separates into products of i- and j-factors.  So every moment, every
 kernel row sum and every pairwise kernel sum of such pieces has a closed
-form in O(1) mp operations, whatever the range (Sobolev's discrete
+form in O(1) decimal operations, whatever the range (Sobolev's discrete
 analogue of the operator: Sobolev, Introduction to the Theory of Cubature
 Formulas, 1974).
 
 A ratio r is carried as its integer exponents (a, b), r = mu^a e^(b h),
 so the sums recognise a ratio of exactly 1 by (a, b) == (0, 0) instead of
-comparing mp values; mu^a e^(bh) for a != 0 is far from 1 on every grid,
-and 1 - e^(bh) is formed by expm1.  Every result is in the working
-precision of the caller's mp context.
+comparing Decimal values; mu^a e^(bh) for a != 0 is far from 1 on every
+grid, and 1 - e^(bh) is formed from an e^(bh) taken in wider precision.
+Every result is a Decimal in the precision of the caller's decimal
+context, whose exponent range must hold mu^(-2n).
 """
 from __future__ import annotations
 
-import mpmath as mp
+from decimal import Decimal, localcontext
 
 __all__ = ["ONE", "ExpSums"]
 
@@ -48,17 +49,17 @@ class ExpSums:
 
     def __init__(self, n: int, mu=None):
         self.n = n
-        self.h = mp.mpf(1) / n
+        self.h = Decimal(1) / n
         self.mu = mu
-        self._exp = {0: mp.mpf(1)}
-        self._mu = {0: mp.mpf(1)}
+        self._exp = {0: Decimal(1)}
+        self._mu = {0: Decimal(1)}
         self._gap = {}
         self._geom = {}
 
     def exp(self, k: int):
-        """e^(k h)."""
+        """e^(k h); e^(-kh) as 1 / e^(kh), one rounding more for one exp less."""
         if k not in self._exp:
-            self._exp[k] = mp.exp(mp.mpf(k) / self.n)
+            self._exp[k] = 1 / self.exp(-k) if k < 0 else (Decimal(k) / self.n).exp()
         return self._exp[k]
 
     def kernel(self, k: int):
@@ -82,7 +83,12 @@ class ExpSums:
             if a:
                 self._gap[r] = 1 - self.power(r, 1)
             elif b > 0:
-                self._gap[r] = -mp.expm1(mp.mpf(b) / self.n)
+                # e^x - 1 in 12 more digits: the subtraction cancels about
+                # log10(n) of them, under 7 up to n = 4e6
+                with localcontext() as wide:
+                    wide.prec += 12
+                    expm1 = (Decimal(b) / self.n).exp() - 1
+                self._gap[r] = -expm1  # the negation rounds to the working precision
             else:  # 1 - e^-x = (e^x - 1) e^-x
                 self._gap[r] = -self.gap((0, -b)) * self.exp(b)
         return self._gap[r]
@@ -94,9 +100,9 @@ class ExpSums:
                            + sum_{j=lo+1}^{hi} (j^k - (j-1)^k) r^j.
         """
         if hi < lo:
-            return mp.mpf(0)
+            return Decimal(0)
         if r == ONE:
-            return mp.mpf(_power_sum(k, hi) - _power_sum(k, lo - 1))
+            return Decimal(_power_sum(k, hi) - _power_sum(k, lo - 1))
         if hi == lo:
             return lo**k * self.power(r, lo)
         key = (k, r, lo, hi)
@@ -112,7 +118,7 @@ class ExpSums:
     def _odd(self, r, i: int, lo: int, hi: int):
         """sum_{j=lo}^{hi} g(i - j) r^j."""
         if hi < lo:
-            return mp.mpf(0)
+            return Decimal(0)
         exps = (self.exp(i) * self.geom(0, _times(r, (0, -1)), lo, hi)
                 - self.exp(-i) * self.geom(0, _times(r, (0, 1)), lo, hi))
         return exps / 4 - (i * self.geom(0, r, lo, hi) - self.geom(1, r, lo, hi)) * self.h / 2

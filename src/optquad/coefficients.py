@@ -37,6 +37,7 @@ from .spectral import SpectralConstants, constants, pow_q
 __all__ = [
     "QuadratureRule",
     "constraint_residuals",
+    "constraint_sums",
     "make_rule",
     "optimal_coefficients",
 ]
@@ -97,15 +98,21 @@ def optimal_coefficients(n: int) -> QuadratureRule:
     return QuadratureRule(n=n, h=h, nodes=nodes, coefficients=c)
 
 
-def constraint_residuals(rule: QuadratureRule) -> tuple[float, float]:
-    """Absolute residuals of the two moment constraints, compensated.
+def constraint_sums(rule: QuadratureRule) -> tuple[float, float]:
+    """(sum C, sum C e^(-x)), the two moments the constraints fix, compensated.
 
-    Returns (|sum C - 1|, |sum C e^(-x) - (1 - e^-1)|); math.fsum keeps the
-    summation error-free so the residuals measure formula error only.
+    math.fsum keeps the summation error-free, so the sums carry formula
+    error only.
     """
     c = rule.coefficients
     # a memoryview hands fsum Python floats one at a time, with no list of them
-    r1 = abs(math.fsum(memoryview(c)) - 1.0)
-    weighted = c * np.exp(-rule.nodes)
-    r2 = abs(math.fsum(memoryview(weighted)) + math.expm1(-1.0))  # target 1 - e^-1
-    return r1, r2
+    return math.fsum(memoryview(c)), math.fsum(memoryview(c * np.exp(-rule.nodes)))
+
+
+def constraint_residuals(rule: QuadratureRule) -> tuple[float, float]:
+    """Absolute residuals of the two moment constraints.
+
+    Returns (|sum C - 1|, |sum C e^(-x) - (1 - e^-1)|) from constraint_sums.
+    """
+    s1, s2 = constraint_sums(rule)
+    return abs(s1 - 1.0), abs(s2 + math.expm1(-1.0))  # targets 1 and 1 - e^-1

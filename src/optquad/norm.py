@@ -27,16 +27,18 @@ are compared on the solution of the stationarity system (the one object
 for which the 2->1 and 3->1 reductions are mathematically valid); because
 the compared values decay like h^4 while any double-stored solution
 carries residuals around 1e-17, the report solves the system and
-evaluates the three routes in 50-digit arithmetic, then rounds the
-results.  On the uniform grid the solution's weights are a few pieces
-(two end weights, h plus two geometric boundary layers in mu), and
+evaluates the three routes in 56-digit arithmetic (stdlib decimal, which
+is libmpdec in C), then rounds the results.  On the uniform grid the
+solution's weights are a few pieces (two end weights, h plus two
+geometric boundary layers in mu), and
 psi_2 is exponential-polynomial, so every entry of the 6 x 6 bordered
 system and every sum the routes take -- route 1's quadratic form
 included, from kernel rows and pair sums of the pieces -- has a closed
-form (ExpSums).  The report's mp work is therefore the same at every n,
-and the report has one path with no size cap.  psi_2's triple zero
-costs about 3 log10 n digits in those sums, which 50 digits leave room
-for up to n = 10^6.  Only the float64 weights behind
+form (ExpSums).  The report's decimal work is therefore the same at
+every n, and the report has one path with no size cap.  Route 1 sums
+terms near 1 down to about h^4/720, which costs about 4 log10 n + 3
+digits (27 at n = 10^6); 56 digits leave room for that well past
+n = 10^6.  Only the float64 weights behind
 coefficient_max_deviation, norm_peano and the printed rule are O(n).  The
 closed-form rule's norm (closed_rule_quadratic_form) is norm_peano.
 Routes 2 and 3 behind their public entry multiplier_routes(n) run in
@@ -52,9 +54,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from typing import NamedTuple
 
-import mpmath as mp
 import numpy as np
 
 from ._expsums import ONE, ExpSums
@@ -79,7 +81,16 @@ __all__ = [
 CONSISTENCY_RTOL = 1e-6
 
 _TINY = 1e-300
-_MP_DPS = 50
+
+# The exact solve's working digits.  Route 1 sums terms near 1 (moment
+# sums of about 1.25) down to about h^4/720, 5.4e-30 at n = 4e6, so it
+# keeps about _DIGITS - 4 log10 n - 3 of them.  56 hold route 1 within
+# 1.0e-26 relative of an 80-digit evaluation at n = 4e6 (3e-29 at 10^6);
+# 52 would leave it 2.5e-22 off there.  The pair sums form mu^(-2n), past
+# the default exponent range from about n = 2e6, so the range is the
+# widest decimal allows.
+_DIGITS = 56
+_CONTEXT = Context(prec=_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass(frozen=True)
@@ -107,8 +118,9 @@ class NormReport:
     coefficient_max_deviation: float
 
 
-def _rel_diff(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), _TINY)
+def _rel_diff(a, b):
+    """|a - b| / max(|a|, |b|) in the type of a, float or Decimal."""
+    return abs(a - b) / max(abs(a), abs(b), type(a)(_TINY))
 
 
 def _verdict(d_mult: float, d_expanded: float, d_thm2: float) -> str:
@@ -218,8 +230,8 @@ def norm_peano(rule: QuadratureRule) -> float:
 def _expanded_route(b0, d, s_ep, s_x, s_xx, dm, fsum, e):
     """Route 3 from sum C e^x, sum C x and sum C x^2, in e's type.
 
-    Either float64 with math.fsum and e = math.e, or mpf with mp.fsum and
-    an mpf e.
+    Either float64 with math.fsum and e = math.e, or Decimal with _fsum and
+    a Decimal e.
     """
     return fsum([
         -b0,
@@ -403,7 +415,7 @@ class _Piece(NamedTuple):
 
 @dataclass(frozen=True)
 class _ExactSolution:
-    """The uniform system's solution in mp, with weights c_j = sum_p amplitude_p piece_p(j).
+    """The uniform system's solution in decimal, weights c_j = sum_p amplitude_p piece_p(j).
 
     From n = 4 the pieces are the deltas at 0 and n, mu^(j-1) and
     mu^(n-1-j) on 1 .. n-1 (amplitudes c_0, c_n, A, B) and the constant h
@@ -428,6 +440,15 @@ def _piece_sum(sums: ExpSums, piece: _Piece, k: int, shift: int):
     return piece.scale * sums.geom(k, ratio, piece.lo, piece.hi)
 
 
+def _fsum(terms):
+    """Sum Decimals in twice the working digits, then round once to them."""
+    terms = list(terms)  # a generator's terms are formed in the working digits
+    with localcontext() as wide:
+        wide.prec *= 2
+        total = sum(terms, Decimal(0))
+    return +total  # rounds to the working digits
+
+
 def _gauss_solve(matrix, rhs):
     """Solve a small dense system by Gaussian elimination with partial pivoting."""
     size = len(rhs)
@@ -441,16 +462,16 @@ def _gauss_solve(matrix, rhs):
                 a[i][j] -= f * a[k][j]
     x = [None] * size
     for k in reversed(range(size)):
-        x[k] = (a[k][size] - mp.fdot(a[k][k + 1:size], x[k + 1:])) / a[k][k]
+        x[k] = (a[k][size] - _fsum(p * q for p, q in zip(a[k][k + 1:size], x[k + 1:]))) / a[k][k]
     return x
 
 
 def _exact_solution(n: int) -> _ExactSolution:
-    """The exact minimizer of the uniform system in working-precision mp; O(1) per n.
+    """The exact minimizer of the uniform system in the working decimal context; O(1) per n.
 
     From n = 4 the interior weights h + A mu^(b-1) + B mu^(n-1-b) meet
     every filtered row of wiener_hopf's O(n) solve exactly, with mu from
-    filter_band in mp.  c_0, c_n, A, B, b0 and d then solve four kernel
+    filter_band in decimal.  c_0, c_n, A, B, b0 and d then solve four kernel
     rows and the two constraints, a 6 x 6 system whose entries are
     closed-form sums (ExpSums).  Once the filtered rows hold, the kernel
     rows' residual is a combination of 1, x, e^x and e^-x over the nodes,
@@ -471,7 +492,7 @@ def _exact_solution(n: int) -> _ExactSolution:
         a = sums.exp(1) + sums.exp(-1)
         g0, g1 = filter_band(sums.kernel(1), sums.kernel(2), sums.kernel(3), a)
         kappa = g1 / g0
-        sums.mu = mu = -2 * kappa / (1 + mp.sqrt(1 - 4 * kappa * kappa))
+        sums.mu = mu = -2 * kappa / (1 + (1 - 4 * kappa * kappa).sqrt())
         pieces = [
             _Piece(1, ONE, 0, 0),
             _Piece(1, ONE, n, n),
@@ -496,13 +517,13 @@ def _exact_solution(n: int) -> _ExactSolution:
     free = n + 1 if n < 4 else 4
     matrix, rhs = [], []
     for i in kept:
-        y, ep, en = mp.mpf(i) / n, sums.exp(i), sums.exp(-i)
+        y, ep, en = Decimal(i) / n, sums.exp(i), sums.exp(-i)
         moment_i = (ep + en + en * e + ep / e - 4) / 4 - (y * y + (1 - y) * (1 - y)) / 4
-        matrix.append([*rows[i][:free], mp.mpf(1), en])
+        matrix.append([*rows[i][:free], Decimal(1), en])
         rhs.append(moment_i - sum(rows[i][free:]))
     for shift, target in ((0, 1), (-1, 1 - 1 / e)):
         sums_p = [_piece_sum(sums, piece, 0, shift) for piece in pieces]
-        matrix.append([*sums_p[:free], mp.mpf(0), mp.mpf(0)])
+        matrix.append([*sums_p[:free], Decimal(0), Decimal(0)])
         rhs.append(target - sum(sums_p[free:]))
     *amplitudes, b0, d = _gauss_solve(matrix, rhs)
     amplitudes += [1] * (len(pieces) - free)
@@ -510,7 +531,7 @@ def _exact_solution(n: int) -> _ExactSolution:
 
 
 def _kernel_form(sol: _ExactSolution):
-    """sum_ij c_i c_j psi_2(|i - j| h) over the pieces, in O(1) mp operations.
+    """sum_ij c_i c_j psi_2(|i - j| h) over the pieces, in O(1) decimal operations.
 
     A delta piece at node k pairs with every piece through kernel row k,
     which the solve kept; two spread pieces pair through their pair sum,
@@ -532,31 +553,31 @@ def _kernel_form(sol: _ExactSolution):
                 a, b = pieces[key[0]], pieces[key[1]]
                 pairs[key] = a.scale * b.scale * sol.sums.pair(a.ratio, b.ratio, a.lo, a.hi)
             terms.append((1 if p == q else 2) * amps[p] * amps[q] * pairs[key])
-    return mp.fsum(terms)
+    return _fsum(terms)
 
 
 def _exact_routes(sol: _ExactSolution):
-    """Routes 1-3 on the exact solution, in mp, from closed-form sums."""
+    """Routes 1-3 on the exact solution, in decimal, from closed-form sums."""
     sums, h = sol.sums, sol.sums.h
 
     def weighted(k, shift):
         """sum_j j^k e^(shift x_j) c_j."""
-        return mp.fsum(a * _piece_sum(sums, p, k, shift) for a, p in zip(sol.amplitudes, sol.pieces))
+        return _fsum(a * _piece_sum(sums, p, k, shift) for a, p in zip(sol.amplitudes, sol.pieces))
 
     e = sums.exp(sums.n)
-    dm = double_moment(mp.mpf)
+    dm = double_moment(Decimal)
     s_c, s_ep, s_en = weighted(0, 0), weighted(0, 1), weighted(0, -1)
     s_x, s_xx = h * weighted(1, 0), h * h * weighted(2, 0)
     # moment(x) = ((1 + 1/e) e^x + (1 + e) e^-x)/4 - 5/4 - x^2/2 + x/2
-    s_m = mp.fsum([(1 + 1 / e) * s_ep / 4, (1 + e) * s_en / 4, -s_c * 5 / 4, -s_xx / 2, s_x / 2])
-    qf = mp.fsum([_kernel_form(sol), -2 * s_m, dm])
-    mult = mp.fsum([-sol.d * s_en, -sol.b0 * s_c, -s_m, dm])
-    expanded = _expanded_route(sol.b0, sol.d, s_ep, s_x, s_xx, dm, mp.fsum, e)
+    s_m = _fsum([(1 + 1 / e) * s_ep / 4, (1 + e) * s_en / 4, -s_c * 5 / 4, -s_xx / 2, s_x / 2])
+    qf = _fsum([_kernel_form(sol), -2 * s_m, dm])
+    mult = _fsum([-sol.d * s_en, -sol.b0 * s_c, -s_m, dm])
+    expanded = _expanded_route(sol.b0, sol.d, s_ep, s_x, s_xx, dm, _fsum, e)
     return qf, mult, expanded
 
 
 def _float_weights(sol: _ExactSolution) -> np.ndarray:
-    """The weights in float64 from the mp amplitudes; O(n) float work.
+    """The weights in float64 from the Decimal amplitudes; O(n) float work.
 
     Each piece is anchored at the end of its range where it is largest and
     stepped from there by its ratio, so nothing overflows or underflows.
@@ -576,7 +597,7 @@ def build_report(n: int) -> NormReport:
     """Evaluate all four routes and classify their agreement.
 
     The three reduction routes are compared on the exact solution of the
-    system, solved and evaluated in 50 digits at every n (multiplier_source
+    system, solved and evaluated in 56 digits at every n (multiplier_source
     is always "dense_solve").  coefficient_max_deviation is the largest
     gap between its float64 weights and the printed rule's.  The printed
     rule's norm is norm_peano.
@@ -586,7 +607,7 @@ def build_report(n: int) -> NormReport:
     closed_rule = optimal_coefficients(n)
     closed_qf = norm_peano(closed_rule)
     thm2 = norm_theorem2(n)
-    with mp.workdps(_MP_DPS):
+    with localcontext(_CONTEXT):
         sol = _exact_solution(n)
         qf, mult, expanded = _exact_routes(sol)
         d_mult = float(_rel_diff(qf, mult))

@@ -28,7 +28,7 @@ end weights and both multipliers then solve a bordered system of at most
 each entry an O(n) dot product.  Below n = 4 no row is filtered and the
 same bordered solve keeps every row.  solve_uniform keeps the size cap of
 DENSE_MAX_N subintervals.  The norm report solves a bordered system of
-the same shape in mp, every entry in closed form (norm.build_report).
+the same shape in decimal, every entry in closed form (norm.build_report).
 The dense assembly for arbitrary nodes, O(count^3), is a test oracle
 (tests/oracles.py) and shares _equilibrated_solve with solve_uniform.
 """
@@ -94,7 +94,7 @@ def filter_band(psi1, psi2, psi3, a):
     """(g0, g1): the band that the filter leaves of the kernel rows.
 
     psi1, psi2, psi3 are psi_2(h), psi_2(2h), psi_2(3h) and a = 2 cosh h;
-    the result has their type, so float64 and mpf arguments both serve.
+    the result has their type, so float64 and Decimal arguments both serve.
     """
     g0 = 2 * psi2 - 2 * (a + 2) * psi1
     g1 = psi3 - (a + 2) * psi2 + (2 * a + 3) * psi1

@@ -177,12 +177,19 @@ def psi2_rows(x, ep, en, c):
 
 
 def piece_weights(sol):
-    """The weights of norm's exact solution in mp, one term per piece and node.
+    """The weights of norm's exact solution in working-precision mp.
 
-    Evaluated directly from the amplitudes and pieces; O(n) mp work.
+    One term per piece and node, amplitude * scale * ratio^j, with the
+    Decimal amplitudes, scales and mu read through str and the ratio
+    mu^a e^(b h) formed here; O(n) mp work.
     """
-    c = np.array([mp.mpf(0)] * (sol.sums.n + 1), dtype=object)
-    for amp, (scale, ratio, lo, hi) in zip(sol.amplitudes, sol.pieces):
+    n = sol.sums.n
+    c = np.array([mp.mpf(0)] * (n + 1), dtype=object)
+    for amp, (scale, (a, b), lo, hi) in zip(sol.amplitudes, sol.pieces):
+        ratio = mp.exp(mp.mpf(b) / n)
+        if a:
+            ratio *= mp.mpf(str(sol.sums.mu)) ** a
+        amp = mp.mpf(str(amp)) * mp.mpf(str(scale))
         for j in range(lo, hi + 1):
-            c[j] += amp * scale * sol.sums.power(ratio, j)
+            c[j] += amp * ratio**j
     return c

@@ -1,4 +1,6 @@
 """The closed-form exponential-polynomial sums against brute-force 50-digit sums."""
+from decimal import Context, Decimal, localcontext
+
 import mpmath as mp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,17 +28,17 @@ def _size(i, j, h):
 @example(n=16, mu=-0.27, r1=(1, 1), r2=(-1, -1), lo=3, width=0, i=3)  # empty range
 @example(n=16, mu=-0.27, r1=(-1, 2), r2=(0, 1), lo=7, width=1, i=7)  # one element
 def test_sums_match_brute_force(n, mu, r1, r2, lo, width, i):
-    # 40-digit closed forms against 50-digit sums over the range lo .. lo+width-1,
-    # each within 1e-36 of a bound on the closed forms' intermediate terms:
-    # the absolute values of the summands, with psi_2(|i - j| h) replaced
-    # by its parts' sizes cosh((i - j) h) + (i + j) h
+    # 40-digit decimal closed forms against 50-digit mpmath sums over the
+    # range lo .. lo+width-1, each within 1e-36 of a bound on the closed
+    # forms' intermediate terms: the absolute values of the summands, with
+    # psi_2(|i - j| h) replaced by its parts' sizes cosh((i - j) h) + (i + j) h
     hi = lo + width - 1
-    with mp.workdps(40):
-        sums = ExpSums(n, mp.mpf(mu))
-        geoms = [sums.geom(k, r1, lo, hi) for k in range(3)]
-        row = sums.row(r1, i, lo, hi)
-        pair = sums.pair(r1, r2, lo, hi)
+    with localcontext(Context(prec=40)):
+        sums = ExpSums(n, Decimal(mu))
+        closed = [sums.geom(k, r1, lo, hi) for k in range(3)]
+        closed += [sums.row(r1, i, lo, hi), sums.pair(r1, r2, lo, hi)]
     with mp.workdps(DPS):
+        *geoms, row, pair = [mp.mpf(str(value)) for value in closed]
         mu = mp.mpf(mu)
         h = mp.mpf(1) / n
         span = range(lo, hi + 1)

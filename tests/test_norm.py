@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import sys
+from decimal import Decimal, localcontext
 
 import mpmath as mp
 import numpy as np
@@ -18,7 +20,8 @@ from optquad.norm import (
     multipliers_closed_form,
     norm_peano,
     norm_theorem2,
-    _MP_DPS,
+    _CONTEXT,
+    _exact_routes,
     _exact_solution,
     _kernel_form,
 )
@@ -167,23 +170,6 @@ def test_float64_multiplier_route_near_the_cap():
         assert abs(multiplier_routes(n)[1] - ref) <= 1e-3 * ref, n
 
 
-def test_mp_routes_never_print_an_mpf(monkeypatch):
-    # an mpf on the left of an object array makes mpmath build the array's
-    # repr before numpy takes the product over; none may be built
-    mpf_type = type(mp.mpf(1))
-    plain_repr = mpf_type.__repr__
-    calls = []
-
-    def counted(self):
-        calls.append(1)
-        return plain_repr(self)
-
-    monkeypatch.setattr(mpf_type, "__repr__", counted)
-    build_report(16)
-    multiplier_routes(16)
-    assert calls == []
-
-
 def test_expanded_partial_sums_desk_values():
     rule = optimal_coefficients(2)
     c, x = rule.coefficients, rule.nodes
@@ -292,8 +278,8 @@ def test_report_norm_decreases():
 
 @pytest.mark.parametrize("n", [DENSE_MAX_N + 1, 600, 4096, 100_000, 1_000_000])
 def test_report_above_the_cap_solves_the_system(n):
-    # the report has no cap: above it the exact 50-digit solve still gives
-    # three positive, agreeing routes (measured worst 1.7e-24, at 10^6),
+    # the report has no cap: above it the exact 56-digit solve still gives
+    # three positive, agreeing routes (measured worst 5.0e-29, at 10^6),
     # and the printed rule's norm is not below the minimizer's (720 n^4 N:
     # 1.0000036191 against 1.0000028868 at 10^6)
     rep = build_report(n)
@@ -431,13 +417,15 @@ def _toeplitz_rows_ref(n, c):
 def test_psi2_rows_match_the_toeplitz_sum(n):
     # the O(n) oracle against the O(n^2) one
     rng = random.Random(n)
-    with mp.workdps(_MP_DPS):
+    with localcontext(_CONTEXT):
+        sol = _exact_solution(n)
+    with mp.workdps(DPS):
         x, ep, en, _ = mp_grid(n)
         # weights in [-1, 1) carrying about 39 random digits
         weights = np.array(
             [mp.mpf(rng.getrandbits(130)) / 2**129 - 1 for _ in range(n + 1)], dtype=object
         )
-        exact = piece_weights(_exact_solution(n))
+        exact = piece_weights(sol)
         for c in (weights, exact):
             rows = psi2_rows(x, ep, en, c)
             ref = _toeplitz_rows_ref(n, c)
@@ -446,20 +434,21 @@ def test_psi2_rows_match_the_toeplitz_sum(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 128, 513, 4096])
 def test_refined_solution_solves_the_exact_system(n):
-    # the closed-form 50-digit solve, which has no size cap, against the
-    # O(n) oracle in 50 digits: each of the n + 3 equations holds to 1e-30
-    # of its row's scale (sum of the absolute values of its terms);
-    # measured worst 2.3e-48, at n = 513
-    with mp.workdps(_MP_DPS):
+    # the closed-form 56-digit decimal solve, which has no size cap, against
+    # the O(n) oracle in 50-digit mpmath: each of the n + 3 equations holds
+    # to 1e-30 of its row's scale (sum of the absolute values of its terms);
+    # measured worst 2.4e-48, at n = 513
+    with localcontext(_CONTEXT):
         sol = _exact_solution(n)
     with mp.workdps(DPS):
         c = piece_weights(sol)
+        b0, d = mp.mpf(str(sol.b0)), mp.mpf(str(sol.d))
         x, ep, en, m = mp_grid(n)
         rows = psi2_rows(x, ep, en, c)
         gross = psi2_rows(x, ep, en, np.abs(c))  # psi_2 >= 0
         worst = max(
-            abs(m[i] - rows[i] - sol.b0 - sol.d * en[i])
-            / (abs(m[i]) + gross[i] + abs(sol.b0) + abs(sol.d * en[i]))
+            abs(m[i] - rows[i] - b0 - d * en[i])
+            / (abs(m[i]) + gross[i] + abs(b0) + abs(d * en[i]))
             for i in range(n + 1))
         target = 1 - mp.exp(-1)
         worst = max(worst,
@@ -472,42 +461,70 @@ def test_refined_solution_solves_the_exact_system(n):
 def test_kernel_form_matches_the_o_n_quadratic_form(n):
     # route 1 from kept rows and pair sums against the O(n) oracle, for
     # random amplitudes of the five pieces, the mirrored one included;
-    # measured worst 2.0e-49 of the gross sum, at n = 4096
+    # measured worst 4.0e-49 of the gross sum, at n = 4096
     rng = random.Random(n)
-    with mp.workdps(_MP_DPS):
+    with localcontext(_CONTEXT):
         sol = _exact_solution(n)
         trial = dataclasses.replace(
-            sol, amplitudes=tuple(mp.mpf(rng.uniform(-1.0, 1.0)) for _ in sol.amplitudes))
+            sol, amplitudes=tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in sol.amplitudes))
         value = _kernel_form(trial)
     with mp.workdps(DPS):
         c = piece_weights(trial)
         x, ep, en, _ = mp_grid(n)
         ref = mp.fsum(c * psi2_rows(x, ep, en, c))
         gross = mp.fsum(np.abs(c) * psi2_rows(x, ep, en, np.abs(c)))
-        assert abs(value - ref) <= mp.mpf("1e-35") * gross
+        assert abs(mp.mpf(str(value)) - ref) <= mp.mpf("1e-35") * gross
 
 
-def test_report_mp_work_does_not_grow_with_n(monkeypatch):
-    # every mp operation of the report is a closed-form sum: the count of
-    # mpf arithmetic calls is the same at every n, on either side of the
-    # cap (measured 1070 at n = 64 and 512, 1072 at 514 and 10^5; 5371
-    # and 41659 at 64 and 512 while the report swept O(n) mp tables)
-    mpf_type = type(mp.mpf(1))
-    calls = []
+# Route 1 at the two largest grids, from the same closed forms in 80-digit
+# mpmath.  Route 1 cancels terms near 1 down to these values, so about 30
+# of the working digits are lost at 4e6.
+ROUTE1_80_DIGITS = {
+    10**6: "1.3888928982657251925069625312827637594747268e-27",
+    4 * 10**6: "5.4253511376293131452743464608216237460410755e-30",
+}
 
-    def counted(plain):
+
+@pytest.mark.parametrize("n", sorted(ROUTE1_80_DIGITS))
+def test_route1_matches_80_digit_values(n):
+    # O(1) work; measured 3e-29 relative at 10^6 and 1.0e-26 at 4e6.  The
+    # default decimal exponent range overflows on mu^(-2n) from n = 2e6,
+    # and e^(kh) formed as (e^h)^k is 3e-23 off at 10^6 and 7e-21 at 4e6
+    with localcontext(_CONTEXT):
+        qf = _exact_routes(_exact_solution(n))[0]
+        ref = Decimal(ROUTE1_80_DIGITS[n])
+        assert abs(qf - ref) <= Decimal("1e-23") * ref
+
+
+def test_report_exact_work_does_not_grow_with_n(monkeypatch):
+    # every high-precision operation of the report is a closed-form sum:
+    # the Python lines that the exact solve and routes run, ExpSums and
+    # every other helper included, are as many at every n on either side
+    # of the cap, where an O(n) decimal loop would add lines per node
+    # (measured 3096 at each n)
+    lines = []
+
+    def count(frame, event, arg):
+        if event == "line":
+            lines.append(1)
+        return count
+
+    def traced(plain):
         def wrapper(*args):
-            calls.append(1)
-            return plain(*args)
+            outer = sys.gettrace()
+            sys.settrace(count)
+            try:
+                return plain(*args)
+            finally:
+                sys.settrace(outer)
         return wrapper
 
-    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                 "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "__neg__", "__abs__"):
-        monkeypatch.setattr(mpf_type, name, counted(getattr(mpf_type, name)))
+    for name in ("_exact_solution", "_exact_routes"):
+        monkeypatch.setattr(norm, name, traced(getattr(norm, name)))
     counts = []
     for n in (64, 512, DENSE_MAX_N + 1, 100_000):
-        calls.clear()
+        lines.clear()
         build_report(n)
-        counts.append(len(calls))
+        counts.append(len(lines))
     assert counts[0] > 0
     assert all(abs(count - counts[0]) <= 16 for count in counts), counts

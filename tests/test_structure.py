@@ -1,9 +1,10 @@
 """Module boundaries of the package, checked from its source files.
 
 Each module keeps its `_`-prefixed names to itself, every name a module
-lists in `__all__` exists and is reachable from `cli.main`, and importing
-the package loads no scipy.  The source is parsed rather than imported
-where it can be, because importing `__main__` runs the CLI.
+lists in `__all__` exists and is reachable from `cli.main`, importing the
+package loads no scipy, and a norm report loads no mpmath.  The source
+is parsed rather than imported where it can be, because importing
+`__main__` runs the CLI.
 """
 import ast
 import importlib
@@ -95,12 +96,29 @@ def test_every_exported_name_is_reachable_from_the_cli():
     assert not unreached, sorted(f"{module}.{name}" for module, name in unreached)
 
 
+def _fresh_stdout(code: str) -> str:
+    """The stdout of `python -c code` in a fresh interpreter that imports this package."""
+    src = str(Path(optquad.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    return proc.stdout
+
+
 def test_import_leaves_scipy_unloaded():
     # a cold `import scipy.linalg` takes longer than importing the whole
     # package does; the O(n) solve is numpy only
-    src = str(Path(optquad.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, optquad; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_stdout(code).strip() == "[]"
+
+
+def test_norm_report_leaves_mpmath_unloaded():
+    # the exact report runs in stdlib decimal, so mpmath stays an
+    # independent test oracle; it would also add 26-31 ms to every
+    # cold `import optquad`
+    code = ("import contextlib, io, sys, optquad\n"
+            "from optquad import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['norm', '--n', '16']) == 0\n"
+            "print('mpmath' in sys.modules)")
+    assert _fresh_stdout(code).strip() == "False"

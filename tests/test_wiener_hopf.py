@@ -1,4 +1,5 @@
 import math
+from decimal import localcontext
 
 import mpmath as mp
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from optquad.coefficients import optimal_coefficients
 from optquad.kernel import moment, psi
-from optquad.norm import _MP_DPS, _exact_solution
+from optquad.norm import _CONTEXT, _exact_solution
 from optquad.wiener_hopf import (
     DENSE_MAX_N,
     SingularSystemError,
@@ -130,13 +131,15 @@ def test_filter_leaves_the_band():
 
 
 def test_solve_uniform_is_closer_to_the_minimizer_than_the_dense_solve():
-    # the 50-digit exact minimizer as reference; measured worst 4.5e-11
+    # the 56-digit exact minimizer as reference; measured worst 4.5e-11
     # relative for the O(n) solve against 3.6e-5 for LAPACK, both at n = 513.
     # Below n = 4 both solve the same small system, and the two differ by
     # rounding (n = 3: 4.5e-16 against 3.0e-16), so a few ulp count as a tie.
     for n in [*range(1, 33), 64, 127, 128, 255, 256, 383, 511, 512, 513]:
-        with mp.workdps(_MP_DPS):
-            ref = piece_weights(_exact_solution(n)).astype(float)
+        with localcontext(_CONTEXT):
+            sol = _exact_solution(n)
+        with mp.workdps(DPS):
+            ref = piece_weights(sol).astype(float)
         scale = np.abs(ref).max()
         err = np.abs(solve_uniform(n).c - ref).max() / scale
         dense = np.abs(solve_dense(np.linspace(0.0, 1.0, n + 1)).c - ref).max() / scale
