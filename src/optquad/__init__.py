@@ -22,10 +22,11 @@ from .norm import (
     MultiplierPair,
     NormReport,
     build_report,
+    closed_rule_norm,
     geometric_sums,
+    minimizer_audit,
     multiplier_routes,
     multipliers_closed_form,
-    norm_peano,
     norm_theorem2,
 )
 from .quadrature import (
@@ -64,6 +65,7 @@ __all__ = [
     "TestFunction",
     "apply_rule",
     "build_report",
+    "closed_rule_norm",
     "constants",
     "constraint_residuals",
     "convergence_table",
@@ -73,10 +75,10 @@ __all__ = [
     "integrate_adaptive",
     "lambda1",
     "make_rule",
+    "minimizer_audit",
     "moment",
     "multiplier_routes",
     "multipliers_closed_form",
-    "norm_peano",
     "norm_theorem2",
     "optimal_coefficients",
     "psi",

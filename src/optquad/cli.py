@@ -26,9 +26,10 @@ from .coefficients import constraint_residuals, constraint_sums, make_rule, opti
 from .kernel import IntegrationBudgetError
 from .norm import (
     build_report,
+    closed_rule_norm,
     geometric_sums,
+    minimizer_audit,
     multiplier_routes,
-    norm_peano,
     norm_theorem2,
 )
 from .quadrature import CATALOG, convergence_table, error_check
@@ -202,7 +203,7 @@ def cmd_norm(args) -> int:
         report = build_report(n)
         payload.update(asdict(report))
     elif args.methods == "quadform":
-        payload["via_quadratic_form"] = norm_peano(optimal_coefficients(n))
+        payload["via_quadratic_form"] = closed_rule_norm(n)
     elif args.methods == "theorem2":
         payload["via_theorem2"] = norm_theorem2(n)
     else:
@@ -224,7 +225,7 @@ def cmd_validate(args) -> int:
     if max_n > DENSE_MAX_N:
         raise ValueError(
             f"--max-n is capped at {DENSE_MAX_N} to bound the run: "
-            "it makes one 56-digit norm report per n"
+            "it makes one 56-digit exact solve per n"
         )
     if not tol > 0.0:
         raise ValueError("--tol must be positive")
@@ -234,9 +235,9 @@ def cmd_validate(args) -> int:
     coef = cons = route = exact = 0.0
     for n in range(1, max_n + 1):
         rule = optimal_coefficients(n)
-        report = build_report(n)  # deviation from the system's solution
-        coef = max(coef, report.coefficient_max_deviation)
-        route = max(route, report.rel_diff_qf_mult)
+        audit = minimizer_audit(rule)  # deviation from the system's solution
+        coef = max(coef, audit["coefficient_max_deviation"])
+        route = max(route, audit["rel_diff_qf_mult"])
         s1, s2 = constraint_sums(rule)
         cons = max(cons, abs(s1 - 1.0), abs(s2 + math.expm1(-1.0)))
         for a, b in pairs:
@@ -297,7 +298,7 @@ def cmd_convergence(args) -> int:
 def cmd_apply(args) -> int:
     f = _catalog_function(args.function)
     rule = optimal_coefficients(args.n)
-    check = error_check(rule, f, norm_peano(rule))
+    check = error_check(rule, f, closed_rule_norm(args.n))
     payload = {"command": "apply", "function": args.function, "n": args.n, "h": rule.h}
     payload.update(asdict(check))
     _emit(payload, args.format, args.out)

@@ -5,12 +5,11 @@ Routes, in decreasing order of independence:
   1. quadratic form        sum_bb' C C' psi_2(x_b - x_b')
                            - 2 sum_b C moment(x_b) + double_moment
                            -- meaningful for ANY rule; the ground truth.
-                           For a feasible rule (exact on span{1, e^-x}) it
-                           equals the Peano-kernel integral int_0^1 K^2,
-                           which norm_peano evaluates in O(n) without the
-                           cancellation of the O(n^2) float64 sum (the
-                           tests keep that sum as the small-n cross-check
-                           for arbitrary rules).
+                           Here it is evaluated exactly, in O(1), for the
+                           two uniform-grid rules: the system's minimizer
+                           and the printed rule (the tests keep float64
+                           O(n^2) and Peano-kernel O(n) evaluations for
+                           arbitrary rules).
   2. multiplier form       -sum_b C (b0 + d e^(-x_b)) - sum_b C moment(x_b)
                            + double_moment
                            -- equals route 1 exactly when (C, b0, d) solve
@@ -38,13 +37,12 @@ form (ExpSums).  The report's decimal work is therefore the same at
 every n, and the report has one path with no size cap.  Route 1 sums
 terms near 1 down to about h^4/720, which costs about 4 log10 n + 3
 digits (27 at n = 10^6); 56 digits leave room for that well past
-n = 10^6.  Only the float64 weights behind
-coefficient_max_deviation, norm_peano and the printed rule are O(n).  The
-closed-form rule's norm (closed_rule_quadratic_form) is norm_peano.
-Routes 2 and 3 behind their public entry multiplier_routes(n) run in
-float64 on the weight arrays of solve_uniform (or, above the cap, on the
-printed rule and its printed multipliers); route 3's formula serves both
-precisions.
+n = 10^6.  The printed rule has the same pieces with q = 1/lambda1 for
+mu, so its norm (closed_rule_norm) is route 1 from the same sums.  Only
+coefficient_max_deviation reads O(n) weights.  Routes 2 and 3 behind
+their public entry multiplier_routes(n) run in float64 on the weights of
+solve_uniform (or, above the cap, on the printed rule and its printed
+multipliers); route 3's formula serves both precisions.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
 magnitude (its h-block diverges like 3/h^2 as the grid refines); the report
@@ -60,20 +58,20 @@ from typing import NamedTuple
 import numpy as np
 
 from ._expsums import ONE, ExpSums
-from .coefficients import QuadratureRule, constraint_residuals, make_rule, optimal_coefficients
+from .coefficients import QuadratureRule, make_rule, optimal_coefficients
 from .kernel import double_moment, moment
 from .spectral import constants, pow_q
 from .wiener_hopf import DENSE_MAX_N, filter_band, solve_uniform
 
 __all__ = [
-    "FEASIBILITY_TOL",
     "MultiplierPair",
     "NormReport",
     "build_report",
+    "closed_rule_norm",
     "geometric_sums",
+    "minimizer_audit",
     "multiplier_routes",
     "multipliers_closed_form",
-    "norm_peano",
     "norm_theorem2",
 ]
 
@@ -129,99 +127,6 @@ def _verdict(d_mult: float, d_expanded: float, d_thm2: float) -> str:
             return "consistent"
         return "theorem2_discrepant"
     return "inconsistent"
-
-
-# ----------------------------------------------------------------- route 1
-
-
-# A rule must meet both moment constraints to this absolute residual before
-# norm_peano accepts it: the Peano kernel represents only functionals that
-# annihilate span{1, e^-x}.
-FEASIBILITY_TOL = 1e-12
-
-# Panels per chunk of norm_peano: bounds its (chunk, 15) temporaries.  Each
-# panel value is formed on its own and all are summed by one fsum, so the
-# result does not depend on this size.
-_PEANO_CHUNK = 4096
-
-_GL15_T, _GL15_W = np.polynomial.legendre.leggauss(15)
-_GL15_S = 0.5 * (1.0 + _GL15_T)  # nodes mapped to [0, 1]
-_GL15_HALF_W = 0.5 * _GL15_W
-
-# phi(u) = u + expm1(-u) = sum_{k>=2} (-u)^k/k!.  Horner coefficients for
-# k = 17 .. 2: at the seam u = 0.5 the first dropped term is ~5e-21 of phi,
-# while the direct form loses about a factor 5 to cancellation there.
-_PHI_SEAM = 0.5
-_PHI_COEFFS = tuple((-1.0) ** k / math.factorial(k) for k in range(17, 1, -1))
-
-
-def _phi(u, em):
-    """phi(u) = u + expm1(-u) for u >= 0, given em = expm1(-u)."""
-    acc = _PHI_COEFFS[0]
-    for coef in _PHI_COEFFS[1:]:
-        acc = acc * u + coef
-    return np.where(u <= _PHI_SEAM, acc * u * u, u + em)
-
-
-def norm_peano(rule: QuadratureRule) -> float:
-    """Squared norm of a feasible rule as the Peano-kernel integral; O(n).
-
-    The error functional of a rule exact on span{1, e^-x}, the null space
-    of L = D^2 + D, is l(f) = int_0^1 K(t) (Lf)(t) dt with
-
-        K(t) = (e^(t-1) - t) - sum_{x_b > t} c_b (1 - e^-(x_b - t)),
-
-    so its squared norm is int_0^1 K(t)^2 dt (Sard, Linear Approximation,
-    1963).  Raises ValueError unless both constraint residuals are at most
-    FEASIBILITY_TOL.
-
-    K is not summed as written: its terms cancel to the h^2 result.  Each
-    panel [x_j, x_j+1] of width w carries the 2-point rule exact on
-    {1, e^-x}, with beta = phi(w)/(-expm1(-w)) at x_j+1 and w - beta at x_j.
-    With delta_b the summed reference weight minus c_b and u = x_j+1 - t,
-    K on panel j is
-
-        (1 + beta_j) phi(u) - beta_j u + T_j - S_j expm1(-u),
-        S_j = e^(x_j+1) sum_{b>j} delta_b e^-x_b,  T_j = sum_{b>j} delta_b - S_j.
-
-    delta is small, so plain suffix sums of it are accurate.  Each panel is
-    integrated by 15-point Gauss-Legendre; one fsum adds the panel values.
-    Nodes need not include 0 and 1: a zero weight is added there.
-    """
-    r_sum, r_exp = constraint_residuals(rule)
-    if not (r_sum <= FEASIBILITY_TOL and r_exp <= FEASIBILITY_TOL):
-        raise ValueError(
-            f"rule is not exact on span{{1, e^-x}} (constraint residuals {r_sum:.3e}, "
-            f"{r_exp:.3e}; tolerance {FEASIBILITY_TOL}); its Peano-kernel norm is undefined"
-        )
-    x = rule.nodes
-    c = rule.coefficients
-    if x[0] > 0.0:
-        x, c = np.concatenate([[0.0], x]), np.concatenate([[0.0], c])
-    if x[-1] < 1.0:
-        x, c = np.concatenate([x, [1.0]]), np.concatenate([c, [0.0]])
-
-    width = np.diff(x)
-    em_w = np.expm1(-width)
-    beta = _phi(width, em_w) / -em_w
-    # delta_b = beta_(b-1) + (width_b - beta_b) - c_b, grouped so that the
-    # near-equal pairs cancel exactly on a uniform grid
-    delta = np.append(width, 0.0) - c
-    delta -= np.diff(np.concatenate([[0.0], beta, [0.0]]))
-    d_tail = np.cumsum(delta[::-1])[::-1][1:]
-    s = np.exp(x[1:]) * np.cumsum((delta * np.exp(-x))[::-1])[::-1][1:]
-    t = d_tail - s
-
-    panels = np.empty(width.size)
-    for lo in range(0, width.size, _PEANO_CHUNK):
-        hi = min(lo + _PEANO_CHUNK, width.size)
-        w = width[lo:hi, None]
-        b = beta[lo:hi, None]
-        u = w * _GL15_S
-        em = np.expm1(-u)
-        k = (1.0 + b) * _phi(u, em) - b * u + t[lo:hi, None] - s[lo:hi, None] * em
-        panels[lo:hi] = width[lo:hi] * (k * k * _GL15_HALF_W).sum(axis=1)
-    return math.fsum(panels)
 
 
 # ----------------------------------------------------------- routes 2 and 3
@@ -415,23 +320,60 @@ class _Piece(NamedTuple):
 
 @dataclass(frozen=True)
 class _ExactSolution:
-    """The uniform system's solution in decimal, weights c_j = sum_p amplitude_p piece_p(j).
+    """A uniform-grid rule in decimal, weights c_j = sum_p amplitude_p piece_p(j).
 
-    From n = 4 the pieces are the deltas at 0 and n, mu^(j-1) and
-    mu^(n-1-j) on 1 .. n-1 (amplitudes c_0, c_n, A, B) and the constant h
-    there (amplitude 1); below, one delta per node.  mirror[p] is the
-    piece whose values are piece p's read from the other end,
-    piece_p(j) = piece_mirror[p](n - j).  rows maps each kept row i to the
-    kernel row sums sum_j psi_2(|i - j| h) piece_p(j).
+    The pieces are _layout's.  rows maps each kept row i to the kernel row
+    sums sum_j psi_2(|i - j| h) piece_p(j).  b0 and d are the system's
+    multipliers; the printed rule (_printed_solution) has none.
     """
 
     sums: ExpSums
     pieces: tuple[_Piece, ...]
     mirror: tuple[int, ...]
     amplitudes: tuple
-    b0: object
-    d: object
     rows: dict
+    b0: object = None
+    d: object = None
+
+
+def _layout(sums: ExpSums) -> tuple[tuple[_Piece, ...], tuple[int, ...]]:
+    """The pieces of a rule on sums' grid, mu read from sums, and their mirror map.
+
+    From n = 4 the deltas at 0 and n, mu^(j-1) and mu^(n-1-j) on 1 .. n-1
+    and the constant h there; below, one delta per node.  mirror[p] is the
+    piece with piece_p(j) = piece_mirror[p](n - j).
+    """
+    n, mu = sums.n, sums.mu
+    if n < 4:
+        return tuple(_Piece(1, ONE, k, k) for k in range(n + 1)), tuple(range(n, -1, -1))
+    pieces = (
+        _Piece(1, ONE, 0, 0),
+        _Piece(1, ONE, n, n),
+        _Piece(1 / mu, (1, 0), 1, n - 1),
+        _Piece(mu ** (n - 1), (-1, 0), 1, n - 1),
+        _Piece(sums.h, ONE, 1, n - 1),
+    )
+    return pieces, (1, 0, 3, 2, 4)
+
+
+def _kernel_rows(sums: ExpSums, pieces, mirror, kept) -> dict:
+    """{i: [sum_j psi_2(|i - j| h) piece_p(j) for each piece p] for i in kept}.
+
+    A piece's row i is row n - i of its mirror image (mu^(n-1-j) of
+    mu^(j-1), c_n of c_0, h of itself), so mirror-symmetric rows share
+    half of their sums.
+    """
+    n = sums.n
+    cache = {}
+
+    def row_sum(p, i):
+        p, i = min((p, i), (mirror[p], n - i))
+        if (p, i) not in cache:
+            piece = pieces[p]
+            cache[p, i] = piece.scale * sums.row(piece.ratio, i, piece.lo, piece.hi)
+        return cache[p, i]
+
+    return {i: [row_sum(p, i) for p in range(len(pieces))] for i in kept}
 
 
 def _piece_sum(sums: ExpSums, piece: _Piece, k: int, shift: int):
@@ -477,41 +419,19 @@ def _exact_solution(n: int) -> _ExactSolution:
     rows' residual is a combination of 1, x, e^x and e^-x over the nodes,
     which vanishes when it vanishes at any four nodes, so any four rows
     fix the same solution.  The rows 0, n//3, n - n//3 and n are
-    mirror-symmetric, and a piece's row i is row n - i of its mirror image
-    (mu^(n-1-b) of mu^(b-1), c_n of c_0, h of itself), so half of their
-    row sums serve twice.  Below n = 4 the unknowns are every weight and
-    every row is kept.  No size cap: the cost does not grow with n.
+    mirror-symmetric, so half of their row sums serve twice.  Below n = 4
+    the unknowns are every weight and every row is kept.  No size cap: the
+    cost does not grow with n.
     """
     sums = ExpSums(n)
-    h = sums.h
-    if n < 4:
-        pieces = [_Piece(1, ONE, k, k) for k in range(n + 1)]
-        mirror = tuple(range(n, -1, -1))
-        kept = range(n + 1)
-    else:
+    if n >= 4:
         a = sums.exp(1) + sums.exp(-1)
         g0, g1 = filter_band(sums.kernel(1), sums.kernel(2), sums.kernel(3), a)
         kappa = g1 / g0
-        sums.mu = mu = -2 * kappa / (1 + (1 - 4 * kappa * kappa).sqrt())
-        pieces = [
-            _Piece(1, ONE, 0, 0),
-            _Piece(1, ONE, n, n),
-            _Piece(1 / mu, (1, 0), 1, n - 1),
-            _Piece(mu ** (n - 1), (-1, 0), 1, n - 1),
-            _Piece(h, ONE, 1, n - 1),
-        ]
-        mirror = (1, 0, 3, 2, 4)
-        kept = [0, n // 3, n - n // 3, n]
-    cache = {}
-
-    def row_sum(p, i):
-        p, i = min((p, i), (mirror[p], n - i))
-        if (p, i) not in cache:
-            piece = pieces[p]
-            cache[p, i] = piece.scale * sums.row(piece.ratio, i, piece.lo, piece.hi)
-        return cache[p, i]
-
-    rows = {i: [row_sum(p, i) for p in range(len(pieces))] for i in kept}
+        sums.mu = -2 * kappa / (1 + (1 - 4 * kappa * kappa).sqrt())
+    pieces, mirror = _layout(sums)
+    kept = range(n + 1) if n < 4 else [0, n // 3, n - n // 3, n]
+    rows = _kernel_rows(sums, pieces, mirror, kept)
 
     e = sums.exp(n)
     free = n + 1 if n < 4 else 4
@@ -527,14 +447,48 @@ def _exact_solution(n: int) -> _ExactSolution:
         rhs.append(target - sum(sums_p[free:]))
     *amplitudes, b0, d = _gauss_solve(matrix, rhs)
     amplitudes += [1] * (len(pieces) - free)
-    return _ExactSolution(sums, tuple(pieces), mirror, tuple(amplitudes), b0, d, rows)
+    return _ExactSolution(sums, pieces, mirror, tuple(amplitudes), rows, b0, d)
+
+
+def _printed_solution(n: int) -> _ExactSolution:
+    """The printed rule optimal_coefficients(n) in the working decimal context; O(1) per n.
+
+    Its weights are _layout's pieces with mu = q = 1/lambda1 (see the
+    coefficients module), amplitudes c_0, c_n, -Kscaled (e^h - q) q,
+    -Kscaled (1 - e^h q) q and 1.  lambda1, Kscaled and the end weights
+    cancel O(1) terms down to h^3, about 3 log10 n digits, so they are
+    formed with 4 digits(n) + 10 guard digits.  Only the rows of the
+    deltas are kept, which is all route 1 reads.
+    """
+    sums = ExpSums(n)
+    with localcontext() as wide:
+        wide.prec += 4 * len(str(n)) + 10
+        h = Decimal(1) / n
+        eh = h.exp()
+        em1, e2h = eh - 1, eh * eh
+        root = (h * h * (eh + 1) ** 2 - 2 * h * em1).sqrt()
+        lam = (h * (e2h + 1) - e2h + 1 - em1 * root) / (1 - e2h + 2 * h * eh)
+        q = 1 / lam
+        qn = q**n
+        ks = (2 * em1 - h * eh - h) * (lam - 1) / (2 * em1 * em1 * (1 + qn))
+        corr = ks * (qn - q)
+        c_0, c_n = (em1 - h) / em1 - corr, (h * eh - em1) / em1 - corr * eh
+        alpha, beta = -ks * (eh - q), -ks * (1 - eh * q)  # of q^b and q^(n-b)
+        if n < 4:
+            amplitudes = [c_0, *(h + alpha * q**b + beta * q ** (n - b) for b in range(1, n)), c_n]
+        else:
+            amplitudes = [c_0, c_n, alpha * q, beta * q, 1]
+    sums.mu = +q  # the unary plus rounds to the working digits
+    pieces, mirror = _layout(sums)
+    rows = _kernel_rows(sums, pieces, mirror, range(n + 1) if n < 4 else (0, n))
+    return _ExactSolution(sums, pieces, mirror, tuple(+a for a in amplitudes), rows)
 
 
 def _kernel_form(sol: _ExactSolution):
     """sum_ij c_i c_j psi_2(|i - j| h) over the pieces, in O(1) decimal operations.
 
     A delta piece at node k pairs with every piece through kernel row k,
-    which the solve kept; two spread pieces pair through their pair sum,
+    which the solution kept; two spread pieces pair through their pair sum,
     which equals that of their mirror images.
     """
     pieces, amps, mirror = sol.pieces, sol.amplitudes, sol.mirror
@@ -556,8 +510,8 @@ def _kernel_form(sol: _ExactSolution):
     return _fsum(terms)
 
 
-def _exact_routes(sol: _ExactSolution):
-    """Routes 1-3 on the exact solution, in decimal, from closed-form sums."""
+def _moment_sums(sol: _ExactSolution):
+    """sum c, sum c e^x, sum c e^-x, sum c x, sum c x^2 and sum c moment(x), in decimal."""
     sums, h = sol.sums, sol.sums.h
 
     def weighted(k, shift):
@@ -565,15 +519,25 @@ def _exact_routes(sol: _ExactSolution):
         return _fsum(a * _piece_sum(sums, p, k, shift) for a, p in zip(sol.amplitudes, sol.pieces))
 
     e = sums.exp(sums.n)
-    dm = double_moment(Decimal)
     s_c, s_ep, s_en = weighted(0, 0), weighted(0, 1), weighted(0, -1)
     s_x, s_xx = h * weighted(1, 0), h * h * weighted(2, 0)
     # moment(x) = ((1 + 1/e) e^x + (1 + e) e^-x)/4 - 5/4 - x^2/2 + x/2
     s_m = _fsum([(1 + 1 / e) * s_ep / 4, (1 + e) * s_en / 4, -s_c * 5 / 4, -s_xx / 2, s_x / 2])
-    qf = _fsum([_kernel_form(sol), -2 * s_m, dm])
+    return s_c, s_ep, s_en, s_x, s_xx, s_m
+
+
+def _route1(sol: _ExactSolution, s_m):
+    """Route 1, the quadratic form of sol's weights, given their sum c moment(x)."""
+    return _fsum([_kernel_form(sol), -2 * s_m, double_moment(Decimal)])
+
+
+def _exact_routes(sol: _ExactSolution):
+    """Routes 1-3 on the exact solution, in decimal, from closed-form sums."""
+    s_c, s_ep, s_en, s_x, s_xx, s_m = _moment_sums(sol)
+    dm = double_moment(Decimal)
     mult = _fsum([-sol.d * s_en, -sol.b0 * s_c, -s_m, dm])
-    expanded = _expanded_route(sol.b0, sol.d, s_ep, s_x, s_xx, dm, _fsum, e)
-    return qf, mult, expanded
+    expanded = _expanded_route(sol.b0, sol.d, s_ep, s_x, s_xx, dm, _fsum, sol.sums.exp(sol.sums.n))
+    return _route1(sol, s_m), mult, expanded
 
 
 def _float_weights(sol: _ExactSolution) -> np.ndarray:
@@ -593,40 +557,65 @@ def _float_weights(sol: _ExactSolution) -> np.ndarray:
     return c
 
 
+def closed_rule_norm(n: int) -> float:
+    """Squared norm of the printed rule optimal_coefficients(n), exact, in O(1).
+
+    Route 1 of _printed_solution, from the closed-form sums the report
+    takes for the minimizer.  Raises ValueError unless 1 <= n <= 10^9.
+    """
+    # Route 1 loses about 4 log10 n + 3 of the working digits: against the
+    # same closed forms in 90 digits it is 2.8e-29 relative off at n = 10^6,
+    # 1.0e-21 at 10^8 and 3.6e-18 at 10^9, but 5.4e-13 at 10^10 and 3.2e-9
+    # at 10^11, past what a float64 result may carry.
+    if not 1 <= n <= 10**9:
+        raise ValueError(f"the printed rule's norm is evaluated for 1 <= n <= 10^9, got {n}")
+    with localcontext(_CONTEXT):
+        sol = _printed_solution(n)
+        return float(_route1(sol, _moment_sums(sol)[-1]))
+
+
+def minimizer_audit(rule: QuadratureRule) -> dict:
+    """The NormReport fields of the exact minimizer on the uniform grid of rule.
+
+    Routes 1-3 (via_*) and their gaps (rel_diff_qf_*) are solved and
+    evaluated in 56 digits, in O(1) decimal work; coefficient_max_deviation
+    is the largest gap between the minimizer's float64 weights and rule's,
+    O(n).  build_report and validate pass the printed rule.
+    """
+    with localcontext(_CONTEXT):
+        sol = _exact_solution(rule.n)
+        qf, mult, expanded = _exact_routes(sol)
+        deviation = np.max(np.abs(_float_weights(sol) - rule.coefficients))
+        return {
+            "via_quadratic_form": float(qf),
+            "via_multipliers": float(mult),
+            "via_expanded": float(expanded),
+            "rel_diff_qf_mult": float(_rel_diff(qf, mult)),
+            "rel_diff_qf_expanded": float(_rel_diff(qf, expanded)),
+            "coefficient_max_deviation": float(deviation),
+        }
+
+
 def build_report(n: int) -> NormReport:
     """Evaluate all four routes and classify their agreement.
 
     The three reduction routes are compared on the exact solution of the
     system, solved and evaluated in 56 digits at every n (multiplier_source
-    is always "dense_solve").  coefficient_max_deviation is the largest
-    gap between its float64 weights and the printed rule's.  The printed
-    rule's norm is norm_peano.
+    is always "dense_solve"); see minimizer_audit.  The printed rule's norm
+    is closed_rule_norm.
     """
     if n < 1:
         raise ValueError("grid size must be >= 1")
-    closed_rule = optimal_coefficients(n)
-    closed_qf = norm_peano(closed_rule)
+    audit = minimizer_audit(optimal_coefficients(n))
     thm2 = norm_theorem2(n)
-    with localcontext(_CONTEXT):
-        sol = _exact_solution(n)
-        qf, mult, expanded = _exact_routes(sol)
-        d_mult = float(_rel_diff(qf, mult))
-        d_exp = float(_rel_diff(qf, expanded))
-        qf, mult, expanded = float(qf), float(mult), float(expanded)
-        dev = float(np.max(np.abs(_float_weights(sol) - closed_rule.coefficients)))
-    d_thm2 = _rel_diff(qf, thm2)
+    d_thm2 = _rel_diff(audit["via_quadratic_form"], thm2)
     return NormReport(
         n=n,
         h=1.0 / n,
-        via_quadratic_form=qf,
-        via_multipliers=mult,
-        via_expanded=expanded,
         via_theorem2=thm2,
-        rel_diff_qf_mult=d_mult,
-        rel_diff_qf_expanded=d_exp,
         rel_diff_qf_thm2=d_thm2,
-        verdict=_verdict(d_mult, d_exp, d_thm2),
+        verdict=_verdict(audit["rel_diff_qf_mult"], audit["rel_diff_qf_expanded"], d_thm2),
         multiplier_source="dense_solve",
-        closed_rule_quadratic_form=closed_qf,
-        coefficient_max_deviation=dev,
+        closed_rule_quadratic_form=closed_rule_norm(n),
+        **audit,
     )

@@ -1,10 +1,10 @@
 """Applying rules to integrands and auditing the a-priori error bound.
 
 The error of a rule on a function f is bounded by ||l|| * |f|, where
-||l||^2 is the squared norm (norm_peano, the Peano-kernel integral) and |f|
-the seminorm sqrt(int_0^1 (f'' + f')^2 dx).  The functional annihilates
-span{1, e^-x} (the seminorm's null space), so rules here are exact on that
-span by construction.
+||l||^2 is the squared norm (for the printed rule, closed_rule_norm, exact
+in O(1)) and |f| the seminorm sqrt(int_0^1 (f'' + f')^2 dx).  The
+functional annihilates span{1, e^-x} (the seminorm's null space), so rules
+here are exact on that span by construction.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .coefficients import QuadratureRule, optimal_coefficients
 from .kernel import integrate_adaptive
-from .norm import norm_peano
+from .norm import closed_rule_norm
 
 __all__ = [
     "CATALOG",
@@ -138,7 +138,8 @@ def convergence_table(
 ) -> list[ConvergenceRow]:
     """Norm decay along a grid refinement; per-function errors when f given.
 
-    norm_sq is norm_peano of the closed-form rule, O(n) per grid size.
+    norm_sq is closed_rule_norm, the printed rule's exact squared norm in
+    O(1) per grid size; the O(n) weights are built only when f is given.
 
     The empirical order log2(prev/current)/log2(n_cur/n_prev) is computed on
     the squared norm to keep square-root noise out of the estimate.
@@ -151,15 +152,14 @@ def convergence_table(
     rows: list[ConvergenceRow] = []
     prev: Optional[ConvergenceRow] = None
     for n in ns:
-        rule = optimal_coefficients(n)
-        norm_sq = norm_peano(rule)
+        norm_sq = closed_rule_norm(n)
         ratio = order = None
         if prev is not None:
             ratio = norm_sq / prev.norm_sq
             order = math.log2(prev.norm_sq / norm_sq) / math.log2(n / prev.n)
         abs_err = None
         if f is not None:
-            abs_err = abs(apply_rule(rule, f) - f.exact_integral)
+            abs_err = abs(apply_rule(optimal_coefficients(n), f) - f.exact_integral)
         row = ConvergenceRow(n=n, h=1.0 / n, norm_sq=norm_sq, ratio=ratio,
                              order_estimate=order, abs_error=abs_err)
         rows.append(row)

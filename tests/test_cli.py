@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -233,7 +234,8 @@ def _raiser(exc):
         ("optquad.quadrature.integrate_adaptive",
          IntegrationBudgetError("no convergence", IntegrationResult(0.0, 1.0, 22)),
          ("apply", "--n", "4", "--function", "sin")),
-        ("optquad.cli.norm_peano", MemoryError(), ("norm", "--n", "4", "--methods", "quadform")),
+        ("optquad.cli.closed_rule_norm", MemoryError(),
+         ("norm", "--n", "4", "--methods", "quadform")),
     ],
 )
 def test_failures_exit_2_without_traceback(monkeypatch, capsys, target, exc, argv):
@@ -255,3 +257,25 @@ def test_apply_and_convergence_at_a_million_nodes(capsys):
     rows = json.loads(out)["rows"]
     assert [row["n"] for row in rows] == [1000, 1000000]
     assert rows[1]["order_estimate"] == pytest.approx(4.0, abs=1e-3)
+
+
+def test_quadform_norm_range(capsys):
+    # past 10^9 nodes the 56-digit route 1 no longer holds a float64 result
+    code, out, _ = run_cli(capsys, "norm", "--methods", "quadform", "--n", "1000000000")
+    assert code == 0
+    assert json.loads(out)["via_quadratic_form"] > 0.0
+    code, out, err = run_cli(capsys, "norm", "--methods", "quadform", "--n", "1000000001")
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_quadform_norm_builds_no_weights(capsys):
+    # O(1) memory: 10^7 float64 weights alone would take 80 MB
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "norm", "--methods", "quadform", "--n", "10000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2**20, peak

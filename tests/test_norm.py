@@ -2,7 +2,7 @@ import dataclasses
 import math
 import random
 import sys
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import mpmath as mp
 import numpy as np
@@ -15,15 +15,18 @@ from optquad.cli import main
 from optquad.coefficients import make_rule, optimal_coefficients
 from optquad.norm import (
     build_report,
+    closed_rule_norm,
     geometric_sums,
     multiplier_routes,
     multipliers_closed_form,
-    norm_peano,
     norm_theorem2,
     _CONTEXT,
     _exact_routes,
     _exact_solution,
     _kernel_form,
+    _moment_sums,
+    _printed_solution,
+    _route1,
 )
 from optquad.wiener_hopf import DENSE_MAX_N, solve_uniform
 
@@ -37,7 +40,8 @@ from highprec import (
     quadratic_form_ref,
     theorem2_ref,
 )
-from oracles import norm_quadratic_form, trapezoid_rule
+import oracles
+from oracles import norm_peano, norm_quadratic_form, trapezoid_rule
 
 QF_CLOSED_N2 = 2.7556816080848494e-4
 QF_DENSE_N2 = 1.9522972545191564e-4
@@ -326,6 +330,8 @@ def test_closed_form_rule_is_not_the_constrained_minimizer():
 def test_report_rejects_bad_n():
     with pytest.raises(ValueError):
         build_report(0)
+    with pytest.raises(ValueError):
+        closed_rule_norm(0)
 
 
 # ------------------------------------------------------------ Peano kernel
@@ -377,7 +383,7 @@ def test_peano_accepts_nodes_inside_the_interval():
 def test_peano_does_not_depend_on_chunk_size(monkeypatch):
     rule = optimal_coefficients(1000)
     value = norm_peano(rule)
-    monkeypatch.setattr("optquad.norm._PEANO_CHUNK", 7)
+    monkeypatch.setattr(oracles, "_PEANO_CHUNK", 7)
     assert norm_peano(rule) == value
 
 
@@ -395,11 +401,54 @@ def test_closed_rule_norm_is_not_below_the_minimum():
     # Every n <= 32, the powers of two with their neighbours, and the cap.
     for n in [*range(1, 33), 64, 127, 128, 255, 256, 383, 511, 512, DENSE_MAX_N]:
         rep = build_report(n)
-        closed = norm_peano(optimal_coefficients(n))
+        closed = closed_rule_norm(n)
         assert rep.closed_rule_quadratic_form == closed, n
         assert closed >= rep.via_quadratic_form, n
         # measured worst over every n <= 513: 1.7e-37, at n = 476
         assert max(rep.rel_diff_qf_mult, rep.rel_diff_qf_expanded) <= 1e-20, n
+
+
+# ------------------------------------------------ the printed rule's exact norm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 64, 257])
+def test_closed_rule_norm_matches_highprec(n):
+    # below n = 4 the printed rule is one unit delta per node (a one-node
+    # piece would be paired as a unit delta); measured worst 7.9e-17
+    # relative, at n = 1, the rounding of the float64 result
+    ref = float(closed_quadratic_form_ref(n))
+    assert abs(closed_rule_norm(n) - ref) <= 1e-15 * ref
+
+
+def _printed_route1(n, digits):
+    with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        sol = _printed_solution(n)
+        return _route1(sol, _moment_sums(sol)[-1])
+
+
+@pytest.mark.parametrize("n", [10**6, 10**7, 10**8])
+def test_closed_rule_norm_matches_90_digits(n):
+    # the same closed forms in 90 digits; the 56-digit route is 2.8e-29,
+    # 7.8e-25 and 1.0e-21 relative off them, so only the final rounding shows
+    ref = _printed_route1(n, 90)
+    assert abs(Decimal(closed_rule_norm(n)) - ref) <= Decimal("2.2e-16") * ref
+
+
+@pytest.mark.parametrize("n, rtol", [
+    *((n, 1e-11) for n in (1, 2, 3, 4, 5, 16, 64, 257, 512, 1024, 2048)),
+    (1_000_000, 4e-7),
+])
+def test_closed_rule_norm_matches_norm_peano(n, rtol):
+    # the float64 O(n) oracle on the float64 printed weights: measured worst
+    # 2.3e-12 up to 2048, and 2.9e-7 at 10^6, the weights' rounding floor
+    closed = closed_rule_norm(n)
+    assert abs(norm_peano(optimal_coefficients(n)) - closed) <= rtol * closed
+
+
+def test_closed_rule_norm_follows_the_asymptote():
+    # n (720 n^4 N - 1) -> 10/3; 3.3333341 at 10^6
+    n = 10**6
+    assert abs(n * (720.0 * n**4 * closed_rule_norm(n) - 1.0) - 10 / 3) <= 1e-5
 
 
 # --------------------------------------------------- the report's exact solve
@@ -498,10 +547,11 @@ def test_route1_matches_80_digit_values(n):
 
 def test_report_exact_work_does_not_grow_with_n(monkeypatch):
     # every high-precision operation of the report is a closed-form sum:
-    # the Python lines that the exact solve and routes run, ExpSums and
-    # every other helper included, are as many at every n on either side
-    # of the cap, where an O(n) decimal loop would add lines per node
-    # (measured 3096 at each n)
+    # the Python lines that the exact solve and routes and the printed
+    # rule's norm run, ExpSums and every other helper included, are as
+    # many at every n on either side of the cap, where an O(n) decimal loop
+    # would add lines per node (measured 5268 per report and 2118 for the
+    # printed rule's norm alone, at each n)
     lines = []
 
     def count(frame, event, arg):
@@ -519,12 +569,14 @@ def test_report_exact_work_does_not_grow_with_n(monkeypatch):
                 sys.settrace(outer)
         return wrapper
 
-    for name in ("_exact_solution", "_exact_routes"):
+    for name in ("_exact_solution", "_exact_routes", "closed_rule_norm"):
         monkeypatch.setattr(norm, name, traced(getattr(norm, name)))
-    counts = []
-    for n in (64, 512, DENSE_MAX_N + 1, 100_000):
-        lines.clear()
-        build_report(n)
-        counts.append(len(lines))
-    assert counts[0] > 0
-    assert all(abs(count - counts[0]) <= 16 for count in counts), counts
+    for run, ns in ((build_report, (64, 512, DENSE_MAX_N + 1, 100_000)),
+                    (norm.closed_rule_norm, (64, 512, 100_000, 10**7))):
+        counts = []
+        for n in ns:
+            lines.clear()
+            run(n)
+            counts.append(len(lines))
+        assert counts[0] > 0
+        assert all(abs(count - counts[0]) <= 16 for count in counts), (run, counts)

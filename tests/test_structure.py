@@ -113,12 +113,15 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_norm_report_leaves_mpmath_unloaded():
-    # the exact report runs in stdlib decimal, so mpmath stays an
-    # independent test oracle; it would also add 26-31 ms to every
-    # cold `import optquad`
+    # the exact report and the printed rule's norm run in stdlib decimal,
+    # so mpmath stays an independent test oracle; it would also add
+    # 26-31 ms to every cold `import optquad`
     code = ("import contextlib, io, sys, optquad\n"
             "from optquad import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['norm', '--n', '16']) == 0\n"
+            "    assert cli.main(['norm', '--n', '16', '--methods', 'quadform']) == 0\n"
+            "    assert cli.main(['apply', '--n', '16', '--function', 'sin']) == 0\n"
+            "    assert cli.main(['convergence', '--n-list', '2,4,8']) == 0\n"
             "print('mpmath' in sys.modules)")
     assert _fresh_stdout(code).strip() == "False"
