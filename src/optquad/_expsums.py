@@ -132,7 +132,9 @@ class ExpSums:
         """
         if hi == lo:
             return self.power(r, lo) * self.kernel(i - lo)
-        return self._odd(r, i, lo, hi) - 2 * self._odd(r, i, max(i + 1, lo), hi)
+        if i < lo:  # the whole range lies above i
+            return -self._odd(r, i, lo, hi)
+        return self._odd(r, i, lo, hi) - 2 * self._odd(r, i, i + 1, hi)
 
     def _lower(self, k: int, l: int, u, v, lo: int, hi: int):
         """sum over lo <= j < i <= hi of i^k j^l u^i v^j, for (k, l) in (0, 0), (1, 0), (0, 1).

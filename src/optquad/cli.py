@@ -5,13 +5,15 @@ validation check failed, 2 usage or domain error, or an arithmetic,
 integration-budget, memory or output (OSError, e.g. a closed pipe) failure
 (reported on stderr, no traceback).  Output is JSON or CSV on stdout (or
 --out FILE), written as it is formatted; identical invocations produce
-byte-identical output.
+byte-identical output.  `main` may be called repeatedly in one process, and
+it builds its parser once.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -313,7 +315,9 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write to FILE instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by the later ones."""
     parser = argparse.ArgumentParser(
         prog="optquad",
         description="Optimal uniform-grid quadrature for the (f''+f') seminorm: "
@@ -325,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of subintervals")
     p.add_argument("--method", choices=("closed", "system"), default="closed")
     _add_format(p)
-    p.set_defaults(handler=cmd_coeffs)
 
     p = sub.add_parser("norm", help="evaluate the squared error-functional norm")
     p.add_argument("--n", type=int, required=True)
@@ -335,34 +338,38 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     _add_format(p)
-    p.set_defaults(handler=cmd_norm)
 
     p = sub.add_parser("validate", help="run the consistency suite")
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--tol", type=float, required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("convergence", help="norm decay across grid refinements")
     p.add_argument("--n-list", required=True, dest="n_list",
                    help="comma-separated, strictly increasing grid sizes")
     p.add_argument("--function", default=None)
     _add_format(p)
-    p.set_defaults(handler=cmd_convergence)
 
     p = sub.add_parser("apply", help="apply the rule to a catalog function")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--function", required=True)
     _add_format(p)
-    p.set_defaults(handler=cmd_apply)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # resolved per call, so a handler replaced at module level is the one run
+    handlers = {
+        "coeffs": cmd_coeffs,
+        "norm": cmd_norm,
+        "validate": cmd_validate,
+        "convergence": cmd_convergence,
+        "apply": cmd_apply,
+    }
     try:
-        return args.handler(args)
+        return handlers[args.command](args)
     except (ValueError, ArithmeticError, IntegrationBudgetError, MemoryError, OSError) as exc:
         # stderr may be the same closed pipe as stdout
         with contextlib.suppress(OSError):

@@ -89,6 +89,9 @@ _TINY = 1e-300
 # widest decimal allows.
 _DIGITS = 56
 _CONTEXT = Context(prec=_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# the routes' constant term, summed once in the working digits
+with localcontext(_CONTEXT):
+    _DOUBLE_MOMENT = double_moment(Decimal)
 
 
 @dataclass(frozen=True)
@@ -528,15 +531,15 @@ def _moment_sums(sol: _ExactSolution):
 
 def _route1(sol: _ExactSolution, s_m):
     """Route 1, the quadratic form of sol's weights, given their sum c moment(x)."""
-    return _fsum([_kernel_form(sol), -2 * s_m, double_moment(Decimal)])
+    return _fsum([_kernel_form(sol), -2 * s_m, _DOUBLE_MOMENT])
 
 
 def _exact_routes(sol: _ExactSolution):
     """Routes 1-3 on the exact solution, in decimal, from closed-form sums."""
     s_c, s_ep, s_en, s_x, s_xx, s_m = _moment_sums(sol)
-    dm = double_moment(Decimal)
-    mult = _fsum([-sol.d * s_en, -sol.b0 * s_c, -s_m, dm])
-    expanded = _expanded_route(sol.b0, sol.d, s_ep, s_x, s_xx, dm, _fsum, sol.sums.exp(sol.sums.n))
+    mult = _fsum([-sol.d * s_en, -sol.b0 * s_c, -s_m, _DOUBLE_MOMENT])
+    expanded = _expanded_route(sol.b0, sol.d, s_ep, s_x, s_xx, _DOUBLE_MOMENT, _fsum,
+                               sol.sums.exp(sol.sums.n))
     return _route1(sol, s_m), mult, expanded
 
 

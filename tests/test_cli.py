@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -13,6 +14,8 @@ import pytest
 import optquad
 from optquad.cli import main
 from optquad.kernel import IntegrationBudgetError, IntegrationResult
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def run_cli(capsys, *argv):
@@ -279,3 +282,49 @@ def test_quadform_norm_builds_no_weights(capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak < 2**20, peak
+
+
+def test_the_parser_is_built_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "norm", "--n", "4", "--methods", "theorem2")[0] == 0
+    built.clear()
+    for argv in (("coeffs", "--n", "4"), ("norm", "--n", "4", "--methods", "quadform"),
+                 ("apply", "--n", "4", "--function", "sin"),
+                 ("convergence", "--n-list", "2,4"), ("coeffs", "--n", "0")):
+        run_cli(capsys, *argv)
+    assert built == []
+
+
+def test_in_process_calls_share_no_state(capsys):
+    # a rejected call between two accepted ones leaves their output as in
+    # a fresh process
+    code, out, _ = run_cli(capsys, "coeffs", "--n", "8", "--format", "csv")
+    assert (code, out) == (0, (GOLDEN / "coeffs_n8.csv").read_text(encoding="utf-8"))
+    with pytest.raises(SystemExit) as rejected:
+        main(["norm", "--n", "8", "--methods", "bogus"])
+    assert rejected.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "coeffs", "--n", "8")
+    assert (code, out) == (0, (GOLDEN / "coeffs_n8.json").read_text(encoding="utf-8"))
+
+
+def test_a_replaced_handler_runs_on_the_next_call(monkeypatch, capsys):
+    assert run_cli(capsys, "norm", "--n", "4", "--methods", "theorem2")[0] == 0
+    seen = []
+    monkeypatch.setattr("optquad.cli.cmd_norm", lambda args: seen.append(args.n) or 7)
+    assert run_cli(capsys, "norm", "--n", "5") == (7, "", "")
+    assert seen == [5]
+
+
+def test_help_exits_0_on_stdout(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: optquad")
