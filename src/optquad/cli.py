@@ -17,6 +17,7 @@ import functools
 import io
 import json
 import math
+import operator
 import random
 import sys
 from dataclasses import asdict
@@ -236,11 +237,10 @@ def cmd_validate(args) -> int:
     pairs = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(20)]
     coef = cons = route = exact = 0.0
     for n in range(1, max_n + 1):
-        rule = optimal_coefficients(n)
-        audit = minimizer_audit(rule)  # deviation from the system's solution
+        audit = minimizer_audit(n)  # deviation from the system's solution
         coef = max(coef, audit["coefficient_max_deviation"])
         route = max(route, audit["rel_diff_qf_mult"])
-        s1, s2 = constraint_sums(rule)
+        s1, s2 = constraint_sums(optimal_coefficients(n))
         cons = max(cons, abs(s1 - 1.0), abs(s2 + math.expm1(-1.0)))
         for a, b in pairs:
             err = abs(a * s1 + b * s2 - (a - b * math.expm1(-1.0)))
@@ -260,8 +260,9 @@ def cmd_validate(args) -> int:
             lam = rng.uniform(-0.9, 0.9)
         n = rng.randint(2, 50)
         s1, s2 = geometric_sums(lam, n)
-        ref1 = math.fsum(lam**g * g for g in range(1, n))
-        ref2 = math.fsum(lam**g * g * g for g in range(1, n))
+        terms = [lam**g * g for g in range(1, n)]
+        ref1 = math.fsum(terms)
+        ref2 = math.fsum(map(operator.mul, terms, range(1, n)))  # the g^2 terms, t * g
         worst = max(
             worst,
             abs(s1 - ref1) / max(abs(ref1), 1e-300),

@@ -37,9 +37,14 @@ form (ExpSums).  The report's decimal work is therefore the same at
 every n, and the report has one path with no size cap.  Route 1 sums
 terms near 1 down to about h^4/720, which costs about 4 log10 n + 3
 digits (27 at n = 10^6); 56 digits leave room for that well past
-n = 10^6.  The printed rule has the same pieces with q = 1/lambda1 for
-mu, so its norm (closed_rule_norm) is route 1 from the same sums.  Only
-coefficient_max_deviation reads O(n) weights.  Routes 2 and 3 behind
+n = 10^6.  Each grid takes one Decimal.exp, of e^h in 4 digits(n) + 12
+guard digits; every e^(kh) is its integer power k there, rounded once to
+the working digits, and every 1 - e^(bh) is formed there too (ExpSums).
+The printed rule has the same pieces with q = 1/lambda1 for mu, so its
+norm (closed_rule_norm) is route 1 from the same sums, and
+coefficient_max_deviation reads both float64 weight sets on the end
+windows only, where their float64 boundary layers have not yet
+underflowed.  Routes 2 and 3 behind
 their public entry multiplier_routes(n) run in float64 on the weights of
 solve_uniform (or, above the cap, on the printed rule and its printed
 multipliers); route 3's formula serves both precisions.
@@ -58,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._expsums import ONE, ExpSums
-from .coefficients import QuadratureRule, make_rule, optimal_coefficients
+from .coefficients import QuadratureRule, closed_weights, layer_width, make_rule, optimal_coefficients
 from .kernel import double_moment, moment
 from .spectral import constants, pow_q
 from .wiener_hopf import DENSE_MAX_N, filter_band, solve_uniform
@@ -460,14 +465,15 @@ def _printed_solution(n: int) -> _ExactSolution:
     coefficients module), amplitudes c_0, c_n, -Kscaled (e^h - q) q,
     -Kscaled (1 - e^h q) q and 1.  lambda1, Kscaled and the end weights
     cancel O(1) terms down to h^3, about 3 log10 n digits, so they are
-    formed with 4 digits(n) + 10 guard digits.  Only the rows of the
-    deltas are kept, which is all route 1 reads.
+    formed with 4 digits(n) + 10 guard digits, from the wide e^h of the
+    solution's ExpSums.  Only the rows of the deltas are kept, which is
+    all route 1 reads.
     """
     sums = ExpSums(n)
     with localcontext() as wide:
         wide.prec += 4 * len(str(n)) + 10
         h = Decimal(1) / n
-        eh = h.exp()
+        eh = sums.eh
         em1, e2h = eh - 1, eh * eh
         root = (h * h * (eh + 1) ** 2 - 2 * h * em1).sqrt()
         lam = (h * (e2h + 1) - e2h + 1 - em1 * root) / (1 - e2h + 2 * h * eh)
@@ -543,21 +549,45 @@ def _exact_routes(sol: _ExactSolution):
     return _route1(sol, s_m), mult, expanded
 
 
-def _float_weights(sol: _ExactSolution) -> np.ndarray:
-    """The weights in float64 from the Decimal amplitudes; O(n) float work.
+def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> np.ndarray:
+    """The weights in float64 from the Decimal amplitudes, at the nodes first..last.
 
     Each piece is anchored at the end of its range where it is largest and
-    stepped from there by its ratio, so nothing overflows or underflows.
+    stepped from there by its float64 ratio, ratio ** (distance from the
+    anchor), so nothing overflows or underflows.
     """
-    c = np.zeros(sol.sums.n + 1)
+    c = np.zeros(last - first + 1)
     for amp, (scale, ratio, lo, hi) in zip(sol.amplitudes, sol.pieces):
+        a, b = max(first, lo), min(last, hi)
+        if a > b:
+            continue
         step = sol.sums.power(ratio, 1)
         grows = abs(step) > 1
         anchor = hi if grows else lo
         start = float(amp * scale * sol.sums.power(ratio, anchor))
-        steps = float(1 / step if grows else step) ** np.arange(hi - lo + 1)
-        c[lo:hi + 1] += start * (steps[::-1] if grows else steps)
+        distance = np.arange(hi - a, hi - b - 1, -1) if grows else np.arange(a - lo, b - lo + 1)
+        c[a - first:b - first + 1] += start * float(1 / step if grows else step) ** distance
     return c
+
+
+def _coefficient_max_deviation(sol: _ExactSolution) -> float:
+    """max_j |minimizer's float64 C_j - printed C_j|, read on the end windows; O(1).
+
+    Past layer_width of its float64 ratio a boundary layer's powers are
+    exactly 0.0, so from node w to node n - w both weight sets are their
+    constant interior values: the minimizer's layers mu^(j-1) and
+    mu^(n-1-j) start one node in, the printed rule's q^b and q^(n-b) at
+    the ends.  Nodes w and n - w stand for all the nodes between them.
+    """
+    n = sol.sums.n
+    sc = constants(n)
+    w = layer_width(sc.q)
+    if sol.sums.mu is not None:
+        w = max(w, 1 + layer_width(float(sol.sums.mu)))
+    windows = [(0, n)] if n <= 2 * w + 1 else [(0, w), (n - w, n)]
+    return max(float(np.max(np.abs(_float_weights_on(sol, first, last)
+                                   - closed_weights(sc, np.arange(first, last + 1)))))
+               for first, last in windows)
 
 
 def closed_rule_norm(n: int) -> float:
@@ -577,25 +607,25 @@ def closed_rule_norm(n: int) -> float:
         return float(_route1(sol, _moment_sums(sol)[-1]))
 
 
-def minimizer_audit(rule: QuadratureRule) -> dict:
-    """The NormReport fields of the exact minimizer on the uniform grid of rule.
+def minimizer_audit(n: int) -> dict:
+    """The NormReport fields of the exact minimizer on the uniform grid with n subintervals.
 
     Routes 1-3 (via_*) and their gaps (rel_diff_qf_*) are solved and
     evaluated in 56 digits, in O(1) decimal work; coefficient_max_deviation
-    is the largest gap between the minimizer's float64 weights and rule's,
-    O(n).  build_report and validate pass the printed rule.
+    is the largest gap between the minimizer's float64 weights and those of
+    the printed rule optimal_coefficients(n), in O(1) float work.
+    build_report and validate read it.
     """
     with localcontext(_CONTEXT):
-        sol = _exact_solution(rule.n)
+        sol = _exact_solution(n)
         qf, mult, expanded = _exact_routes(sol)
-        deviation = np.max(np.abs(_float_weights(sol) - rule.coefficients))
         return {
             "via_quadratic_form": float(qf),
             "via_multipliers": float(mult),
             "via_expanded": float(expanded),
             "rel_diff_qf_mult": float(_rel_diff(qf, mult)),
             "rel_diff_qf_expanded": float(_rel_diff(qf, expanded)),
-            "coefficient_max_deviation": float(deviation),
+            "coefficient_max_deviation": _coefficient_max_deviation(sol),
         }
 
 
@@ -609,7 +639,7 @@ def build_report(n: int) -> NormReport:
     """
     if n < 1:
         raise ValueError("grid size must be >= 1")
-    audit = minimizer_audit(optimal_coefficients(n))
+    audit = minimizer_audit(n)
     thm2 = norm_theorem2(n)
     d_thm2 = _rel_diff(audit["via_quadratic_form"], thm2)
     return NormReport(

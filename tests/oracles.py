@@ -7,7 +7,9 @@ LAPACK solve (and SingularSystemError checks) as optquad's O(n)
 solve_uniform.  norm_quadratic_form sums the kernel quadratic form of any
 rule, feasible or not, in O(count^2); norm_peano integrates the Peano
 kernel of any feasible rule in O(count), the float64 check on optquad's
-exact closed_rule_norm.  trapezoid_rule is a deliberately suboptimal
+exact closed_rule_norm.  float_weights spells out every float64 weight of
+an exact solution, the O(n) check on the report's end-window
+coefficient_max_deviation.  trapezoid_rule is a deliberately suboptimal
 comparison rule.
 """
 import math
@@ -168,6 +170,23 @@ def norm_peano(rule: QuadratureRule) -> float:
         k = (1.0 + b) * _phi(u, em) - b * u + t[lo:hi, None] - s[lo:hi, None] * em
         panels[lo:hi] = width[lo:hi] * (k * k * _GL15_HALF_W).sum(axis=1)
     return math.fsum(panels)
+
+
+def float_weights(sol) -> np.ndarray:
+    """Every weight of an exact solution (optquad.norm) in float64; O(n) float work.
+
+    Each piece is anchored at the end of its range where it is largest and
+    stepped from there by its ratio, so nothing overflows or underflows.
+    """
+    c = np.zeros(sol.sums.n + 1)
+    for amp, (scale, ratio, lo, hi) in zip(sol.amplitudes, sol.pieces):
+        step = sol.sums.power(ratio, 1)
+        grows = abs(step) > 1
+        anchor = hi if grows else lo
+        start = float(amp * scale * sol.sums.power(ratio, anchor))
+        steps = float(1 / step if grows else step) ** np.arange(hi - lo + 1)
+        c[lo:hi + 1] += start * (steps[::-1] if grows else steps)
+    return c
 
 
 def trapezoid_rule(n: int) -> QuadratureRule:

@@ -1,7 +1,8 @@
 """The closed-form exponential-polynomial sums against brute-force 50-digit sums."""
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, getcontext, localcontext
 
 import mpmath as mp
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -53,3 +54,24 @@ def test_sums_match_brute_force(n, mu, r1, r2, lo, width, i):
         ref = mp.fsum(psi2_ref((a - b) * h) * v1[a] * v2[b] for a in span for b in span)
         gross = mp.fsum(_size(a, b, h) * abs(v1[a] * v2[b]) for a in span for b in span)
         assert abs(pair - ref) <= tol * gross
+
+
+def _ulp(value):
+    """One unit in the last place of value in the current precision."""
+    return Decimal(1).scaleb(value.adjusted() - getcontext().prec + 1)
+
+
+@pytest.mark.parametrize("n", [4, 64, 513, 10**6, 10**9])
+def test_powers_of_the_wide_exponential(n):
+    # e^(kh) as a power of the one wide e^h, and 1 - e^(kh) from it, each
+    # within one working ulp of a direct exponential: exp in the working
+    # digits, and a 120-digit expm1 rounded to them
+    with localcontext(Context(prec=56)):
+        sums = ExpSums(n)
+        for k in (1, 2, 3, n // 3, n - n // 3, n, n + 1):
+            direct = (Decimal(k) / n).exp()
+            assert abs(sums.exp(k) - direct) <= _ulp(direct), (n, k)
+            with localcontext(Context(prec=120)):
+                gap = -((Decimal(k) / n).exp() - 1)
+            gap = +gap
+            assert abs(sums.gap((0, k)) - gap) <= _ulp(gap), (n, k)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import sys
+import tracemalloc
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import mpmath as mp
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optquad import norm
+from optquad._expsums import ExpSums
 from optquad.cli import main
 from optquad.coefficients import make_rule, optimal_coefficients
 from optquad.norm import (
@@ -21,6 +23,7 @@ from optquad.norm import (
     multipliers_closed_form,
     norm_theorem2,
     _CONTEXT,
+    _coefficient_max_deviation,
     _exact_routes,
     _exact_solution,
     _kernel_form,
@@ -128,8 +131,10 @@ def test_multiplier_routes_builds_the_closed_rule_once(monkeypatch):
     multiplier_routes(DENSE_MAX_N + 1)
     assert calls == [DENSE_MAX_N + 1]
     calls.clear()
+    # the report reads the printed weights on its end windows only
+    # (coefficients.closed_weights), so it builds no printed rule at all
     build_report(DENSE_MAX_N + 1)
-    assert calls == [DENSE_MAX_N + 1]
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [2, 16, DENSE_MAX_N])
@@ -538,7 +543,8 @@ ROUTE1_80_DIGITS = {
 def test_route1_matches_80_digit_values(n):
     # O(1) work; measured 3e-29 relative at 10^6 and 1.0e-26 at 4e6.  The
     # default decimal exponent range overflows on mu^(-2n) from n = 2e6,
-    # and e^(kh) formed as (e^h)^k is 3e-23 off at 10^6 and 7e-21 at 4e6
+    # and e^(kh) formed as (e^h)^k in the working digits alone is 3e-23
+    # off at 10^6 and 7e-21 at 4e6, so ExpSums takes it in guard digits
     with localcontext(_CONTEXT):
         qf = _exact_routes(_exact_solution(n))[0]
         ref = Decimal(ROUTE1_80_DIGITS[n])
@@ -580,3 +586,64 @@ def test_report_exact_work_does_not_grow_with_n(monkeypatch):
             counts.append(len(lines))
         assert counts[0] > 0
         assert all(abs(count - counts[0]) <= 16 for count in counts), (run, counts)
+
+
+# ------------------------------------------ the report's O(1) float work
+
+
+def _deviation_oracle(sol):
+    """coefficient_max_deviation from every weight of both rules, O(n)."""
+    printed = optimal_coefficients(sol.sums.n).coefficients
+    return float(np.max(np.abs(oracles.float_weights(sol) - printed)))
+
+
+def _assert_windowed_deviation_is_the_oracle(ns):
+    for n in ns:
+        with localcontext(_CONTEXT):
+            sol = _exact_solution(n)
+            windowed = _coefficient_max_deviation(sol)
+            assert windowed.hex() == _deviation_oracle(sol).hex(), n
+
+
+def test_windowed_deviation_is_the_o_n_one_up_to_2048():
+    # both float64 weight sets are their constant interior values from
+    # about 568 nodes in (mu's float powers underflow there, q's after a
+    # few dozen), so the end windows hold the maximum: the same bits at
+    # every n, including the grids that fit one window
+    _assert_windowed_deviation_is_the_oracle(range(1, 2049))
+
+
+def test_windowed_deviation_is_the_o_n_one_on_a_ladder():
+    _assert_windowed_deviation_is_the_oracle(
+        (3000, 10**4, 12345, 10**5, 654321, 10**6, 4 * 10**6, 10**7))
+
+
+@pytest.mark.parametrize("n", [64, 10**7])
+def test_one_exponential_per_grid(monkeypatch, n):
+    # every e^(kh) and 1 - e^(bh) of a grid is a power of one wide e^h
+    made = []
+    wide_eh = ExpSums.wide_eh
+
+    def counted(self):
+        made.append(self)  # held, so no two instances share an id
+        return wide_eh(self)
+
+    monkeypatch.setattr(ExpSums, "wide_eh", counted)
+    build_report(n)
+    assert len(made) <= 2 and len({id(sums) for sums in made}) == len(made)
+    made.clear()
+    closed_rule_norm(n)
+    assert len(made) <= 1
+
+
+def test_build_report_allocates_no_o_n_array():
+    # at 10^7 one float64 weight array is 80 MB; the report's arrays are
+    # its two end windows of about 570 nodes each
+    build_report(10**7)  # warm the import-time and first-call caches
+    tracemalloc.start()
+    try:
+        build_report(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
