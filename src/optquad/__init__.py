@@ -45,6 +45,7 @@ from .wiener_hopf import (
     SingularSystemError,
     SystemSolution,
     solve_uniform,
+    solve_weights,
 )
 
 __version__ = "0.1.0"
@@ -83,5 +84,6 @@ __all__ = [
     "optimal_coefficients",
     "psi",
     "solve_uniform",
+    "solve_weights",
     "sobolev_seminorm",
 ]

@@ -21,7 +21,7 @@ import operator
 import random
 import sys
 from dataclasses import asdict
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -141,6 +141,7 @@ def _emit(scalars: dict, fmt: str, out: str | None, rows: dict | None = None) ->
         columns = list(rows.values())
         # each chunk fills the directives of this row template first, so
         # text in it is escaped twice: "%%%%" prints "%"
+        suffix_args = ()  # text that ends every row, spelled once per call
         if fmt == "json":
             head = json.dumps({**scalars, "rows": []}, indent=2)  # ends in "[]\n}"
             write(head[:-4] + "[\n")
@@ -152,12 +153,15 @@ def _emit(scalars: dict, fmt: str, out: str | None, rows: dict | None = None) ->
             # csv quotes a lone empty cell but not one among others: the
             # leading empty cell gives each scalar its mid-row spelling
             suffix = _csv_line(["", *(_fmt_cell(scalars[k]) for k in kept)])[:-1] if kept else ""
-            row = ",".join(["%s"] * len(columns)) + suffix.replace("%", "%%%%") + "\n"
-            sep, tail = "", ""
+            # the suffix goes in as one argument per row, so % copies it
+            # rather than scanning it for directives
+            row = ",".join(["%s"] * len(columns)) + "%%s\n"
+            sep, tail, suffix_args = "", "", (suffix,)
         for start in range(0, len(columns[0]), _ROWS_PER_CHUNK):
             directives, cells = zip(*(_column_cells(c, start, fmt) for c in columns))
             chunk = sep.join([row % directives] * len(cells[0]))
-            write((sep if start else "") + chunk % tuple(chain.from_iterable(zip(*cells))))
+            values = zip(*cells, *map(repeat, suffix_args))
+            write((sep if start else "") + chunk % tuple(chain.from_iterable(values)))
         write(tail)
 
 
@@ -210,12 +214,9 @@ def cmd_norm(args) -> int:
     elif args.methods == "theorem2":
         payload["via_theorem2"] = norm_theorem2(n)
     else:
-        source, mult, expanded = multiplier_routes(n)
+        source, value = multiplier_routes(n, args.methods)
         payload["multiplier_source"] = source
-        if args.methods == "multiplier":
-            payload["via_multipliers"] = mult
-        else:
-            payload["via_expanded"] = expanded
+        payload["via_multipliers" if args.methods == "multiplier" else "via_expanded"] = value
     _emit(payload, args.format, args.out)
     return 0
 

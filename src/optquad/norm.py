@@ -45,9 +45,11 @@ norm (closed_rule_norm) is route 1 from the same sums, and
 coefficient_max_deviation reads both float64 weight sets on the end
 windows only, where their float64 boundary layers have not yet
 underflowed.  Routes 2 and 3 behind
-their public entry multiplier_routes(n) run in float64 on the weights of
-solve_uniform (or, above the cap, on the printed rule and its printed
-multipliers); route 3's formula serves both precisions.
+their public entry multiplier_routes(n, method) run in float64, one route
+per call, on the weights of solve_weights, which skips the residual that
+only `coeffs --method system` prints (or, above the cap, on the printed
+rule and its printed multipliers); route 3's formula serves both
+precisions.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
 magnitude (its h-block diverges like 3/h^2 as the grid refines); the report
@@ -66,7 +68,7 @@ from ._expsums import ONE, ExpSums
 from .coefficients import QuadratureRule, closed_weights, layer_width, make_rule, optimal_coefficients
 from .kernel import double_moment, moment
 from .spectral import constants, pow_q
-from .wiener_hopf import DENSE_MAX_N, filter_band, solve_uniform
+from .wiener_hopf import DENSE_MAX_N, filter_band, solve_weights
 
 __all__ = [
     "MultiplierPair",
@@ -285,33 +287,35 @@ def geometric_sums(lam: float, n: int) -> tuple[float, float]:
     return s1, s2
 
 
-def _float_routes(rule: QuadratureRule, pair: MultiplierPair) -> tuple[float, float]:
-    """(via_multipliers, via_expanded) of rule and its multipliers, in float64."""
+def _float_route(rule: QuadratureRule, pair: MultiplierPair, method: str) -> float:
+    """Route 2 ("multiplier") or route 3 ("expanded") of rule and its multipliers, in float64."""
     c, x = rule.coefficients, rule.nodes
     dm = double_moment()
-    mult = math.fsum(np.concatenate([-c * (np.exp(-x) * pair.d + pair.b0), -c * moment(x), [dm]]))
-    expanded = _expanded_route(pair.b0, pair.d, math.fsum(c * np.exp(x)), math.fsum(c * x),
-                               math.fsum(c * x * x), dm, math.fsum, math.e)
-    return mult, expanded
+    if method == "multiplier":
+        return math.fsum(np.concatenate([-c * (np.exp(-x) * pair.d + pair.b0), -c * moment(x), [dm]]))
+    return _expanded_route(pair.b0, pair.d, math.fsum(c * np.exp(x)), math.fsum(c * x),
+                           math.fsum(c * x * x), dm, math.fsum, math.e)
 
 
-def multiplier_routes(n: int) -> tuple[str, float, float]:
-    """Routes 2 and 3 in float64, with the source of their multipliers.
+def multiplier_routes(n: int, method: str) -> tuple[str, float]:
+    """Route 2 or route 3 in float64, with the source of its multipliers.
 
-    The one public entry to both routes.  For n <= DENSE_MAX_N the system's
-    solution (solve_uniform) supplies the rule and the multipliers
-    ("dense_solve"); above the cap the printed closed-form weights and
-    multipliers are inserted verbatim ("closed_form").  Neither is
-    rechecked against the system; the printed pair does not solve it (see
-    multipliers_closed_form).
-    Returns (multiplier_source, via_multipliers, via_expanded).
+    The one public entry to both routes; method is "multiplier" (route 2)
+    or "expanded" (route 3), and only that route is formed.  For
+    n <= DENSE_MAX_N the system's solution (solve_weights, which forms no
+    residual) supplies the rule and the multipliers ("dense_solve"); above
+    the cap the printed closed-form weights and multipliers are inserted
+    verbatim ("closed_form").  Neither is rechecked against the system;
+    the printed pair does not solve it (see multipliers_closed_form).
+    Returns (multiplier_source, value).
     """
+    if method not in ("multiplier", "expanded"):
+        raise ValueError(f"method must be 'multiplier' or 'expanded', got {method!r}")
     if n <= DENSE_MAX_N:
-        sol = solve_uniform(n)
-        pair = MultiplierPair(d=sol.d, b0=sol.b0)
-        return ("dense_solve", *_float_routes(make_rule(sol.nodes, sol.c), pair))
+        nodes, c, b0, d = solve_weights(n)
+        return "dense_solve", _float_route(make_rule(nodes, c), MultiplierPair(d=d, b0=b0), method)
     rule = optimal_coefficients(n)
-    return ("closed_form", *_float_routes(rule, multipliers_closed_form(rule)))
+    return "closed_form", _float_route(rule, multipliers_closed_form(rule), method)
 
 
 # ------------------------------------------------------------- the report

@@ -26,9 +26,12 @@ g1 z^2 + g0 z + g1 inside the unit circle.  The amplitudes A and B, the
 end weights and both multipliers then solve a bordered system of at most
 6 x 6: four unfiltered kernel rows (kept_rows) and the two constraints,
 each entry an O(n) dot product.  Below n = 4 no row is filtered and the
-same bordered solve keeps every row.  solve_uniform keeps the size cap of
-DENSE_MAX_N subintervals.  The norm report solves a bordered system of
-the same shape in decimal, every entry in closed form (norm.build_report).
+same bordered solve keeps every row.  solve_weights returns the weights
+and multipliers; solve_uniform returns them with the residual in the
+unfiltered system, an O(n^2) convolution that only `coeffs --method
+system` prints.  Both keep the size cap of DENSE_MAX_N subintervals.
+The norm report solves a bordered system of the same shape in decimal,
+every entry in closed form (norm.build_report).
 The dense assembly for arbitrary nodes, O(count^3), is a test oracle
 (tests/oracles.py) and shares _equilibrated_solve with solve_uniform.
 """
@@ -48,6 +51,7 @@ __all__ = [
     "filter_band",
     "kept_rows",
     "solve_uniform",
+    "solve_weights",
 ]
 
 # Largest uniform grid, in subintervals, that solve_uniform accepts.
@@ -180,6 +184,26 @@ class _UniformGrid:
         return float(max(np.abs(rows).max(), *np.abs(constraints)))
 
 
+def _solved_grid(n: int) -> tuple[_UniformGrid, np.ndarray]:
+    """The grid with n subintervals, 1 <= n <= DENSE_MAX_N, and its unknowns."""
+    if n < 1:
+        raise ValueError("grid size must be >= 1")
+    if n > DENSE_MAX_N:
+        raise ValueError(f"the system solve is capped at n = {DENSE_MAX_N}")
+    grid = _UniformGrid(n)
+    return grid, grid.solve()
+
+
+def solve_weights(n: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(nodes, c, b0, d) of solve_uniform(n), without its residual; O(n).
+
+    The same solve, bit for bit, minus the O(n^2) unfiltered-system
+    residual, for callers that do not print it (norm.multiplier_routes).
+    """
+    grid, x = _solved_grid(n)
+    return grid.x, x[:n + 1], float(x[n + 1]), float(x[n + 2])
+
+
 def solve_uniform(n: int) -> SystemSolution:
     """Solve on the uniform grid with n subintervals, 1 <= n <= DENSE_MAX_N; O(n).
 
@@ -187,15 +211,11 @@ def solve_uniform(n: int) -> SystemSolution:
     every filtered row exactly and the bordered system fixes the rest.
     SingularSystemError is raised by _equilibrated_solve on the bordered
     matrix.  residual_inf is the largest residual in the unfiltered
-    system, every kernel row and both constraints.  The nodes are the
-    k/n it was solved on.
+    system, every kernel row and both constraints, an O(n^2) convolution
+    formed only here, for `coeffs --method system`, which prints it;
+    solve_weights skips it.  The nodes are the k/n it was solved on.
     """
-    if n < 1:
-        raise ValueError("grid size must be >= 1")
-    if n > DENSE_MAX_N:
-        raise ValueError(f"the system solve is capped at n = {DENSE_MAX_N}")
-    grid = _UniformGrid(n)
-    x = grid.solve()
+    grid, x = _solved_grid(n)
     return SystemSolution(
         nodes=grid.x,
         c=x[:n + 1],

@@ -9,9 +9,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import optquad
+from optquad import kernel
 from optquad.cli import main
 from optquad.kernel import IntegrationBudgetError, IntegrationResult
 
@@ -282,6 +284,40 @@ def test_quadform_norm_builds_no_weights(capsys):
         tracemalloc.stop()
     assert code == 0
     assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "argv, residuals, full_moments",
+    [
+        (("norm", "--methods", "multiplier", "--n", "512"), 0, 1),
+        (("norm", "--methods", "expanded", "--n", "384"), 0, 0),
+        (("coeffs", "--method", "system", "--n", "512"), 1, 1),
+    ],
+)
+def test_multiplier_routes_skip_work_nothing_prints(monkeypatch, capsys, argv, residuals,
+                                                   full_moments):
+    # the residual in the unfiltered system (one O(n^2) convolution and one
+    # moment over every node) is printed by `coeffs --method system` only,
+    # and `norm` forms only the route it prints: route 2 takes one moment
+    # over every node, route 3 none
+    n = int(argv[-1])
+    calls = {"convolve": 0, "moment": 0}
+
+    def counted(name, fn, full=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            calls[name] += full(*args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np, "convolve", counted("convolve", np.convolve))
+    moment = kernel.moment
+    full_moment = counted("moment", moment, lambda y: np.size(y) == n + 1)
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("optquad") \
+                and getattr(module, "moment", None) is moment:
+            monkeypatch.setattr(module, "moment", full_moment)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls == {"convolve": residuals, "moment": full_moments}
 
 
 def test_the_parser_is_built_once(monkeypatch, capsys):

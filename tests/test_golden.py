@@ -35,6 +35,11 @@ CASES = {
     "norm_n16_multiplier.json": (["norm", "--n", "16", "--methods", "multiplier"], 0),
     "norm_n16_expanded.json": (["norm", "--n", "16", "--methods", "expanded"], 0),
     "norm_n600_multiplier.json": (["norm", "--n", "600", "--methods", "multiplier"], 0),
+    # the benchmark's oracle ops
+    "coeffs_system_n512.json": (["coeffs", "--method", "system", "--n", "512"], 0),
+    "coeffs_system_n256.csv": (["coeffs", "--method", "system", "--n", "256", "--format", "csv"], 0),
+    "norm_n512_multiplier.json": (["norm", "--methods", "multiplier", "--n", "512"], 0),
+    "norm_n384_expanded.json": (["norm", "--methods", "expanded", "--n", "384"], 0),
     # exit 1 by design: the printed weights fail coefficient_agreement
     "validate_n8.txt": (["validate", "--max-n", "8", "--tol", "1e-9"], 1),
     "convergence_sin.json": (["convergence", "--n-list", "2,4,8,16", "--function", "sin"], 0),

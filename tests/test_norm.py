@@ -96,28 +96,35 @@ def test_quadratic_form_order_independent():
 def test_via_multipliers_matches_quadratic_form_on_dense_pair():
     # route 2 of multiplier_routes against the O(n^2) oracle on the same dense rule
     for n in (1, 2, 3, 5, 8, 16):
-        source, mult, _ = multiplier_routes(n)
+        source, mult = multiplier_routes(n, "multiplier")
         assert source == "dense_solve", n
         qf = norm_quadratic_form(_system_rule(n))
         assert abs(qf - mult) / qf <= 1e-8, n
     # the two constraints alone fix the n = 1 rule
     qf1 = norm_quadratic_form(_system_rule(1))
-    assert abs(qf1 - multiplier_routes(1)[1]) / QF_CLOSED_N1 <= 1e-10
+    assert abs(qf1 - multiplier_routes(1, "multiplier")[1]) / QF_CLOSED_N1 <= 1e-10
 
 
 def test_via_multipliers_frozen_value():
-    assert multiplier_routes(2)[1] == pytest.approx(QF_DENSE_N2, rel=1e-10)
+    assert multiplier_routes(2, "multiplier")[1] == pytest.approx(QF_DENSE_N2, rel=1e-10)
 
 
 def test_expanded_matches_multiplier_route():
     for n in (1, 2, 3, 5, 8, 16):
-        _, a, b = multiplier_routes(n)
+        a, b = (multiplier_routes(n, method)[1] for method in ("multiplier", "expanded"))
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a) / 1e-8), n
 
 
 def test_multiplier_routes_source_switches_at_dense_cap():
-    assert multiplier_routes(DENSE_MAX_N)[0] == "dense_solve"
-    assert multiplier_routes(DENSE_MAX_N + 1)[0] == "closed_form"
+    for method in ("multiplier", "expanded"):
+        assert multiplier_routes(DENSE_MAX_N, method)[0] == "dense_solve"
+        assert multiplier_routes(DENSE_MAX_N + 1, method)[0] == "closed_form"
+
+
+def test_multiplier_routes_rejects_other_routes():
+    for method in ("all", "quadform", "theorem2", ""):
+        with pytest.raises(ValueError):
+            multiplier_routes(16, method)
 
 
 def test_multiplier_routes_builds_the_closed_rule_once(monkeypatch):
@@ -128,7 +135,7 @@ def test_multiplier_routes_builds_the_closed_rule_once(monkeypatch):
         return optimal_coefficients(n)
 
     monkeypatch.setattr(norm, "optimal_coefficients", counted)
-    multiplier_routes(DENSE_MAX_N + 1)
+    multiplier_routes(DENSE_MAX_N + 1, "multiplier")
     assert calls == [DENSE_MAX_N + 1]
     calls.clear()
     # the report reads the printed weights on its end windows only
@@ -164,7 +171,7 @@ def test_build_report_factors_its_system_once(monkeypatch, capsys, n):
 def test_float64_routes_agree_with_the_40_digit_report(n):
     # float64 on the dense solve against 50 digits on the exact solve;
     # measured worst 6.1e-9 relative, at n = 16
-    _, mult, expanded = multiplier_routes(n)
+    mult, expanded = (multiplier_routes(n, method)[1] for method in ("multiplier", "expanded"))
     report = build_report(n)
     assert abs(mult - report.via_multipliers) <= 1e-7 * report.via_multipliers
     assert abs(expanded - report.via_expanded) <= 1e-7 * report.via_expanded
@@ -176,7 +183,7 @@ def test_float64_multiplier_route_near_the_cap():
     # worst 1.2e-4, at n = 511 (6.0e-3 at n = 512 with the LAPACK solve)
     for n in (383, 384, 511, 512, DENSE_MAX_N):
         ref = build_report(n).via_multipliers
-        assert abs(multiplier_routes(n)[1] - ref) <= 1e-3 * ref, n
+        assert abs(multiplier_routes(n, "multiplier")[1] - ref) <= 1e-3 * ref, n
 
 
 def test_expanded_partial_sums_desk_values():

@@ -14,6 +14,7 @@ from optquad.wiener_hopf import (
     _equilibrated_solve,
     filter_band,
     solve_uniform,
+    solve_weights,
 )
 
 from highprec import DPS, moment_ref, piece_weights, psi2_ref
@@ -165,8 +166,20 @@ def test_singular_matrix_raises():
 
 
 def test_solve_uniform_cap():
-    with pytest.raises(ValueError):
-        solve_uniform(DENSE_MAX_N + 1)
+    for solve in (solve_uniform, solve_weights):
+        for n in (0, DENSE_MAX_N + 1):
+            with pytest.raises(ValueError):
+                solve(n)
+
+
+def test_solve_weights_is_solve_uniform_without_the_residual():
+    # bit for bit the same solve; only the residual is left out
+    for n in range(1, DENSE_MAX_N + 1):
+        nodes, c, b0, d = solve_weights(n)
+        sol = solve_uniform(n)
+        np.testing.assert_array_equal(nodes, sol.nodes, err_msg=str(n))
+        np.testing.assert_array_equal(c, sol.c, err_msg=str(n))
+        assert (b0, d) == (sol.b0, sol.d), n
 
 
 def test_solve_uniform_returns_the_nodes_it_solved_on():
