@@ -10,7 +10,15 @@ which separates into products of i- and j-factors.  So every moment, every
 kernel row sum and every pairwise kernel sum of such pieces has a closed
 form in O(1) decimal operations, whatever the range (Sobolev's discrete
 analogue of the operator: Sobolev, Introduction to the Theory of Cubature
-Formulas, 1974).
+Formulas, 1974).  Inside its range the kernel image of a piece r^j on
+lo .. hi is a short exponential-polynomial in i, sum c i^k rho^i with rho
+in e^h, e^-h, r and 1, whose coefficients come from the piece's end powers
+over 1 - r and 1 - r e^(+-h) (a ratio among those that is exactly 1 gives
+the terms i e^(+-ih), i and i^2 instead).  Outside its range a row is
+one-sided and comes from the range's sums of j^k (r e^(0, +-h))^j.  A pair
+sum is then the expansion summed against the other piece: one geometric
+sum per term, on the same range and ratios as the moments, plus the
+ratio r1 r2.
 
 A ratio r is carried as its integer exponents (a, b), r = mu^a e^(b h),
 so the sums recognise a ratio of exactly 1 by (a, b) == (0, 0) instead of
@@ -49,9 +57,10 @@ class ExpSums:
 
     mu is read only by ratios with a != 0 and may be set after
     construction.  eh is e^h in the guard digits, taken once at
-    construction.  Powers of mu and of e^h, the gaps 1 - r and the sums of
-    j^k r^j are cached on the instance, so the sums of one grid share them;
-    an instance therefore serves the working precision it was made in.
+    construction.  Powers of mu and of e^h, the gaps 1 - r, the sums of
+    j^k r^j and the pieces' row expansions are cached on the instance, so
+    the sums of one grid share them; an instance therefore serves the
+    working precision it was made in.
     """
 
     def __init__(self, n: int, mu=None):
@@ -64,6 +73,7 @@ class ExpSums:
         self._mu = {0: Decimal(1)}
         self._gap = {}
         self._geom = {}
+        self._rows = {}
 
     def wide_eh(self):
         """e^h in the working precision plus the guard digits: the grid's one Decimal.exp."""
@@ -134,58 +144,75 @@ class ExpSums:
             self._geom[key] = ends / self.gap(r)
         return self._geom[key]
 
-    def _odd(self, r, i: int, lo: int, hi: int):
-        """sum_{j=lo}^{hi} g(i - j) r^j."""
-        if hi < lo:
-            return Decimal(0)
-        exps = (self.exp(i) * self.geom(0, _times(r, (0, -1)), lo, hi)
-                - self.exp(-i) * self.geom(0, _times(r, (0, 1)), lo, hi))
-        return exps / 4 - (i * self.geom(0, r, lo, hi) - self.geom(1, r, lo, hi)) * self.h / 2
+    def _expansion(self, r, lo: int, hi: int):
+        """Row i of the piece r^j on lo .. hi, for lo <= i <= hi, as [(c, k, rho)].
+
+        row(i) = sum c i^k rho^i with rho in e^h, e^-h, r and 1.  The row
+        splits psi_2 at i into sum_{j <= i} g(i - j) r^j - sum_{j > i} g(i - j) r^j;
+        with u = r e^-h the e^(ih) part is e^(ih)/4 times
+        sum_{j <= i} u^j - sum_{j > i} u^j = (u^lo + u^(hi+1) - 2 u^(i+1)) / (1 - u),
+        or 2 i + 1 - lo - hi when u is 1, and the e^(-ih) part the same on
+        r e^h.  The lag part is -h/2 times
+        sum_j |i - j| r^j = i (r^lo + r^(hi+1)) / (1 - r) + 2 r^(i+1) / (1 - r)^2
+                            - (lo r^lo + hi r^(hi+1)) / (1 - r) - (r^(lo+1) + r^(hi+1)) / (1 - r)^2,
+        or i^2 - (lo + hi) i + (lo (lo - 1) + hi (hi + 1)) / 2 when r is 1.
+        Every 1 - r is gap's, so 1 - e^(bh) keeps the guard digits.  Cached
+        per (r, lo, hi).
+        """
+        key = (r, lo, hi)
+        if key not in self._rows:
+            terms = {}
+
+            def add(k, rho, c):
+                terms[k, rho] = terms.get((k, rho), 0) + c
+
+            for side in (1, -1):  # e^(ih) on r e^-h, e^(-ih) on r e^h
+                u, part = _times(r, (0, -side)), Decimal(side) / 4
+                if u == ONE:
+                    add(1, (0, side), 2 * part)
+                    add(0, (0, side), (1 - lo - hi) * part)
+                else:
+                    gu = self.gap(u)
+                    add(0, (0, side), part * (self.power(u, lo) + self.power(u, hi + 1)) / gu)
+                    add(0, r, -2 * part * self.power(u, 1) / gu)
+            lag = -self.h / 2
+            if r == ONE:
+                add(2, ONE, lag)
+                add(1, ONE, -(lo + hi) * lag)
+                add(0, ONE, (lo * (lo - 1) + hi * (hi + 1)) // 2 * lag)
+            else:
+                g, step, r_lo, r_end = self.gap(r), self.power(r, 1), self.power(r, lo), self.power(r, hi + 1)
+                add(1, ONE, lag * (r_lo + r_end) / g)
+                add(0, r, lag * 2 * step / (g * g))
+                add(0, ONE, -lag * ((lo * r_lo + hi * r_end) / g + (step * r_lo + r_end) / (g * g)))
+            self._rows[key] = [(c, k, rho) for (k, rho), c in terms.items()]
+        return self._rows[key]
 
     def row(self, r, i: int, lo: int, hi: int):
         """sum_{j=lo}^{hi} psi_2(|i - j| h) r^j: kernel row i of the piece r^j.
 
-        psi_2(|i - j| h) is g(i - j) for j <= i and -g(i - j) above, so the
-        row is the whole range's sum less twice the part above i; the
-        whole range's sums of j^k r^j then serve every row.
+        Inside the range the row is the piece's exponential-polynomial
+        (_expansion).  Outside it psi_2(|i - j| h) is -g(i - j) for every j
+        (i < lo) or g(i - j) (i > hi), and g(i - j) separates into
+        (e^(ih) (r e^-h)^j - e^(-ih) (r e^h)^j)/4 - (i - j) h r^j/2, so the
+        row comes from the whole range's sums of j^k (r e^(0, +-h))^j.
         """
         if hi == lo:
             return self.power(r, lo) * self.kernel(i - lo)
-        if i < lo:  # the whole range lies above i
-            return -self._odd(r, i, lo, hi)
-        return self._odd(r, i, lo, hi) - 2 * self._odd(r, i, i + 1, hi)
-
-    def _lower(self, k: int, l: int, u, v, lo: int, hi: int):
-        """sum over lo <= j < i <= hi of i^k j^l u^i v^j, for (k, l) in (0, 0), (1, 0), (0, 1).
-
-        The inner sum over j is geometric in v, so the outer one runs over
-        i = lo+1 .. hi on the ratios u and uv.
-        """
-        first = lo + 1
-        if v == ONE:
-            if l == 0:
-                return self.geom(k + 1, u, first, hi) - lo * self.geom(k, u, first, hi)
-            return (self.geom(2, u, first, hi) - self.geom(1, u, first, hi)
-                    - lo * (lo - 1) * self.geom(0, u, first, hi)) / 2
-        uv = _times(u, v)
-        gv = self.gap(v)
-        if l == 0:
-            return (self.power(v, lo) * self.geom(k, u, first, hi)
-                    - self.geom(k, uv, first, hi)) / gv
-        s0_u = self.geom(0, u, first, hi)
-        s0_uv = self.geom(0, uv, first, hi)
-        tail = (self.power(v, lo + 1) * s0_u - s0_uv) / gv
-        return (lo * self.power(v, lo) * s0_u - self.geom(1, uv, first, hi) + s0_uv + tail) / gv
-
-    def _triangle(self, u, v, lo: int, hi: int):
-        """sum over lo <= j < i <= hi of u^i v^j g(i - j)."""
-        exps = (self._lower(0, 0, _times(u, (0, 1)), _times(v, (0, -1)), lo, hi)
-                - self._lower(0, 0, _times(u, (0, -1)), _times(v, (0, 1)), lo, hi))
-        lags = self._lower(1, 0, u, v, lo, hi) - self._lower(0, 1, u, v, lo, hi)
-        return exps / 4 - lags * self.h / 2
+        if lo <= i <= hi:
+            return sum(c * i**k * self.power(rho, i) for c, k, rho in self._expansion(r, lo, hi))
+        exps = (self.exp(i) * self.geom(0, _times(r, (0, -1)), lo, hi)
+                - self.exp(-i) * self.geom(0, _times(r, (0, 1)), lo, hi))
+        odd = exps / 4 - (i * self.geom(0, r, lo, hi) - self.geom(1, r, lo, hi)) * self.h / 2
+        return -odd if i < lo else odd
 
     def pair(self, r1, r2, lo: int, hi: int):
-        """sum_{i=lo}^{hi} sum_{j=lo}^{hi} r1^i r2^j psi_2(|i - j| h)."""
-        if r1 == r2:
-            return 2 * self._triangle(r1, r1, lo, hi)
-        return self._triangle(r1, r2, lo, hi) + self._triangle(r2, r1, lo, hi)
+        """sum_{i=lo}^{hi} sum_{j=lo}^{hi} r1^i r2^j psi_2(|i - j| h).
+
+        The sum over i of r2^i times row i of r1, whose terms c i^k rho^i
+        (_expansion) each sum to c times the geometric sum of i^k (r2 rho)^i
+        over the range.
+        """
+        if hi < lo:
+            return Decimal(0)
+        return sum(c * self.geom(k, _times(r2, rho), lo, hi) for c, k, rho in self._expansion(r1, lo, hi))

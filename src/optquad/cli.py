@@ -238,10 +238,11 @@ def cmd_validate(args) -> int:
     pairs = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(20)]
     coef = cons = route = exact = 0.0
     for n in range(1, max_n + 1):
-        audit = minimizer_audit(n)  # deviation from the system's solution
+        rule = optimal_coefficients(n)
+        audit = minimizer_audit(n, rule.coefficients)  # deviation from the system's solution
         coef = max(coef, audit["coefficient_max_deviation"])
         route = max(route, audit["rel_diff_qf_mult"])
-        s1, s2 = constraint_sums(optimal_coefficients(n))
+        s1, s2 = constraint_sums(rule)
         cons = max(cons, abs(s1 - 1.0), abs(s2 + math.expm1(-1.0)))
         for a, b in pairs:
             err = abs(a * s1 + b * s2 - (a - b * math.expm1(-1.0)))

@@ -33,7 +33,11 @@ geometric boundary layers in mu), and
 psi_2 is exponential-polynomial, so every entry of the 6 x 6 bordered
 system and every sum the routes take -- route 1's quadratic form
 included, from kernel rows and pair sums of the pieces -- has a closed
-form (ExpSums).  The report's decimal work is therefore the same at
+form (ExpSums).  Each spread piece's kernel image is one short
+exponential-polynomial in the row index, so its rows inside the range
+and its pair sums reuse the geometric sums the moments take; the rows 0
+and n, outside the 1 .. n-1 pieces, are one-sided sums over the whole
+range.  The report's decimal work is therefore the same at
 every n, and the report has one path with no size cap.  Route 1 sums
 terms near 1 down to about h^4/720, which costs about 4 log10 n + 3
 digits (27 at n = 10^6); 56 digits leave room for that well past
@@ -214,7 +218,13 @@ def norm_theorem2(n: int) -> float:
 # ------------------------------------------------------- closed multipliers
 
 
-def multipliers_closed_form(rule: QuadratureRule) -> MultiplierPair:
+def _exp_and_lag_sums(rule: QuadratureRule) -> tuple[float, float]:
+    """(sum C e^x, sum C x) of rule, compensated: d and b0 above the cap and route 3 read them."""
+    c, x = rule.coefficients, rule.nodes
+    return math.fsum(c * np.exp(x)), math.fsum(c * x)
+
+
+def multipliers_closed_form(rule: QuadratureRule, sums=None) -> MultiplierPair:
     """The printed closed forms for d and b0 of rule = optimal_coefficients(n), q-safe.
 
     The printed forms carry the amplitudes A = K (e^h - lam) = -Kscaled a q^N
@@ -228,7 +238,8 @@ def multipliers_closed_form(rule: QuadratureRule) -> MultiplierPair:
 
     The d value produced by the printed formula does not reproduce the
     dense-solve multiplier (the b0 value does); callers compare, they must
-    not assume equality.
+    not assume equality.  sums is (sum C e^x, sum C x) of rule if the caller
+    has formed them already (multiplier_routes), else they are formed here.
     """
     n = rule.n
     sc = constants(n)
@@ -241,9 +252,7 @@ def multipliers_closed_form(rule: QuadratureRule) -> MultiplierPair:
     b = eh - q
 
     c = rule.coefficients
-    x = rule.nodes
-    s_exp = math.fsum(c * np.exp(x))
-    s_x = math.fsum(c * x)
+    s_exp, s_x = _exp_and_lag_sums(rule) if sums is None else sums
 
     # h e^h / (1 - e^h) = -h e^h / expm1(h)
     d = (
@@ -287,14 +296,17 @@ def geometric_sums(lam: float, n: int) -> tuple[float, float]:
     return s1, s2
 
 
-def _float_route(rule: QuadratureRule, pair: MultiplierPair, method: str) -> float:
-    """Route 2 ("multiplier") or route 3 ("expanded") of rule and its multipliers, in float64."""
+def _float_route(rule: QuadratureRule, pair: MultiplierPair, method: str, sums=None) -> float:
+    """Route 2 ("multiplier") or route 3 ("expanded") of rule and its multipliers, in float64.
+
+    Route 3 reads sums, (sum C e^x, sum C x) of rule, and forms them if it is None.
+    """
     c, x = rule.coefficients, rule.nodes
     dm = double_moment()
     if method == "multiplier":
         return math.fsum(np.concatenate([-c * (np.exp(-x) * pair.d + pair.b0), -c * moment(x), [dm]]))
-    return _expanded_route(pair.b0, pair.d, math.fsum(c * np.exp(x)), math.fsum(c * x),
-                           math.fsum(c * x * x), dm, math.fsum, math.e)
+    s_ep, s_x = _exp_and_lag_sums(rule) if sums is None else sums
+    return _expanded_route(pair.b0, pair.d, s_ep, s_x, math.fsum(c * x * x), dm, math.fsum, math.e)
 
 
 def multiplier_routes(n: int, method: str) -> tuple[str, float]:
@@ -315,7 +327,8 @@ def multiplier_routes(n: int, method: str) -> tuple[str, float]:
         nodes, c, b0, d = solve_weights(n)
         return "dense_solve", _float_route(make_rule(nodes, c), MultiplierPair(d=d, b0=b0), method)
     rule = optimal_coefficients(n)
-    return "closed_form", _float_route(rule, multipliers_closed_form(rule), method)
+    sums = _exp_and_lag_sums(rule)  # the printed d and b0 read them, and so does route 3
+    return "closed_form", _float_route(rule, multipliers_closed_form(rule, sums), method, sums)
 
 
 # ------------------------------------------------------------- the report
@@ -501,8 +514,9 @@ def _kernel_form(sol: _ExactSolution):
     """sum_ij c_i c_j psi_2(|i - j| h) over the pieces, in O(1) decimal operations.
 
     A delta piece at node k pairs with every piece through kernel row k,
-    which the solution kept; two spread pieces pair through their pair sum,
-    which equals that of their mirror images.
+    which the solution kept; two spread pieces pair through their pair sum
+    (the first one's row expansion summed against the second), which
+    equals that of their mirror images.
     """
     pieces, amps, mirror = sol.pieces, sol.amplitudes, sol.mirror
     deltas = [p for p, piece in enumerate(pieces) if piece.lo == piece.hi]
@@ -574,7 +588,12 @@ def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> np.ndarray:
     return c
 
 
-def _coefficient_max_deviation(sol: _ExactSolution) -> float:
+def _max_gap(sol: _ExactSolution, first: int, last: int, printed: np.ndarray) -> float:
+    """max |minimizer's float64 C_j - printed[j - first]| over the nodes first..last."""
+    return float(np.max(np.abs(_float_weights_on(sol, first, last) - printed)))
+
+
+def _coefficient_max_deviation(sol: _ExactSolution, printed=None) -> float:
     """max_j |minimizer's float64 C_j - printed C_j|, read on the end windows; O(1).
 
     Past layer_width of its float64 ratio a boundary layer's powers are
@@ -582,15 +601,18 @@ def _coefficient_max_deviation(sol: _ExactSolution) -> float:
     constant interior values: the minimizer's layers mu^(j-1) and
     mu^(n-1-j) start one node in, the printed rule's q^b and q^(n-b) at
     the ends.  Nodes w and n - w stand for all the nodes between them.
+    A caller that holds the printed weights at every node passes them as
+    printed; the whole grid is then the one window, with the same maximum.
     """
     n = sol.sums.n
+    if printed is not None:
+        return _max_gap(sol, 0, n, printed)
     sc = constants(n)
     w = layer_width(sc.q)
     if sol.sums.mu is not None:
         w = max(w, 1 + layer_width(float(sol.sums.mu)))
     windows = [(0, n)] if n <= 2 * w + 1 else [(0, w), (n - w, n)]
-    return max(float(np.max(np.abs(_float_weights_on(sol, first, last)
-                                   - closed_weights(sc, np.arange(first, last + 1)))))
+    return max(_max_gap(sol, first, last, closed_weights(sc, np.arange(first, last + 1)))
                for first, last in windows)
 
 
@@ -611,14 +633,15 @@ def closed_rule_norm(n: int) -> float:
         return float(_route1(sol, _moment_sums(sol)[-1]))
 
 
-def minimizer_audit(n: int) -> dict:
+def minimizer_audit(n: int, printed=None) -> dict:
     """The NormReport fields of the exact minimizer on the uniform grid with n subintervals.
 
     Routes 1-3 (via_*) and their gaps (rel_diff_qf_*) are solved and
     evaluated in 56 digits, in O(1) decimal work; coefficient_max_deviation
     is the largest gap between the minimizer's float64 weights and those of
-    the printed rule optimal_coefficients(n), in O(1) float work.
-    build_report and validate read it.
+    the printed rule optimal_coefficients(n), in O(1) float work, or read
+    against printed, that rule's weights, when the caller already holds
+    them (validate).  build_report and validate read it.
     """
     with localcontext(_CONTEXT):
         sol = _exact_solution(n)
@@ -629,7 +652,7 @@ def minimizer_audit(n: int) -> dict:
             "via_expanded": float(expanded),
             "rel_diff_qf_mult": float(_rel_diff(qf, mult)),
             "rel_diff_qf_expanded": float(_rel_diff(qf, expanded)),
-            "coefficient_max_deviation": _coefficient_max_deviation(sol),
+            "coefficient_max_deviation": _coefficient_max_deviation(sol, printed),
         }
 
 

@@ -100,6 +100,27 @@ def test_validate_reports_the_coefficient_defect(capsys):
             assert "PASS" in line, line
 
 
+def test_validate_forms_each_grids_printed_weights_once(monkeypatch, capsys):
+    # validate builds optimal_coefficients(n) for its constraint check and
+    # hands the weights to minimizer_audit, which forms no printed weights
+    # or spectral constants of its own
+    from optquad import coefficients, norm
+    calls = []
+
+    def counted(name, plain):
+        def wrapper(*args):
+            calls.append(name)
+            return plain(*args)
+        return wrapper
+
+    for module in (coefficients, norm):
+        monkeypatch.setattr(module, "closed_weights", counted("closed_weights", module.closed_weights))
+    monkeypatch.setattr(norm, "constants", counted("constants", norm.constants))
+    code, _, _ = run_cli(capsys, "validate", "--max-n", "8", "--tol", "1e-9")
+    assert code == 1
+    assert calls == ["closed_weights"] * 8
+
+
 def test_validate_unattainable_tolerance(capsys):
     code, out, _ = run_cli(capsys, "validate", "--max-n", "2", "--tol", "1e-30")
     assert code == 1
