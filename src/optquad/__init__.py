@@ -3,50 +3,29 @@
 Weights from the printed closed form and from the O(n) stationarity-system
 solve, four cross-validated evaluations of the squared error-functional
 norm, and a CLI for reproducible reports.
+
+`import optquad` loads the standard library alone: the norm report, the
+printed rule's norm and spectral constants are bound here on import.  The
+names backed by numpy arrays (weights as arrays, the kernel, the float64
+system solve and the quadrature audits) are imported from their modules on
+first access, through the module __getattr__ below, and that first access
+loads numpy.
 """
-from .coefficients import (
-    QuadratureRule,
-    constraint_residuals,
-    make_rule,
-    optimal_coefficients,
-)
-from .kernel import (
-    IntegrationBudgetError,
-    IntegrationResult,
-    double_moment,
-    integrate_adaptive,
-    moment,
-    psi,
-)
+import importlib
+
 from .norm import (
     MultiplierPair,
     NormReport,
     build_report,
     closed_rule_norm,
+    double_moment,
     geometric_sums,
     minimizer_audit,
     multiplier_routes,
     multipliers_closed_form,
     norm_theorem2,
 )
-from .quadrature import (
-    CATALOG,
-    ConvergenceRow,
-    ErrorCheck,
-    TestFunction,
-    apply_rule,
-    convergence_table,
-    error_check,
-    sobolev_seminorm,
-)
-from .spectral import SpectralConstants, constants, lambda1
-from .wiener_hopf import (
-    DENSE_MAX_N,
-    SingularSystemError,
-    SystemSolution,
-    solve_uniform,
-    solve_weights,
-)
+from .spectral import DENSE_MAX_N, SpectralConstants, constants, lambda1
 
 __version__ = "0.1.0"
 
@@ -87,3 +66,23 @@ __all__ = [
     "solve_weights",
     "sobolev_seminorm",
 ]
+
+# The numpy-backed names of __all__, by the module that defines them.
+_ARRAY_MODULES = {
+    "coefficients": ("QuadratureRule", "constraint_residuals", "make_rule", "optimal_coefficients"),
+    "kernel": ("IntegrationBudgetError", "IntegrationResult", "integrate_adaptive", "moment", "psi"),
+    "quadrature": ("CATALOG", "ConvergenceRow", "ErrorCheck", "TestFunction", "apply_rule",
+                   "convergence_table", "error_check", "sobolev_seminorm"),
+    "wiener_hopf": ("SingularSystemError", "SystemSolution", "solve_uniform", "solve_weights"),
+}
+_ARRAY_NAMES = {name: module for module, names in _ARRAY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """A numpy-backed name of __all__, imported from its module on first access."""
+    module = _ARRAY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it without __getattr__
+    return value

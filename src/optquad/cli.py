@@ -7,6 +7,12 @@ integration-budget, memory or output (OSError, e.g. a closed pipe) failure
 --out FILE), written as it is formatted; identical invocations produce
 byte-identical output.  `main` may be called repeatedly in one process, and
 it builds its parser once.
+
+The module imports the standard library and the numpy-free modules (norm,
+spectral) alone, so `norm --methods all|quadform|theorem2` and `validate`
+run without numpy.  The handlers that build O(n) float64 arrays (coeffs,
+apply, convergence, and norm's multiplier|expanded routes inside norm)
+import the array modules where they run.
 """
 from __future__ import annotations
 
@@ -23,10 +29,6 @@ import sys
 from dataclasses import asdict
 from itertools import chain, repeat
 
-import numpy as np
-
-from .coefficients import constraint_residuals, constraint_sums, make_rule, optimal_coefficients
-from .kernel import IntegrationBudgetError
 from .norm import (
     build_report,
     closed_rule_norm,
@@ -35,9 +37,7 @@ from .norm import (
     multiplier_routes,
     norm_theorem2,
 )
-from .quadrature import CATALOG, convergence_table, error_check
-from .spectral import constants
-from .wiener_hopf import DENSE_MAX_N, solve_uniform
+from .spectral import DENSE_MAX_N, closed_weights, constants
 
 
 def _fmt_cell(value) -> str:
@@ -45,7 +45,7 @@ def _fmt_cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):  # numpy's float64 included
         return f"{float(value):.16e}"
     return str(value)
 
@@ -79,8 +79,11 @@ def _directive(column, fmt: str) -> str:
     Float arrays take 17 significant digits in CSV, as _fmt_cell does, and
     float.__repr__ in JSON, the spelling json uses for finite floats; ranges
     and signed-integer arrays take %d.  Every other column takes %s and is
-    spelled cell by cell in _column_cells.
+    spelled cell by cell in _column_cells.  Only the array commands emit
+    rows, so numpy is loaded here already.
     """
+    import numpy as np
+
     if isinstance(column, range):
         return "%d"
     if isinstance(column, np.ndarray):
@@ -95,6 +98,8 @@ def _column_cells(column, start: int, fmt: str) -> tuple[str, list | range]:
     spellings by index, unless every value is distinct: then its values go
     to the row template's own directive.
     """
+    import numpy as np
+
     part = column[start:start + _ROWS_PER_CHUNK]
     directive = _directive(column, fmt)
     if isinstance(part, range):
@@ -169,6 +174,8 @@ def _emit(scalars: dict, fmt: str, out: str | None, rows: dict | None = None) ->
 
 
 def _catalog_function(name: str):
+    from .quadrature import CATALOG
+
     f = CATALOG.get(name)
     if f is None:
         raise ValueError(f"unknown function {name!r}; catalog: {', '.join(sorted(CATALOG))}")
@@ -176,6 +183,9 @@ def _catalog_function(name: str):
 
 
 def cmd_coeffs(args) -> int:
+    from .coefficients import constraint_residuals, make_rule, optimal_coefficients
+    from .wiener_hopf import solve_uniform
+
     n = args.n
     sc = constants(n)  # validates n >= 1
     payload: dict = {
@@ -238,11 +248,14 @@ def cmd_validate(args) -> int:
     pairs = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(20)]
     coef = cons = route = exact = 0.0
     for n in range(1, max_n + 1):
-        rule = optimal_coefficients(n)
-        audit = minimizer_audit(n, rule.coefficients)  # deviation from the system's solution
+        sc = constants(n)
+        c = closed_weights(sc, 0, n)  # the printed rule's weights, as optimal_coefficients(n)
+        audit = minimizer_audit(n, c)  # deviation from the system's solution
         coef = max(coef, audit["coefficient_max_deviation"])
         route = max(route, audit["rel_diff_qf_mult"])
-        s1, s2 = constraint_sums(rule)
+        # the constraint sums, compensated, at the nodes of optimal_coefficients(n)
+        e_neg = map(math.exp, [-j * sc.h for j in range(n)] + [-1.0])
+        s1, s2 = math.fsum(c), math.fsum(map(operator.mul, c, e_neg))
         cons = max(cons, abs(s1 - 1.0), abs(s2 + math.expm1(-1.0)))
         for a, b in pairs:
             err = abs(a * s1 + b * s2 - (a - b * math.expm1(-1.0)))
@@ -288,6 +301,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    from .quadrature import convergence_table
+
     try:
         ns = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     except ValueError as exc:
@@ -301,6 +316,9 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    from .coefficients import optimal_coefficients
+    from .quadrature import error_check
+
     f = _catalog_function(args.function)
     rule = optimal_coefficients(args.n)
     check = error_check(rule, f, closed_rule_norm(args.n))
@@ -373,7 +391,12 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, ArithmeticError, IntegrationBudgetError, MemoryError, OSError) as exc:
+    except Exception as exc:
+        # the integration budget error can only come from kernel once imported
+        kernel = sys.modules.get(f"{__package__}.kernel")
+        budget = kernel.IntegrationBudgetError if kernel else ()
+        if not isinstance(exc, (ValueError, ArithmeticError, budget, MemoryError, OSError)):
+            raise
         # stderr may be the same closed pipe as stdout
         with contextlib.suppress(OSError):
             print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -18,8 +18,12 @@ so only nonnegative powers of q appear and grids up to N = 10^6 evaluate
 without overflow (deep q powers underflow to exact zero, a correction far
 below double precision).  Only the powers that do not underflow are
 formed (layer_width): past them, a few dozen nodes from each end, every
-interior weight is h exactly.  closed_weights evaluates the formulas at
-any node indices, so a caller that needs only the ends does O(1) work.
+interior weight is h exactly.  spectral.closed_weights evaluates the
+formulas on any window of nodes, in Python floats, so a caller that needs
+only the ends does O(1) work and loads no numpy (the norm report, and
+validate, which takes all of its at most 514 weights from there).  This
+module packages the weights as float64 arrays for the commands that need
+all n + 1 of them (coeffs, apply, convergence) and loads numpy.
 
 Note: these are the printed closed-form weights.  They satisfy both moment
 constraints exactly, but they do *not* coincide with the minimizer computed
@@ -33,14 +37,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralConstants, constants, pow_q
+from .spectral import SpectralConstants, closed_weights, constants, layer_width
 
 __all__ = [
     "QuadratureRule",
-    "closed_weights",
     "constraint_residuals",
     "constraint_sums",
-    "layer_width",
     "make_rule",
     "optimal_coefficients",
 ]
@@ -73,48 +75,14 @@ def make_rule(nodes, coefficients) -> QuadratureRule:
     return QuadratureRule(n=n, h=float(h), nodes=nodes, coefficients=coefficients)
 
 
-def layer_width(ratio: float) -> int:
-    """The least k with ratio**j == 0.0 in float64 for every j >= k, one power to spare.
-
-    |ratio|^j rounds to zero below half the least subnormal, 2^-1075.
-    """
-    return math.ceil(1075 * math.log(2.0) / -math.log(abs(ratio))) + 1
-
-
-def closed_weights(sc: SpectralConstants, b: np.ndarray) -> np.ndarray:
-    """The closed-form weights C_b of the grid of sc at the ascending node indices b in 0..n.
-
-    O(len(b)) work plus the float64 q powers that do not underflow (about
-    50 at n = 10^6); optimal_coefficients takes every weight that is not h
-    from here.
-    """
-    n, h, q, ks = sc.n, sc.h, sc.q, sc.k_scaled
-    eh = math.exp(h)
-    em1 = math.expm1(h)
-    # q^b rounds to zero from b = k on; qp[k] = 0 stands for every such power
-    k = min(n, layer_width(q))
-    qp = np.append(np.power(q, np.arange(k, dtype=float)), 0.0)
-    # interior: h - Kscaled [(1 - e^h q) q^(N-b) + (e^h - q) q^b], which
-    # is h exactly where both powers are zero
-    terms = (1.0 - eh * q) * qp[np.minimum(n - b, k)] + (eh - q) * qp[np.minimum(b, k)]
-    c = h - ks * terms
-    # boundary corrections: Kscaled (q^N - q), cancelling exactly at N = 1
-    corr = ks * (pow_q(q, n) - q)
-    if b[0] == 0:
-        c[0] = (em1 - h) / em1 - corr  # (e^h - 1 - h)/(e^h - 1) - corr
-    if b[-1] == n:
-        c[-1] = (h * eh - em1) / em1 - corr * eh  # (he^h - e^h + 1)/(e^h - 1) - corr*e^h
-    return c
-
-
 def optimal_coefficients(n: int) -> QuadratureRule:
     """Closed-form weights on the uniform grid with n subintervals."""
     sc: SpectralConstants = constants(n)  # validates n
     c = np.full(n + 1, sc.h)
-    # the ends, up to the first q power that underflows
+    # the ends, up to the first q power that underflows, one window where they meet
     k = min(n, layer_width(sc.q))
-    b = np.concatenate([np.arange(k), np.arange(max(k, n - k + 1), n + 1)])
-    c[b] = closed_weights(sc, b)
+    for first, last in [(0, n)] if n < 2 * k else [(0, k - 1), (n - k + 1, n)]:
+        c[first:last + 1] = closed_weights(sc, first, last)
     nodes = np.linspace(0.0, 1.0, n + 1)
     return QuadratureRule(n=n, h=sc.h, nodes=nodes, coefficients=c)
 

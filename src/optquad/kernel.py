@@ -10,12 +10,16 @@ term.  It has a triple zero at the origin: naive evaluation of sinh x - x
 loses every significant digit below |x| ~ 1e-5, so the implementation
 switches to the odd Taylor tail under a fixed seam.
 
-The m = 2 moments over [0,1] have closed forms (`moment`, `double_moment`);
+The m = 2 moments over [0,1] have closed forms (`moment` here, in numpy
+float64, and `norm.double_moment`, which the norm routes sum in decimal);
 `integrate_adaptive` is the independent numerical oracle used to cross-check
-them.
+them.  Its Gauss-Legendre tables are formed on first use, so importing the
+module costs numpy's import alone; the CLI imports it only for the commands
+that build float64 arrays.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +29,6 @@ import numpy as np
 __all__ = [
     "IntegrationBudgetError",
     "IntegrationResult",
-    "double_moment",
     "integrate_adaptive",
     "moment",
     "psi",
@@ -105,19 +108,6 @@ def moment(y):
     return out
 
 
-def double_moment(kind=float):
-    """Integral of the m=2 kernel over the unit square: sinh(1) - 7/6.
-
-    Summed smallest term first, in kind (float, or Decimal at the caller's
-    working precision), as the positive series sum_{k=2}^{22} 1/(2k+1)!.
-    The float value lands within 0.5 ulp of the true value; sinh(1.0) - 7/6
-    cancels 1.175 against 1.167 and comes out 1.5e-16 (88 ulp) low.  The
-    first omitted term, 1/47!, is 5e-58 of the sum.
-    """
-    one = kind(1)
-    return sum(one / math.factorial(2 * k + 1) for k in range(22, 1, -1))
-
-
 @dataclass(frozen=True)
 class IntegrationResult:
     value: float
@@ -136,22 +126,27 @@ class IntegrationBudgetError(RuntimeError):
         self.best = best
 
 
-# Embedded Gauss-Legendre pair: the 15-point value is kept, |GL15 - GL7|
-# serves as the panel error estimate.  Degree-29 exactness makes polynomial
-# integrands exact on a single panel.
-_GL7_X, _GL7_W = np.polynomial.legendre.leggauss(7)
-_GL15_X, _GL15_W = np.polynomial.legendre.leggauss(15)
+@functools.cache
+def _gauss_legendre():
+    """The embedded Gauss-Legendre pair ((x7, w7), (x15, w15)), formed on first use.
+
+    The 15-point value is kept, |GL15 - GL7| serves as the panel error
+    estimate.  Degree-29 exactness makes polynomial integrands exact on a
+    single panel.
+    """
+    return np.polynomial.legendre.leggauss(7), np.polynomial.legendre.leggauss(15)
 
 
 def _panel_estimates(f, lo: float, hi: float):
+    (x7, w7), (x15, w15) = _gauss_legendre()
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    f7 = np.array([f(mid + half * t) for t in _GL7_X], dtype=float)
-    f15 = np.array([f(mid + half * t) for t in _GL15_X], dtype=float)
+    f7 = np.array([f(mid + half * t) for t in x7], dtype=float)
+    f15 = np.array([f(mid + half * t) for t in x15], dtype=float)
     if not (np.all(np.isfinite(f7)) and np.all(np.isfinite(f15))):
         raise ValueError(f"integrand is not finite on [{lo}, {hi}]")
-    i7 = half * float(_GL7_W @ f7)
-    i15 = half * float(_GL15_W @ f15)
+    i7 = half * float(w7 @ f7)
+    i15 = half * float(w15 @ f15)
     return i15, abs(i15 - i7)
 
 

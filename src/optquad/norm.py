@@ -46,14 +46,16 @@ guard digits; every e^(kh) is its integer power k there, rounded once to
 the working digits, and every 1 - e^(bh) is formed there too (ExpSums).
 The printed rule has the same pieces with q = 1/lambda1 for mu, so its
 norm (closed_rule_norm) is route 1 from the same sums, and
-coefficient_max_deviation reads both float64 weight sets on the end
-windows only, where their float64 boundary layers have not yet
-underflowed.  Routes 2 and 3 behind
+coefficient_max_deviation reads both float64 weight sets, in Python
+floats, on the end windows only, where their float64 boundary layers have
+not yet underflowed.  Routes 2 and 3 behind
 their public entry multiplier_routes(n, method) run in float64, one route
 per call, on the weights of solve_weights, which skips the residual that
 only `coeffs --method system` prints (or, above the cap, on the printed
 rule and its printed multipliers); route 3's formula serves both
-precisions.
+precisions.  Those float64 routes import numpy and the array modules where
+they run; the rest of the module, and with it `norm --methods
+all|quadform|theorem2`, runs on the standard library alone.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
 magnitude (its h-block diverges like 3/h^2 as the grid refines); the report
@@ -62,23 +64,23 @@ measures and classifies that discrepancy, it does not repair the formula.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._expsums import ONE, ExpSums
-from .coefficients import QuadratureRule, closed_weights, layer_width, make_rule, optimal_coefficients
-from .kernel import double_moment, moment
-from .spectral import constants, pow_q
-from .wiener_hopf import DENSE_MAX_N, filter_band, solve_weights
+from .spectral import DENSE_MAX_N, closed_weights, constants, filter_band, layer_width, pow_q
+
+if TYPE_CHECKING:
+    from .coefficients import QuadratureRule
 
 __all__ = [
     "MultiplierPair",
     "NormReport",
     "build_report",
     "closed_rule_norm",
+    "double_moment",
     "geometric_sums",
     "minimizer_audit",
     "multiplier_routes",
@@ -90,6 +92,23 @@ __all__ = [
 CONSISTENCY_RTOL = 1e-6
 
 _TINY = 1e-300
+
+# Nodes whose float64 weights _max_gap holds at a time.
+_GAP_CHUNK = 4096
+
+
+def double_moment(kind=float):
+    """Integral of the m=2 kernel over the unit square: sinh(1) - 7/6.
+
+    Summed smallest term first, in kind (float, or Decimal at the caller's
+    working precision), as the positive series sum_{k=2}^{22} 1/(2k+1)!.
+    The float value lands within 0.5 ulp of the true value; sinh(1.0) - 7/6
+    cancels 1.175 against 1.167 and comes out 1.5e-16 (88 ulp) low.  The
+    first omitted term, 1/47!, is 5e-58 of the sum.
+    """
+    one = kind(1)
+    return sum(one / math.factorial(2 * k + 1) for k in range(22, 1, -1))
+
 
 # The exact solve's working digits.  Route 1 sums terms near 1 (moment
 # sums of about 1.25) down to about h^4/720, 5.4e-30 at n = 4e6, so it
@@ -220,6 +239,8 @@ def norm_theorem2(n: int) -> float:
 
 def _exp_and_lag_sums(rule: QuadratureRule) -> tuple[float, float]:
     """(sum C e^x, sum C x) of rule, compensated: d and b0 above the cap and route 3 read them."""
+    import numpy as np
+
     c, x = rule.coefficients, rule.nodes
     return math.fsum(c * np.exp(x)), math.fsum(c * x)
 
@@ -301,6 +322,10 @@ def _float_route(rule: QuadratureRule, pair: MultiplierPair, method: str, sums=N
 
     Route 3 reads sums, (sum C e^x, sum C x) of rule, and forms them if it is None.
     """
+    import numpy as np
+
+    from .kernel import moment
+
     c, x = rule.coefficients, rule.nodes
     dm = double_moment()
     if method == "multiplier":
@@ -319,8 +344,12 @@ def multiplier_routes(n: int, method: str) -> tuple[str, float]:
     the cap the printed closed-form weights and multipliers are inserted
     verbatim ("closed_form").  Neither is rechecked against the system;
     the printed pair does not solve it (see multipliers_closed_form).
-    Returns (multiplier_source, value).
+    Returns (multiplier_source, value).  These float64 routes are the only
+    part of the module that loads numpy.
     """
+    from .coefficients import make_rule, optimal_coefficients
+    from .wiener_hopf import solve_weights
+
     if method not in ("multiplier", "expanded"):
         raise ValueError(f"method must be 'multiplier' or 'expanded', got {method!r}")
     if n <= DENSE_MAX_N:
@@ -567,30 +596,49 @@ def _exact_routes(sol: _ExactSolution):
     return _route1(sol, s_m), mult, expanded
 
 
-def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> np.ndarray:
+def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> list[float]:
     """The weights in float64 from the Decimal amplitudes, at the nodes first..last.
 
     Each piece is anchored at the end of its range where it is largest and
     stepped from there by its float64 ratio, ratio ** (distance from the
-    anchor), so nothing overflows or underflows.
+    anchor), so nothing overflows or underflows.  The ratios are mu < 0
+    and 1, whose powers libm's pow and numpy's power form alike.  From
+    layer_width(ratio) nodes past the anchor on, a layer adds 0.0, which
+    leaves every weight as it is (none is ever -0.0), so it is not added.
     """
-    c = np.zeros(last - first + 1)
+    c = [0.0] * (last - first + 1)
     for amp, (scale, ratio, lo, hi) in zip(sol.amplitudes, sol.pieces):
-        a, b = max(first, lo), min(last, hi)
-        if a > b:
-            continue
         step = sol.sums.power(ratio, 1)
         grows = abs(step) > 1
+        r = float(1 / step if grows else step)
+        a, b = max(first, lo), min(last, hi)
+        if abs(r) < 1:
+            if grows:
+                a = max(a, hi - layer_width(r) + 1)
+            else:
+                b = min(b, lo + layer_width(r) - 1)
+        if a > b:
+            continue
         anchor = hi if grows else lo
         start = float(amp * scale * sol.sums.power(ratio, anchor))
-        distance = np.arange(hi - a, hi - b - 1, -1) if grows else np.arange(a - lo, b - lo + 1)
-        c[a - first:b - first + 1] += start * float(1 / step if grows else step) ** distance
+        distance = range(hi - a, hi - b - 1, -1) if grows else range(a - lo, b - lo + 1)
+        window = slice(a - first, b - first + 1)
+        c[window] = [x + start * r**d for x, d in zip(c[window], distance)]
     return c
 
 
-def _max_gap(sol: _ExactSolution, first: int, last: int, printed: np.ndarray) -> float:
-    """max |minimizer's float64 C_j - printed[j - first]| over the nodes first..last."""
-    return float(np.max(np.abs(_float_weights_on(sol, first, last) - printed)))
+def _max_gap(sol: _ExactSolution, first: int, last: int, printed) -> float:
+    """max |minimizer's float64 C_j - printed[j - first]| over the nodes first..last.
+
+    The weights are formed _GAP_CHUNK nodes at a time, so that the memory
+    does not grow with the range; the maximum does not depend on it.
+    """
+    worst = 0.0
+    for a in range(first, last + 1, _GAP_CHUNK):
+        b = min(a + _GAP_CHUNK - 1, last)
+        gaps = map(operator.sub, _float_weights_on(sol, a, b), printed[a - first:b - first + 1])
+        worst = max(worst, max(map(abs, gaps)))
+    return float(worst)
 
 
 def _coefficient_max_deviation(sol: _ExactSolution, printed=None) -> float:
@@ -612,8 +660,7 @@ def _coefficient_max_deviation(sol: _ExactSolution, printed=None) -> float:
     if sol.sums.mu is not None:
         w = max(w, 1 + layer_width(float(sol.sums.mu)))
     windows = [(0, n)] if n <= 2 * w + 1 else [(0, w), (n - w, n)]
-    return max(_max_gap(sol, first, last, closed_weights(sc, np.arange(first, last + 1)))
-               for first, last in windows)
+    return max(_max_gap(sol, first, last, closed_weights(sc, first, last)) for first, last in windows)
 
 
 def closed_rule_norm(n: int) -> float:

@@ -19,6 +19,14 @@ below the seam they are summed as same-sign power series, which is exact to
 ~2 ulp and makes the dyadic-h accuracy target comfortable down to h = 2^-10.
 The measured error against a 50-digit reference is below 5e-15 relative on
 h in {1, 1/2, ..., 1/1024} (see the spectral test suite).
+
+closed_weights evaluates the printed weights from these constants (see the
+coefficients module for the formulas) on a window of nodes, in Python
+floats.  filter_band is the band the stationarity system's filter leaves
+(see wiener_hopf), whose root inside the unit circle is the minimizer's
+boundary-layer ratio mu, for float64 and Decimal arguments alike.  This
+module, like norm, runs on the standard library alone: `import optquad`,
+the norm report and `validate` load no numpy.
 """
 from __future__ import annotations
 
@@ -26,7 +34,20 @@ import math
 import operator
 from dataclasses import dataclass
 
-__all__ = ["SpectralConstants", "constants", "lambda1", "pow_q"]
+__all__ = [
+    "DENSE_MAX_N",
+    "SpectralConstants",
+    "closed_weights",
+    "constants",
+    "filter_band",
+    "lambda1",
+    "layer_width",
+    "pow_q",
+]
+
+# Largest uniform grid, in subintervals, that the float64 system solve
+# (wiener_hopf.solve_uniform) and `validate` accept.
+DENSE_MAX_N = 513
 
 _SEAM = 0.25
 
@@ -136,3 +157,58 @@ def constants(n: int) -> SpectralConstants:
     # underflow to 0.0 instead of overflowing lambda1^(N+1).
     k = k_scaled * pow_q(q, n + 1)
     return SpectralConstants(n=n, h=h, lambda1=lam, q=q, k=k, k_scaled=k_scaled)
+
+
+def layer_width(ratio: float) -> int:
+    """The least k with ratio**j == 0.0 in float64 for every j >= k, one power to spare.
+
+    |ratio|^j rounds to zero below half the least subnormal, 2^-1075.
+    """
+    return math.ceil(1075 * math.log(2.0) / -math.log(abs(ratio))) + 1
+
+
+def closed_weights(sc: SpectralConstants, first: int, last: int) -> list[float]:
+    """The closed-form weights C_b of sc's grid at the nodes b = first..last, in Python floats.
+
+    0 <= first <= last <= n.  O(last - first) work plus the float64 q
+    powers that do not underflow (about 50 at n = 10^6), formed once per
+    call as a table; validate takes every weight from here and
+    optimal_coefficients every weight that is not h.  Each power is libm's
+    q**j, which a float64 weight cannot tell from numpy's power of the same
+    q (tests/oracles.py keeps that form).
+    """
+    n, h, q, ks = sc.n, sc.h, sc.q, sc.k_scaled
+    eh = math.exp(h)
+    em1 = math.expm1(h)
+    # q^b rounds to zero from b = k on; powers() pads the table with those zeros
+    k = min(n, layer_width(q))
+    qp = [q**j for j in range(k)]
+
+    def powers(lo, hi):
+        """q^j for j = lo..hi, 0.0 from j = k on."""
+        head = qp[lo:hi + 1]
+        return head + [0.0] * (hi - lo + 1 - len(head))
+
+    # interior: h - Kscaled [(1 - e^h q) q^(N-b) + (e^h - q) q^b], which
+    # is h exactly where both powers are zero
+    a, b = 1.0 - eh * q, eh - q
+    c = [h - ks * (a * x + b * y)
+         for x, y in zip(reversed(powers(n - last, n - first)), powers(first, last))]
+    # boundary corrections: Kscaled (q^N - q), cancelling exactly at N = 1
+    corr = ks * (pow_q(q, n) - q)
+    if first == 0:
+        c[0] = (em1 - h) / em1 - corr  # (e^h - 1 - h)/(e^h - 1) - corr
+    if last == n:
+        c[-1] = (h * eh - em1) / em1 - corr * eh  # (he^h - e^h + 1)/(e^h - 1) - corr*e^h
+    return c
+
+
+def filter_band(psi1, psi2, psi3, a):
+    """(g0, g1): the band that the stationarity system's filter leaves of the kernel rows.
+
+    psi1, psi2, psi3 are psi_2(h), psi_2(2h), psi_2(3h) and a = 2 cosh h;
+    the result has their type, so float64 and Decimal arguments both serve.
+    """
+    g0 = 2 * psi2 - 2 * (a + 2) * psi1
+    g1 = psi3 - (a + 2) * psi2 + (2 * a + 3) * psi1
+    return g0, g1

@@ -19,8 +19,9 @@ so the filter
     [1, -(a+2), 2a+2, -(a+2), 1],  a = 2 cosh h,
 
 applied to kernel rows i-2 .. i+2 removes both multiplier columns and
-leaves the band g1 C_(i-1) + g0 C_i + g1 C_(i+1) (filter_band) with the
-right-hand side (g0 + 2 g1) h, for every i = 2 .. n-2.  Its solutions are
+leaves the band g1 C_(i-1) + g0 C_i + g1 C_(i+1) (spectral.filter_band,
+which the norm report's decimal solve shares) with the right-hand side
+(g0 + 2 g1) h, for every i = 2 .. n-2.  Its solutions are
 h plus A mu^(b-1) + B mu^(n-1-b) on the interior nodes, mu the root of
 g1 z^2 + g0 z + g1 inside the unit circle.  The amplitudes A and B, the
 end weights and both multipliers then solve a bordered system of at most
@@ -29,9 +30,11 @@ each entry an O(n) dot product.  Below n = 4 no row is filtered and the
 same bordered solve keeps every row.  solve_weights returns the weights
 and multipliers; solve_uniform returns them with the residual in the
 unfiltered system, an O(n^2) convolution that only `coeffs --method
-system` prints.  Both keep the size cap of DENSE_MAX_N subintervals.
+system` prints.  Both keep the size cap of spectral.DENSE_MAX_N
+subintervals.  The solve is numpy float64, so the CLI imports this module
+only for `coeffs --method system` and norm's multiplier|expanded routes.
 The norm report solves a bordered system of the same shape in decimal,
-every entry in closed form (norm.build_report).
+every entry in closed form (norm.build_report), without numpy.
 The dense assembly for arbitrary nodes, O(count^3), is a test oracle
 (tests/oracles.py) and shares _equilibrated_solve with solve_uniform.
 """
@@ -43,19 +46,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import moment, psi
+from .spectral import DENSE_MAX_N, filter_band
 
 __all__ = [
-    "DENSE_MAX_N",
     "SingularSystemError",
     "SystemSolution",
-    "filter_band",
     "kept_rows",
     "solve_uniform",
     "solve_weights",
 ]
-
-# Largest uniform grid, in subintervals, that solve_uniform accepts.
-DENSE_MAX_N = 513
 
 _RCOND_FLOOR = float(np.finfo(float).eps)
 
@@ -92,17 +91,6 @@ def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if rcond < _RCOND_FLOOR:
         raise SingularSystemError(f"reciprocal condition number {rcond:.3e} below {_RCOND_FLOOR:.3e}")
     return x
-
-
-def filter_band(psi1, psi2, psi3, a):
-    """(g0, g1): the band that the filter leaves of the kernel rows.
-
-    psi1, psi2, psi3 are psi_2(h), psi_2(2h), psi_2(3h) and a = 2 cosh h;
-    the result has their type, so float64 and Decimal arguments both serve.
-    """
-    g0 = 2 * psi2 - 2 * (a + 2) * psi1
-    g1 = psi3 - (a + 2) * psi2 + (2 * a + 3) * psi1
-    return g0, g1
 
 
 def kept_rows(n: int) -> np.ndarray:

@@ -9,15 +9,19 @@ rule, feasible or not, in O(count^2); norm_peano integrates the Peano
 kernel of any feasible rule in O(count), the float64 check on optquad's
 exact closed_rule_norm.  float_weights spells out every float64 weight of
 an exact solution, the O(n) check on the report's end-window
-coefficient_max_deviation.  trapezoid_rule is a deliberately suboptimal
-comparison rule.
+coefficient_max_deviation.  closed_weights_array and float_weights_on are
+the numpy forms of the printed weights and of the exact solution's window
+weights, which the package forms in Python floats.  trapezoid_rule is a
+deliberately suboptimal comparison rule.
 """
 import math
 
 import numpy as np
 
 from optquad.coefficients import QuadratureRule, constraint_residuals
-from optquad.kernel import double_moment, moment, psi
+from optquad.kernel import moment, psi
+from optquad.norm import double_moment
+from optquad.spectral import layer_width, pow_q
 from optquad.wiener_hopf import SystemSolution, _equilibrated_solve
 
 
@@ -186,6 +190,51 @@ def float_weights(sol) -> np.ndarray:
         start = float(amp * scale * sol.sums.power(ratio, anchor))
         steps = float(1 / step if grows else step) ** np.arange(hi - lo + 1)
         c[lo:hi + 1] += start * (steps[::-1] if grows else steps)
+    return c
+
+
+def closed_weights_array(sc, b: np.ndarray) -> np.ndarray:
+    """The printed closed-form weights at the ascending node indices b, in numpy float64.
+
+    The array form of optquad.spectral.closed_weights, which forms the same
+    weights in Python floats; tests pin that one to this, bit for bit.
+    Its q powers are numpy's power, which may differ from libm's pow in
+    the last bit (on AVX-512 hardware) without moving a weight.
+    """
+    n, h, q, ks = sc.n, sc.h, sc.q, sc.k_scaled
+    eh = math.exp(h)
+    em1 = math.expm1(h)
+    k = min(n, layer_width(q))
+    qp = np.append(np.power(q, np.arange(k, dtype=float)), 0.0)
+    terms = (1.0 - eh * q) * qp[np.minimum(n - b, k)] + (eh - q) * qp[np.minimum(b, k)]
+    c = h - ks * terms
+    corr = ks * (pow_q(q, n) - q)
+    if b[0] == 0:
+        c[0] = (em1 - h) / em1 - corr
+    if b[-1] == n:
+        c[-1] = (h * eh - em1) / em1 - corr * eh
+    return c
+
+
+def float_weights_on(sol, first: int, last: int) -> np.ndarray:
+    """The float64 weights of an exact solution (optquad.norm) at the nodes first..last, in numpy.
+
+    The array form of optquad.norm's window weights, which forms them in
+    Python floats; tests pin that one to this, bit for bit.  Each piece is
+    anchored at the end of its range where it is largest and stepped from
+    there by its float64 ratio, ratio ** (distance from the anchor).
+    """
+    c = np.zeros(last - first + 1)
+    for amp, (scale, ratio, lo, hi) in zip(sol.amplitudes, sol.pieces):
+        a, b = max(first, lo), min(last, hi)
+        if a > b:
+            continue
+        step = sol.sums.power(ratio, 1)
+        grows = abs(step) > 1
+        anchor = hi if grows else lo
+        start = float(amp * scale * sol.sums.power(ratio, anchor))
+        distance = np.arange(hi - a, hi - b - 1, -1) if grows else np.arange(a - lo, b - lo + 1)
+        c[a - first:b - first + 1] += start * float(1 / step if grows else step) ** distance
     return c
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -101,10 +102,10 @@ def test_validate_reports_the_coefficient_defect(capsys):
 
 
 def test_validate_forms_each_grids_printed_weights_once(monkeypatch, capsys):
-    # validate builds optimal_coefficients(n) for its constraint check and
-    # hands the weights to minimizer_audit, which forms no printed weights
-    # or spectral constants of its own
-    from optquad import coefficients, norm
+    # validate forms the printed weights of grid n once, for its constraint
+    # check, and hands them to minimizer_audit, which forms no printed
+    # weights or spectral constants of its own
+    from optquad import cli, coefficients, norm
     calls = []
 
     def counted(name, plain):
@@ -113,12 +114,41 @@ def test_validate_forms_each_grids_printed_weights_once(monkeypatch, capsys):
             return plain(*args)
         return wrapper
 
-    for module in (coefficients, norm):
+    for module in (cli, coefficients, norm):
         monkeypatch.setattr(module, "closed_weights", counted("closed_weights", module.closed_weights))
     monkeypatch.setattr(norm, "constants", counted("constants", norm.constants))
     code, _, _ = run_cli(capsys, "validate", "--max-n", "8", "--tol", "1e-9")
     assert code == 1
     assert calls == ["closed_weights"] * 8
+
+
+def test_validate_constraint_rows_match_the_numpy_sums(monkeypatch, capsys):
+    # validate sums each grid's printed weights with math.fsum and math.exp;
+    # numpy's exp differs from math.exp in the last bit at some grids (17 of
+    # 513 moved a sum), but the printed worst values do not move.  The
+    # reference is the loop validate ran on numpy arrays; the audit rows
+    # are not under test here, so the exact audit is stubbed out.
+    from optquad import cli
+    from optquad.coefficients import constraint_sums, optimal_coefficients
+
+    monkeypatch.setattr(cli, "minimizer_audit", lambda n, printed: {
+        "coefficient_max_deviation": 0.0, "rel_diff_qf_mult": 0.0})
+    rng = random.Random(1234)
+    pairs = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(20)]
+    cons = exact = 0.0
+    expected = {}
+    for n in range(1, cli.DENSE_MAX_N + 1):
+        s1, s2 = constraint_sums(optimal_coefficients(n))
+        cons = max(cons, abs(s1 - 1.0), abs(s2 + math.expm1(-1.0)))
+        for a, b in pairs:
+            err = abs(a * s1 + b * s2 - (a - b * math.expm1(-1.0)))
+            exact = max(exact, err / (abs(a) + abs(b)))
+        expected[n] = [f"{cons:.6e}", f"{exact:.6e}"]
+    for max_n in (*range(1, 65), cli.DENSE_MAX_N):
+        _, out, _ = run_cli(capsys, "validate", "--max-n", str(max_n), "--tol", "1e-9")
+        worst = dict(line.split()[:2] for line in out.splitlines()[1:5])
+        assert [worst["constraint_residuals"], worst["exactness_annihilated_span"]] == \
+            expected[max_n], max_n
 
 
 def test_validate_unattainable_tolerance(capsys):

@@ -9,8 +9,9 @@ from optquad.coefficients import (
     make_rule,
     optimal_coefficients,
 )
-from optquad.spectral import constants
+from optquad.spectral import closed_weights, constants, layer_width
 
+import oracles
 from highprec import coefficients_ref
 from oracles import trapezoid_rule
 
@@ -110,6 +111,32 @@ def test_interior_from_the_nonzero_powers_is_bitwise_the_full_table(ns):
         interior = optimal_coefficients(n).coefficients[1:n]
         np.testing.assert_array_equal(interior.view(np.uint64),
                                       _full_power_table_interior(n).view(np.uint64), err_msg=str(n))
+
+
+# Every grid up to 2048 (whose windows include the report's seam at
+# 1133..1137, where its two end windows meet), and three large ones.
+PINNED_NS = (*range(1, 2049), 10**5, 10**6, 10**9)
+
+
+def _bits(values):
+    """The float64 bit patterns of values: equal exactly when every float.hex is."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_closed_weights_are_bitwise_the_numpy_form():
+    # the Python-float weights against the numpy array form they replace,
+    # on the whole grid up to 2048 and on both end windows above; numpy's
+    # power may differ from libm's in the last bit without moving a weight
+    for n in PINNED_NS:
+        sc = constants(n)
+        k = min(n, layer_width(sc.q))
+        for first, last in [(0, n)] if n <= 2048 else [(0, k), (n - k, n)]:
+            ref = _bits(oracles.closed_weights_array(sc, np.arange(first, last + 1)))
+            np.testing.assert_array_equal(_bits(closed_weights(sc, first, last)), ref,
+                                          err_msg=f"{n} {first}..{last}")
+        if n <= 2048:
+            np.testing.assert_array_equal(_bits(optimal_coefficients(n).coefficients), ref,
+                                          err_msg=str(n))
 
 
 def test_rejects_bad_n():

@@ -10,11 +10,11 @@ from optquad.kernel import (
     IntegrationBudgetError,
     _sinh_minus_x_direct,
     _sinh_minus_x_series,
-    double_moment,
     integrate_adaptive,
     moment,
     psi,
 )
+from optquad.norm import double_moment
 
 from highprec import DPS, double_moment_ref, moment_ref, psi2_ref
 

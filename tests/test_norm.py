@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from optquad import norm
+from optquad import coefficients, norm
 from optquad._expsums import ExpSums
 from optquad.cli import main
 from optquad.coefficients import make_rule, optimal_coefficients
@@ -26,12 +26,14 @@ from optquad.norm import (
     _coefficient_max_deviation,
     _exact_routes,
     _exact_solution,
+    _float_weights_on,
     _kernel_form,
     _moment_sums,
     _printed_solution,
     _route1,
 )
-from optquad.wiener_hopf import DENSE_MAX_N, solve_uniform
+from optquad.spectral import DENSE_MAX_N
+from optquad.wiener_hopf import solve_uniform
 
 from highprec import (
     DPS,
@@ -134,12 +136,14 @@ def test_multiplier_routes_builds_the_closed_rule_once(monkeypatch):
         calls.append(n)
         return optimal_coefficients(n)
 
-    monkeypatch.setattr(norm, "optimal_coefficients", counted)
+    # multiplier_routes imports the array modules where it runs, so the
+    # rule is counted at its defining module
+    monkeypatch.setattr(coefficients, "optimal_coefficients", counted)
     multiplier_routes(DENSE_MAX_N + 1, "multiplier")
     assert calls == [DENSE_MAX_N + 1]
     calls.clear()
     # the report reads the printed weights on its end windows only
-    # (coefficients.closed_weights), so it builds no printed rule at all
+    # (spectral.closed_weights), so it builds no printed rule at all
     build_report(DENSE_MAX_N + 1)
     assert calls == []
 
@@ -598,6 +602,16 @@ def test_report_exact_work_does_not_grow_with_n(monkeypatch):
 # ------------------------------------------ the report's O(1) float work
 
 
+def _assert_window_weights_are_the_numpy_form(sol, n):
+    # the Python-float window weights against the numpy array form they
+    # replace, on the whole grid up to 2048 and past both end windows above
+    # (equal bit patterns: equal float.hex)
+    for first, last in [(0, n)] if n <= 2048 else [(0, 1000), (n - 1000, n)]:
+        np.testing.assert_array_equal(
+            np.array(_float_weights_on(sol, first, last)).view(np.uint64),
+            oracles.float_weights_on(sol, first, last).view(np.uint64), err_msg=f"{n} {first}..{last}")
+
+
 def _assert_windowed_deviation_is_the_oracle(ns):
     # the oracle takes every weight of both rules, O(n); validate hands
     # minimizer_audit the printed weights it holds, read on the whole grid
@@ -608,6 +622,7 @@ def _assert_windowed_deviation_is_the_oracle(ns):
             oracle = float(np.max(np.abs(oracles.float_weights(sol) - printed))).hex()
             assert _coefficient_max_deviation(sol).hex() == oracle, n
             assert _coefficient_max_deviation(sol, printed).hex() == oracle, n
+            _assert_window_weights_are_the_numpy_form(sol, n)
 
 
 def test_windowed_deviation_is_the_o_n_one_up_to_2048():
@@ -621,6 +636,13 @@ def test_windowed_deviation_is_the_o_n_one_up_to_2048():
 def test_windowed_deviation_is_the_o_n_one_on_a_ladder():
     _assert_windowed_deviation_is_the_oracle(
         (3000, 10**4, 12345, 10**5, 654321, 10**6, 4 * 10**6, 10**7))
+
+
+def test_window_weights_at_a_billion_nodes_are_the_numpy_form():
+    # up to 10^7 the tests above pin them; mu's float powers underflow
+    # about 568 nodes in, so the windows hold every weight that is not h
+    with localcontext(_CONTEXT):
+        _assert_window_weights_are_the_numpy_form(_exact_solution(10**9), 10**9)
 
 
 @pytest.mark.parametrize("n", [64, 10**7])

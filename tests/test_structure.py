@@ -2,7 +2,8 @@
 
 Each module keeps its `_`-prefixed names to itself, every name a module
 lists in `__all__` exists and is reachable from `cli.main`, importing the
-package loads no scipy, and a norm report loads no mpmath.  The source
+package loads no scipy, a norm report loads no mpmath, and importing the
+package, the numpy-free norm routes and validate load no numpy.  The source
 is parsed rather than imported where it can be, because importing
 `__main__` runs the CLI.
 """
@@ -63,13 +64,15 @@ def _bindings(tree):
 
 def test_every_exported_name_is_reachable_from_the_cli():
     # a name-level walk from cli.main: a top-level binding is reached when a
-    # reached binding mentions its name, through the package's own imports.
-    # An exported name that nothing reaches is code only the tests run.
+    # reached binding mentions its name, through the package's own imports,
+    # those inside functions included (the CLI's handlers import the array
+    # modules where they run).  An exported name that nothing reaches is
+    # code only the tests run.
     bindings, imports, exported = {}, {}, []
     for path in SOURCES:
         module = path.stem
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     imports[module, alias.asname or alias.name] = (node.module, alias.name)
@@ -77,6 +80,12 @@ def test_every_exported_name_is_reachable_from_the_cli():
             bindings[module, name] = node
         if (module, "__all__") in bindings:
             exported += [(module, e.value) for e in bindings[module, "__all__"].value.elts]
+
+    # the package imports its numpy-backed names on first access (its
+    # __getattr__), each from the one module that exports it
+    homes = {name: module for module, name in exported if module != "__init__"}
+    for name in set(optquad.__all__) & set(homes):
+        imports.setdefault(("__init__", name), (homes[name], name))
 
     def origin(module, name):
         while (module, name) in imports:
@@ -125,3 +134,22 @@ def test_norm_report_leaves_mpmath_unloaded():
             "    assert cli.main(['convergence', '--n-list', '2,4,8']) == 0\n"
             "print('mpmath' in sys.modules)")
     assert _fresh_stdout(code).strip() == "False"
+
+
+def test_import_norm_report_and_validate_leave_numpy_unloaded():
+    # the report, the printed rule's norm, theorem 2 and validate run on
+    # the standard library; a cold `import numpy` takes about 150 ms, more
+    # than the interpreter's own start.  The array commands still load it.
+    code = ("import contextlib, io, sys, optquad\n"
+            "from optquad import cli\n"
+            "seen = ['numpy' in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for methods in ('all', 'quadform', 'theorem2'):\n"
+            "        assert cli.main(['norm', '--n', '16', '--methods', methods]) == 0\n"
+            "    assert cli.main(['validate', '--max-n', '8', '--tol', '1e-9']) == 1\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "    assert cli.main(['coeffs', '--n', '8']) == 0\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "    assert cli.main(['apply', '--n', '8', '--function', 'sin']) == 0\n"
+            "print(seen)")
+    assert _fresh_stdout(code).strip() == "[False, False, True]"

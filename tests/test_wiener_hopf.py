@@ -8,11 +8,10 @@ import pytest
 from optquad.coefficients import optimal_coefficients
 from optquad.kernel import moment, psi
 from optquad.norm import _CONTEXT, _exact_solution
+from optquad.spectral import DENSE_MAX_N, filter_band
 from optquad.wiener_hopf import (
-    DENSE_MAX_N,
     SingularSystemError,
     _equilibrated_solve,
-    filter_band,
     solve_uniform,
     solve_weights,
 )
