@@ -5,7 +5,10 @@ solve, four cross-validated evaluations of the squared error-functional
 norm, and a CLI for reproducible reports.
 
 `import optquad` loads the standard library alone: the norm report, the
-printed rule's norm and spectral constants are bound here on import.  The
+printed rule's norm and spectral constants are bound here on import.  Their
+records (NormReport, MultiplierPair, SpectralConstants) are namedtuples,
+read with _asdict(), _replace() and _fields, so the import loads no
+dataclasses, and with it no inspect, ast, dis or tokenize, either.  The
 names backed by numpy arrays (weights as arrays, the kernel, the float64
 system solve and the quadrature audits) are imported from their modules on
 first access, through the module __getattr__ below, and that first access

@@ -10,9 +10,11 @@ it builds its parser once.
 
 The module imports the standard library and the numpy-free modules (norm,
 spectral) alone, so `norm --methods all|quadform|theorem2` and `validate`
-run without numpy.  The handlers that build O(n) float64 arrays (coeffs,
-apply, convergence, and norm's multiplier|expanded routes inside norm)
-import the array modules where they run.
+run without numpy, and without dataclasses: the report is a namedtuple.
+The handlers that build O(n) float64 arrays (coeffs, apply, convergence,
+and norm's multiplier|expanded routes inside norm) import the array
+modules where they run, and apply and convergence import dataclasses'
+asdict for their records.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ import math
 import operator
 import random
 import sys
-from dataclasses import asdict
 from itertools import chain, repeat
 
 from .norm import (
@@ -218,7 +219,7 @@ def cmd_norm(args) -> int:
     payload: dict = {"command": "norm", "methods": args.methods, "n": n, "h": 1.0 / n}
     if args.methods == "all":
         report = build_report(n)
-        payload.update(asdict(report))
+        payload.update(report._asdict())
     elif args.methods == "quadform":
         payload["via_quadratic_form"] = closed_rule_norm(n)
     elif args.methods == "theorem2":
@@ -301,6 +302,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_convergence(args) -> int:
+    from dataclasses import asdict
+
     from .quadrature import convergence_table
 
     try:
@@ -316,6 +319,8 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_apply(args) -> int:
+    from dataclasses import asdict
+
     from .coefficients import optimal_coefficients
     from .quadrature import error_check
 

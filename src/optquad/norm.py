@@ -55,7 +55,9 @@ only `coeffs --method system` prints (or, above the cap, on the printed
 rule and its printed multipliers); route 3's formula serves both
 precisions.  Those float64 routes import numpy and the array modules where
 they run; the rest of the module, and with it `norm --methods
-all|quadform|theorem2`, runs on the standard library alone.
+all|quadform|theorem2`, runs on the standard library alone.  Its records
+are namedtuples, so it does not load dataclasses (nor inspect, which that
+imports) either.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
 magnitude (its h-block diverges like 3/h^2 as the grid refines); the report
@@ -65,15 +67,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
-from typing import TYPE_CHECKING, NamedTuple
 
 from ._expsums import ONE, ExpSums
 from .spectral import DENSE_MAX_N, closed_weights, constants, filter_band, layer_width, pow_q
-
-if TYPE_CHECKING:
-    from .coefficients import QuadratureRule
 
 __all__ = [
     "MultiplierPair",
@@ -119,34 +117,34 @@ def double_moment(kind=float):
 # widest decimal allows.
 _DIGITS = 56
 _CONTEXT = Context(prec=_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
-# the routes' constant term, summed once in the working digits
+# the routes' constant term, summed once: in float64 for the float routes,
+# and in the working digits for the exact ones
+_DOUBLE_MOMENT_FLOAT = double_moment()
 with localcontext(_CONTEXT):
     _DOUBLE_MOMENT = double_moment(Decimal)
 
+# The records are namedtuples, not dataclasses: the dataclasses module
+# imports inspect and through it ast, dis and tokenize, about 10 ms of a
+# cold `import optquad`.  Read them with _asdict(), _replace() and _fields.
+MultiplierPair = namedtuple("MultiplierPair", ["d", "b0"])
+MultiplierPair.__doc__ = "Lagrange multipliers d and b0 of the stationarity system."
 
-@dataclass(frozen=True)
-class MultiplierPair:
-    """Lagrange multipliers d and b0 of the stationarity system."""
-
-    d: float
-    b0: float
-
-
-@dataclass(frozen=True)
-class NormReport:
-    n: int
-    h: float
-    via_quadratic_form: float
-    via_multipliers: float
-    via_expanded: float
-    via_theorem2: float
-    rel_diff_qf_mult: float
-    rel_diff_qf_expanded: float
-    rel_diff_qf_thm2: float
-    verdict: str
-    multiplier_source: str
-    closed_rule_quadratic_form: float
-    coefficient_max_deviation: float
+NormReport = namedtuple("NormReport", [
+    "n",
+    "h",
+    "via_quadratic_form",
+    "via_multipliers",
+    "via_expanded",
+    "via_theorem2",
+    "rel_diff_qf_mult",
+    "rel_diff_qf_expanded",
+    "rel_diff_qf_thm2",
+    "verdict",
+    "multiplier_source",
+    "closed_rule_quadratic_form",
+    "coefficient_max_deviation",
+])
+NormReport.__doc__ = "The four routes at one n, their gaps and verdict, and the printed rule's norm."
 
 
 def _rel_diff(a, b):
@@ -237,15 +235,19 @@ def norm_theorem2(n: int) -> float:
 # ------------------------------------------------------- closed multipliers
 
 
-def _exp_and_lag_sums(rule: QuadratureRule) -> tuple[float, float]:
-    """(sum C e^x, sum C x) of rule, compensated: d and b0 above the cap and route 3 read them."""
+def _exp_and_lag_sums(rule) -> tuple[float, float]:
+    """(sum C e^x, sum C x) of a QuadratureRule, compensated.
+
+    d and b0 above the cap and route 3 read them.
+    """
     import numpy as np
 
     c, x = rule.coefficients, rule.nodes
-    return math.fsum(c * np.exp(x)), math.fsum(c * x)
+    # a memoryview hands fsum Python floats one at a time, with no list of them
+    return math.fsum(memoryview(c * np.exp(x))), math.fsum(memoryview(c * x))
 
 
-def multipliers_closed_form(rule: QuadratureRule, sums=None) -> MultiplierPair:
+def multipliers_closed_form(rule, sums=None) -> MultiplierPair:
     """The printed closed forms for d and b0 of rule = optimal_coefficients(n), q-safe.
 
     The printed forms carry the amplitudes A = K (e^h - lam) = -Kscaled a q^N
@@ -317,8 +319,8 @@ def geometric_sums(lam: float, n: int) -> tuple[float, float]:
     return s1, s2
 
 
-def _float_route(rule: QuadratureRule, pair: MultiplierPair, method: str, sums=None) -> float:
-    """Route 2 ("multiplier") or route 3 ("expanded") of rule and its multipliers, in float64.
+def _float_route(rule, pair: MultiplierPair, method: str, sums=None) -> float:
+    """Route 2 ("multiplier") or route 3 ("expanded") of a rule and its multipliers, in float64.
 
     Route 3 reads sums, (sum C e^x, sum C x) of rule, and forms them if it is None.
     """
@@ -327,11 +329,13 @@ def _float_route(rule: QuadratureRule, pair: MultiplierPair, method: str, sums=N
     from .kernel import moment
 
     c, x = rule.coefficients, rule.nodes
-    dm = double_moment()
+    dm = _DOUBLE_MOMENT_FLOAT
     if method == "multiplier":
-        return math.fsum(np.concatenate([-c * (np.exp(-x) * pair.d + pair.b0), -c * moment(x), [dm]]))
+        terms = np.concatenate([-c * (np.exp(-x) * pair.d + pair.b0), -c * moment(x), [dm]])
+        return math.fsum(memoryview(terms))
     s_ep, s_x = _exp_and_lag_sums(rule) if sums is None else sums
-    return _expanded_route(pair.b0, pair.d, s_ep, s_x, math.fsum(c * x * x), dm, math.fsum, math.e)
+    s_xx = math.fsum(memoryview(c * x * x))
+    return _expanded_route(pair.b0, pair.d, s_ep, s_x, s_xx, dm, math.fsum, math.e)
 
 
 def multiplier_routes(n: int, method: str) -> tuple[str, float]:
@@ -363,31 +367,18 @@ def multiplier_routes(n: int, method: str) -> tuple[str, float]:
 # ------------------------------------------------------------- the report
 
 
-class _Piece(NamedTuple):
-    """Weights scale * ratio^j for lo <= j <= hi, ratio as ExpSums exponents."""
+_Piece = namedtuple("_Piece", ["scale", "ratio", "lo", "hi"])
+_Piece.__doc__ = "Weights scale * ratio^j for lo <= j <= hi, ratio as ExpSums exponents."
 
-    scale: object
-    ratio: tuple[int, int]
-    lo: int
-    hi: int
+_ExactSolution = namedtuple("_ExactSolution", ["sums", "pieces", "mirror", "amplitudes", "rows", "b0", "d"],
+                            defaults=(None, None))
+_ExactSolution.__doc__ = """A uniform-grid rule in decimal, weights c_j = sum_p amplitude_p piece_p(j).
 
-
-@dataclass(frozen=True)
-class _ExactSolution:
-    """A uniform-grid rule in decimal, weights c_j = sum_p amplitude_p piece_p(j).
-
-    The pieces are _layout's.  rows maps each kept row i to the kernel row
-    sums sum_j psi_2(|i - j| h) piece_p(j).  b0 and d are the system's
-    multipliers; the printed rule (_printed_solution) has none.
-    """
-
-    sums: ExpSums
-    pieces: tuple[_Piece, ...]
-    mirror: tuple[int, ...]
-    amplitudes: tuple
-    rows: dict
-    b0: object = None
-    d: object = None
+sums is the grid's ExpSums, pieces are _layout's _Piece tuples and mirror
+their mirror map.  rows maps each kept row i to the kernel row sums
+sum_j psi_2(|i - j| h) piece_p(j).  b0 and d are the system's
+multipliers; the printed rule (_printed_solution) has none.
+"""
 
 
 def _layout(sums: ExpSums) -> tuple[tuple[_Piece, ...], tuple[int, ...]]:

@@ -101,7 +101,8 @@ class ConvergenceRow:
 def apply_rule(rule: QuadratureRule, f: TestFunction) -> float:
     """sum_b C_b f(x_b), compensated."""
     values = np.asarray(f.value(rule.nodes), dtype=float)
-    return math.fsum(rule.coefficients * values)
+    # a memoryview hands fsum Python floats one at a time, with no list of them
+    return math.fsum(memoryview(rule.coefficients * values))
 
 
 def sobolev_seminorm(f: TestFunction, tol: float = 1e-12) -> float:

@@ -26,13 +26,14 @@ floats.  filter_band is the band the stationarity system's filter leaves
 (see wiener_hopf), whose root inside the unit circle is the minimizer's
 boundary-layer ratio mu, for float64 and Decimal arguments alike.  This
 module, like norm, runs on the standard library alone: `import optquad`,
-the norm report and `validate` load no numpy.
+the norm report and `validate` load no numpy, and, since SpectralConstants
+is a namedtuple, no dataclasses.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "DENSE_MAX_N",
@@ -117,14 +118,8 @@ def pow_q(q: float, n: int) -> float:
     return result
 
 
-@dataclass(frozen=True)
-class SpectralConstants:
-    n: int
-    h: float
-    lambda1: float
-    q: float
-    k: float
-    k_scaled: float
+SpectralConstants = namedtuple("SpectralConstants", ["n", "h", "lambda1", "q", "k", "k_scaled"])
+SpectralConstants.__doc__ = "The grid size and step, lambda1, q = 1/lambda1, K and Kscaled of one grid."
 
 
 def _shape_factor(h: float) -> float:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import sys
@@ -530,8 +529,8 @@ def test_kernel_form_matches_the_o_n_quadratic_form(n):
     rng = random.Random(n)
     with localcontext(_CONTEXT):
         sol = _exact_solution(n)
-        trial = dataclasses.replace(
-            sol, amplitudes=tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in sol.amplitudes))
+        trial = sol._replace(
+            amplitudes=tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in sol.amplitudes))
         value = _kernel_form(trial)
     with mp.workdps(DPS):
         c = piece_weights(trial)
