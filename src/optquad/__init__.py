@@ -1,31 +1,30 @@
 """Optimal uniform-grid quadrature on [0,1] for the seminorm |f''+f'|_L2.
 
-Weights from the printed closed form and from the O(n) stationarity-system
-solve, four cross-validated evaluations of the squared error-functional
-norm, and a CLI for reproducible reports.
+Weights from the printed closed form and from the exact solve of the
+stationarity system, four cross-validated evaluations of the squared
+error-functional norm, and a CLI for reproducible reports.
 
-`import optquad` loads the standard library alone: the norm report, the
-printed rule's norm and spectral constants are bound here on import.  Their
-records (NormReport, MultiplierPair, SpectralConstants) are namedtuples,
-read with _asdict(), _replace() and _fields, so the import loads no
-dataclasses, and with it no inspect, ast, dis or tokenize, either.  The
-names backed by numpy arrays (weights as arrays, the kernel, the float64
-system solve and the quadrature audits) are imported from their modules on
-first access, through the module __getattr__ below, and that first access
-loads numpy.
+`import optquad` loads the standard library alone: the norm report and
+its routes, the system's exact minimizer, the printed rule's norm and
+spectral constants are bound here on import.  Their records (NormReport,
+SpectralConstants) are namedtuples, read with _asdict(), _replace() and
+_fields, so the import loads no dataclasses, and with it no inspect, ast,
+dis or tokenize, either.  The names backed by numpy arrays (weights as
+arrays, the kernel, the system solution with its residual and the
+quadrature audits) are imported from their modules on first access,
+through the module __getattr__ below, and that first access loads numpy.
 """
 import importlib
 
 from .norm import (
-    MultiplierPair,
     NormReport,
     build_report,
     closed_rule_norm,
     double_moment,
     geometric_sums,
     minimizer_audit,
+    minimizer_weights,
     multiplier_routes,
-    multipliers_closed_form,
     norm_theorem2,
 )
 from .spectral import DENSE_MAX_N, SpectralConstants, constants, lambda1
@@ -39,10 +38,8 @@ __all__ = [
     "ErrorCheck",
     "IntegrationBudgetError",
     "IntegrationResult",
-    "MultiplierPair",
     "NormReport",
     "QuadratureRule",
-    "SingularSystemError",
     "SpectralConstants",
     "SystemSolution",
     "TestFunction",
@@ -59,14 +56,13 @@ __all__ = [
     "lambda1",
     "make_rule",
     "minimizer_audit",
+    "minimizer_weights",
     "moment",
     "multiplier_routes",
-    "multipliers_closed_form",
     "norm_theorem2",
     "optimal_coefficients",
     "psi",
     "solve_uniform",
-    "solve_weights",
     "sobolev_seminorm",
 ]
 
@@ -76,7 +72,7 @@ _ARRAY_MODULES = {
     "kernel": ("IntegrationBudgetError", "IntegrationResult", "integrate_adaptive", "moment", "psi"),
     "quadrature": ("CATALOG", "ConvergenceRow", "ErrorCheck", "TestFunction", "apply_rule",
                    "convergence_table", "error_check", "sobolev_seminorm"),
-    "wiener_hopf": ("SingularSystemError", "SystemSolution", "solve_uniform", "solve_weights"),
+    "wiener_hopf": ("SystemSolution", "solve_uniform"),
 }
 _ARRAY_NAMES = {name: module for module, names in _ARRAY_MODULES.items() for name in names}
 

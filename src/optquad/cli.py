@@ -9,12 +9,11 @@ byte-identical output.  `main` may be called repeatedly in one process, and
 it builds its parser once.
 
 The module imports the standard library and the numpy-free modules (norm,
-spectral) alone, so `norm --methods all|quadform|theorem2` and `validate`
-run without numpy, and without dataclasses: the report is a namedtuple.
-The handlers that build O(n) float64 arrays (coeffs, apply, convergence,
-and norm's multiplier|expanded routes inside norm) import the array
-modules where they run, and apply and convergence import dataclasses'
-asdict for their records.
+spectral) alone, so `norm` and `validate` run without numpy, and without
+dataclasses: the report is a namedtuple.  The handlers that build O(n)
+float64 arrays (coeffs, apply, convergence) import the array modules where
+they run, and apply and convergence import dataclasses' asdict for their
+records.
 """
 from __future__ import annotations
 
@@ -225,9 +224,10 @@ def cmd_norm(args) -> int:
     elif args.methods == "theorem2":
         payload["via_theorem2"] = norm_theorem2(n)
     else:
-        source, value = multiplier_routes(n, args.methods)
-        payload["multiplier_source"] = source
-        payload["via_multipliers" if args.methods == "multiplier" else "via_expanded"] = value
+        # the report's field: its routes 2 and 3 read the system's solution too
+        payload["multiplier_source"] = "dense_solve"
+        key = "via_multipliers" if args.methods == "multiplier" else "via_expanded"
+        payload[key] = multiplier_routes(n, args.methods)
     _emit(payload, args.format, args.out)
     return 0
 
@@ -325,8 +325,9 @@ def cmd_apply(args) -> int:
     from .quadrature import error_check
 
     f = _catalog_function(args.function)
+    norm_sq = closed_rule_norm(args.n)  # rejects n before the O(n) weights are built
     rule = optimal_coefficients(args.n)
-    check = error_check(rule, f, closed_rule_norm(args.n))
+    check = error_check(rule, f, norm_sq)
     payload = {"command": "apply", "function": args.function, "n": args.n, "h": rule.h}
     payload.update(asdict(check))
     _emit(payload, args.format, args.out)

@@ -48,15 +48,14 @@ The printed rule has the same pieces with q = 1/lambda1 for mu, so its
 norm (closed_rule_norm) is route 1 from the same sums, and
 coefficient_max_deviation reads both float64 weight sets, in Python
 floats, on the end windows only, where their float64 boundary layers have
-not yet underflowed.  Routes 2 and 3 behind
-their public entry multiplier_routes(n, method) run in float64, one route
-per call, on the weights of solve_weights, which skips the residual that
-only `coeffs --method system` prints (or, above the cap, on the printed
-rule and its printed multipliers); route 3's formula serves both
-precisions.  Those float64 routes import numpy and the array modules where
-they run; the rest of the module, and with it `norm --methods
-all|quadform|theorem2`, runs on the standard library alone.  Its records
-are namedtuples, so it does not load dataclasses (nor inspect, which that
+not yet underflowed.  The same solve serves every caller that needs the
+system's solution: multiplier_routes(n, method), behind `norm --methods
+multiplier|expanded`, forms route 2 or route 3 of it alone, written once
+with the report, so it prints the report's own values; minimizer_weights
+steps its weights out over the grid in float64 for `coeffs --method
+system` (wiener_hopf.solve_uniform).  The module runs on the standard
+library alone, and so do `norm` and `validate`.  Its records are
+namedtuples, so it does not load dataclasses (nor inspect, which that
 imports) either.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
@@ -71,18 +70,17 @@ from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 from ._expsums import ONE, ExpSums
-from .spectral import DENSE_MAX_N, closed_weights, constants, filter_band, layer_width, pow_q
+from .spectral import closed_weights, constants, filter_band, layer_width, pow_q
 
 __all__ = [
-    "MultiplierPair",
     "NormReport",
     "build_report",
     "closed_rule_norm",
     "double_moment",
     "geometric_sums",
     "minimizer_audit",
+    "minimizer_weights",
     "multiplier_routes",
-    "multipliers_closed_form",
     "norm_theorem2",
 ]
 
@@ -117,18 +115,19 @@ def double_moment(kind=float):
 # widest decimal allows.
 _DIGITS = 56
 _CONTEXT = Context(prec=_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
-# the routes' constant term, summed once: in float64 for the float routes,
-# and in the working digits for the exact ones
-_DOUBLE_MOMENT_FLOAT = double_moment()
-with localcontext(_CONTEXT):
-    _DOUBLE_MOMENT = double_moment(Decimal)
+
+
+def _working_double_moment() -> Decimal:
+    """double_moment in the working digits: the routes' constant term."""
+    with localcontext(_CONTEXT):
+        return double_moment(Decimal)
+
+
+_DOUBLE_MOMENT = _working_double_moment()  # summed once
 
 # The records are namedtuples, not dataclasses: the dataclasses module
 # imports inspect and through it ast, dis and tokenize, about 10 ms of a
 # cold `import optquad`.  Read them with _asdict(), _replace() and _fields.
-MultiplierPair = namedtuple("MultiplierPair", ["d", "b0"])
-MultiplierPair.__doc__ = "Lagrange multipliers d and b0 of the stationarity system."
-
 NormReport = namedtuple("NormReport", [
     "n",
     "h",
@@ -158,27 +157,6 @@ def _verdict(d_mult: float, d_expanded: float, d_thm2: float) -> str:
             return "consistent"
         return "theorem2_discrepant"
     return "inconsistent"
-
-
-# ----------------------------------------------------------- routes 2 and 3
-
-
-def _expanded_route(b0, d, s_ep, s_x, s_xx, dm, fsum, e):
-    """Route 3 from sum C e^x, sum C x and sum C x^2, in e's type.
-
-    Either float64 with math.fsum and e = math.e, or Decimal with _fsum and
-    a Decimal e.
-    """
-    return fsum([
-        -b0,
-        (1 - e) / e * d,
-        -(e + 1) / (4 * e) * s_ep,
-        -(1 + e) / 4 * (1 - 1 / e),
-        type(e)(5) / 4,
-        s_xx / 2,
-        -s_x / 2,
-        dm,
-    ])
 
 
 # ----------------------------------------------------------------- route 4
@@ -232,68 +210,6 @@ def norm_theorem2(n: int) -> float:
     return lead + h_block + t1 + t2 + t3
 
 
-# ------------------------------------------------------- closed multipliers
-
-
-def _exp_and_lag_sums(rule) -> tuple[float, float]:
-    """(sum C e^x, sum C x) of a QuadratureRule, compensated.
-
-    d and b0 above the cap and route 3 read them.
-    """
-    import numpy as np
-
-    c, x = rule.coefficients, rule.nodes
-    # a memoryview hands fsum Python floats one at a time, with no list of them
-    return math.fsum(memoryview(c * np.exp(x))), math.fsum(memoryview(c * x))
-
-
-def multipliers_closed_form(rule, sums=None) -> MultiplierPair:
-    """The printed closed forms for d and b0 of rule = optimal_coefficients(n), q-safe.
-
-    The printed forms carry the amplitudes A = K (e^h - lam) = -Kscaled a q^N
-    and B = K (1 - lam e^h) = -Kscaled b q^N.  Exact rewrites
-    (a = 1 - e^h q, b = e^h - q):
-
-      A lam e^h / (1 - lam e^h)   =  Kscaled a q^N e^h / b
-      B lam^N e^h / (lam - e^h)   = -Kscaled b q   e^h / a
-      h A lam / (1 - lam)^2       = -h Kscaled a q^(N+1) / (1-q)^2
-      h B lam^(N+1) / (1-lam)^2   = -h Kscaled b q       / (1-q)^2
-
-    The d value produced by the printed formula does not reproduce the
-    dense-solve multiplier (the b0 value does); callers compare, they must
-    not assume equality.  sums is (sum C e^x, sum C x) of rule if the caller
-    has formed them already (multiplier_routes), else they are formed here.
-    """
-    n = rule.n
-    sc = constants(n)
-    h, q, ks = sc.h, sc.q, sc.k_scaled
-    eh = math.exp(h)
-    em1 = math.expm1(h)
-    e = math.e
-    qn = pow_q(q, n)
-    a = 1.0 - eh * q
-    b = eh - q
-
-    c = rule.coefficients
-    s_exp, s_x = _exp_and_lag_sums(rule) if sums is None else sums
-
-    # h e^h / (1 - e^h) = -h e^h / expm1(h)
-    d = (
-        c[0] / 2.0
-        + 0.5 * (-h * eh / em1 + ks * a * qn * eh / b - ks * b * q * eh / a)
-        - s_exp / 4.0
-        + (1.0 + e) / 4.0
-    )
-    # h (1 + e^h) / (2 (1 - e^h)) = -h (1 + e^h) / (2 expm1(h))
-    minus_b0 = (
-        -h * (1.0 + eh) / (2.0 * em1)
-        - h * ks * (a * pow_q(q, n + 1) + b * q) / (1.0 - q) ** 2
-        - s_x / 2.0
-        + 1.25
-    )
-    return MultiplierPair(d=d, b0=-minus_b0)
-
-
 # --------------------------------------------------------- geometric sums
 
 
@@ -317,51 +233,6 @@ def geometric_sums(lam: float, n: int) -> tuple[float, float]:
         lam * lam + lam
     ) / cube
     return s1, s2
-
-
-def _float_route(rule, pair: MultiplierPair, method: str, sums=None) -> float:
-    """Route 2 ("multiplier") or route 3 ("expanded") of a rule and its multipliers, in float64.
-
-    Route 3 reads sums, (sum C e^x, sum C x) of rule, and forms them if it is None.
-    """
-    import numpy as np
-
-    from .kernel import moment
-
-    c, x = rule.coefficients, rule.nodes
-    dm = _DOUBLE_MOMENT_FLOAT
-    if method == "multiplier":
-        terms = np.concatenate([-c * (np.exp(-x) * pair.d + pair.b0), -c * moment(x), [dm]])
-        return math.fsum(memoryview(terms))
-    s_ep, s_x = _exp_and_lag_sums(rule) if sums is None else sums
-    s_xx = math.fsum(memoryview(c * x * x))
-    return _expanded_route(pair.b0, pair.d, s_ep, s_x, s_xx, dm, math.fsum, math.e)
-
-
-def multiplier_routes(n: int, method: str) -> tuple[str, float]:
-    """Route 2 or route 3 in float64, with the source of its multipliers.
-
-    The one public entry to both routes; method is "multiplier" (route 2)
-    or "expanded" (route 3), and only that route is formed.  For
-    n <= DENSE_MAX_N the system's solution (solve_weights, which forms no
-    residual) supplies the rule and the multipliers ("dense_solve"); above
-    the cap the printed closed-form weights and multipliers are inserted
-    verbatim ("closed_form").  Neither is rechecked against the system;
-    the printed pair does not solve it (see multipliers_closed_form).
-    Returns (multiplier_source, value).  These float64 routes are the only
-    part of the module that loads numpy.
-    """
-    from .coefficients import make_rule, optimal_coefficients
-    from .wiener_hopf import solve_weights
-
-    if method not in ("multiplier", "expanded"):
-        raise ValueError(f"method must be 'multiplier' or 'expanded', got {method!r}")
-    if n <= DENSE_MAX_N:
-        nodes, c, b0, d = solve_weights(n)
-        return "dense_solve", _float_route(make_rule(nodes, c), MultiplierPair(d=d, b0=b0), method)
-    rule = optimal_coefficients(n)
-    sums = _exp_and_lag_sums(rule)  # the printed d and b0 read them, and so does route 3
-    return "closed_form", _float_route(rule, multipliers_closed_form(rule, sums), method, sums)
 
 
 # ------------------------------------------------------------- the report
@@ -457,9 +328,9 @@ def _exact_solution(n: int) -> _ExactSolution:
     """The exact minimizer of the uniform system in the working decimal context; O(1) per n.
 
     From n = 4 the interior weights h + A mu^(b-1) + B mu^(n-1-b) meet
-    every filtered row of wiener_hopf's O(n) solve exactly, with mu from
-    filter_band in decimal.  c_0, c_n, A, B, b0 and d then solve four kernel
-    rows and the two constraints, a 6 x 6 system whose entries are
+    every filtered row of the system (see wiener_hopf) exactly, with mu
+    from filter_band in decimal.  c_0, c_n, A, B, b0 and d then solve four
+    kernel rows and the two constraints, a 6 x 6 system whose entries are
     closed-form sums (ExpSums).  Once the filtered rows hold, the kernel
     rows' residual is a combination of 1, x, e^x and e^-x over the nodes,
     which vanishes when it vanishes at any four nodes, so any four rows
@@ -578,13 +449,40 @@ def _route1(sol: _ExactSolution, s_m):
     return _fsum([_kernel_form(sol), -2 * s_m, _DOUBLE_MOMENT])
 
 
+def _route2(sol: _ExactSolution, moments):
+    """Route 2, the multiplier form of sol and its multipliers, given _moment_sums(sol)."""
+    s_c, _, s_en, _, _, s_m = moments
+    return _fsum([-sol.d * s_en, -sol.b0 * s_c, -s_m, _DOUBLE_MOMENT])
+
+
+def _route3(sol: _ExactSolution, moments):
+    """Route 3, the expanded form of sol and its multipliers, given _moment_sums(sol).
+
+    Route 2 with the moment sum written out through sum c e^x, sum c x,
+    sum c x^2 and the two constraints.
+    """
+    _, s_ep, _, s_x, s_xx, _ = moments
+    e = sol.sums.exp(sol.sums.n)
+    return _fsum([
+        -sol.b0,
+        (1 - e) / e * sol.d,
+        -(e + 1) / (4 * e) * s_ep,
+        -(1 + e) / 4 * (1 - 1 / e),
+        Decimal(5) / 4,
+        s_xx / 2,
+        -s_x / 2,
+        _DOUBLE_MOMENT,
+    ])
+
+
+# the reduction routes by their `norm --methods` names
+_REDUCED_ROUTES = {"multiplier": _route2, "expanded": _route3}
+
+
 def _exact_routes(sol: _ExactSolution):
     """Routes 1-3 on the exact solution, in decimal, from closed-form sums."""
-    s_c, s_ep, s_en, s_x, s_xx, s_m = _moment_sums(sol)
-    mult = _fsum([-sol.d * s_en, -sol.b0 * s_c, -s_m, _DOUBLE_MOMENT])
-    expanded = _expanded_route(sol.b0, sol.d, s_ep, s_x, s_xx, _DOUBLE_MOMENT, _fsum,
-                               sol.sums.exp(sol.sums.n))
-    return _route1(sol, s_m), mult, expanded
+    moments = _moment_sums(sol)
+    return _route1(sol, moments[-1]), _route2(sol, moments), _route3(sol, moments)
 
 
 def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> list[float]:
@@ -654,21 +552,59 @@ def _coefficient_max_deviation(sol: _ExactSolution, printed=None) -> float:
     return max(_max_gap(sol, first, last, closed_weights(sc, first, last)) for first, last in windows)
 
 
+# Route 1 loses about 4 log10 n + 3 of the working digits: against the
+# same closed forms in 90 digits it is 2.8e-29 relative off at n = 10^6,
+# 1.0e-21 at 10^8 and 3.6e-18 at 10^9, but 5.4e-13 at 10^10 and 3.2e-9 at
+# 10^11, past what a float64 result may carry.  Routes 2 and 3 cancel their
+# terms down to the same h^4/720.
+_MAX_N = 10**9
+
+
+def _check_n(n: int, what: str) -> None:
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"{what} is evaluated for 1 <= n <= 10^9, got {n}")
+
+
 def closed_rule_norm(n: int) -> float:
     """Squared norm of the printed rule optimal_coefficients(n), exact, in O(1).
 
     Route 1 of _printed_solution, from the closed-form sums the report
     takes for the minimizer.  Raises ValueError unless 1 <= n <= 10^9.
     """
-    # Route 1 loses about 4 log10 n + 3 of the working digits: against the
-    # same closed forms in 90 digits it is 2.8e-29 relative off at n = 10^6,
-    # 1.0e-21 at 10^8 and 3.6e-18 at 10^9, but 5.4e-13 at 10^10 and 3.2e-9
-    # at 10^11, past what a float64 result may carry.
-    if not 1 <= n <= 10**9:
-        raise ValueError(f"the printed rule's norm is evaluated for 1 <= n <= 10^9, got {n}")
+    _check_n(n, "the printed rule's norm")
     with localcontext(_CONTEXT):
         sol = _printed_solution(n)
         return float(_route1(sol, _moment_sums(sol)[-1]))
+
+
+def minimizer_weights(n: int) -> tuple[list[float], float, float]:
+    """(c, b0, d): the exact minimizer's weights at the nodes 0..n and its multipliers, in float64.
+
+    The 56-digit solve of _exact_solution, O(1), with its weights stepped
+    out over the grid in float64 (_float_weights_on), O(n), and b0 and d
+    each rounded once.  wiener_hopf.solve_uniform reads them.
+    """
+    with localcontext(_CONTEXT):
+        sol = _exact_solution(n)
+        return _float_weights_on(sol, 0, n), float(sol.b0), float(sol.d)
+
+
+def multiplier_routes(n: int, method: str) -> float:
+    """Route 2 ("multiplier") or route 3 ("expanded") of the exact minimizer; O(1).
+
+    The one public entry to the two reduction routes, one per call: only
+    the route that method names is formed, from the 56-digit solve and
+    sums that give build_report its via_multipliers and via_expanded, so
+    it returns the same float.  Raises ValueError on another method, or
+    unless 1 <= n <= 10^9.
+    """
+    route = _REDUCED_ROUTES.get(method)
+    if route is None:
+        raise ValueError(f"method must be 'multiplier' or 'expanded', got {method!r}")
+    _check_n(n, f"the {method} route")
+    with localcontext(_CONTEXT):
+        sol = _exact_solution(n)
+        return float(route(sol, _moment_sums(sol)))
 
 
 def minimizer_audit(n: int, printed=None) -> dict:

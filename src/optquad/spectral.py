@@ -46,8 +46,8 @@ __all__ = [
     "pow_q",
 ]
 
-# Largest uniform grid, in subintervals, that the float64 system solve
-# (wiener_hopf.solve_uniform) and `validate` accept.
+# Largest uniform grid, in subintervals, that the system solution with its
+# O(n^2) residual (wiener_hopf.solve_uniform) and `validate` accept.
 DENSE_MAX_N = 513
 
 _SEAM = 0.25

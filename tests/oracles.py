@@ -2,9 +2,11 @@
 
 The double-precision counterpart of highprec.py.  build_system assembles
 the stationarity system for arbitrary strictly increasing nodes in [0,1]
-and solve_dense factors it in O(count^3), through the same row-equilibrated
-LAPACK solve (and SingularSystemError checks) as optquad's O(n)
-solve_uniform.  norm_quadratic_form sums the kernel quadratic form of any
+and solve_dense factors it in O(count^3), through a row-equilibrated
+LAPACK solve that raises SingularSystemError on a system singular to
+working precision.  multipliers_closed_form is the printed closed form of
+the multipliers d and b0, implemented verbatim as a formula under test
+(README defect 3).  norm_quadratic_form sums the kernel quadratic form of any
 rule, feasible or not, in O(count^2); norm_peano integrates the Peano
 kernel of any feasible rule in O(count), the float64 check on optquad's
 exact closed_rule_norm.  float_weights spells out every float64 weight of
@@ -15,14 +17,42 @@ weights, which the package forms in Python floats.  trapezoid_rule is a
 deliberately suboptimal comparison rule.
 """
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from optquad.coefficients import QuadratureRule, constraint_residuals
 from optquad.kernel import moment, psi
 from optquad.norm import double_moment
-from optquad.spectral import layer_width, pow_q
-from optquad.wiener_hopf import SystemSolution, _equilibrated_solve
+from optquad.spectral import constants, layer_width, pow_q
+from optquad.wiener_hopf import SystemSolution
+
+_RCOND_FLOOR = float(np.finfo(float).eps)
+
+
+class SingularSystemError(ValueError):
+    """The system is singular to working precision."""
+
+
+def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve by LAPACK after scaling every row to unit max-norm.
+
+    SingularSystemError is raised on an identically zero row, on a singular
+    LU factor, or when the 1-norm reciprocal condition number of the
+    equilibrated matrix is below machine epsilon.
+    """
+    scale = np.abs(matrix).max(axis=1)
+    if not np.all(scale > 0.0):
+        raise SingularSystemError("system has an identically zero row")
+    a = matrix / scale[:, None]
+    try:
+        x = np.linalg.solve(a, rhs / scale)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"LAPACK: {exc}") from None
+    rcond = 1.0 / np.linalg.cond(a, 1)
+    if rcond < _RCOND_FLOOR:
+        raise SingularSystemError(f"reciprocal condition number {rcond:.3e} below {_RCOND_FLOOR:.3e}")
+    return x
 
 
 def build_system(nodes) -> tuple[np.ndarray, np.ndarray]:
@@ -52,8 +82,8 @@ def build_system(nodes) -> tuple[np.ndarray, np.ndarray]:
 def solve_dense(nodes) -> SystemSolution:
     """Assemble the system on nodes and solve it densely; O(count^3).
 
-    The solve is wiener_hopf's _equilibrated_solve, with its
-    SingularSystemError; the residual is recomputed explicitly.
+    The solve is _equilibrated_solve, with its SingularSystemError; the
+    residual is recomputed explicitly.
     """
     nodes = np.asarray(nodes, dtype=float)
     matrix, rhs = build_system(nodes)
@@ -66,6 +96,55 @@ def solve_dense(nodes) -> SystemSolution:
         d=float(x[n + 1]),
         residual_inf=float(np.abs(matrix @ x - rhs).max()),
     )
+
+
+MultiplierPair = namedtuple("MultiplierPair", ["d", "b0"])
+
+
+def multipliers_closed_form(rule) -> MultiplierPair:
+    """The printed closed forms for d and b0 of rule = optimal_coefficients(n), q-safe.
+
+    The printed forms carry the amplitudes A = K (e^h - lam) = -Kscaled a q^N
+    and B = K (1 - lam e^h) = -Kscaled b q^N.  Exact rewrites
+    (a = 1 - e^h q, b = e^h - q):
+
+      A lam e^h / (1 - lam e^h)   =  Kscaled a q^N e^h / b
+      B lam^N e^h / (lam - e^h)   = -Kscaled b q   e^h / a
+      h A lam / (1 - lam)^2       = -h Kscaled a q^(N+1) / (1-q)^2
+      h B lam^(N+1) / (1-lam)^2   = -h Kscaled b q       / (1-q)^2
+
+    The d value produced by the printed formula does not reproduce the
+    system's multiplier (the b0 value does); callers compare, they must
+    not assume equality.
+    """
+    n = rule.n
+    sc = constants(n)
+    h, q, ks = sc.h, sc.q, sc.k_scaled
+    eh = math.exp(h)
+    em1 = math.expm1(h)
+    e = math.e
+    qn = pow_q(q, n)
+    a = 1.0 - eh * q
+    b = eh - q
+
+    c, x = rule.coefficients, rule.nodes
+    s_exp, s_x = math.fsum(c * np.exp(x)), math.fsum(c * x)
+
+    # h e^h / (1 - e^h) = -h e^h / expm1(h)
+    d = (
+        c[0] / 2.0
+        + 0.5 * (-h * eh / em1 + ks * a * qn * eh / b - ks * b * q * eh / a)
+        - s_exp / 4.0
+        + (1.0 + e) / 4.0
+    )
+    # h (1 + e^h) / (2 (1 - e^h)) = -h (1 + e^h) / (2 expm1(h))
+    minus_b0 = (
+        -h * (1.0 + eh) / (2.0 * em1)
+        - h * ks * (a * pow_q(q, n + 1) + b * q) / (1.0 - q) ** 2
+        - s_x / 2.0
+        + 1.25
+    )
+    return MultiplierPair(d=d, b0=-minus_b0)
 
 
 def norm_quadratic_form(rule: QuadratureRule) -> float:

@@ -337,21 +337,10 @@ def test_quadform_norm_builds_no_weights(capsys):
     assert peak < 2**20, peak
 
 
-@pytest.mark.parametrize(
-    "argv, residuals, full_moments",
-    [
-        (("norm", "--methods", "multiplier", "--n", "512"), 0, 1),
-        (("norm", "--methods", "expanded", "--n", "384"), 0, 0),
-        (("coeffs", "--method", "system", "--n", "512"), 1, 1),
-    ],
-)
-def test_multiplier_routes_skip_work_nothing_prints(monkeypatch, capsys, argv, residuals,
-                                                   full_moments):
-    # the residual in the unfiltered system (one O(n^2) convolution and one
-    # moment over every node) is printed by `coeffs --method system` only,
-    # and `norm` forms only the route it prints: route 2 takes one moment
-    # over every node, route 3 none
-    n = int(argv[-1])
+def test_coeffs_system_forms_the_residual_once(monkeypatch, capsys):
+    # the residual in the unfiltered system that `coeffs --method system`
+    # prints takes one O(n^2) convolution and one moment over every node
+    n = 512
     calls = {"convolve": 0, "moment": 0}
 
     def counted(name, fn, full=lambda *args: True):
@@ -367,8 +356,46 @@ def test_multiplier_routes_skip_work_nothing_prints(monkeypatch, capsys, argv, r
         if module is not None and module.__name__.startswith("optquad") \
                 and getattr(module, "moment", None) is moment:
             monkeypatch.setattr(module, "moment", full_moment)
-    assert run_cli(capsys, *argv)[0] == 0
-    assert calls == {"convolve": residuals, "moment": full_moments}
+    assert run_cli(capsys, "coeffs", "--method", "system", "--n", str(n))[0] == 0
+    assert calls == {"convolve": 1, "moment": 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 512, 513, 514, 600, 10**6, 10**7])
+def test_single_routes_print_the_report_values(capsys, n):
+    # one evaluator: `norm --methods multiplier|expanded` prints route 2 or 3
+    # of the report's own exact solve, the same bits on both sides of the
+    # system-solve cap, and a positive squared norm at every n
+    code, out, _ = run_cli(capsys, "norm", "--n", str(n))
+    assert code == 0
+    report = json.loads(out)
+    for methods, key in (("multiplier", "via_multipliers"), ("expanded", "via_expanded")):
+        code, out, _ = run_cli(capsys, "norm", "--methods", methods, "--n", str(n))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["multiplier_source"] == report["multiplier_source"] == "dense_solve"
+        assert payload[key].hex() == report[key].hex(), (methods, n)
+        assert payload[key] > 0.0, (methods, n)
+
+
+def test_apply_rejects_n_before_building_the_weights(monkeypatch, capsys):
+    # past the norm's 10^9 the printed weights alone would take 8 GB
+    from optquad import coefficients
+
+    assert run_cli(capsys, "apply", "--n", "8", "--function", "sin")[0] == 0  # warm the imports
+
+    def refused(n):
+        raise AssertionError(f"optimal_coefficients({n})")
+
+    monkeypatch.setattr(coefficients, "optimal_coefficients", refused)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "apply", "--n", "1000000001", "--function", "sin")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "1 <= n <= 10^9" in err
+    assert peak < 2**20, peak
 
 
 def test_the_parser_is_built_once(monkeypatch, capsys):

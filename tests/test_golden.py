@@ -35,6 +35,7 @@ CASES = {
     "norm_n16_multiplier.json": (["norm", "--n", "16", "--methods", "multiplier"], 0),
     "norm_n16_expanded.json": (["norm", "--n", "16", "--methods", "expanded"], 0),
     "norm_n600_multiplier.json": (["norm", "--n", "600", "--methods", "multiplier"], 0),
+    "norm_n1000000_multiplier.json": (["norm", "--n", "1000000", "--methods", "multiplier"], 0),
     # the benchmark's oracle ops
     "coeffs_system_n512.json": (["coeffs", "--method", "system", "--n", "512"], 0),
     "coeffs_system_n256.csv": (["coeffs", "--method", "system", "--n", "256", "--format", "csv"], 0),

@@ -19,13 +19,13 @@ from optquad.norm import (
     closed_rule_norm,
     geometric_sums,
     multiplier_routes,
-    multipliers_closed_form,
     norm_theorem2,
     _CONTEXT,
     _coefficient_max_deviation,
     _exact_routes,
     _exact_solution,
     _float_weights_on,
+    _gauss_solve,
     _kernel_form,
     _moment_sums,
     _printed_solution,
@@ -45,7 +45,7 @@ from highprec import (
     theorem2_ref,
 )
 import oracles
-from oracles import norm_peano, norm_quadratic_form, trapezoid_rule
+from oracles import multipliers_closed_form, norm_peano, norm_quadratic_form, trapezoid_rule
 
 QF_CLOSED_N2 = 2.7556816080848494e-4
 QF_DENSE_N2 = 1.9522972545191564e-4
@@ -97,68 +97,57 @@ def test_quadratic_form_order_independent():
 def test_via_multipliers_matches_quadratic_form_on_dense_pair():
     # route 2 of multiplier_routes against the O(n^2) oracle on the same dense rule
     for n in (1, 2, 3, 5, 8, 16):
-        source, mult = multiplier_routes(n, "multiplier")
-        assert source == "dense_solve", n
+        mult = multiplier_routes(n, "multiplier")
         qf = norm_quadratic_form(_system_rule(n))
         assert abs(qf - mult) / qf <= 1e-8, n
     # the two constraints alone fix the n = 1 rule
     qf1 = norm_quadratic_form(_system_rule(1))
-    assert abs(qf1 - multiplier_routes(1, "multiplier")[1]) / QF_CLOSED_N1 <= 1e-10
+    assert abs(qf1 - multiplier_routes(1, "multiplier")) / QF_CLOSED_N1 <= 1e-10
 
 
 def test_via_multipliers_frozen_value():
-    assert multiplier_routes(2, "multiplier")[1] == pytest.approx(QF_DENSE_N2, rel=1e-10)
+    assert multiplier_routes(2, "multiplier") == pytest.approx(QF_DENSE_N2, rel=1e-10)
 
 
 def test_expanded_matches_multiplier_route():
     for n in (1, 2, 3, 5, 8, 16):
-        a, b = (multiplier_routes(n, method)[1] for method in ("multiplier", "expanded"))
+        a, b = (multiplier_routes(n, method) for method in ("multiplier", "expanded"))
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a) / 1e-8), n
-
-
-def test_multiplier_routes_source_switches_at_dense_cap():
-    for method in ("multiplier", "expanded"):
-        assert multiplier_routes(DENSE_MAX_N, method)[0] == "dense_solve"
-        assert multiplier_routes(DENSE_MAX_N + 1, method)[0] == "closed_form"
 
 
 def test_multiplier_routes_rejects_other_routes():
     for method in ("all", "quadform", "theorem2", ""):
         with pytest.raises(ValueError):
             multiplier_routes(16, method)
+    # the routes cancel down to h^4/720 as route 1 does, so they share its range
+    for n in (0, 10**9 + 1):
+        with pytest.raises(ValueError, match="1 <= n <= 10"):
+            multiplier_routes(n, "multiplier")
 
 
-def test_multiplier_routes_builds_the_closed_rule_once(monkeypatch):
-    calls = []
+def test_norm_routes_build_no_printed_rule(monkeypatch):
+    # the single routes and the report read the system's exact solution and
+    # the printed weights on their end windows only (spectral.closed_weights),
+    # so neither builds the printed rule as an array
+    def refused(n):
+        raise AssertionError(f"optimal_coefficients({n})")
 
-    def counted(n):
-        calls.append(n)
-        return optimal_coefficients(n)
-
-    # multiplier_routes imports the array modules where it runs, so the
-    # rule is counted at its defining module
-    monkeypatch.setattr(coefficients, "optimal_coefficients", counted)
-    multiplier_routes(DENSE_MAX_N + 1, "multiplier")
-    assert calls == [DENSE_MAX_N + 1]
-    calls.clear()
-    # the report reads the printed weights on its end windows only
-    # (spectral.closed_weights), so it builds no printed rule at all
+    monkeypatch.setattr(coefficients, "optimal_coefficients", refused)
+    for method in ("multiplier", "expanded"):
+        multiplier_routes(DENSE_MAX_N + 1, method)
     build_report(DENSE_MAX_N + 1)
-    assert calls == []
 
 
 @pytest.mark.parametrize("n", [2, 16, DENSE_MAX_N])
 def test_build_report_factors_its_system_once(monkeypatch, capsys, n):
-    # every uniform-grid path solves through solve_uniform, whose LAPACK
-    # solve condition-estimates every matrix it factors, at most a 6 x 6
-    # bordered one, or through the report's 6 x 6 mp solve: the dense
-    # (n+3)-size system is never factored
-    def small_cond(a, *args):
-        assert np.shape(a)[0] <= 6, np.shape(a)
-        return plain_cond(a, *args)
+    # every uniform-grid path solves the 6 x 6 bordered system in decimal,
+    # once: numpy's LAPACK is never called, so the dense (n+3)-size system
+    # is never factored
+    def refused(*args):
+        raise AssertionError("np.linalg called")
 
-    plain_cond = np.linalg.cond
-    monkeypatch.setattr(np.linalg, "cond", small_cond)
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    monkeypatch.setattr(np.linalg, "cond", refused)
     build_report(n)
     for argv in (
         ["coeffs", "--method", "system"],
@@ -170,23 +159,28 @@ def test_build_report_factors_its_system_once(monkeypatch, capsys, n):
     capsys.readouterr()
 
 
+def test_gauss_solve_raises_on_a_zero_pivot():
+    # the decimal bordered solve has no condition check of its own: a
+    # singular matrix ends in a decimal ArithmeticError, which the CLI
+    # reports with exit 2
+    with localcontext(_CONTEXT):
+        with pytest.raises(ArithmeticError):
+            _gauss_solve([[Decimal(1), Decimal(1)], [Decimal(1), Decimal(1)]], [Decimal(1)] * 2)
+
+
 @pytest.mark.parametrize("n", [1, 2, 8, 16])
 def test_float64_routes_agree_with_the_40_digit_report(n):
-    # float64 on the dense solve against 50 digits on the exact solve;
-    # measured worst 6.1e-9 relative, at n = 16
-    mult, expanded = (multiplier_routes(n, method)[1] for method in ("multiplier", "expanded"))
+    # one evaluator: the single routes are the report's, bit for bit
+    mult, expanded = (multiplier_routes(n, method) for method in ("multiplier", "expanded"))
     report = build_report(n)
-    assert abs(mult - report.via_multipliers) <= 1e-7 * report.via_multipliers
-    assert abs(expanded - report.via_expanded) <= 1e-7 * report.via_expanded
+    assert (mult, expanded) == (report.via_multipliers, report.via_expanded)
 
 
 def test_float64_multiplier_route_near_the_cap():
-    # the route cancels terms near 1e-2 down to about 2e-14 at n = 512, so
-    # every 1e-16 of solve residual or rounded constant shows: measured
-    # worst 1.2e-4, at n = 511 (6.0e-3 at n = 512 with the LAPACK solve)
+    # the route cancels terms near 1e-2 down to about 2e-14 here, so any
+    # rounding in the solve behind it shows; it reads the report's own solve
     for n in (383, 384, 511, 512, DENSE_MAX_N):
-        ref = build_report(n).via_multipliers
-        assert abs(multiplier_routes(n, "multiplier")[1] - ref) <= 1e-3 * ref, n
+        assert multiplier_routes(n, "multiplier") == build_report(n).via_multipliers, n
 
 
 def test_expanded_partial_sums_desk_values():

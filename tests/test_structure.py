@@ -3,7 +3,7 @@
 Each module keeps its `_`-prefixed names to itself, every name a module
 lists in `__all__` exists and is reachable from `cli.main`, importing the
 package loads no scipy, a norm report loads no mpmath, and importing the
-package, the numpy-free norm routes and validate load no numpy and no
+package, every norm route and validate load no numpy and no
 dataclasses.  The source is parsed rather than imported where it can be,
 because importing `__main__` runs the CLI.
 """
@@ -137,8 +137,8 @@ def test_norm_report_leaves_mpmath_unloaded():
 
 
 def test_import_norm_report_and_validate_leave_numpy_unloaded():
-    # the report, the printed rule's norm, theorem 2 and validate run on
-    # the standard library; a cold `import numpy` takes about 150 ms, more
+    # every norm route, the report, the printed rule's norm and validate
+    # run on the standard library; a cold `import numpy` takes about 150 ms, more
     # than the interpreter's own start.  Their records are namedtuples:
     # dataclasses imports inspect, and through it ast, dis and tokenize,
     # about 10 ms of a cold `import optquad`.  The array commands still
@@ -149,7 +149,7 @@ def test_import_norm_report_and_validate_leave_numpy_unloaded():
             "    return [m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules]\n"
             "seen = [loaded()]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    for methods in ('all', 'quadform', 'theorem2'):\n"
+            "    for methods in ('all', 'quadform', 'theorem2', 'multiplier', 'expanded'):\n"
             "        assert cli.main(['norm', '--n', '16', '--methods', methods]) == 0\n"
             "    assert cli.main(['validate', '--max-n', '8', '--tol', '1e-9']) == 1\n"
             "    seen.append(loaded())\n"

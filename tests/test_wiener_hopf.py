@@ -1,3 +1,4 @@
+import json
 import math
 from decimal import localcontext
 
@@ -8,16 +9,13 @@ import pytest
 from optquad.coefficients import optimal_coefficients
 from optquad.kernel import moment, psi
 from optquad.norm import _CONTEXT, _exact_solution
+from optquad.cli import main
+from optquad.norm import minimizer_weights
 from optquad.spectral import DENSE_MAX_N, filter_band
-from optquad.wiener_hopf import (
-    SingularSystemError,
-    _equilibrated_solve,
-    solve_uniform,
-    solve_weights,
-)
+from optquad.wiener_hopf import solve_uniform
 
-from highprec import DPS, moment_ref, piece_weights, psi2_ref
-from oracles import build_system, solve_dense
+from highprec import DPS, moment_ref, mp_grid, piece_weights, psi2_ref, psi2_rows
+from oracles import SingularSystemError, _equilibrated_solve, build_system, solve_dense
 
 # Frozen 50-digit dense solution of the uniform 3-node system.
 DENSE_C_N2 = [0.18147809599809316, 0.62654229512702072, 0.19197960887488613]
@@ -131,10 +129,9 @@ def test_filter_leaves_the_band():
 
 
 def test_solve_uniform_is_closer_to_the_minimizer_than_the_dense_solve():
-    # the 56-digit exact minimizer as reference; measured worst 4.5e-11
-    # relative for the O(n) solve against 3.6e-5 for LAPACK, both at n = 513.
-    # Below n = 4 both solve the same small system, and the two differ by
-    # rounding (n = 3: 4.5e-16 against 3.0e-16), so a few ulp count as a tie.
+    # the 56-digit exact minimizer as reference; measured worst 2.2e-16
+    # relative (one eps, at n = 9) for solve_uniform, its weights stepped out
+    # in float64, against 3.6e-5 for LAPACK at n = 513
     for n in [*range(1, 33), 64, 127, 128, 255, 256, 383, 511, 512, 513]:
         with localcontext(_CONTEXT):
             sol = _exact_solution(n)
@@ -143,12 +140,31 @@ def test_solve_uniform_is_closer_to_the_minimizer_than_the_dense_solve():
         scale = np.abs(ref).max()
         err = np.abs(solve_uniform(n).c - ref).max() / scale
         dense = np.abs(solve_dense(np.linspace(0.0, 1.0, n + 1)).c - ref).max() / scale
-        assert err <= 1e-8, n
+        assert err <= 4 * np.finfo(float).eps, n
         assert err <= max(dense, 8 * np.finfo(float).eps), n
 
 
+@pytest.mark.parametrize("n", [2, 16, 513])
+def test_coeffs_system_multipliers_match_60_digits(capsys, n):
+    # b0 and d from kernel rows 0 and n, in 60-digit mpmath on the exact
+    # solution's weights: row i reads psi rows + b0 + d e^(-x_i) = moment(x_i).
+    # Measured worst 6.0e-17 relative, at n = 16: the float64 rounding
+    assert main(["coeffs", "--method", "system", "--n", str(n)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    with localcontext(_CONTEXT):
+        sol = _exact_solution(n)
+    with mp.workdps(60):
+        x, ep, en, m = mp_grid(n)
+        rows = psi2_rows(x, ep, en, piece_weights(sol))
+        lhs0, lhsn = m[0] - rows[0], m[n] - rows[n]
+        d = (lhs0 - lhsn) / (1 - en[n])
+        b0 = lhs0 - d
+        for name, ref in (("b0", b0), ("d", d)):
+            assert abs(printed[name] - ref) <= 1e-15 * abs(ref), (name, printed[name], ref)
+
+
 def test_singular_matrix_raises():
-    # the equilibrated LAPACK solve behind solve_uniform's bordered system
+    # the equilibrated LAPACK solve behind the dense oracle
     m = np.zeros((4, 4))
     with pytest.raises(SingularSystemError):
         _equilibrated_solve(m, np.zeros(4))
@@ -165,23 +181,17 @@ def test_singular_matrix_raises():
 
 
 def test_solve_uniform_cap():
-    for solve in (solve_uniform, solve_weights):
-        for n in (0, DENSE_MAX_N + 1):
-            with pytest.raises(ValueError):
-                solve(n)
-
-
-def test_solve_weights_is_solve_uniform_without_the_residual():
-    # bit for bit the same solve; only the residual is left out
-    for n in range(1, DENSE_MAX_N + 1):
-        nodes, c, b0, d = solve_weights(n)
-        sol = solve_uniform(n)
-        np.testing.assert_array_equal(nodes, sol.nodes, err_msg=str(n))
-        np.testing.assert_array_equal(c, sol.c, err_msg=str(n))
-        assert (b0, d) == (sol.b0, sol.d), n
+    for n in (0, DENSE_MAX_N + 1):
+        with pytest.raises(ValueError):
+            solve_uniform(n)
 
 
 def test_solve_uniform_returns_the_nodes_it_solved_on():
-    # k/n, correctly rounded; linspace differs from it in the last bit at n = 5
+    # k/n, correctly rounded; linspace differs from it in the last bit at n = 5.
+    # The weights and multipliers are minimizer_weights', bit for bit
     for n in range(1, DENSE_MAX_N + 1):
-        np.testing.assert_array_equal(solve_uniform(n).nodes, np.arange(n + 1) / n, err_msg=str(n))
+        sol = solve_uniform(n)
+        np.testing.assert_array_equal(sol.nodes, np.arange(n + 1) / n, err_msg=str(n))
+        c, b0, d = minimizer_weights(n)
+        np.testing.assert_array_equal(sol.c, c, err_msg=str(n))
+        assert (sol.b0, sol.d) == (b0, d), n
