@@ -186,12 +186,18 @@ def test_solve_uniform_cap():
             solve_uniform(n)
 
 
+def test_solve_weights_is_solve_uniform_without_the_residual():
+    # minimizer_weights is the same solve bit for bit; only the residual is
+    # left out
+    for n in range(1, DENSE_MAX_N + 1):
+        c, b0, d = minimizer_weights(n)
+        sol = solve_uniform(n)
+        np.testing.assert_array_equal(c, sol.c, err_msg=str(n))
+        assert (b0, d) == (sol.b0, sol.d), n
+
+
 def test_solve_uniform_returns_the_nodes_it_solved_on():
-    # k/n, correctly rounded; linspace differs from it in the last bit at n = 5.
-    # The weights and multipliers are minimizer_weights', bit for bit
+    # k/n, correctly rounded; linspace differs from it in the last bit at n = 5
     for n in range(1, DENSE_MAX_N + 1):
         sol = solve_uniform(n)
         np.testing.assert_array_equal(sol.nodes, np.arange(n + 1) / n, err_msg=str(n))
-        c, b0, d = minimizer_weights(n)
-        np.testing.assert_array_equal(sol.c, c, err_msg=str(n))
-        assert (sol.b0, sol.d) == (b0, d), n
