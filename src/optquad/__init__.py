@@ -10,9 +10,12 @@ spectral constants are bound here on import.  Their records (NormReport,
 SpectralConstants) are namedtuples, read with _asdict(), _replace() and
 _fields, so the import loads no dataclasses, and with it no inspect, ast,
 dis or tokenize, either.  The names backed by numpy arrays (weights as
-arrays, the kernel, the system solution with its residual and the
-quadrature audits) are imported from their modules on first access,
-through the module __getattr__ below, and that first access loads numpy.
+arrays, the kernel and its moment, the system solution with its residual
+and the quadrature audits, whose catalog carries each function's seminorm
+in closed form) are imported from their modules on first access, through
+the module __getattr__ below, and that first access loads numpy.  Nothing
+in the package integrates numerically; the adaptive integrator is a test
+oracle (tests/oracles.py).
 """
 import importlib
 
@@ -36,8 +39,6 @@ __all__ = [
     "DENSE_MAX_N",
     "ConvergenceRow",
     "ErrorCheck",
-    "IntegrationBudgetError",
-    "IntegrationResult",
     "NormReport",
     "QuadratureRule",
     "SpectralConstants",
@@ -52,7 +53,6 @@ __all__ = [
     "double_moment",
     "error_check",
     "geometric_sums",
-    "integrate_adaptive",
     "lambda1",
     "make_rule",
     "minimizer_audit",
@@ -63,15 +63,14 @@ __all__ = [
     "optimal_coefficients",
     "psi",
     "solve_uniform",
-    "sobolev_seminorm",
 ]
 
 # The numpy-backed names of __all__, by the module that defines them.
 _ARRAY_MODULES = {
     "coefficients": ("QuadratureRule", "constraint_residuals", "make_rule", "optimal_coefficients"),
-    "kernel": ("IntegrationBudgetError", "IntegrationResult", "integrate_adaptive", "moment", "psi"),
+    "kernel": ("moment", "psi"),
     "quadrature": ("CATALOG", "ConvergenceRow", "ErrorCheck", "TestFunction", "apply_rule",
-                   "convergence_table", "error_check", "sobolev_seminorm"),
+                   "convergence_table", "error_check"),
     "wiener_hopf": ("SystemSolution", "solve_uniform"),
 }
 _ARRAY_NAMES = {name: module for module, names in _ARRAY_MODULES.items() for name in names}

@@ -1,12 +1,12 @@
 """Command-line interface: coefficients, norms, validation, convergence, apply.
 
 Exit codes: 0 success (a discrepant verdict is data, not failure), 1 a
-validation check failed, 2 usage or domain error, or an arithmetic,
-integration-budget, memory or output (OSError, e.g. a closed pipe) failure
-(reported on stderr, no traceback).  Output is JSON or CSV on stdout (or
---out FILE), written as it is formatted; identical invocations produce
-byte-identical output.  `main` may be called repeatedly in one process, and
-it builds its parser once.
+validation check failed, 2 usage or domain error, or an arithmetic, memory
+or output (OSError, e.g. a closed pipe) failure (reported on stderr, no
+traceback); `main` catches exactly these four exception types.  Output is
+JSON or CSV on stdout (or --out FILE), written as it is formatted;
+identical invocations produce byte-identical output.  `main` may be called
+repeatedly in one process, and it builds its parser once.
 
 The module imports the standard library and the numpy-free modules (norm,
 spectral) alone, so `norm` and `validate` run without numpy, and without
@@ -397,12 +397,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except Exception as exc:
-        # the integration budget error can only come from kernel once imported
-        kernel = sys.modules.get(f"{__package__}.kernel")
-        budget = kernel.IntegrationBudgetError if kernel else ()
-        if not isinstance(exc, (ValueError, ArithmeticError, budget, MemoryError, OSError)):
-            raise
+    except (ValueError, ArithmeticError, MemoryError, OSError) as exc:
         # stderr may be the same closed pipe as stdout
         with contextlib.suppress(OSError):
             print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -68,6 +68,7 @@ import math
 import operator
 from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from itertools import repeat
 
 from ._expsums import ONE, ExpSums
 from .spectral import closed_weights, constants, filter_band, layer_width, pow_q
@@ -510,9 +511,13 @@ def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> list[float]
             continue
         anchor = hi if grows else lo
         start = float(amp * scale * sol.sums.power(ratio, anchor))
-        distance = range(hi - a, hi - b - 1, -1) if grows else range(a - lo, b - lo + 1)
         window = slice(a - first, b - first + 1)
-        c[window] = [x + start * r**d for x, d in zip(c[window], distance)]
+        if r == 1.0:  # the constant pieces: r**d is 1.0, so start * r**d is start
+            terms = repeat(start, b - a + 1)
+        else:
+            distance = range(hi - a, hi - b - 1, -1) if grows else range(a - lo, b - lo + 1)
+            terms = map(operator.mul, repeat(start), map(pow, repeat(r), distance))
+        c[window] = map(operator.add, c[window], terms)
     return c
 
 
@@ -638,8 +643,7 @@ def build_report(n: int) -> NormReport:
     is always "dense_solve"); see minimizer_audit.  The printed rule's norm
     is closed_rule_norm.
     """
-    if n < 1:
-        raise ValueError("grid size must be >= 1")
+    _check_n(n, "the norm report")
     audit = minimizer_audit(n)
     thm2 = norm_theorem2(n)
     d_thm2 = _rel_diff(audit["via_quadratic_form"], thm2)

@@ -2,9 +2,10 @@
 
 The error of a rule on a function f is bounded by ||l|| * |f|, where
 ||l||^2 is the squared norm (for the printed rule, closed_rule_norm, exact
-in O(1)) and |f| the seminorm sqrt(int_0^1 (f'' + f')^2 dx).  The
-functional annihilates span{1, e^-x} (the seminorm's null space), so rules
-here are exact on that span by construction.
+in O(1)) and |f| the seminorm sqrt(int_0^1 (f'' + f')^2 dx), which every
+catalog entry carries in closed form.  The functional annihilates
+span{1, e^-x} (the seminorm's null space), so rules here are exact on that
+span by construction.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .coefficients import QuadratureRule, optimal_coefficients
-from .kernel import integrate_adaptive
 from .norm import closed_rule_norm
 
 __all__ = [
@@ -27,19 +27,19 @@ __all__ = [
     "apply_rule",
     "convergence_table",
     "error_check",
-    "sobolev_seminorm",
 ]
 
 
 @dataclass(frozen=True)
 class TestFunction:
+    """A catalog integrand: its values, and its exact integral and seminorm |f| in closed form."""
+
     __test__ = False  # not a pytest class, despite the name
 
     name: str
     value: Callable[[float], float]
-    first_derivative: Callable[[float], float]
-    second_derivative: Callable[[float], float]
     exact_integral: float
+    seminorm: float
 
 
 def _affine_exp_neg() -> TestFunction:
@@ -50,30 +50,26 @@ def _affine_exp_neg() -> TestFunction:
     return TestFunction(
         name="affine_exp_neg",
         value=lambda x, a=a, b=b: a + b * np.exp(-x),
-        first_derivative=lambda x, b=b: -b * np.exp(-x),
-        second_derivative=lambda x, b=b: b * np.exp(-x),
         exact_integral=a - b * math.expm1(-1.0),
+        seminorm=0.0,
     )
 
 
-_ZERO = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-
+# Each seminorm sqrt(int_0^1 (f'' + f')^2 dx) is its closed form, correctly
+# rounded: f'' + f' is 0 on span{1, e^-x}, 1 for x, 2 + 2x for x^2 (integral
+# 28/3), 2e^x for e^x (integral 2(e^2 - 1)) and cos x - sin x for sin x,
+# whose square 1 - sin 2x integrates to cos^2 1.
 CATALOG: dict[str, TestFunction] = {
     f.name: f
     for f in (
-        TestFunction("const1", lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                     _ZERO, _ZERO, 1.0),
-        TestFunction("x", lambda x: np.asarray(x, dtype=float),
-                     lambda x: np.ones_like(np.asarray(x, dtype=float)), _ZERO, 0.5),
-        TestFunction("x_squared", lambda x: np.asarray(x, dtype=float) ** 2,
-                     lambda x: 2.0 * np.asarray(x, dtype=float),
-                     lambda x: np.full_like(np.asarray(x, dtype=float), 2.0), 1.0 / 3.0),
+        TestFunction("const1", lambda x: np.ones_like(np.asarray(x, dtype=float)), 1.0, 0.0),
+        TestFunction("x", lambda x: np.asarray(x, dtype=float), 0.5, 1.0),
+        TestFunction("x_squared", lambda x: np.asarray(x, dtype=float) ** 2, 1.0 / 3.0,
+                     math.sqrt(28.0 / 3.0)),
         TestFunction("exp_neg", lambda x: np.exp(-np.asarray(x, dtype=float)),
-                     lambda x: -np.exp(-np.asarray(x, dtype=float)),
-                     lambda x: np.exp(-np.asarray(x, dtype=float)), -math.expm1(-1.0)),
-        TestFunction("exp", np.exp, np.exp, np.exp, math.expm1(1.0)),
-        TestFunction("sin", np.sin, np.cos, lambda x: -np.sin(np.asarray(x, dtype=float)),
-                     1.0 - math.cos(1.0)),
+                     -math.expm1(-1.0), 0.0),
+        TestFunction("exp", np.exp, math.expm1(1.0), math.sqrt(2.0 * math.expm1(2.0))),
+        TestFunction("sin", np.sin, 1.0 - math.cos(1.0), math.cos(1.0)),
         _affine_exp_neg(),
     )
 }
@@ -105,17 +101,6 @@ def apply_rule(rule: QuadratureRule, f: TestFunction) -> float:
     return math.fsum(memoryview(rule.coefficients * values))
 
 
-def sobolev_seminorm(f: TestFunction, tol: float = 1e-12) -> float:
-    """sqrt(int_0^1 (f'' + f')^2 dx), via the adaptive integration oracle."""
-
-    def integrand(x: float) -> float:
-        g = float(f.second_derivative(x)) + float(f.first_derivative(x))
-        return g * g
-
-    result = integrate_adaptive(integrand, 0.0, 1.0, tol)
-    return math.sqrt(max(result.value, 0.0))
-
-
 def error_check(rule: QuadratureRule, f: TestFunction, norm_sq: float) -> ErrorCheck:
     """Audit |quad - exact| against the Cauchy-Schwarz bound ||l|| * |f|.
 
@@ -124,7 +109,7 @@ def error_check(rule: QuadratureRule, f: TestFunction, norm_sq: float) -> ErrorC
     """
     quad = apply_rule(rule, f)
     err = abs(quad - f.exact_integral)
-    bound = math.sqrt(max(norm_sq, 0.0)) * sobolev_seminorm(f)
+    bound = math.sqrt(max(norm_sq, 0.0)) * f.seminorm
     return ErrorCheck(
         quad_value=quad,
         true_value=f.exact_integral,

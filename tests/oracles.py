@@ -1,4 +1,4 @@
-"""Float64 test oracles: the dense stationarity system and two norm evaluations.
+"""Float64 test oracles: the dense stationarity system, two norm evaluations, integration.
 
 The double-precision counterpart of highprec.py.  build_system assembles
 the stationarity system for arbitrary strictly increasing nodes in [0,1]
@@ -15,9 +15,20 @@ coefficient_max_deviation.  closed_weights_array and float_weights_on are
 the numpy forms of the printed weights and of the exact solution's window
 weights, which the package forms in Python floats.  trapezoid_rule is a
 deliberately suboptimal comparison rule.
+
+integrate_adaptive is deterministic adaptive Gauss-Legendre integration,
+the numerical oracle for the kernel's closed-form moments and for the
+catalog's exact integrals and seminorms.  CATALOG_DERIVATIVES holds the
+derivative pair (f', f'') of each catalog function, which the package
+does not keep: it carries each seminorm in closed form, and
+seminorm_by_integration integrates (f'' + f')^2 from the pair.
 """
+import functools
 import math
+import random
 from collections import namedtuple
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -325,3 +336,143 @@ def trapezoid_rule(n: int) -> QuadratureRule:
     c = np.full(n + 1, h)
     c[0] = c[-1] = h / 2.0
     return QuadratureRule(n=n, h=h, nodes=np.linspace(0.0, 1.0, n + 1), coefficients=c)
+
+
+@dataclass(frozen=True)
+class IntegrationResult:
+    value: float
+    error_estimate: float
+    evaluations: int
+
+
+class IntegrationBudgetError(RuntimeError):
+    """Adaptive integration ran out of its evaluation budget.
+
+    Carries the best available estimate in `best`.
+    """
+
+    def __init__(self, message: str, best: IntegrationResult):
+        super().__init__(message)
+        self.best = best
+
+
+@functools.cache
+def _gauss_legendre():
+    """The embedded Gauss-Legendre pair ((x7, w7), (x15, w15)), formed on first use.
+
+    The 15-point value is kept, |GL15 - GL7| serves as the panel error
+    estimate.  Degree-29 exactness makes polynomial integrands exact on a
+    single panel.
+    """
+    return np.polynomial.legendre.leggauss(7), np.polynomial.legendre.leggauss(15)
+
+
+def _panel_estimates(f, lo: float, hi: float):
+    (x7, w7), (x15, w15) = _gauss_legendre()
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    f7 = np.array([f(mid + half * t) for t in x7], dtype=float)
+    f15 = np.array([f(mid + half * t) for t in x15], dtype=float)
+    if not (np.all(np.isfinite(f7)) and np.all(np.isfinite(f15))):
+        raise ValueError(f"integrand is not finite on [{lo}, {hi}]")
+    i7 = half * float(w7 @ f7)
+    i15 = half * float(w15 @ f15)
+    return i15, abs(i15 - i7)
+
+
+def integrate_adaptive(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    tol: float,
+    max_evals: int = 1_000_000,
+) -> IntegrationResult:
+    """Deterministic adaptive integration of f over [a, b].
+
+    Interval bisection with the embedded GL7/GL15 pair, processed left to
+    right.  A panel is accepted once its error estimate fits its share of the
+    absolute tolerance or a small relative floor; the total error estimate is
+    the sum of accepted panel estimates.  Exceeding `max_evals` raises
+    IntegrationBudgetError carrying the best estimate so far.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)) or a > b:
+        raise ValueError(f"invalid interval [{a}, {b}]")
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
+    if a == b:
+        if not math.isfinite(float(f(a))):
+            raise ValueError(f"integrand is not finite at {a}")
+        return IntegrationResult(0.0, 0.0, 1)
+
+    width = b - a
+    value, err = _panel_estimates(f, a, b)
+    evals = 22
+    accepted_values: list[float] = []
+    accepted_errors: list[float] = []
+    stack = [(a, b, value, err)]  # every stacked panel carries its estimate
+    while stack:
+        lo, hi, value, err = stack.pop()
+        panel_tol = tol * (hi - lo) / width
+        too_narrow = (hi - lo) <= 8.0 * math.ulp(max(abs(lo), abs(hi), 1.0))
+        if err <= panel_tol or err <= 1e-15 * abs(value) or too_narrow:
+            accepted_values.append(value)
+            accepted_errors.append(err)
+            continue
+        if evals + 44 > max_evals:
+            pending = [(value, err)] + [(v, e) for _, _, v, e in stack]
+            best = IntegrationResult(
+                math.fsum(accepted_values + [v for v, _ in pending]),
+                math.fsum(accepted_errors + [e for _, e in pending]),
+                evals,
+            )
+            raise IntegrationBudgetError(
+                f"no convergence to tol={tol} within {max_evals} evaluations", best
+            )
+        mid = 0.5 * (lo + hi)
+        right = _panel_estimates(f, mid, hi)
+        left = _panel_estimates(f, lo, mid)
+        evals += 44
+        stack.append((mid, hi, *right))
+        stack.append((lo, mid, *left))  # popped first: left-to-right order
+    return IntegrationResult(
+        math.fsum(accepted_values), math.fsum(accepted_errors), evals
+    )
+
+
+def _affine_exp_neg_b() -> float:
+    """b of the catalog's affine_exp_neg, a + b e^-x, from the same fixed draw."""
+    rng = random.Random(20240917)
+    rng.uniform(-10.0, 10.0)  # a, which the derivatives drop
+    return rng.uniform(-10.0, 10.0)
+
+
+def _constant(v: float):
+    return lambda x: np.full_like(np.asarray(x, dtype=float), v)
+
+
+def _exp_neg_pair(b: float):
+    """(f', f'') of a + b e^-x."""
+    return (lambda x: -b * np.exp(-np.asarray(x, dtype=float)),
+            lambda x: b * np.exp(-np.asarray(x, dtype=float)))
+
+
+CATALOG_DERIVATIVES = {
+    "const1": (_constant(0.0), _constant(0.0)),
+    "x": (_constant(1.0), _constant(0.0)),
+    "x_squared": (lambda x: 2.0 * np.asarray(x, dtype=float), _constant(2.0)),
+    "exp_neg": _exp_neg_pair(1.0),
+    "exp": (np.exp, np.exp),
+    "sin": (np.cos, lambda x: -np.sin(np.asarray(x, dtype=float))),
+    "affine_exp_neg": _exp_neg_pair(_affine_exp_neg_b()),
+}
+
+
+def seminorm_by_integration(name: str) -> float:
+    """sqrt(int_0^1 (f'' + f')^2 dx) of the catalog function name, by integrate_adaptive."""
+    first, second = CATALOG_DERIVATIVES[name]
+
+    def integrand(x: float) -> float:
+        g = float(second(x)) + float(first(x))
+        return g * g
+
+    return math.sqrt(max(integrate_adaptive(integrand, 0.0, 1.0, 1e-12).value, 0.0))

@@ -97,7 +97,7 @@ def test_criterion_04_exactness_on_annihilated_span():
         for a, b in pairs:
             f = TestFunction(
                 "affine", lambda x, a=a, b=b: a + b * np.exp(-np.asarray(x, dtype=float)),
-                None, None, a - b * math.expm1(-1.0),
+                a - b * math.expm1(-1.0), 0.0,
             )
             err = abs(apply_rule(rule, f) - f.exact_integral)
             worst = max(worst, err / (abs(a) + abs(b)))

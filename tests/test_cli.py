@@ -16,7 +16,6 @@ import pytest
 import optquad
 from optquad import kernel
 from optquad.cli import main
-from optquad.kernel import IntegrationBudgetError, IntegrationResult
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -287,9 +286,6 @@ def _raiser(exc):
         ("optquad.cli.constants", OverflowError("math range error"), ("coeffs", "--n", "4")),
         ("optquad.cli.norm_theorem2", ZeroDivisionError("float division by zero"),
          ("norm", "--n", "4", "--methods", "theorem2")),
-        ("optquad.quadrature.integrate_adaptive",
-         IntegrationBudgetError("no convergence", IntegrationResult(0.0, 1.0, 22)),
-         ("apply", "--n", "4", "--function", "sin")),
         ("optquad.cli.closed_rule_norm", MemoryError(),
          ("norm", "--n", "4", "--methods", "quadform")),
     ],
@@ -323,6 +319,20 @@ def test_quadform_norm_range(capsys):
     code, out, err = run_cli(capsys, "norm", "--methods", "quadform", "--n", "1000000001")
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+def test_norm_report_rejects_n_before_the_audit(monkeypatch, capsys):
+    # the report checks its own range first: past 10^9 it runs no 56-digit
+    # minimizer audit, and the message names the report
+    from optquad import norm
+
+    def refused(n, printed=None):
+        raise AssertionError(f"minimizer_audit({n})")
+
+    monkeypatch.setattr(norm, "minimizer_audit", refused)
+    code, out, err = run_cli(capsys, "norm", "--n", "1000000001")
+    assert (code, out) == (2, "")
+    assert err == "error: the norm report is evaluated for 1 <= n <= 10^9, got 1000000001\n"
 
 
 def test_quadform_norm_builds_no_weights(capsys):

@@ -1,29 +1,26 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from optquad.coefficients import optimal_coefficients
-from optquad.kernel import integrate_adaptive
-from optquad.quadrature import (
-    CATALOG,
-    TestFunction,
-    apply_rule,
-    convergence_table,
-    error_check,
-    sobolev_seminorm,
-)
+from optquad.quadrature import CATALOG, TestFunction, apply_rule, convergence_table, error_check
 
-from oracles import norm_quadratic_form
+from oracles import (
+    CATALOG_DERIVATIVES,
+    integrate_adaptive,
+    norm_quadratic_form,
+    seminorm_by_integration,
+)
 
 
 def _affine(a, b):
     return TestFunction(
         name=f"affine({a},{b})",
         value=lambda x: a + b * np.exp(-np.asarray(x, dtype=float)),
-        first_derivative=lambda x: -b * np.exp(-np.asarray(x, dtype=float)),
-        second_derivative=lambda x: b * np.exp(-np.asarray(x, dtype=float)),
         exact_integral=a - b * math.expm1(-1.0),
+        seminorm=0.0,
     )
 
 
@@ -59,27 +56,40 @@ def test_exactness_on_annihilated_span():
 
 
 def test_seminorm_null_space():
-    assert sobolev_seminorm(_affine(3.2, -1.7)) == 0.0
+    for name in ("const1", "exp_neg", "affine_exp_neg"):
+        assert CATALOG[name].seminorm == 0.0
+        assert seminorm_by_integration(name) == 0.0
 
 
 def test_seminorm_known_values():
-    assert sobolev_seminorm(CATALOG["x"]) == pytest.approx(1.0, rel=1e-13)
-    # f = sin: integral of (cos x - sin x)^2 = 1 - sin^2(1) = cos^2(1)
-    assert sobolev_seminorm(CATALOG["sin"]) == pytest.approx(abs(math.cos(1.0)), rel=1e-12)
-    oracle = integrate_adaptive(
-        lambda x: (math.cos(x) - math.sin(x)) ** 2, 0.0, 1.0, 1e-13
-    )
-    assert sobolev_seminorm(CATALOG["sin"]) == pytest.approx(math.sqrt(oracle.value), rel=1e-12)
+    # the closed forms at 40 digits: (f'' + f')^2 is 1 for x, (2 + 2x)^2 for
+    # x^2, 4e^(2x) for e^x and (cos x - sin x)^2 = 1 - sin 2x for sin x
+    with mp.workdps(40):
+        exact = {
+            "const1": mp.mpf(0),
+            "x": mp.mpf(1),
+            "x_squared": mp.sqrt(mp.mpf(28) / 3),
+            "exp_neg": mp.mpf(0),
+            "exp": mp.sqrt(2 * mp.expm1(2)),
+            "sin": mp.cos(1),
+            "affine_exp_neg": mp.mpf(0),
+        }
+        assert sorted(exact) == sorted(CATALOG)
+        for name, f in CATALOG.items():
+            assert f.seminorm == float(exact[name]), name
+            assert f.seminorm == pytest.approx(seminorm_by_integration(name), rel=1e-12), name
 
 
 def test_catalog_derivatives_match_finite_differences():
     step = 1e-6
-    for f in CATALOG.values():
+    assert sorted(CATALOG_DERIVATIVES) == sorted(CATALOG)
+    for name, f in CATALOG.items():
+        first, second = CATALOG_DERIVATIVES[name]
         for x in (0.21, 0.5, 0.83):
             fd1 = (float(f.value(x + step)) - float(f.value(x - step))) / (2 * step)
             fd2 = (float(f.value(x + step)) - 2 * float(f.value(x)) + float(f.value(x - step))) / step**2
-            d1 = float(f.first_derivative(x))
-            d2 = float(f.second_derivative(x))
+            d1 = float(first(x))
+            d2 = float(second(x))
             assert abs(fd1 - d1) <= 1e-6 * max(1.0, abs(d1))
             assert abs(fd2 - d2) <= 2e-3 * max(1.0, abs(d2))
 

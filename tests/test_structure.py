@@ -2,10 +2,10 @@
 
 Each module keeps its `_`-prefixed names to itself, every name a module
 lists in `__all__` exists and is reachable from `cli.main`, importing the
-package loads no scipy, a norm report loads no mpmath, and importing the
-package, every norm route and validate load no numpy and no
-dataclasses.  The source is parsed rather than imported where it can be,
-because importing `__main__` runs the CLI.
+package loads no scipy, a norm report loads no mpmath, importing the
+package, every norm route and validate load no numpy and no dataclasses,
+and apply and convergence load no kernel.  The source is parsed rather
+than imported where it can be, because importing `__main__` runs the CLI.
 """
 import ast
 import importlib
@@ -159,3 +159,16 @@ def test_import_norm_report_and_validate_leave_numpy_unloaded():
             "    assert cli.main(['convergence', '--n-list', '2,4,8', '--function', 'sin']) == 0\n"
             "print(seen)")
     assert _fresh_stdout(code).strip() == "[[], [], ['dataclasses', 'inspect', 'numpy']]"
+
+
+def test_apply_and_convergence_leave_the_kernel_unloaded():
+    # every catalog function carries its seminorm in closed form, so the
+    # error-bound audit integrates nothing; only `coeffs` loads the kernel,
+    # for the residual of the stationarity system
+    code = ("import contextlib, io, sys\n"
+            "from optquad import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['apply', '--n', '16', '--function', 'sin']) == 0\n"
+            "    assert cli.main(['convergence', '--n-list', '2,4,8', '--function', 'exp']) == 0\n"
+            "print('optquad.kernel' in sys.modules)")
+    assert _fresh_stdout(code).strip() == "False"
