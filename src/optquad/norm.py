@@ -68,7 +68,6 @@ import math
 import operator
 from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
-from itertools import repeat
 
 from ._expsums import ONE, ExpSums
 from .spectral import closed_weights, constants, filter_band, layer_width, pow_q
@@ -511,13 +510,9 @@ def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> list[float]
             continue
         anchor = hi if grows else lo
         start = float(amp * scale * sol.sums.power(ratio, anchor))
+        distance = range(hi - a, hi - b - 1, -1) if grows else range(a - lo, b - lo + 1)
         window = slice(a - first, b - first + 1)
-        if r == 1.0:  # the constant pieces: r**d is 1.0, so start * r**d is start
-            terms = repeat(start, b - a + 1)
-        else:
-            distance = range(hi - a, hi - b - 1, -1) if grows else range(a - lo, b - lo + 1)
-            terms = map(operator.mul, repeat(start), map(pow, repeat(r), distance))
-        c[window] = map(operator.add, c[window], terms)
+        c[window] = [x + start * r**d for x, d in zip(c[window], distance)]
     return c
 
 

@@ -55,21 +55,22 @@ def _affine_exp_neg() -> TestFunction:
     )
 
 
-# Each seminorm sqrt(int_0^1 (f'' + f')^2 dx) is its closed form, correctly
-# rounded: f'' + f' is 0 on span{1, e^-x}, 1 for x, 2 + 2x for x^2 (integral
-# 28/3), 2e^x for e^x (integral 2(e^2 - 1)) and cos x - sin x for sin x,
-# whose square 1 - sin 2x integrates to cos^2 1.
+# Each seminorm sqrt(int_0^1 (f'' + f')^2 dx) is its closed form, written
+# as the correctly rounded literal so that no libm rounding enters it:
+# f'' + f' is 0 on span{1, e^-x}, 1 for x, 2 + 2x for x^2 (sqrt(28/3)),
+# 2e^x for e^x (sqrt(2 expm1(2))) and cos x - sin x for sin x, whose
+# square 1 - sin 2x integrates to cos^2 1 (cos 1).
 CATALOG: dict[str, TestFunction] = {
     f.name: f
     for f in (
         TestFunction("const1", lambda x: np.ones_like(np.asarray(x, dtype=float)), 1.0, 0.0),
         TestFunction("x", lambda x: np.asarray(x, dtype=float), 0.5, 1.0),
         TestFunction("x_squared", lambda x: np.asarray(x, dtype=float) ** 2, 1.0 / 3.0,
-                     math.sqrt(28.0 / 3.0)),
+                     3.0550504633038935),
         TestFunction("exp_neg", lambda x: np.exp(-np.asarray(x, dtype=float)),
                      -math.expm1(-1.0), 0.0),
-        TestFunction("exp", np.exp, math.expm1(1.0), math.sqrt(2.0 * math.expm1(2.0))),
-        TestFunction("sin", np.sin, 1.0 - math.cos(1.0), math.cos(1.0)),
+        TestFunction("exp", np.exp, math.expm1(1.0), 3.5746485418655216),
+        TestFunction("sin", np.sin, 1.0 - math.cos(1.0), 0.5403023058681398),
         _affine_exp_neg(),
     )
 }

@@ -25,7 +25,6 @@ seminorm_by_integration integrates (f'' + f')^2 from the pair.
 """
 import functools
 import math
-import random
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
@@ -35,6 +34,7 @@ import numpy as np
 from optquad.coefficients import QuadratureRule, constraint_residuals
 from optquad.kernel import moment, psi
 from optquad.norm import double_moment
+from optquad.quadrature import CATALOG
 from optquad.spectral import constants, layer_width, pow_q
 from optquad.wiener_hopf import SystemSolution
 
@@ -440,10 +440,13 @@ def integrate_adaptive(
 
 
 def _affine_exp_neg_b() -> float:
-    """b of the catalog's affine_exp_neg, a + b e^-x, from the same fixed draw."""
-    rng = random.Random(20240917)
-    rng.uniform(-10.0, 10.0)  # a, which the derivatives drop
-    return rng.uniform(-10.0, 10.0)
+    """b of the catalog's affine_exp_neg, a + b e^-x, read off f(0) - f(1) = b (1 - 1/e).
+
+    The integrated seminorm of (-b e^-x, b e^-x) is exactly 0 whatever b is,
+    and the finite-difference check needs b only to about 1e-6.
+    """
+    v = CATALOG["affine_exp_neg"].value
+    return (float(v(0.0)) - float(v(1.0))) / -math.expm1(-1.0)
 
 
 def _constant(v: float):
