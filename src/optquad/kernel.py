@@ -31,7 +31,7 @@ __all__ = ["moment", "psi"]
 # seam, where the direct branch is itself good to ~5e-15 relative.  The seam
 # also covers every argument moment() feeds the series (its halves are
 # <= 0.5), keeping the analytic moments at full precision.
-_SEAM = 0.5
+_SERIES_MAX = 0.5
 
 # 1/(2k+1)! for x^3 .. x^15, highest order first (Horner in x^2).
 _TAIL_COEFFS = tuple(1.0 / math.factorial(k) for k in (15, 13, 11, 9, 7, 5, 3))
@@ -52,7 +52,7 @@ def _sinh_minus_x_direct(t):
 
 def _sinh_minus_x(t):
     """sinh t - t for t >= 0 (scalar or array), cancellation-free."""
-    return np.where(t <= _SEAM, _sinh_minus_x_series(t), _sinh_minus_x_direct(t))
+    return np.where(t <= _SERIES_MAX, _sinh_minus_x_series(t), _sinh_minus_x_direct(t))
 
 
 def psi(m: int, x):

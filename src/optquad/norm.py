@@ -70,7 +70,7 @@ from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 from ._expsums import ONE, ExpSums
-from .spectral import closed_weights, constants, filter_band, layer_width, pow_q
+from .spectral import closed_weights, constants, filter_band, layer_width
 
 __all__ = [
     "NormReport",
@@ -88,10 +88,6 @@ __all__ = [
 CONSISTENCY_RTOL = 1e-6
 
 _TINY = 1e-300
-
-# Nodes whose float64 weights _max_gap holds at a time.
-_GAP_CHUNK = 4096
-
 
 def double_moment(kind=float):
     """Integral of the m=2 kernel over the unit square: sinh(1) - 7/6.
@@ -184,7 +180,7 @@ def norm_theorem2(n: int) -> float:
     h, q, ks = sc.h, sc.q, sc.k_scaled
     eh = math.exp(h)
     em1 = math.expm1(h)
-    qn = pow_q(q, n)
+    qn = q**n
 
     lead = h * h / 12.0
     # the printed h-block; note (1 - e^h)^2 = expm1(h)^2
@@ -196,7 +192,7 @@ def norm_theorem2(n: int) -> float:
     t1 = (
         -ks
         * q
-        * ((q + pow_q(q, n - 1)) * (1.0 + eh) - (1.0 + qn) * (1.0 + 2.0 * eh))
+        * ((q + q ** (n - 1)) * (1.0 + eh) - (1.0 + qn) * (1.0 + 2.0 * eh))
         / (2.0 * (1.0 - q))
     )
     # K h^2 (lam^2 + lam)(lam^N - 1)(1 + e^h) / (2 (1-lam)^2)
@@ -517,17 +513,8 @@ def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> list[float]
 
 
 def _max_gap(sol: _ExactSolution, first: int, last: int, printed) -> float:
-    """max |minimizer's float64 C_j - printed[j - first]| over the nodes first..last.
-
-    The weights are formed _GAP_CHUNK nodes at a time, so that the memory
-    does not grow with the range; the maximum does not depend on it.
-    """
-    worst = 0.0
-    for a in range(first, last + 1, _GAP_CHUNK):
-        b = min(a + _GAP_CHUNK - 1, last)
-        gaps = map(operator.sub, _float_weights_on(sol, a, b), printed[a - first:b - first + 1])
-        worst = max(worst, max(map(abs, gaps)))
-    return float(worst)
+    """max |minimizer's float64 C_j - printed[j - first]| over the nodes first..last."""
+    return float(max(map(abs, map(operator.sub, _float_weights_on(sol, first, last), printed))))
 
 
 def _coefficient_max_deviation(sol: _ExactSolution, printed=None) -> float:

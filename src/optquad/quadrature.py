@@ -132,7 +132,9 @@ def convergence_table(
     the squared norm to keep square-root noise out of the estimate.
     """
     ns = list(ns)
-    if not ns or any(n < 1 for n in ns):
+    if not ns:
+        raise ValueError("the list of grid sizes is empty")
+    if any(n < 1 for n in ns):
         raise ValueError("grid sizes must all be >= 1")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("grid sizes must be strictly increasing")

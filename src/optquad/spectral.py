@@ -13,12 +13,13 @@ retained for reporting only.
 
 Both the numerator A = h(e^(2h)+1) - e^(2h) + 1 and the denominator
 D = 1 - e^(2h) + 2he^h of lambda1 are Theta(h^3) differences of Theta(h)
-quantities.  For h >= 0.25 they are evaluated through expm1 so each
-subtraction cancels O(h) against O(h^3) (relative error ~ a few ulp/h^2);
-below the seam they are summed as same-sign power series, which is exact to
-~2 ulp and makes the dyadic-h accuracy target comfortable down to h = 2^-10.
-The measured error against a 50-digit reference is below 5e-15 relative on
-h in {1, 1/2, ..., 1/1024} (see the spectral test suite).
+quantities, and so is the shape factor 2e^h - 2 - he^h - h of Kscaled.
+Each is summed as a power series whose terms all have one sign, which
+holds full float64 precision on all of (0, 1]: against a 50-digit
+reference lambda1 and the shape factor are within 1e-15 relative on
+h in [0.25, 1], which the spectral test suite checks, and on h in
+{1, 1/2, ..., 1/1024}.  The powers of q are libm's pow through **, which returns 0.0
+where q^m underflows.
 
 closed_weights evaluates the printed weights from these constants (see the
 coefficients module for the formulas) on a window of nodes, in Python
@@ -43,14 +44,11 @@ __all__ = [
     "filter_band",
     "lambda1",
     "layer_width",
-    "pow_q",
 ]
 
 # Largest uniform grid, in subintervals, that the system solution with its
 # O(n^2) residual (wiener_hopf.solve_uniform) and `validate` accept.
 DENSE_MAX_N = 513
-
-_SEAM = 0.25
 
 # A(h) = sum_{j>=3} (j-2) 2^(j-1) / j! * h^j       (all coefficients > 0)
 # D(h) = sum_{j>=3} 2 (j - 2^(j-1)) / j! * h^j     (all coefficients < 0)
@@ -67,21 +65,6 @@ def _poly_h3(coeffs, h: float) -> float:
     return acc * h * h * h
 
 
-def _char_numerator(h: float) -> float:
-    """A = h(e^(2h)+1) - e^(2h) + 1, = (2/3)h^3 + (2/3)h^4 + ..."""
-    if h < _SEAM:
-        return _poly_h3(_A_COEFFS, h)
-    t = math.expm1(2.0 * h)
-    return h * (t + 2.0) - t
-
-
-def _char_denominator(h: float) -> float:
-    """D = 1 - e^(2h) + 2he^h, = -(1/3)h^3 - (1/3)h^4 - ..."""
-    if h < _SEAM:
-        return _poly_h3(_D_COEFFS, h)
-    return 2.0 * h * math.exp(h) - math.expm1(2.0 * h)
-
-
 def lambda1(h: float) -> float:
     """Root (> 1) of the grid recurrence for step h in (0, 1].
 
@@ -94,28 +77,13 @@ def lambda1(h: float) -> float:
     h = float(h)
     em1 = math.expm1(h)
     radicand = h * h * (math.exp(h) + 1.0) ** 2 - 2.0 * h * em1
-    den = _char_denominator(h)
+    den = _poly_h3(_D_COEFFS, h)
     if radicand <= 0.0 or den == 0.0:
         raise ArithmeticError(f"degenerate recurrence data at h={h}")
-    lam = (_char_numerator(h) - em1 * math.sqrt(radicand)) / den
+    lam = (_poly_h3(_A_COEFFS, h) - em1 * math.sqrt(radicand)) / den
     if not lam > 1.0:
         raise ArithmeticError(f"root selection failed at h={h}: {lam}")
     return lam
-
-
-def pow_q(q: float, n: int) -> float:
-    """q^n for n >= 0 by binary exponentiation; underflows cleanly to 0.0."""
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    result = 1.0
-    base = q
-    while n:
-        if n & 1:
-            result *= base
-        n >>= 1
-        if n:
-            base *= base
-    return result
 
 
 SpectralConstants = namedtuple("SpectralConstants", ["n", "h", "lambda1", "q", "k", "k_scaled"])
@@ -123,14 +91,8 @@ SpectralConstants.__doc__ = "The grid size and step, lambda1, q = 1/lambda1, K a
 
 
 def _shape_factor(h: float) -> float:
-    """2e^h - 2 - he^h - h = -(h^3/6)(1 + h/2 + ...), strictly negative.
-
-    Power series below the seam (same-sign terms), expm1 form above.
-    """
-    if h < _SEAM:
-        return _poly_h3(_S_COEFFS, h)
-    t = math.expm1(h)
-    return 2.0 * t - h * (t + 2.0)
+    """2e^h - 2 - he^h - h = -(h^3/6)(1 + h/2 + ...), strictly negative; its same-sign power series."""
+    return _poly_h3(_S_COEFFS, h)
 
 
 def constants(n: int) -> SpectralConstants:
@@ -147,10 +109,10 @@ def constants(n: int) -> SpectralConstants:
     lam = lambda1(h)
     q = 1.0 / lam
     em1 = math.expm1(h)
-    k_scaled = _shape_factor(h) * (lam - 1.0) / (2.0 * em1 * em1 * (1.0 + pow_q(q, n)))
+    k_scaled = _shape_factor(h) * (lam - 1.0) / (2.0 * em1 * em1 * (1.0 + q**n))
     # K = Kscaled * q^(N+1) exactly; computed this way so large grids
     # underflow to 0.0 instead of overflowing lambda1^(N+1).
-    k = k_scaled * pow_q(q, n + 1)
+    k = k_scaled * q ** (n + 1)
     return SpectralConstants(n=n, h=h, lambda1=lam, q=q, k=k, k_scaled=k_scaled)
 
 
@@ -190,7 +152,7 @@ def closed_weights(sc: SpectralConstants, first: int, last: int) -> list[float]:
     c = [h - ks * (a * x + b * y)
          for x, y in zip(reversed(powers(n - last, n - first)), powers(first, last))]
     # boundary corrections: Kscaled (q^N - q), cancelling exactly at N = 1
-    corr = ks * (pow_q(q, n) - q)
+    corr = ks * (q**n - q)
     if first == 0:
         c[0] = (em1 - h) / em1 - corr  # (e^h - 1 - h)/(e^h - 1) - corr
     if last == n:

@@ -35,7 +35,7 @@ from optquad.coefficients import QuadratureRule, constraint_residuals
 from optquad.kernel import moment, psi
 from optquad.norm import double_moment
 from optquad.quadrature import CATALOG
-from optquad.spectral import constants, layer_width, pow_q
+from optquad.spectral import constants, layer_width
 from optquad.wiener_hopf import SystemSolution
 
 _RCOND_FLOOR = float(np.finfo(float).eps)
@@ -134,7 +134,7 @@ def multipliers_closed_form(rule) -> MultiplierPair:
     eh = math.exp(h)
     em1 = math.expm1(h)
     e = math.e
-    qn = pow_q(q, n)
+    qn = q**n
     a = 1.0 - eh * q
     b = eh - q
 
@@ -151,7 +151,7 @@ def multipliers_closed_form(rule) -> MultiplierPair:
     # h (1 + e^h) / (2 (1 - e^h)) = -h (1 + e^h) / (2 expm1(h))
     minus_b0 = (
         -h * (1.0 + eh) / (2.0 * em1)
-        - h * ks * (a * pow_q(q, n + 1) + b * q) / (1.0 - q) ** 2
+        - h * ks * (a * q ** (n + 1) + b * q) / (1.0 - q) ** 2
         - s_x / 2.0
         + 1.25
     )
@@ -298,7 +298,7 @@ def closed_weights_array(sc, b: np.ndarray) -> np.ndarray:
     qp = np.append(np.power(q, np.arange(k, dtype=float)), 0.0)
     terms = (1.0 - eh * q) * qp[np.minimum(n - b, k)] + (eh - q) * qp[np.minimum(b, k)]
     c = h - ks * terms
-    corr = ks * (pow_q(q, n) - q)
+    corr = ks * (q**n - q)
     if b[0] == 0:
         c[0] = (em1 - h) / em1 - corr
     if b[-1] == n:

@@ -189,6 +189,13 @@ def test_convergence_rejects_bad_list(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n_list", [",", ""])
+def test_convergence_rejects_an_empty_list(capsys, n_list):
+    code, out, err = run_cli(capsys, "convergence", "--n-list", n_list)
+    assert (code, out) == (2, "")
+    assert err == "error: the list of grid sizes is empty\n"
+
+
 def test_apply_known_functions(capsys):
     code, out, _ = run_cli(capsys, "apply", "--n", "8", "--function", "const1")
     assert code == 0

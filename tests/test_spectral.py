@@ -1,8 +1,9 @@
 import math
 
+import mpmath as mp
 import pytest
 
-from optquad.spectral import constants, lambda1, pow_q
+from optquad.spectral import _shape_factor, constants, lambda1
 
 from highprec import lambda1_ref, spectral_ref
 
@@ -57,12 +58,28 @@ def test_lambda1_domain():
             lambda1(bad)
 
 
-def test_pow_q():
-    assert pow_q(0.5, 0) == 1.0
-    assert pow_q(0.5, 7) == 0.5**7
-    assert pow_q(1e-200, 3) == 0.0  # clean underflow
-    with pytest.raises(ValueError):
-        pow_q(0.5, -1)
+def test_series_hold_full_precision_up_to_h_1():
+    # lambda1's A and D and the shape factor are summed as same-sign power
+    # series on all of (0, 1]; this is where their leading h^3 is largest
+    worst_lam = worst_shape = 0.0
+    for i in range(1501):
+        h = 0.25 + 0.75 * i / 1500
+        ref = lambda1_ref(h)
+        worst_lam = max(worst_lam, abs(float((lambda1(h) - ref) / ref)))
+        with mp.workdps(50):
+            x = mp.mpf(h)
+            ref = 2 * mp.e**x - 2 - x * mp.e**x - x
+            worst_shape = max(worst_shape, abs(float((_shape_factor(h) - ref) / ref)))
+    assert worst_lam <= 1e-15
+    assert worst_shape <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_constants_of_the_coarsest_grids_are_accurate(n):
+    _, lam_ref, q_ref, _, kt_ref = spectral_ref(n)
+    sc = constants(n)
+    for value, ref in ((sc.lambda1, lam_ref), (sc.q, q_ref), (sc.k_scaled, kt_ref)):
+        assert abs(float((value - ref) / ref)) <= 5e-16
 
 
 def test_constants_n2_desk_values():
@@ -82,7 +99,7 @@ def test_constants_invariants():
         assert sc.h == 1.0 / n
         assert sc.k_scaled < 0.0  # the shape factor 2e^h-2-he^h-h is negative
         if sc.k != 0.0:
-            assert sc.k == pytest.approx(sc.k_scaled * pow_q(sc.q, n + 1), rel=1e-12)
+            assert sc.k == pytest.approx(sc.k_scaled * sc.q ** (n + 1), rel=1e-12)
 
 
 def test_constants_against_live_reference():
@@ -107,8 +124,6 @@ def test_constants_rejects_bad_n():
 
 
 def test_shape_factor_negative():
-    from optquad.spectral import _shape_factor
-
     for h in (1e-6, 1e-3, 0.1, 0.25, 0.5, 1.0):
         assert _shape_factor(h) < 0.0
         eh = math.exp(h)
