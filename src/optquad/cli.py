@@ -251,7 +251,7 @@ def cmd_validate(args) -> int:
     for n in range(1, max_n + 1):
         sc = constants(n)
         c = closed_weights(sc, 0, n)  # the printed rule's weights, as optimal_coefficients(n)
-        audit = minimizer_audit(n, c)  # deviation from the system's solution
+        audit = minimizer_audit(n)  # deviation from the system's solution
         coef = max(coef, audit["coefficient_max_deviation"])
         route = max(route, audit["rel_diff_qf_mult"])
         # the constraint sums, compensated, at the nodes of optimal_coefficients(n)

@@ -65,7 +65,6 @@ measures and classifies that discrepancy, it does not repair the formula.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
@@ -512,12 +511,7 @@ def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> list[float]
     return c
 
 
-def _max_gap(sol: _ExactSolution, first: int, last: int, printed) -> float:
-    """max |minimizer's float64 C_j - printed[j - first]| over the nodes first..last."""
-    return float(max(map(abs, map(operator.sub, _float_weights_on(sol, first, last), printed))))
-
-
-def _coefficient_max_deviation(sol: _ExactSolution, printed=None) -> float:
+def _coefficient_max_deviation(sol: _ExactSolution) -> float:
     """max_j |minimizer's float64 C_j - printed C_j|, read on the end windows; O(1).
 
     Past layer_width of its float64 ratio a boundary layer's powers are
@@ -525,18 +519,19 @@ def _coefficient_max_deviation(sol: _ExactSolution, printed=None) -> float:
     constant interior values: the minimizer's layers mu^(j-1) and
     mu^(n-1-j) start one node in, the printed rule's q^b and q^(n-b) at
     the ends.  Nodes w and n - w stand for all the nodes between them.
-    A caller that holds the printed weights at every node passes them as
-    printed; the whole grid is then the one window, with the same maximum.
+    Up to n = 2w + 1 = 1137 the one window is the whole grid.
     """
     n = sol.sums.n
-    if printed is not None:
-        return _max_gap(sol, 0, n, printed)
     sc = constants(n)
     w = layer_width(sc.q)
     if sol.sums.mu is not None:
         w = max(w, 1 + layer_width(float(sol.sums.mu)))
     windows = [(0, n)] if n <= 2 * w + 1 else [(0, w), (n - w, n)]
-    return max(_max_gap(sol, first, last, closed_weights(sc, first, last)) for first, last in windows)
+    return max(
+        abs(x - y)
+        for first, last in windows
+        for x, y in zip(_float_weights_on(sol, first, last), closed_weights(sc, first, last))
+    )
 
 
 # Route 1 loses about 4 log10 n + 3 of the working digits: against the
@@ -569,8 +564,10 @@ def minimizer_weights(n: int) -> tuple[list[float], float, float]:
 
     The 56-digit solve of _exact_solution, O(1), with its weights stepped
     out over the grid in float64 (_float_weights_on), O(n), and b0 and d
-    each rounded once.  wiener_hopf.solve_uniform reads them.
+    each rounded once.  wiener_hopf.solve_uniform reads them.  Raises
+    ValueError unless 1 <= n <= 10^9.
     """
+    _check_n(n, "the minimizer's weights")
     with localcontext(_CONTEXT):
         sol = _exact_solution(n)
         return _float_weights_on(sol, 0, n), float(sol.b0), float(sol.d)
@@ -594,16 +591,17 @@ def multiplier_routes(n: int, method: str) -> float:
         return float(route(sol, _moment_sums(sol)))
 
 
-def minimizer_audit(n: int, printed=None) -> dict:
+def minimizer_audit(n: int) -> dict:
     """The NormReport fields of the exact minimizer on the uniform grid with n subintervals.
 
     Routes 1-3 (via_*) and their gaps (rel_diff_qf_*) are solved and
     evaluated in 56 digits, in O(1) decimal work; coefficient_max_deviation
     is the largest gap between the minimizer's float64 weights and those of
-    the printed rule optimal_coefficients(n), in O(1) float work, or read
-    against printed, that rule's weights, when the caller already holds
-    them (validate).  build_report and validate read it.
+    the printed rule optimal_coefficients(n), read on the end windows in
+    O(1) float work.  build_report and validate read it.  Raises ValueError
+    unless 1 <= n <= 10^9.
     """
+    _check_n(n, "the minimizer audit")
     with localcontext(_CONTEXT):
         sol = _exact_solution(n)
         qf, mult, expanded = _exact_routes(sol)
@@ -613,7 +611,7 @@ def minimizer_audit(n: int, printed=None) -> dict:
             "via_expanded": float(expanded),
             "rel_diff_qf_mult": float(_rel_diff(qf, mult)),
             "rel_diff_qf_expanded": float(_rel_diff(qf, expanded)),
-            "coefficient_max_deviation": _coefficient_max_deviation(sol, printed),
+            "coefficient_max_deviation": _coefficient_max_deviation(sol),
         }
 
 

@@ -100,25 +100,18 @@ def test_validate_reports_the_coefficient_defect(capsys):
             assert "PASS" in line, line
 
 
-def test_validate_forms_each_grids_printed_weights_once(monkeypatch, capsys):
-    # validate forms the printed weights of grid n once, for its constraint
-    # check, and hands them to minimizer_audit, which forms no printed
-    # weights or spectral constants of its own
-    from optquad import cli, coefficients, norm
-    calls = []
+def test_validate_audit_rows_are_the_minimizer_audits_worst(capsys):
+    # validate's coefficient and norm-route rows are the worst of
+    # minimizer_audit(n), the report's own audit, over n = 1..max-n
+    from optquad.norm import minimizer_audit
 
-    def counted(name, plain):
-        def wrapper(*args):
-            calls.append(name)
-            return plain(*args)
-        return wrapper
-
-    for module in (cli, coefficients, norm):
-        monkeypatch.setattr(module, "closed_weights", counted("closed_weights", module.closed_weights))
-    monkeypatch.setattr(norm, "constants", counted("constants", norm.constants))
-    code, _, _ = run_cli(capsys, "validate", "--max-n", "8", "--tol", "1e-9")
-    assert code == 1
-    assert calls == ["closed_weights"] * 8
+    audits = [minimizer_audit(n) for n in range(1, optquad.DENSE_MAX_N + 1)]
+    for max_n in (8, 64, optquad.DENSE_MAX_N):
+        _, out, _ = run_cli(capsys, "validate", "--max-n", str(max_n), "--tol", "1e-9")
+        worst = dict(line.split()[:2] for line in out.splitlines()[1:5])
+        for row, key in (("coefficient_agreement", "coefficient_max_deviation"),
+                         ("norm_route_agreement", "rel_diff_qf_mult")):
+            assert worst[row] == f"{max(a[key] for a in audits[:max_n]):.6e}", (max_n, row)
 
 
 def test_validate_constraint_rows_match_the_numpy_sums(monkeypatch, capsys):
@@ -130,7 +123,7 @@ def test_validate_constraint_rows_match_the_numpy_sums(monkeypatch, capsys):
     from optquad import cli
     from optquad.coefficients import constraint_sums, optimal_coefficients
 
-    monkeypatch.setattr(cli, "minimizer_audit", lambda n, printed: {
+    monkeypatch.setattr(cli, "minimizer_audit", lambda n: {
         "coefficient_max_deviation": 0.0, "rel_diff_qf_mult": 0.0})
     rng = random.Random(1234)
     pairs = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(20)]
@@ -333,7 +326,7 @@ def test_norm_report_rejects_n_before_the_audit(monkeypatch, capsys):
     # minimizer audit, and the message names the report
     from optquad import norm
 
-    def refused(n, printed=None):
+    def refused(n):
         raise AssertionError(f"minimizer_audit({n})")
 
     monkeypatch.setattr(norm, "minimizer_audit", refused)
