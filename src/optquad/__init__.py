@@ -6,16 +6,16 @@ error-functional norm, and a CLI for reproducible reports.
 
 `import optquad` loads the standard library alone: the norm report and
 its routes, the system's exact minimizer, the printed rule's norm and
-spectral constants are bound here on import.  Their records (NormReport,
-SpectralConstants) are namedtuples, read with _asdict(), _replace() and
-_fields, so the import loads no dataclasses, and with it no inspect, ast,
-dis or tokenize, either.  The names backed by numpy arrays (weights as
-arrays, the kernel and its moment, the system solution with its residual
-and the quadrature audits, whose catalog carries each function's seminorm
-in closed form) are imported from their modules on first access, through
-the module __getattr__ below, and that first access loads numpy.  Nothing
-in the package integrates numerically; the adaptive integrator is a test
-oracle (tests/oracles.py).
+spectral constants are bound here on import.  Every record in the package,
+NormReport and SpectralConstants as well as the array modules' ones, is a
+namedtuple, read with _asdict(), _replace() and _fields: no module uses
+dataclasses, which would load inspect, ast, dis and tokenize.  The names
+backed by numpy arrays (weights as arrays, the kernel and its moment, the
+system solution with its residual and the quadrature audits, whose catalog
+carries each function's seminorm in closed form) are imported from their
+modules on first access, through the module __getattr__ below, and that
+first access loads numpy.  Nothing in the package integrates numerically;
+the adaptive integrator is a test oracle (tests/oracles.py).
 """
 import importlib
 

@@ -9,11 +9,11 @@ identical invocations produce byte-identical output.  `main` may be called
 repeatedly in one process, and it builds its parser once.
 
 The module imports the standard library and the numpy-free modules (norm,
-spectral) alone, so `norm` and `validate` run without numpy, and without
-dataclasses: the report is a namedtuple.  The handlers that build O(n)
-float64 arrays (coeffs, apply, convergence) import the array modules where
-they run, and apply and convergence import dataclasses' asdict for their
-records.
+spectral) alone, so `norm` and `validate` run without numpy.  The handlers
+that build O(n) float64 arrays (coeffs, apply, convergence) import the
+array modules where they run.  Every record in the package is a
+namedtuple, turned into a dict with _asdict(), so no command loads
+dataclasses.
 """
 from __future__ import annotations
 
@@ -127,12 +127,12 @@ def _column_cells(column, start: int, fmt: str) -> tuple[str, list | range]:
 def _emit(scalars: dict, fmt: str, out: str | None, rows: dict | None = None) -> None:
     """Serialize scalars, and optionally a table of rows, as JSON or CSV.
 
-    `rows` maps each row field to its column: a numpy array, range or list
-    of numbers, booleans or None, all of one length >= 1.  JSON prints the
-    table last, under "rows", as one object per row, laid out as by
-    json.dumps(indent=2).  CSV prints one header row; with a table, each row
-    holds its cells followed by every scalar not in _CSV_OMITTED; without
-    one, a single row holds all scalars.  Scalars are formatted once and
+    `rows` maps each row field to its column: a numpy array, range, list
+    or tuple of numbers, booleans or None, all of one length >= 1.  JSON
+    prints the table last, under "rows", as one object per row, laid out as
+    by json.dumps(indent=2).  CSV prints one header row; with a table, each
+    row holds its cells followed by every scalar not in _CSV_OMITTED;
+    without one, a single row holds all scalars.  Scalars are formatted once and
     rows _ROWS_PER_CHUNK at a time, each chunk written as soon as it is
     formatted, so the extra memory does not grow with the table.
     """
@@ -302,8 +302,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    from dataclasses import asdict
-
     from .quadrature import convergence_table
 
     try:
@@ -311,16 +309,15 @@ def cmd_convergence(args) -> int:
     except ValueError as exc:
         raise ValueError(f"--n-list must be comma-separated integers: {exc}") from None
     f = None if args.function is None else _catalog_function(args.function)
-    table = [asdict(r) for r in convergence_table(ns, f)]
-    fields = [k for k in table[0] if f is not None or k != "abs_error"]
-    columns = {k: [row[k] for row in table] for k in fields}
+    rows = convergence_table(ns, f)
+    columns = dict(zip(rows[0]._fields, zip(*rows)))  # one column per field
+    if f is None:
+        del columns["abs_error"]
     _emit({"command": "convergence", "function": args.function}, args.format, args.out, columns)
     return 0
 
 
 def cmd_apply(args) -> int:
-    from dataclasses import asdict
-
     from .coefficients import optimal_coefficients
     from .quadrature import error_check
 
@@ -329,7 +326,7 @@ def cmd_apply(args) -> int:
     rule = optimal_coefficients(args.n)
     check = error_check(rule, f, norm_sq)
     payload = {"command": "apply", "function": args.function, "n": args.n, "h": rule.h}
-    payload.update(asdict(check))
+    payload.update(check._asdict())
     _emit(payload, args.format, args.out)
     return 0
 

@@ -33,7 +33,7 @@ measures and reports that discrepancy rather than hiding it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -48,12 +48,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    n: int
-    h: float
-    nodes: np.ndarray
-    coefficients: np.ndarray
+QuadratureRule = namedtuple("QuadratureRule", ["n", "h", "nodes", "coefficients"])
+QuadratureRule.__doc__ = "A rule on [0,1]: n subintervals, step h, and its nodes and weights as float64 arrays."
 
 
 def make_rule(nodes, coefficients) -> QuadratureRule:

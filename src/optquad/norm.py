@@ -55,8 +55,7 @@ with the report, so it prints the report's own values; minimizer_weights
 steps its weights out over the grid in float64 for `coeffs --method
 system` (wiener_hopf.solve_uniform).  The module runs on the standard
 library alone, and so do `norm` and `validate`.  Its records are
-namedtuples, so it does not load dataclasses (nor inspect, which that
-imports) either.
+namedtuples, as every record in the package is.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
 magnitude (its h-block diverges like 3/h^2 as the grid refines); the report
@@ -120,9 +119,10 @@ def _working_double_moment() -> Decimal:
 
 _DOUBLE_MOMENT = _working_double_moment()  # summed once
 
-# The records are namedtuples, not dataclasses: the dataclasses module
-# imports inspect and through it ast, dis and tokenize, about 10 ms of a
-# cold `import optquad`.  Read them with _asdict(), _replace() and _fields.
+# The records are namedtuples, as in every module of the package: the
+# dataclasses module imports inspect and through it ast, dis and tokenize,
+# about 10 ms of a cold `import optquad`.  Read them with _asdict(),
+# _replace() and _fields.
 NormReport = namedtuple("NormReport", [
     "n",
     "h",

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,16 +29,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """A catalog integrand: its values, and its exact integral and seminorm |f| in closed form."""
-
-    __test__ = False  # not a pytest class, despite the name
-
-    name: str
-    value: Callable[[float], float]
-    exact_integral: float
-    seminorm: float
+TestFunction = namedtuple("TestFunction", ["name", "value", "exact_integral", "seminorm"])
+TestFunction.__doc__ = "A catalog integrand: its values, and its exact integral and seminorm |f| in closed form."
+TestFunction.__test__ = False  # not a pytest class, despite the name
 
 
 def _affine_exp_neg() -> TestFunction:
@@ -76,23 +68,11 @@ CATALOG: dict[str, TestFunction] = {
 }
 
 
-@dataclass(frozen=True)
-class ErrorCheck:
-    quad_value: float
-    true_value: float
-    abs_error: float
-    norm_bound: float
-    bound_satisfied: bool
+ErrorCheck = namedtuple("ErrorCheck", ["quad_value", "true_value", "abs_error", "norm_bound", "bound_satisfied"])
+ErrorCheck.__doc__ = "A rule's value on f, the exact integral, their gap and the bound ||l|| * |f| it must keep."
 
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    h: float
-    norm_sq: float
-    ratio: Optional[float]
-    order_estimate: Optional[float]
-    abs_error: Optional[float]
+ConvergenceRow = namedtuple("ConvergenceRow", ["n", "h", "norm_sq", "ratio", "order_estimate", "abs_error"])
+ConvergenceRow.__doc__ = "One grid of a refinement: the squared norm, its ratio and order, and f's error if given."
 
 
 def apply_rule(rule: QuadratureRule, f: TestFunction) -> float:
@@ -120,9 +100,7 @@ def error_check(rule: QuadratureRule, f: TestFunction, norm_sq: float) -> ErrorC
     )
 
 
-def convergence_table(
-    ns: Sequence[int], f: Optional[TestFunction] = None
-) -> list[ConvergenceRow]:
+def convergence_table(ns, f: TestFunction | None = None) -> list[ConvergenceRow]:
     """Norm decay along a grid refinement; per-function errors when f given.
 
     norm_sq is closed_rule_norm, the printed rule's exact squared norm in
@@ -139,7 +117,7 @@ def convergence_table(
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("grid sizes must be strictly increasing")
     rows: list[ConvergenceRow] = []
-    prev: Optional[ConvergenceRow] = None
+    prev: ConvergenceRow | None = None
     for n in ns:
         norm_sq = closed_rule_norm(n)
         ratio = order = None

@@ -27,8 +27,8 @@ floats.  filter_band is the band the stationarity system's filter leaves
 (see wiener_hopf), whose root inside the unit circle is the minimizer's
 boundary-layer ratio mu, for float64 and Decimal arguments alike.  This
 module, like norm, runs on the standard library alone: `import optquad`,
-the norm report and `validate` load no numpy, and, since SpectralConstants
-is a namedtuple, no dataclasses.
+the norm report and `validate` load no numpy.  SpectralConstants is a
+namedtuple, as every record in the package is.
 """
 from __future__ import annotations
 

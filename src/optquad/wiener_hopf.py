@@ -39,7 +39,7 @@ assembly for arbitrary nodes, O(count^3), is a test oracle
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -53,13 +53,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class SystemSolution:
-    nodes: np.ndarray
-    c: np.ndarray
-    b0: float
-    d: float
-    residual_inf: float
+SystemSolution = namedtuple("SystemSolution", ["nodes", "c", "b0", "d", "residual_inf"])
+SystemSolution.__doc__ = "The system's weights c and multipliers b0, d on the nodes, and their largest residual."
 
 
 def _residual_inf(x: np.ndarray, c: np.ndarray, b0: float, d: float) -> float:

@@ -139,6 +139,19 @@ def test_closed_weights_are_bitwise_the_numpy_form():
                                           err_msg=str(n))
 
 
+@pytest.mark.parametrize("ns", [range(1, 514), [10**5, 10**6]], ids=["1-513", "large"])
+def test_validate_node_list_is_bitwise_the_rule_nodes(ns):
+    # `validate` forms e^-x at the nodes of optimal_coefficients(n) without
+    # numpy, from the list [-j h for j < n] + [-1.0]; it must be those
+    # nodes, negated, to the bit.  0.0 - x negates exactly and, like -0 * h,
+    # leaves the first node +0.0
+    for n in ns:
+        h = constants(n).h
+        stdlib = np.array([-j * h for j in range(n)] + [-1.0])
+        negated = 0.0 - optimal_coefficients(n).nodes
+        assert np.array_equal(stdlib.view(np.uint64), negated.view(np.uint64)), n
+
+
 def test_rejects_bad_n():
     with pytest.raises(ValueError):
         optimal_coefficients(0)

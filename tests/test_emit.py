@@ -8,7 +8,6 @@ import contextlib
 import csv
 import io
 import tracemalloc
-from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -58,7 +57,7 @@ def convergence_payload(ns: list[int], function: str | None) -> dict:
     """The `convergence` payload, built as the command built it before streaming."""
     f = None if function is None else CATALOG[function]
     payload = {"command": "convergence", "function": function,
-               "rows": [asdict(r) for r in convergence_table(ns, f)]}
+               "rows": [r._asdict() for r in convergence_table(ns, f)]}
     if f is None:
         for row in payload["rows"]:
             row.pop("abs_error")

@@ -3,9 +3,10 @@
 Each module keeps its `_`-prefixed names to itself, every name a module
 lists in `__all__` exists and is reachable from `cli.main`, importing the
 package loads no scipy, a norm report loads no mpmath, importing the
-package, every norm route and validate load no numpy and no dataclasses,
-and apply and convergence load no kernel.  The source is parsed rather
-than imported where it can be, because importing `__main__` runs the CLI.
+package, every norm route and validate load no numpy, no module imports
+dataclasses and no command loads it, and apply and convergence load no
+kernel.  The source is parsed rather than imported where it can be,
+because importing `__main__` runs the CLI.
 """
 import ast
 import importlib
@@ -45,6 +46,22 @@ def test_every_all_entry_resolves():
                     if not hasattr(module, name)]
     assert "optquad" in checked
     assert missing == []
+
+
+def test_no_module_imports_dataclasses():
+    # every record in the package is a namedtuple
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name.split(".")[0] == "dataclasses"]
+    assert found == []
 
 
 def _bindings(tree):
@@ -139,10 +156,10 @@ def test_norm_report_leaves_mpmath_unloaded():
 def test_import_norm_report_and_validate_leave_numpy_unloaded():
     # every norm route, the report, the printed rule's norm and validate
     # run on the standard library; a cold `import numpy` takes about 150 ms, more
-    # than the interpreter's own start.  Their records are namedtuples:
-    # dataclasses imports inspect, and through it ast, dis and tokenize,
-    # about 10 ms of a cold `import optquad`.  The array commands still
-    # load numpy and keep their dataclass records.
+    # than the interpreter's own start.  No command loads dataclasses,
+    # which imports inspect, and through it ast, dis and tokenize, about
+    # 10 ms of a cold `import optquad`: every record is a namedtuple.  The
+    # array commands load numpy, which imports inspect itself.
     code = ("import contextlib, io, sys, optquad\n"
             "from optquad import cli\n"
             "def loaded():\n"
@@ -154,11 +171,12 @@ def test_import_norm_report_and_validate_leave_numpy_unloaded():
             "    assert cli.main(['validate', '--max-n', '8', '--tol', '1e-9']) == 1\n"
             "    seen.append(loaded())\n"
             "    assert cli.main(['coeffs', '--n', '8']) == 0\n"
-            "    seen.append(loaded())\n"
+            "    assert cli.main(['coeffs', '--n', '8', '--method', 'system']) == 0\n"
             "    assert cli.main(['apply', '--n', '8', '--function', 'sin']) == 0\n"
             "    assert cli.main(['convergence', '--n-list', '2,4,8', '--function', 'sin']) == 0\n"
+            "    seen.append(loaded())\n"
             "print(seen)")
-    assert _fresh_stdout(code).strip() == "[[], [], ['dataclasses', 'inspect', 'numpy']]"
+    assert _fresh_stdout(code).strip() == "[[], [], ['inspect', 'numpy']]"
 
 
 def test_apply_and_convergence_leave_the_kernel_unloaded():
