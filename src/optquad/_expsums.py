@@ -23,19 +23,20 @@ ratio r1 r2.
 A ratio r is carried as its integer exponents (a, b), r = mu^a e^(b h),
 so the sums recognise a ratio of exactly 1 by (a, b) == (0, 0) instead of
 comparing Decimal values; mu^a e^(bh) for a != 0 is far from 1 on every
-grid.  Each grid takes one Decimal.exp: e^h, in 4 digits(n) + 12 guard
-digits past the working precision (wide_eh).  e^(kh) for k > 0 is its
-integer power k in those digits, rounded once to the working precision,
-and e^(-kh) is 1 / e^(kh); 1 - e^(bh) for b > 0 is 1 - (e^h)^b in the
-guard digits too, since the subtraction cancels about log10(n / b) of
-them.  The power's relative error is about k guard-digit ulps: 10^-98
-at k = 10^9 + 1 in 56 working digits, far below one working ulp.
+grid.  Each grid has one guard-digit context, wide, 4 digits(n) + 12
+digits past the working precision, and takes one Decimal.exp there: e^h
+(wide_eh).  e^(kh) for k > 0 is its integer power k in wide, rounded
+once to the working precision, and e^(-kh) is 1 / e^(kh); 1 - e^(bh)
+for b > 0 is 1 - (e^h)^b in wide too, since the subtraction cancels
+about log10(n / b) of the guard digits, and so are norm's printed-rule
+constants.  The power's relative error is about k guard-digit ulps:
+10^-98 at k = 10^9 + 1 in 56 working digits, far below one working ulp.
 Every result is a Decimal in the precision of the decimal context the
 instance was made in, whose exponent range must hold mu^(-2n).
 """
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 
 __all__ = ["ONE", "ExpSums"]
 
@@ -56,7 +57,8 @@ class ExpSums:
     """Sums of j^k r^j and of psi_2 against them, grid n, boundary ratio mu.
 
     mu is read only by ratios with a != 0 and may be set after
-    construction.  eh is e^h in the guard digits, taken once at
+    construction.  wide is the grid's guard-digit context, the working
+    precision plus 4 digits(n) + 12, and eh is e^h in it, taken once at
     construction.  Powers of mu and of e^h, the gaps 1 - r, the sums of
     j^k r^j and the pieces' row expansions are cached on the instance, so
     the sums of one grid share them; an instance therefore serves the
@@ -67,7 +69,8 @@ class ExpSums:
         self.n = n
         self.h = Decimal(1) / n
         self.mu = mu
-        self._guard = 4 * len(str(n)) + 12
+        self.wide = getcontext().copy()
+        self.wide.prec += 4 * len(str(n)) + 12
         self.eh = self.wide_eh()
         self._exp = {0: Decimal(1)}
         self._mu = {0: Decimal(1)}
@@ -76,9 +79,8 @@ class ExpSums:
         self._rows = {}
 
     def wide_eh(self):
-        """e^h in the working precision plus the guard digits: the grid's one Decimal.exp."""
-        with localcontext() as wide:
-            wide.prec += self._guard
+        """e^h in wide: the grid's one Decimal.exp."""
+        with localcontext(self.wide):
             return (1 / Decimal(self.n)).exp()
 
     def exp(self, k: int):
@@ -87,8 +89,7 @@ class ExpSums:
             if k < 0:
                 self._exp[k] = 1 / self.exp(-k)
             else:
-                with localcontext() as wide:
-                    wide.prec += self._guard
+                with localcontext(self.wide):
                     power = self.eh**k
                 self._exp[k] = +power  # the unary plus rounds to the working precision
         return self._exp[k]
@@ -114,8 +115,7 @@ class ExpSums:
             if a:
                 self._gap[r] = 1 - self.power(r, 1)
             elif b > 0:
-                with localcontext() as wide:
-                    wide.prec += self._guard
+                with localcontext(self.wide):
                     expm1 = self.eh**b - 1
                 self._gap[r] = -expm1  # the negation rounds to the working precision
             else:  # 1 - e^-x = (e^x - 1) e^-x

@@ -184,7 +184,6 @@ def _catalog_function(name: str):
 
 def cmd_coeffs(args) -> int:
     from .coefficients import constraint_residuals, make_rule, optimal_coefficients
-    from .wiener_hopf import solve_uniform
 
     n = args.n
     sc = constants(n)  # validates n >= 1
@@ -200,6 +199,7 @@ def cmd_coeffs(args) -> int:
     if args.method == "closed":
         rule = optimal_coefficients(n)
     else:
+        from .wiener_hopf import solve_uniform  # loads the kernel for its residual
         sol = solve_uniform(n)
         rule = make_rule(sol.nodes, sol.c)
         payload.update(b0=sol.b0, d=sol.d, residual_inf=sol.residual_inf)

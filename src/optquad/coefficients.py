@@ -17,8 +17,8 @@ q = 1/lambda1 and Kscaled = K lambda1^(N+1):
 so only nonnegative powers of q appear and grids up to N = 10^6 evaluate
 without overflow (deep q powers underflow to exact zero, a correction far
 below double precision).  Only the powers that do not underflow are
-formed (layer_width): past them, a few dozen nodes from each end, every
-interior weight is h exactly.  spectral.closed_weights evaluates the
+formed (layer_width): past them, a few dozen nodes from each end
+(spectral.end_windows), every interior weight is h exactly.  spectral.closed_weights evaluates the
 formulas on any window of nodes, in Python floats, so a caller that needs
 only the ends does O(1) work and loads no numpy (the norm report, and
 validate, which takes all of its at most 514 weights from there).  This
@@ -37,7 +37,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .spectral import SpectralConstants, closed_weights, constants, layer_width
+from .spectral import SpectralConstants, closed_weights, constants, end_windows, layer_width
 
 __all__ = [
     "QuadratureRule",
@@ -75,9 +75,8 @@ def optimal_coefficients(n: int) -> QuadratureRule:
     """Closed-form weights on the uniform grid with n subintervals."""
     sc: SpectralConstants = constants(n)  # validates n
     c = np.full(n + 1, sc.h)
-    # the ends, up to the first q power that underflows, one window where they meet
-    k = min(n, layer_width(sc.q))
-    for first, last in [(0, n)] if n < 2 * k else [(0, k - 1), (n - k + 1, n)]:
+    # the ends, up to the first q power that underflows
+    for first, last in end_windows(n, layer_width(sc.q)):
         c[first:last + 1] = closed_weights(sc, first, last)
     nodes = np.linspace(0.0, 1.0, n + 1)
     return QuadratureRule(n=n, h=sc.h, nodes=nodes, coefficients=c)

@@ -41,14 +41,15 @@ range.  The report's decimal work is therefore the same at
 every n, and the report has one path with no size cap.  Route 1 sums
 terms near 1 down to about h^4/720, which costs about 4 log10 n + 3
 digits (27 at n = 10^6); 56 digits leave room for that well past
-n = 10^6.  Each grid takes one Decimal.exp, of e^h in 4 digits(n) + 12
-guard digits; every e^(kh) is its integer power k there, rounded once to
-the working digits, and every 1 - e^(bh) is formed there too (ExpSums).
-The printed rule has the same pieces with q = 1/lambda1 for mu, so its
-norm (closed_rule_norm) is route 1 from the same sums, and
-coefficient_max_deviation reads both float64 weight sets, in Python
-floats, on the end windows only, where their float64 boundary layers have
-not yet underflowed.  The same solve serves every caller that needs the
+n = 10^6.  Each grid has one guard-digit context, 4 digits(n) + 12 past
+the working digits (ExpSums.wide), and takes one Decimal.exp there, of
+e^h; every e^(kh) and 1 - e^(bh) is formed there and rounded once.
+The printed rule has the same pieces with q = 1/lambda1 for mu, its
+constants formed in the same context, so its norm (closed_rule_norm) is
+route 1 from the same sums, and coefficient_max_deviation reads both
+float64 weight sets, in Python floats, on the end windows only
+(spectral.end_windows), where their boundary layers have not yet
+underflowed.  The same solve serves every caller that needs the
 system's solution: multiplier_routes(n, method), behind `norm --methods
 multiplier|expanded`, forms route 2 or route 3 of it alone, written once
 with the report, so it prints the report's own values; minimizer_weights
@@ -68,7 +69,7 @@ from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 from ._expsums import ONE, ExpSums
-from .spectral import closed_weights, constants, filter_band, layer_width
+from .spectral import closed_weights, constants, end_windows, filter_band, layer_width
 
 __all__ = [
     "NormReport",
@@ -368,13 +369,12 @@ def _printed_solution(n: int) -> _ExactSolution:
     coefficients module), amplitudes c_0, c_n, -Kscaled (e^h - q) q,
     -Kscaled (1 - e^h q) q and 1.  lambda1, Kscaled and the end weights
     cancel O(1) terms down to h^3, about 3 log10 n digits, so they are
-    formed with 4 digits(n) + 10 guard digits, from the wide e^h of the
-    solution's ExpSums.  Only the rows of the deltas are kept, which is
-    all route 1 reads.
+    formed in the grid's guard-digit context (ExpSums.wide, 4 digits(n) +
+    12 past the working digits) from its e^h.  Only the rows of the
+    deltas are kept, which is all route 1 reads.
     """
     sums = ExpSums(n)
-    with localcontext() as wide:
-        wide.prec += 4 * len(str(n)) + 10
+    with localcontext(sums.wide):
         h = Decimal(1) / n
         eh = sums.eh
         em1, e2h = eh - 1, eh * eh
@@ -518,18 +518,18 @@ def _coefficient_max_deviation(sol: _ExactSolution) -> float:
     exactly 0.0, so from node w to node n - w both weight sets are their
     constant interior values: the minimizer's layers mu^(j-1) and
     mu^(n-1-j) start one node in, the printed rule's q^b and q^(n-b) at
-    the ends.  Nodes w and n - w stand for all the nodes between them.
-    Up to n = 2w + 1 = 1137 the one window is the whole grid.
+    the ends.  Nodes w and n - w stand for all the nodes between them, so
+    the windows are spectral.end_windows of width w + 1.  Up to
+    n = 2w + 1 = 1137 the one window is the whole grid.
     """
     n = sol.sums.n
     sc = constants(n)
     w = layer_width(sc.q)
     if sol.sums.mu is not None:
         w = max(w, 1 + layer_width(float(sol.sums.mu)))
-    windows = [(0, n)] if n <= 2 * w + 1 else [(0, w), (n - w, n)]
     return max(
         abs(x - y)
-        for first, last in windows
+        for first, last in end_windows(n, w + 1)
         for x, y in zip(_float_weights_on(sol, first, last), closed_weights(sc, first, last))
     )
 

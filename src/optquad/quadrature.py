@@ -10,7 +10,6 @@ span by construction.
 from __future__ import annotations
 
 import math
-import random
 from collections import namedtuple
 
 import numpy as np
@@ -34,18 +33,8 @@ TestFunction.__doc__ = "A catalog integrand: its values, and its exact integral 
 TestFunction.__test__ = False  # not a pytest class, despite the name
 
 
-def _affine_exp_neg() -> TestFunction:
-    # fixed pseudo-random draw so CLI output stays byte-reproducible
-    rng = random.Random(20240917)
-    a = rng.uniform(-10.0, 10.0)
-    b = rng.uniform(-10.0, 10.0)
-    return TestFunction(
-        name="affine_exp_neg",
-        value=lambda x, a=a, b=b: a + b * np.exp(-x),
-        exact_integral=a - b * math.expm1(-1.0),
-        seminorm=0.0,
-    )
-
+# affine_exp_neg is a + b e^-x with this fixed a and b
+_A, _B = -9.343190597215287, 7.380874446557431
 
 # Each seminorm sqrt(int_0^1 (f'' + f')^2 dx) is its closed form, written
 # as the correctly rounded literal so that no libm rounding enters it:
@@ -63,7 +52,8 @@ CATALOG: dict[str, TestFunction] = {
                      -math.expm1(-1.0), 0.0),
         TestFunction("exp", np.exp, math.expm1(1.0), 3.5746485418655216),
         TestFunction("sin", np.sin, 1.0 - math.cos(1.0), 0.5403023058681398),
-        _affine_exp_neg(),
+        TestFunction("affine_exp_neg", lambda x: _A + _B * np.exp(-x),
+                     _A - _B * math.expm1(-1.0), 0.0),
     )
 }
 

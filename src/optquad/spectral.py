@@ -23,7 +23,8 @@ where q^m underflows.
 
 closed_weights evaluates the printed weights from these constants (see the
 coefficients module for the formulas) on a window of nodes, in Python
-floats.  filter_band is the band the stationarity system's filter leaves
+floats, and end_windows the node ranges where a float64 rule's weights
+leave h.  filter_band is the band the stationarity system's filter leaves
 (see wiener_hopf), whose root inside the unit circle is the minimizer's
 boundary-layer ratio mu, for float64 and Decimal arguments alike.  This
 module, like norm, runs on the standard library alone: `import optquad`,
@@ -41,6 +42,7 @@ __all__ = [
     "SpectralConstants",
     "closed_weights",
     "constants",
+    "end_windows",
     "filter_band",
     "lambda1",
     "layer_width",
@@ -122,6 +124,15 @@ def layer_width(ratio: float) -> int:
     |ratio|^j rounds to zero below half the least subnormal, 2^-1075.
     """
     return math.ceil(1075 * math.log(2.0) / -math.log(abs(ratio))) + 1
+
+
+def end_windows(n: int, width: int) -> list[tuple[int, int]]:
+    """The node ranges (first, last) within width nodes of either end of the grid 0..n.
+
+    A float64 rule whose layers underflow width nodes in (layer_width) is h
+    outside them.  Where the two ends meet, n < 2 width, the one range is 0..n.
+    """
+    return [(0, n)] if n < 2 * width else [(0, width - 1), (n - width + 1, n)]
 
 
 def closed_weights(sc: SpectralConstants, first: int, last: int) -> list[float]:

@@ -30,12 +30,13 @@ in 56-digit decimal, O(1) work at every n; the norm report and `norm
 --methods multiplier|expanded` read it too.
 
 solve_uniform returns its weights and multipliers in float64 together
-with their residual in the unfiltered system, an O(n^2) convolution that
-`coeffs --method system` prints; that residual keeps the size cap of
-spectral.DENSE_MAX_N subintervals.  The residual is numpy float64, so the
-CLI imports this module for `coeffs --method system` alone.  The dense
-assembly for arbitrary nodes, O(count^3), is a test oracle
-(tests/oracles.py).
+with their residual in the unfiltered system, which `coeffs --method
+system` prints: the worst kernel row, an O(n^2) convolution that keeps
+the size cap of spectral.DENSE_MAX_N subintervals, or either of the
+constraint residuals printed beside it (coefficients.constraint_residuals,
+compensated).  The CLI imports this module for `coeffs --method system`
+alone.  The dense assembly for arbitrary nodes, O(count^3), is a test
+oracle (tests/oracles.py).
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from .coefficients import QuadratureRule, constraint_residuals
 from .kernel import moment, psi
 from .norm import minimizer_weights
 from .spectral import DENSE_MAX_N
@@ -57,23 +59,14 @@ SystemSolution = namedtuple("SystemSolution", ["nodes", "c", "b0", "d", "residua
 SystemSolution.__doc__ = "The system's weights c and multipliers b0, d on the nodes, and their largest residual."
 
 
-def _residual_inf(x: np.ndarray, c: np.ndarray, b0: float, d: float) -> float:
-    """Largest residual of (c, b0, d) in the unfiltered system on the nodes x, matrix-free."""
-    samples = psi(2, x)
-    en = np.exp(-x)
-    toeplitz = np.concatenate([samples[:0:-1], samples])
-    rows = np.convolve(toeplitz, c, "valid") + b0 + d * en - moment(x)
-    constraints = [c.sum() - 1.0, en @ c + np.expm1(-1.0)]
-    return float(max(np.abs(rows).max(), *np.abs(constraints)))
-
-
 def solve_uniform(n: int) -> SystemSolution:
     """The system's solution on the uniform grid with n subintervals, 1 <= n <= DENSE_MAX_N.
 
     The weights, b0 and d are norm.minimizer_weights(n), the exact
     minimizer in float64; the nodes are k/n, correctly rounded.
-    residual_inf is the largest residual in the unfiltered system, every
-    kernel row and both constraints, an O(n^2) convolution.
+    residual_inf is the largest residual in the unfiltered system: the
+    worst kernel row, an O(n^2) convolution, or either of the two
+    constraint_residuals that `coeffs` prints beside it.
     """
     if n < 1:
         raise ValueError("grid size must be >= 1")
@@ -81,5 +74,9 @@ def solve_uniform(n: int) -> SystemSolution:
         raise ValueError(f"the system solve is capped at n = {DENSE_MAX_N}")
     c, b0, d = minimizer_weights(n)
     x = np.arange(n + 1) / n
-    c = np.array(c)
-    return SystemSolution(nodes=x, c=c, b0=b0, d=d, residual_inf=_residual_inf(x, c, b0, d))
+    rule = QuadratureRule(n=n, h=1.0 / n, nodes=x, coefficients=np.array(c))
+    samples = psi(2, x)
+    toeplitz = np.concatenate([samples[:0:-1], samples])  # matrix-free kernel rows
+    rows = np.convolve(toeplitz, rule.coefficients, "valid") + b0 + d * np.exp(-x) - moment(x)
+    residual = max(np.abs(rows).max(), *constraint_residuals(rule))
+    return SystemSolution(nodes=x, c=rule.coefficients, b0=b0, d=d, residual_inf=float(residual))

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import pytest
 
-from optquad.spectral import _shape_factor, constants, lambda1
+from optquad.spectral import _shape_factor, constants, end_windows, lambda1
 
 from highprec import lambda1_ref, spectral_ref
 
@@ -129,3 +129,15 @@ def test_shape_factor_negative():
         eh = math.exp(h)
         if h >= 0.3:  # direct evaluation is safe here; cross-check the series path
             assert _shape_factor(h) == pytest.approx(2 * eh - 2 - h * eh - h, rel=1e-12)
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 568])
+def test_end_windows_meet_at_twice_the_width(width):
+    assert end_windows(2 * width - 1, width) == [(0, 2 * width - 1)]
+    assert end_windows(2 * width, width) == [(0, width - 1), (width + 1, 2 * width)]
+    assert end_windows(2 * width + 1, width) == [(0, width - 1), (width + 2, 2 * width + 1)]
+
+
+@pytest.mark.parametrize("n, width", [(1, 1), (1, 5), (7, 7), (7, 600)])
+def test_end_windows_are_the_whole_grid_when_width_covers_it(n, width):
+    assert end_windows(n, width) == [(0, n)]

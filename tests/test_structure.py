@@ -181,12 +181,14 @@ def test_import_norm_report_and_validate_leave_numpy_unloaded():
 
 def test_apply_and_convergence_leave_the_kernel_unloaded():
     # every catalog function carries its seminorm in closed form, so the
-    # error-bound audit integrates nothing; only `coeffs` loads the kernel,
-    # for the residual of the stationarity system
+    # error-bound audit integrates nothing; only `coeffs --method system`
+    # loads the kernel (through wiener_hopf), for the residual of the
+    # stationarity system, and `coeffs --method closed` loads neither
     code = ("import contextlib, io, sys\n"
             "from optquad import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['apply', '--n', '16', '--function', 'sin']) == 0\n"
             "    assert cli.main(['convergence', '--n-list', '2,4,8', '--function', 'exp']) == 0\n"
-            "print('optquad.kernel' in sys.modules)")
-    assert _fresh_stdout(code).strip() == "False"
+            "    assert cli.main(['coeffs', '--n', '8']) == 0\n"
+            "print(sorted(m for m in ('optquad.kernel', 'optquad.wiener_hopf') if m in sys.modules))")
+    assert _fresh_stdout(code).strip() == "[]"

@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from optquad.coefficients import optimal_coefficients
+from optquad.coefficients import constraint_residuals, make_rule, optimal_coefficients
 from optquad.kernel import moment, psi
 from optquad.norm import _CONTEXT, _exact_solution
 from optquad.cli import main
@@ -69,6 +69,23 @@ def test_residual_invariant_across_sizes():
     for n in (1, 2, 5, 16, 64):
         sol = solve_uniform(n)
         assert sol.residual_inf <= 1e-10, n
+
+
+def test_residual_inf_covers_the_printed_constraint_residuals():
+    # residual_inf takes its constraint rows from constraint_residuals, the
+    # values `coeffs` prints beside it, so it is never below either of them
+    for n in range(1, DENSE_MAX_N + 1):
+        sol = solve_uniform(n)
+        r1, r2 = constraint_residuals(make_rule(sol.nodes, sol.c))
+        assert sol.residual_inf >= max(r1, r2), (n, sol.residual_inf, r1, r2)
+
+
+def test_residual_inf_is_not_an_uncompensated_sums_rounding():
+    # at n = 333 both compensated constraint residuals are 0.0 and the
+    # worst kernel row is 5 * 2^-58; the float64 c.sum() lands 2^-52 off 1
+    sol = solve_uniform(333)
+    assert constraint_residuals(make_rule(sol.nodes, sol.c)) == (0.0, 0.0)
+    assert sol.residual_inf == 1.734723475976807e-17
 
 
 def test_solution_satisfies_constraints_for_arbitrary_nodes():
