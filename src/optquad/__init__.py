@@ -54,7 +54,6 @@ __all__ = [
     "error_check",
     "geometric_sums",
     "lambda1",
-    "make_rule",
     "minimizer_audit",
     "minimizer_weights",
     "moment",
@@ -67,7 +66,7 @@ __all__ = [
 
 # The numpy-backed names of __all__, by the module that defines them.
 _ARRAY_MODULES = {
-    "coefficients": ("QuadratureRule", "constraint_residuals", "make_rule", "optimal_coefficients"),
+    "coefficients": ("QuadratureRule", "constraint_residuals", "optimal_coefficients"),
     "kernel": ("moment", "psi"),
     "quadrature": ("CATALOG", "ConvergenceRow", "ErrorCheck", "TestFunction", "apply_rule",
                    "convergence_table", "error_check"),

@@ -183,7 +183,7 @@ def _catalog_function(name: str):
 
 
 def cmd_coeffs(args) -> int:
-    from .coefficients import constraint_residuals, make_rule, optimal_coefficients
+    from .coefficients import constraint_residuals, optimal_coefficients
 
     n = args.n
     sc = constants(n)  # validates n >= 1
@@ -198,15 +198,16 @@ def cmd_coeffs(args) -> int:
     }
     if args.method == "closed":
         rule = optimal_coefficients(n)
+        nodes, c = rule.nodes, rule.coefficients
+        r1, r2 = constraint_residuals(rule)
     else:
         from .wiener_hopf import solve_uniform  # loads the kernel for its residual
         sol = solve_uniform(n)
-        rule = make_rule(sol.nodes, sol.c)
+        nodes, c = sol.nodes, sol.c
         payload.update(b0=sol.b0, d=sol.d, residual_inf=sol.residual_inf)
-    r1, r2 = constraint_residuals(rule)
-    payload["residual_constraint_sum"] = r1
-    payload["residual_constraint_exp_neg"] = r2
-    columns = {"beta": range(n + 1), "x": rule.nodes, "c": rule.coefficients}
+        r1, r2 = sol.residual_constraint_sum, sol.residual_constraint_exp_neg
+    payload.update(residual_constraint_sum=r1, residual_constraint_exp_neg=r2)
+    columns = {"beta": range(n + 1), "x": nodes, "c": c}
     _emit(payload, args.format, args.out, columns)
     return 0
 

@@ -16,9 +16,9 @@ q = 1/lambda1 and Kscaled = K lambda1^(N+1):
 
 so only nonnegative powers of q appear and grids up to N = 10^6 evaluate
 without overflow (deep q powers underflow to exact zero, a correction far
-below double precision).  Only the powers that do not underflow are
-formed (layer_width): past them, a few dozen nodes from each end
-(spectral.end_windows), every interior weight is h exactly.  spectral.closed_weights evaluates the
+below double precision).  Past the end windows (spectral.closed_width,
+4 to 15 nodes at N = 4 .. 10^9), every interior weight is h exactly, so
+only the windows are evaluated.  spectral.closed_weights evaluates the
 formulas on any window of nodes, in Python floats, so a caller that needs
 only the ends does O(1) work and loads no numpy (the norm report, and
 validate, which takes all of its at most 514 weights from there).  This
@@ -37,13 +37,12 @@ from collections import namedtuple
 
 import numpy as np
 
-from .spectral import SpectralConstants, closed_weights, constants, end_windows, layer_width
+from .spectral import SpectralConstants, closed_weights, closed_width, constants, end_windows
 
 __all__ = [
     "QuadratureRule",
     "constraint_residuals",
     "constraint_sums",
-    "make_rule",
     "optimal_coefficients",
 ]
 
@@ -52,31 +51,11 @@ QuadratureRule = namedtuple("QuadratureRule", ["n", "h", "nodes", "coefficients"
 QuadratureRule.__doc__ = "A rule on [0,1]: n subintervals, step h, and its nodes and weights as float64 arrays."
 
 
-def make_rule(nodes, coefficients) -> QuadratureRule:
-    """Package arbitrary nodes/weights on [0,1] as a rule (no optimality implied)."""
-    nodes = np.asarray(nodes, dtype=float)
-    coefficients = np.asarray(coefficients, dtype=float)
-    if nodes.ndim != 1 or nodes.shape != coefficients.shape:
-        raise ValueError("nodes and coefficients must be 1-D arrays of equal length")
-    if nodes.size < 1:
-        raise ValueError("a rule needs at least one node")
-    if not np.all(np.isfinite(nodes)):
-        raise ValueError("nodes must be finite")
-    if np.any(np.diff(nodes) <= 0.0):
-        raise ValueError("nodes must be strictly increasing")
-    if nodes[0] < 0.0 or nodes[-1] > 1.0:
-        raise ValueError("nodes must lie within [0, 1]")
-    n = nodes.size - 1
-    h = (nodes[-1] - nodes[0]) / n if n else 1.0
-    return QuadratureRule(n=n, h=float(h), nodes=nodes, coefficients=coefficients)
-
-
 def optimal_coefficients(n: int) -> QuadratureRule:
     """Closed-form weights on the uniform grid with n subintervals."""
     sc: SpectralConstants = constants(n)  # validates n
     c = np.full(n + 1, sc.h)
-    # the ends, up to the first q power that underflows
-    for first, last in end_windows(n, layer_width(sc.q)):
+    for first, last in end_windows(n, closed_width(sc)):
         c[first:last + 1] = closed_weights(sc, first, last)
     nodes = np.linspace(0.0, 1.0, n + 1)
     return QuadratureRule(n=n, h=sc.h, nodes=nodes, coefficients=c)

@@ -13,9 +13,10 @@ switches to the odd Taylor tail under a fixed seam.
 The m = 2 moments over [0,1] have closed forms (`moment` here, in numpy
 float64, and `norm.double_moment`, which the norm routes sum in decimal).
 wiener_hopf reads psi and moment for the residual of the stationarity
-system, so the CLI loads this module with wiener_hopf, for `coeffs`, and
-for no other command.  The adaptive integration oracle that cross-checks
-the moments lives in the tests (tests/oracles.py).
+system, so the CLI loads this module with wiener_hopf, for `coeffs
+--method system`, and for no other command.  The adaptive integration
+oracle that cross-checks the moments lives in the tests
+(tests/oracles.py).
 """
 from __future__ import annotations
 

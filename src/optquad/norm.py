@@ -48,15 +48,16 @@ The printed rule has the same pieces with q = 1/lambda1 for mu, its
 constants formed in the same context, so its norm (closed_rule_norm) is
 route 1 from the same sums, and coefficient_max_deviation reads both
 float64 weight sets, in Python floats, on the end windows only
-(spectral.end_windows), where their boundary layers have not yet
-underflowed.  The same solve serves every caller that needs the
-system's solution: multiplier_routes(n, method), behind `norm --methods
-multiplier|expanded`, forms route 2 or route 3 of it alone, written once
-with the report, so it prints the report's own values; minimizer_weights
-steps its weights out over the grid in float64 for `coeffs --method
-system` (wiener_hopf.solve_uniform).  The module runs on the standard
-library alone, and so do `norm` and `validate`.  Its records are
-namedtuples, as every record in the package is.
+(spectral.end_windows), outside which both are float(h)
+(spectral.layer_width).  The same solve serves every caller that needs
+the system's solution: multiplier_routes(n, method), behind `norm
+--methods multiplier|expanded`, forms route 2 or route 3 of it alone,
+written once with the report, so it prints the report's own values;
+minimizer_weights steps its weights out in float64 on the two end
+windows, 30 nodes each, and puts float(h) between them, for `coeffs
+--method system` (wiener_hopf.solve_uniform).  The module runs on the
+standard library alone, and so do `norm` and `validate`.  Its records
+are namedtuples, as every record in the package is.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
 magnitude (its h-block diverges like 3/h^2 as the grid refines); the report
@@ -69,7 +70,7 @@ from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 from ._expsums import ONE, ExpSums
-from .spectral import closed_weights, constants, end_windows, filter_band, layer_width
+from .spectral import closed_weights, closed_width, constants, end_windows, filter_band, layer_width
 
 __all__ = [
     "NormReport",
@@ -485,24 +486,19 @@ def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> list[float]
 
     Each piece is anchored at the end of its range where it is largest and
     stepped from there by its float64 ratio, ratio ** (distance from the
-    anchor), so nothing overflows or underflows.  The ratios are mu < 0
-    and 1, whose powers libm's pow and numpy's power form alike.  From
-    layer_width(ratio) nodes past the anchor on, a layer adds 0.0, which
-    leaves every weight as it is (none is ever -0.0), so it is not added.
+    anchor), so nothing overflows.  The ratios are mu < 0 and 1, whose
+    powers libm's pow and numpy's power form alike.  A power that
+    underflows adds an exact 0.0, which leaves every weight as it is (none
+    is ever -0.0).
     """
     c = [0.0] * (last - first + 1)
     for amp, (scale, ratio, lo, hi) in zip(sol.amplitudes, sol.pieces):
+        a, b = max(first, lo), min(last, hi)
+        if a > b:
+            continue
         step = sol.sums.power(ratio, 1)
         grows = abs(step) > 1
         r = float(1 / step if grows else step)
-        a, b = max(first, lo), min(last, hi)
-        if abs(r) < 1:
-            if grows:
-                a = max(a, hi - layer_width(r) + 1)
-            else:
-                b = min(b, lo + layer_width(r) - 1)
-        if a > b:
-            continue
         anchor = hi if grows else lo
         start = float(amp * scale * sol.sums.power(ratio, anchor))
         distance = range(hi - a, hi - b - 1, -1) if grows else range(a - lo, b - lo + 1)
@@ -511,25 +507,33 @@ def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> list[float]
     return c
 
 
+def _window_width(sol: _ExactSolution) -> int:
+    """The end-window width outside which sol's float64 weights are float(h).
+
+    Its layers mu^(j-1) and mu^(n-1-j), amplitudes 2 and 3 in _layout's
+    order, start one node in, so the width is one more than
+    spectral.layer_width of the larger; below n = 4 every weight is a
+    piece of its own and the one window is the whole grid.
+    """
+    sums = sol.sums
+    if sums.mu is None:
+        return sums.n + 1
+    return 1 + layer_width(float(max(map(abs, sol.amplitudes[2:4]))), float(sums.mu), float(sums.h))
+
+
 def _coefficient_max_deviation(sol: _ExactSolution) -> float:
     """max_j |minimizer's float64 C_j - printed C_j|, read on the end windows; O(1).
 
-    Past layer_width of its float64 ratio a boundary layer's powers are
-    exactly 0.0, so from node w to node n - w both weight sets are their
-    constant interior values: the minimizer's layers mu^(j-1) and
-    mu^(n-1-j) start one node in, the printed rule's q^b and q^(n-b) at
-    the ends.  Nodes w and n - w stand for all the nodes between them, so
-    the windows are spectral.end_windows of width w + 1.  Up to
-    n = 2w + 1 = 1137 the one window is the whole grid.
+    Outside both rules' end windows (_window_width and
+    spectral.closed_width) both weight sets are float(h), so the windows
+    of the wider hold the maximum.  From n = 2 * 30 = 60 they are two, and
+    below it the one window is the whole grid.
     """
     n = sol.sums.n
     sc = constants(n)
-    w = layer_width(sc.q)
-    if sol.sums.mu is not None:
-        w = max(w, 1 + layer_width(float(sol.sums.mu)))
     return max(
         abs(x - y)
-        for first, last in end_windows(n, w + 1)
+        for first, last in end_windows(n, max(_window_width(sol), closed_width(sc)))
         for x, y in zip(_float_weights_on(sol, first, last), closed_weights(sc, first, last))
     )
 
@@ -563,14 +567,18 @@ def minimizer_weights(n: int) -> tuple[list[float], float, float]:
     """(c, b0, d): the exact minimizer's weights at the nodes 0..n and its multipliers, in float64.
 
     The 56-digit solve of _exact_solution, O(1), with its weights stepped
-    out over the grid in float64 (_float_weights_on), O(n), and b0 and d
-    each rounded once.  wiener_hopf.solve_uniform reads them.  Raises
-    ValueError unless 1 <= n <= 10^9.
+    out in float64 (_float_weights_on) on its two end windows, about 30
+    nodes each, and float(h) between them; b0 and d are each rounded once.
+    wiener_hopf.solve_uniform reads them.  Raises ValueError unless
+    1 <= n <= 10^9.
     """
     _check_n(n, "the minimizer's weights")
     with localcontext(_CONTEXT):
         sol = _exact_solution(n)
-        return _float_weights_on(sol, 0, n), float(sol.b0), float(sol.d)
+        c = [float(sol.sums.h)] * (n + 1)
+        for first, last in end_windows(n, _window_width(sol)):
+            c[first:last + 1] = _float_weights_on(sol, first, last)
+        return c, float(sol.b0), float(sol.d)
 
 
 def multiplier_routes(n: int, method: str) -> float:

@@ -23,9 +23,13 @@ where q^m underflows.
 
 closed_weights evaluates the printed weights from these constants (see the
 coefficients module for the formulas) on a window of nodes, in Python
-floats, and end_windows the node ranges where a float64 rule's weights
-leave h.  filter_band is the band the stationarity system's filter leaves
-(see wiener_hopf), whose root inside the unit circle is the minimizer's
+floats.  A float64 rule of h and two geometric boundary layers, the
+printed rule's in q and the minimizer's in mu, is float(h) outside its
+end windows: layer_width is the one rule for how far in from its anchor
+a layer can still move float(h), closed_width applies it to the printed
+weights, and end_windows gives the node ranges of a width at both ends.
+filter_band is the band the stationarity system's filter leaves (see
+wiener_hopf), whose root inside the unit circle is the minimizer's
 boundary-layer ratio mu, for float64 and Decimal arguments alike.  This
 module, like norm, runs on the standard library alone: `import optquad`,
 the norm report and `validate` load no numpy.  SpectralConstants is a
@@ -41,6 +45,7 @@ __all__ = [
     "DENSE_MAX_N",
     "SpectralConstants",
     "closed_weights",
+    "closed_width",
     "constants",
     "end_windows",
     "filter_band",
@@ -118,50 +123,51 @@ def constants(n: int) -> SpectralConstants:
     return SpectralConstants(n=n, h=h, lambda1=lam, q=q, k=k, k_scaled=k_scaled)
 
 
-def layer_width(ratio: float) -> int:
-    """The least k with ratio**j == 0.0 in float64 for every j >= k, one power to spare.
+def layer_width(start: float, ratio: float, h: float) -> int:
+    """The nodes from its anchor on where a layer start * ratio**j may exceed ulp(h)/8, plus one.
 
-    |ratio|^j rounds to zero below half the least subnormal, 2^-1075.
+    0 < |ratio| < 1.  Two such layers sum to less than ulp(h)/4 past their
+    widths, which leaves float(h) as it is even where h is a power of two,
+    so a float64 rule of h and two layers is float(h) there.  The spare
+    node covers the rounding of the logarithms.
     """
-    return math.ceil(1075 * math.log(2.0) / -math.log(abs(ratio))) + 1
+    return max(0, math.ceil(math.log(math.ulp(h) / 8 / abs(start)) / math.log(abs(ratio)))) + 1
 
 
 def end_windows(n: int, width: int) -> list[tuple[int, int]]:
     """The node ranges (first, last) within width nodes of either end of the grid 0..n.
 
-    A float64 rule whose layers underflow width nodes in (layer_width) is h
-    outside them.  Where the two ends meet, n < 2 width, the one range is 0..n.
+    A float64 rule whose layers are layer_width nodes wide, counted from
+    the grid's ends, is float(h) outside them.  Where the two ends meet,
+    n < 2 width, the one range is 0..n.
     """
     return [(0, n)] if n < 2 * width else [(0, width - 1), (n - width + 1, n)]
+
+
+def closed_width(sc: SpectralConstants) -> int:
+    """The end-window width outside which the printed weights of sc's grid are float(h).
+
+    layer_width of the larger of their two layers, -Kscaled (e^h - q) q^b
+    and -Kscaled (1 - e^h q) q^(N-b): 15 nodes at N = 4, 4 at N = 10^9.
+    """
+    return layer_width(sc.k_scaled * (math.exp(sc.h) - sc.q), sc.q, sc.h)
 
 
 def closed_weights(sc: SpectralConstants, first: int, last: int) -> list[float]:
     """The closed-form weights C_b of sc's grid at the nodes b = first..last, in Python floats.
 
-    0 <= first <= last <= n.  O(last - first) work plus the float64 q
-    powers that do not underflow (about 50 at n = 10^6), formed once per
-    call as a table; validate takes every weight from here and
-    optimal_coefficients every weight that is not h.  Each power is libm's
-    q**j, which a float64 weight cannot tell from numpy's power of the same
-    q (tests/oracles.py keeps that form).
+    0 <= first <= last <= n, in O(last - first) work; validate takes
+    every weight from here and optimal_coefficients every weight that is
+    not h.  Each power is libm's q**j, 0.0 where it underflows, which a
+    float64 weight cannot tell from numpy's power of the same q
+    (tests/oracles.py keeps that form).
     """
     n, h, q, ks = sc.n, sc.h, sc.q, sc.k_scaled
     eh = math.exp(h)
     em1 = math.expm1(h)
-    # q^b rounds to zero from b = k on; powers() pads the table with those zeros
-    k = min(n, layer_width(q))
-    qp = [q**j for j in range(k)]
-
-    def powers(lo, hi):
-        """q^j for j = lo..hi, 0.0 from j = k on."""
-        head = qp[lo:hi + 1]
-        return head + [0.0] * (hi - lo + 1 - len(head))
-
-    # interior: h - Kscaled [(1 - e^h q) q^(N-b) + (e^h - q) q^b], which
-    # is h exactly where both powers are zero
+    # interior: h - Kscaled [(1 - e^h q) q^(N-b) + (e^h - q) q^b]
     a, b = 1.0 - eh * q, eh - q
-    c = [h - ks * (a * x + b * y)
-         for x, y in zip(reversed(powers(n - last, n - first)), powers(first, last))]
+    c = [h - ks * (a * q ** (n - j) + b * q**j) for j in range(first, last + 1)]
     # boundary corrections: Kscaled (q^N - q), cancelling exactly at N = 1
     corr = ks * (q**n - q)
     if first == 0:

@@ -55,8 +55,10 @@ __all__ = [
 ]
 
 
-SystemSolution = namedtuple("SystemSolution", ["nodes", "c", "b0", "d", "residual_inf"])
-SystemSolution.__doc__ = "The system's weights c and multipliers b0, d on the nodes, and their largest residual."
+SystemSolution = namedtuple("SystemSolution", ["nodes", "c", "b0", "d", "residual_inf",
+                                               "residual_constraint_sum", "residual_constraint_exp_neg"])
+SystemSolution.__doc__ = ("The system's weights c and multipliers b0, d on the nodes, their largest residual"
+                          " and its two constraint terms.")
 
 
 def solve_uniform(n: int) -> SystemSolution:
@@ -66,7 +68,7 @@ def solve_uniform(n: int) -> SystemSolution:
     minimizer in float64; the nodes are k/n, correctly rounded.
     residual_inf is the largest residual in the unfiltered system: the
     worst kernel row, an O(n^2) convolution, or either of the two
-    constraint_residuals that `coeffs` prints beside it.
+    constraint_residuals, which it carries for `coeffs` to print beside it.
     """
     if n < 1:
         raise ValueError("grid size must be >= 1")
@@ -78,5 +80,7 @@ def solve_uniform(n: int) -> SystemSolution:
     samples = psi(2, x)
     toeplitz = np.concatenate([samples[:0:-1], samples])  # matrix-free kernel rows
     rows = np.convolve(toeplitz, rule.coefficients, "valid") + b0 + d * np.exp(-x) - moment(x)
-    residual = max(np.abs(rows).max(), *constraint_residuals(rule))
-    return SystemSolution(nodes=x, c=rule.coefficients, b0=b0, d=d, residual_inf=float(residual))
+    r1, r2 = constraint_residuals(rule)
+    return SystemSolution(nodes=x, c=rule.coefficients, b0=b0, d=d,
+                          residual_inf=float(max(np.abs(rows).max(), r1, r2)),
+                          residual_constraint_sum=r1, residual_constraint_exp_neg=r2)

@@ -13,8 +13,9 @@ exact closed_rule_norm.  float_weights spells out every float64 weight of
 an exact solution, the O(n) check on the report's end-window
 coefficient_max_deviation.  closed_weights_array and float_weights_on are
 the numpy forms of the printed weights and of the exact solution's window
-weights, which the package forms in Python floats.  trapezoid_rule is a
-deliberately suboptimal comparison rule.
+weights, which the package forms in Python floats.  make_rule packages
+any checked nodes and weights as a QuadratureRule, and trapezoid_rule is
+a deliberately suboptimal comparison rule.
 
 integrate_adaptive is deterministic adaptive Gauss-Legendre integration,
 the numerical oracle for the kernel's closed-form moments and for the
@@ -35,7 +36,7 @@ from optquad.coefficients import QuadratureRule, constraint_residuals
 from optquad.kernel import moment, psi
 from optquad.norm import double_moment
 from optquad.quadrature import CATALOG
-from optquad.spectral import constants, layer_width
+from optquad.spectral import constants
 from optquad.wiener_hopf import SystemSolution
 
 _RCOND_FLOOR = float(np.finfo(float).eps)
@@ -94,18 +95,21 @@ def solve_dense(nodes) -> SystemSolution:
     """Assemble the system on nodes and solve it densely; O(count^3).
 
     The solve is _equilibrated_solve, with its SingularSystemError; the
-    residual is recomputed explicitly.
+    residual is recomputed explicitly, its two constraint rows included.
     """
     nodes = np.asarray(nodes, dtype=float)
     matrix, rhs = build_system(nodes)
     x = _equilibrated_solve(matrix, rhs)
     n = nodes.size
+    residual = np.abs(matrix @ x - rhs)
     return SystemSolution(
         nodes=nodes,
         c=x[:n],
         b0=float(x[n]),
         d=float(x[n + 1]),
-        residual_inf=float(np.abs(matrix @ x - rhs).max()),
+        residual_inf=float(residual.max()),
+        residual_constraint_sum=float(residual[n]),
+        residual_constraint_exp_neg=float(residual[n + 1]),
     )
 
 
@@ -288,16 +292,15 @@ def closed_weights_array(sc, b: np.ndarray) -> np.ndarray:
 
     The array form of optquad.spectral.closed_weights, which forms the same
     weights in Python floats; tests pin that one to this, bit for bit.
-    Its q powers are numpy's power, which may differ from libm's pow in
-    the last bit (on AVX-512 hardware) without moving a weight.
+    Its q powers are numpy's power at every exponent n - b and b, 0.0
+    where they underflow; they may differ from libm's pow in the last bit
+    (on AVX-512 hardware) without moving a weight.
     """
     n, h, q, ks = sc.n, sc.h, sc.q, sc.k_scaled
     eh = math.exp(h)
     em1 = math.expm1(h)
-    k = min(n, layer_width(q))
-    qp = np.append(np.power(q, np.arange(k, dtype=float)), 0.0)
-    terms = (1.0 - eh * q) * qp[np.minimum(n - b, k)] + (eh - q) * qp[np.minimum(b, k)]
-    c = h - ks * terms
+    b = np.asarray(b, dtype=float)
+    c = h - ks * ((1.0 - eh * q) * np.power(q, n - b) + (eh - q) * np.power(q, b))
     corr = ks * (q**n - q)
     if b[0] == 0:
         c[0] = (em1 - h) / em1 - corr
@@ -326,6 +329,25 @@ def float_weights_on(sol, first: int, last: int) -> np.ndarray:
         distance = np.arange(hi - a, hi - b - 1, -1) if grows else np.arange(a - lo, b - lo + 1)
         c[a - first:b - first + 1] += start * float(1 / step if grows else step) ** distance
     return c
+
+
+def make_rule(nodes, coefficients) -> QuadratureRule:
+    """Package arbitrary nodes/weights on [0,1] as a rule (no optimality implied), checked."""
+    nodes = np.asarray(nodes, dtype=float)
+    coefficients = np.asarray(coefficients, dtype=float)
+    if nodes.ndim != 1 or nodes.shape != coefficients.shape:
+        raise ValueError("nodes and coefficients must be 1-D arrays of equal length")
+    if nodes.size < 1:
+        raise ValueError("a rule needs at least one node")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError("nodes must be finite")
+    if np.any(np.diff(nodes) <= 0.0):
+        raise ValueError("nodes must be strictly increasing")
+    if nodes[0] < 0.0 or nodes[-1] > 1.0:
+        raise ValueError("nodes must lie within [0, 1]")
+    n = nodes.size - 1
+    h = (nodes[-1] - nodes[0]) / n if n else 1.0
+    return QuadratureRule(n=n, h=float(h), nodes=nodes, coefficients=coefficients)
 
 
 def trapezoid_rule(n: int) -> QuadratureRule:

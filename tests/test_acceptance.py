@@ -16,14 +16,14 @@ import time
 import numpy as np
 import pytest
 
-from optquad.coefficients import constraint_residuals, make_rule, optimal_coefficients
+from optquad.coefficients import constraint_residuals, optimal_coefficients
 from optquad.norm import build_report, geometric_sums, norm_theorem2
 from optquad.quadrature import TestFunction, apply_rule, convergence_table
 from optquad.spectral import constants, lambda1
 from optquad.wiener_hopf import solve_uniform
 
 from highprec import lambda1_ref, quadratic_form_ref, theorem2_ref
-from oracles import norm_quadratic_form, trapezoid_rule
+from oracles import make_rule, norm_quadratic_form, trapezoid_rule
 
 
 def _line(ok: bool, label: str, detail: str = "") -> bool:

@@ -4,16 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from optquad.coefficients import (
-    constraint_residuals,
-    make_rule,
-    optimal_coefficients,
-)
-from optquad.spectral import closed_weights, constants, layer_width
+from optquad.coefficients import constraint_residuals, optimal_coefficients
+from optquad.spectral import closed_weights, closed_width, constants, end_windows
 
 import oracles
 from highprec import coefficients_ref
-from oracles import trapezoid_rule
+from oracles import make_rule, trapezoid_rule
 
 
 def test_n1_is_constraint_determined():
@@ -113,8 +109,9 @@ def test_interior_from_the_nonzero_powers_is_bitwise_the_full_table(ns):
                                       _full_power_table_interior(n).view(np.uint64), err_msg=str(n))
 
 
-# Every grid up to 2048 (whose windows include the report's seam at
-# 1133..1137, where its two end windows meet), and three large ones.
+# Every grid up to 2048 (whose windows include every seam where two end
+# windows meet: n = 60 for the report's, below 30 for the printed rule's),
+# and three large ones.
 PINNED_NS = (*range(1, 2049), 10**5, 10**6, 10**9)
 
 
@@ -125,12 +122,12 @@ def _bits(values):
 
 def test_closed_weights_are_bitwise_the_numpy_form():
     # the Python-float weights against the numpy array form they replace,
-    # on the whole grid up to 2048 and on both end windows above; numpy's
-    # power may differ from libm's in the last bit without moving a weight
+    # on the whole grid up to 2048 and above on both end windows, as wide
+    # as optimal_coefficients takes them; numpy's power may differ from
+    # libm's in the last bit without moving a weight
     for n in PINNED_NS:
         sc = constants(n)
-        k = min(n, layer_width(sc.q))
-        for first, last in [(0, n)] if n <= 2048 else [(0, k), (n - k, n)]:
+        for first, last in end_windows(n, n + 1 if n <= 2048 else closed_width(sc)):
             ref = _bits(oracles.closed_weights_array(sc, np.arange(first, last + 1)))
             np.testing.assert_array_equal(_bits(closed_weights(sc, first, last)), ref,
                                           err_msg=f"{n} {first}..{last}")

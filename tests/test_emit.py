@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 from emit_ref import emit_ref
 from optquad import cli
-from optquad.coefficients import constraint_residuals, make_rule, optimal_coefficients
+from optquad.coefficients import constraint_residuals, optimal_coefficients
 from optquad.quadrature import CATALOG, convergence_table
 from optquad.spectral import constants
 from optquad.wiener_hopf import solve_uniform
+from oracles import make_rule
 
 CHUNK = cli._ROWS_PER_CHUNK
 
@@ -89,7 +90,7 @@ def test_coeffs_closed_matches_reference_at_the_chunk_edges(n, fmt):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_coeffs_closed_matches_reference_where_weights_repeat(fmt):
-    # q^b underflows a few dozen nodes in: most chunks repeat h thousands of times
+    # the weights are h from a few nodes in: most chunks repeat h thousands of times
     n = 10_000
     rule = optimal_coefficients(n)
     assert np.unique(rule.coefficients[:CHUNK]).size < CHUNK // 10

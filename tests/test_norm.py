@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from optquad import coefficients, norm
 from optquad._expsums import ExpSums
 from optquad.cli import main
-from optquad.coefficients import make_rule, optimal_coefficients
+from optquad.coefficients import optimal_coefficients
 from optquad.norm import (
     build_report,
     closed_rule_norm,
@@ -30,8 +30,10 @@ from optquad.norm import (
     _moment_sums,
     _printed_solution,
     _route1,
+    _window_width,
+    minimizer_weights,
 )
-from optquad.spectral import DENSE_MAX_N
+from optquad.spectral import DENSE_MAX_N, closed_width, constants
 from optquad.wiener_hopf import solve_uniform
 
 from highprec import (
@@ -45,7 +47,7 @@ from highprec import (
     theorem2_ref,
 )
 import oracles
-from oracles import multipliers_closed_form, norm_peano, norm_quadratic_form, trapezoid_rule
+from oracles import make_rule, multipliers_closed_form, norm_peano, norm_quadratic_form, trapezoid_rule
 
 QF_CLOSED_N2 = 2.7556816080848494e-4
 QF_DENSE_N2 = 1.9522972545191564e-4
@@ -629,24 +631,61 @@ def _assert_windowed_deviation_is_the_oracle(ns):
             _assert_window_weights_are_the_numpy_form(sol, n)
 
 
+LADDER = (3000, 10**4, 12345, 10**5, 654321, 10**6, 4 * 10**6, 10**7)
+
+
 def test_windowed_deviation_is_the_o_n_one_up_to_2048():
-    # both float64 weight sets are their constant interior values from
-    # about 568 nodes in (mu's float powers underflow there, q's after a
-    # few dozen), so the end windows hold the maximum: the same bits at
-    # every n, including the grids that fit one window
+    # both float64 weight sets are float(h) from 30 nodes in (the
+    # minimizer's windows; the printed rule's are 4-15 nodes), so the end
+    # windows hold the maximum: the same bits at every n, including the
+    # grids that fit one window
     _assert_windowed_deviation_is_the_oracle(range(1, 2049))
 
 
 def test_windowed_deviation_is_the_o_n_one_on_a_ladder():
-    _assert_windowed_deviation_is_the_oracle(
-        (3000, 10**4, 12345, 10**5, 654321, 10**6, 4 * 10**6, 10**7))
+    _assert_windowed_deviation_is_the_oracle(LADDER)
 
 
 def test_window_weights_at_a_billion_nodes_are_the_numpy_form():
-    # up to 10^7 the tests above pin them; mu's float powers underflow
-    # about 568 nodes in, so the windows hold every weight that is not h
+    # up to 10^7 the tests above pin them; the windows hold every weight
+    # that is not h, and 1000 nodes are well past them
     with localcontext(_CONTEXT):
         _assert_window_weights_are_the_numpy_form(_exact_solution(10**9), 10**9)
+
+
+@pytest.mark.parametrize("ns", [range(1, 2049), LADDER], ids=["1-2048", "ladder"])
+def test_minimizer_weights_are_the_oracles_every_weight(ns):
+    # minimizer_weights steps the weights out on the end windows only and
+    # puts float(h) between them; the oracle steps out every weight, O(n)
+    for n in ns:
+        c = minimizer_weights(n)[0]
+        with localcontext(_CONTEXT):
+            oracle = oracles.float_weights(_exact_solution(n))
+        np.testing.assert_array_equal(np.array(c).view(np.uint64), oracle.view(np.uint64), err_msg=str(n))
+
+
+@pytest.mark.parametrize("n", [4, 64, 513, 10**4, 10**6, 10**9])
+def test_every_layer_is_below_an_eighth_ulp_past_its_window(n):
+    # at the first middle node, the first past an end window, each layer
+    # of either rule is at most ulp(h)/8, so the two cannot move float(h);
+    # evaluated in 60 digits, the printed layers from their float64
+    # constants and the minimizer's from its 56-digit amplitudes and mu
+    sc = constants(n)
+    eh = math.exp(sc.h)
+    w = closed_width(sc)
+    with localcontext(_CONTEXT):
+        sol = _exact_solution(n)
+        wm = _window_width(sol)
+        _, _, a, b, _ = sol.amplitudes
+        mu = sol.sums.mu
+    with localcontext(prec=60):
+        tiny = Decimal(math.ulp(sc.h)) / 8
+        q = Decimal(sc.q)
+        printed = [Decimal(sc.k_scaled) * (Decimal(eh) - q), Decimal(sc.k_scaled) * (1 - Decimal(eh) * q)]
+        # the printed layers are anchored at 0 and n, the minimizer's at 1 and n - 1
+        assert max(abs(start) * q**w for start in printed) <= tiny, (n, w)
+        assert max(abs(start) * abs(mu) ** (wm - 1) for start in (a, b)) <= tiny, (n, wm)
+    assert wm == 30 and 4 <= w <= 15, (n, w, wm)  # the widths the docs quote
 
 
 @pytest.mark.parametrize("n", [64, 10**7])

@@ -1,9 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import mpmath as mp
 import pytest
 
-from optquad.spectral import _shape_factor, constants, end_windows, lambda1
+from optquad.spectral import _shape_factor, constants, end_windows, lambda1, layer_width
 
 from highprec import lambda1_ref, spectral_ref
 
@@ -141,3 +142,21 @@ def test_end_windows_meet_at_twice_the_width(width):
 @pytest.mark.parametrize("n, width", [(1, 1), (1, 5), (7, 7), (7, 600)])
 def test_end_windows_are_the_whole_grid_when_width_covers_it(n, width):
     assert end_windows(n, width) == [(0, n)]
+
+
+@pytest.mark.parametrize("start, ratio, h", [
+    (-0.35, 2.357e-7, 1e-6),       # the printed rule's layer at n = 10^6
+    (0.0358, -0.268, 0.25),        # the minimizer's at n = 4
+    (1.3e-10, -0.268, 1e-9),       # and at n = 10^9
+    (0.5, 0.5, 0.5),               # h a power of two: ulp(h)/8 = 2^-56
+    (1e-20, 0.9, 0.125),           # at or below ulp(h)/8 from its anchor on
+])
+def test_layer_width_is_where_the_layer_stays_below_an_eighth_ulp(start, ratio, h):
+    # from width nodes past the anchor on the layer is at most ulp(h)/8,
+    # and the width is no more than the one node to spare past that
+    width = layer_width(start, ratio, h)
+    with localcontext(prec=50):
+        tiny = Decimal(math.ulp(h)) / 8
+        layer = lambda j: abs(Decimal(start)) * abs(Decimal(ratio)) ** j
+        assert layer(width) <= tiny
+        assert width == 1 if layer(0) <= tiny else layer(width - 3) > tiny

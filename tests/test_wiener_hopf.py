@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from optquad.coefficients import constraint_residuals, make_rule, optimal_coefficients
+from optquad.coefficients import constraint_residuals, optimal_coefficients
 from optquad.kernel import moment, psi
 from optquad.norm import _CONTEXT, _exact_solution
 from optquad.cli import main
@@ -15,7 +15,7 @@ from optquad.spectral import DENSE_MAX_N, filter_band
 from optquad.wiener_hopf import solve_uniform
 
 from highprec import DPS, moment_ref, mp_grid, piece_weights, psi2_ref, psi2_rows
-from oracles import SingularSystemError, _equilibrated_solve, build_system, solve_dense
+from oracles import SingularSystemError, _equilibrated_solve, build_system, make_rule, solve_dense
 
 # Frozen 50-digit dense solution of the uniform 3-node system.
 DENSE_C_N2 = [0.18147809599809316, 0.62654229512702072, 0.19197960887488613]
@@ -73,10 +73,12 @@ def test_residual_invariant_across_sizes():
 
 def test_residual_inf_covers_the_printed_constraint_residuals():
     # residual_inf takes its constraint rows from constraint_residuals, the
-    # values `coeffs` prints beside it, so it is never below either of them
+    # values the solution carries for `coeffs` to print beside it, so it is
+    # never below either of them
     for n in range(1, DENSE_MAX_N + 1):
         sol = solve_uniform(n)
         r1, r2 = constraint_residuals(make_rule(sol.nodes, sol.c))
+        assert (sol.residual_constraint_sum, sol.residual_constraint_exp_neg) == (r1, r2), n
         assert sol.residual_inf >= max(r1, r2), (n, sol.residual_inf, r1, r2)
 
 
