@@ -29,11 +29,14 @@ carries residuals around 1e-17, the report solves the system and
 evaluates the three routes in 56-digit arithmetic (stdlib decimal, which
 is libmpdec in C), then rounds the results.  On the uniform grid the
 solution's weights are a few pieces (two end weights, h plus two
-geometric boundary layers in mu), and
-psi_2 is exponential-polynomial, so every entry of the 6 x 6 bordered
-system and every sum the routes take -- route 1's quadratic form
-included, from kernel rows and pair sums of the pieces -- has a closed
-form (ExpSums).  Each spread piece's kernel image is one short
+geometric boundary layers in mu) at every n, with amplitudes, mu and
+multipliers in closed form: by Schoenberg's theorem the minimizer
+integrates the natural spline of span{1, x, e^x, e^-x} through the
+samples, whose adjoint tridiagonal system is solved exactly by one 2 x 2
+(_exact_solution).  psi_2 is exponential-polynomial, so every sum the
+routes take -- route 1's quadratic form included, from the kernel rows
+0 and n and pair sums of the pieces -- has a closed form (ExpSums).
+Each spread piece's kernel image is one short
 exponential-polynomial in the row index, so its rows inside the range
 and its pair sums reuse the geometric sums the moments take; the rows 0
 and n, outside the 1 .. n-1 pieces, are one-sided sums over the whole
@@ -70,7 +73,7 @@ from collections import namedtuple
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 from ._expsums import ONE, ExpSums
-from .spectral import closed_weights, closed_width, constants, end_windows, filter_band, layer_width
+from .spectral import closed_weights, closed_width, constants, end_windows, layer_width
 
 __all__ = [
     "NormReport",
@@ -238,55 +241,46 @@ def geometric_sums(lam: float, n: int) -> tuple[float, float]:
 _Piece = namedtuple("_Piece", ["scale", "ratio", "lo", "hi"])
 _Piece.__doc__ = "Weights scale * ratio^j for lo <= j <= hi, ratio as ExpSums exponents."
 
-_ExactSolution = namedtuple("_ExactSolution", ["sums", "pieces", "mirror", "amplitudes", "rows", "b0", "d"],
+_ExactSolution = namedtuple("_ExactSolution", ["sums", "pieces", "amplitudes", "rows", "b0", "d"],
                             defaults=(None, None))
 _ExactSolution.__doc__ = """A uniform-grid rule in decimal, weights c_j = sum_p amplitude_p piece_p(j).
 
-sums is the grid's ExpSums, pieces are _layout's _Piece tuples and mirror
-their mirror map.  rows maps each kept row i to the kernel row sums
-sum_j psi_2(|i - j| h) piece_p(j).  b0 and d are the system's
-multipliers; the printed rule (_printed_solution) has none.
+sums is the grid's ExpSums and pieces are _layout's _Piece tuples.  rows
+maps the rows 0 and n to the kernel row sums sum_j psi_2(|i - j| h)
+piece_p(j).  b0 and d are the system's multipliers; the printed rule
+(_printed_solution) has none.
 """
 
+# _layout's mirror map: piece p read from the other end, piece_p(j) = piece_q(n - j)
+# with q = _MIRROR[p]
+_MIRROR = (1, 0, 3, 2, 4)
 
-def _layout(sums: ExpSums) -> tuple[tuple[_Piece, ...], tuple[int, ...]]:
-    """The pieces of a rule on sums' grid, mu read from sums, and their mirror map.
 
-    From n = 4 the deltas at 0 and n, mu^(j-1) and mu^(n-1-j) on 1 .. n-1
-    and the constant h there; below, one delta per node.  mirror[p] is the
-    piece with piece_p(j) = piece_mirror[p](n - j).
+def _layout(sums: ExpSums) -> tuple[_Piece, ...]:
+    """The pieces of a rule on sums' grid, mu read from sums.
+
+    The deltas at 0 and n come first, then mu^(j-1) and mu^(n-1-j) on
+    1 .. n-1 and the constant h there, at every n >= 1: below n = 4 the
+    last three ranges hold one or two nodes, and none at n = 1.
     """
     n, mu = sums.n, sums.mu
-    if n < 4:
-        return tuple(_Piece(1, ONE, k, k) for k in range(n + 1)), tuple(range(n, -1, -1))
-    pieces = (
+    return (
         _Piece(1, ONE, 0, 0),
         _Piece(1, ONE, n, n),
         _Piece(1 / mu, (1, 0), 1, n - 1),
         _Piece(mu ** (n - 1), (-1, 0), 1, n - 1),
         _Piece(sums.h, ONE, 1, n - 1),
     )
-    return pieces, (1, 0, 3, 2, 4)
 
 
-def _kernel_rows(sums: ExpSums, pieces, mirror, kept) -> dict:
-    """{i: [sum_j psi_2(|i - j| h) piece_p(j) for each piece p] for i in kept}.
+def _kernel_rows(sums: ExpSums, pieces) -> dict:
+    """{i: [sum_j psi_2(|i - j| h) piece_p(j) for each piece p] for i in 0 and n}.
 
-    A piece's row i is row n - i of its mirror image (mu^(n-1-j) of
-    mu^(j-1), c_n of c_0, h of itself), so mirror-symmetric rows share
-    half of their sums.
+    A piece's row n is row 0 of its mirror image (mu^(n-1-j) of mu^(j-1),
+    c_n of c_0, h of itself), so row 0 gives both.
     """
-    n = sums.n
-    cache = {}
-
-    def row_sum(p, i):
-        p, i = min((p, i), (mirror[p], n - i))
-        if (p, i) not in cache:
-            piece = pieces[p]
-            cache[p, i] = piece.scale * sums.row(piece.ratio, i, piece.lo, piece.hi)
-        return cache[p, i]
-
-    return {i: [row_sum(p, i) for p in range(len(pieces))] for i in kept}
+    row_0 = [piece.scale * sums.row(piece.ratio, 0, piece.lo, piece.hi) for piece in pieces]
+    return {0: row_0, sums.n: [row_0[q] for q in _MIRROR]}
 
 
 def _piece_sum(sums: ExpSums, piece: _Piece, k: int, shift: int):
@@ -304,63 +298,58 @@ def _fsum(terms):
     return +total  # rounds to the working digits
 
 
-def _gauss_solve(matrix, rhs):
-    """Solve a small dense system by Gaussian elimination with partial pivoting."""
-    size = len(rhs)
-    a = [list(row) + [r] for row, r in zip(matrix, rhs)]
-    for k in range(size):
-        pivot = max(range(k, size), key=lambda i: abs(a[i][k]))
-        a[k], a[pivot] = a[pivot], a[k]
-        for i in range(k + 1, size):
-            f = a[i][k] / a[k][k]
-            for j in range(k + 1, size + 1):
-                a[i][j] -= f * a[k][j]
-    x = [None] * size
-    for k in reversed(range(size)):
-        x[k] = (a[k][size] - _fsum(p * q for p, q in zip(a[k][k + 1:size], x[k + 1:]))) / a[k][k]
-    return x
-
-
 def _exact_solution(n: int) -> _ExactSolution:
     """The exact minimizer of the uniform system in the working decimal context; O(1) per n.
 
-    From n = 4 the interior weights h + A mu^(b-1) + B mu^(n-1-b) meet
-    every filtered row of the system (see wiener_hopf) exactly, with mu
-    from filter_band in decimal.  c_0, c_n, A, B, b0 and d then solve four
-    kernel rows and the two constraints, a 6 x 6 system whose entries are
-    closed-form sums (ExpSums).  Once the filtered rows hold, the kernel
-    rows' residual is a combination of 1, x, e^x and e^-x over the nodes,
-    which vanishes when it vanishes at any four nodes, so any four rows
-    fix the same solution.  The rows 0, n//3, n - n//3 and n are
-    mirror-symmetric, so half of their row sums serve twice.  Below n = 4
-    the unknowns are every weight and every row is kept.  No size cap: the
-    cost does not grow with n.
+    By Schoenberg's theorem (Bull. AMS 70, 1964) the minimizer integrates
+    the natural spline of span{1, x, e^x, e^-x} through the samples, so its
+    weights are the trapezoid weights plus the second differences over h
+    of the spline's adjoint values y_0 .. y_n.  Those solve a tridiagonal
+    system with the rows t y_(k-1) + 2c y_k + t y_(k+1) = 2 gamma inside
+    and (c - 1) y_0 + t y_1 = gamma, t y_(n-1) + (1 + c) y_n = gamma at the
+    ends, where t = 1/h - 1/sinh h, c = coth h - 1/h and
+    gamma = tanh(h/2) - h/2.  Its solution is y_k = Y + P mu^k + Q mu^(n-k)
+    with Y = gamma/(t + c) and mu = -s + sqrt(s^2 - 1), s = c/t, the root
+    of t z^2 + 2c z + t inside the unit circle; the two end rows are a
+    2 x 2 system for P and Q, solved by Cramer's rule.  The weights are
+    then _layout's pieces with the amplitudes
+
+        c_0 = h/2 - (1 - mu)(P - Q mu^(n-1))/h,  A = (1 - mu)^2 P/h,
+        c_n = h/2 - (1 - mu)(Q - P mu^(n-1))/h,  B = (1 - mu)^2 Q/h,
+
+    at every n >= 1.  t, c and gamma cancel O(1/h) or O(h) terms down to
+    O(h), about 2 log10 n digits, so mu and the amplitudes are formed in
+    the grid's guard-digit context (ExpSums.wide) from its e^h.  The
+    multipliers follow from the kernel rows 0 and n, which route 1 keeps:
+    b0 + d = moment(0) - row_0 and b0 + d/e = moment(1) - row_n, where
+    moment(0) = moment(1).  No size cap: the cost does not grow with n.
     """
     sums = ExpSums(n)
-    if n >= 4:
-        a = sums.exp(1) + sums.exp(-1)
-        g0, g1 = filter_band(sums.kernel(1), sums.kernel(2), sums.kernel(3), a)
-        kappa = g1 / g0
-        sums.mu = -2 * kappa / (1 + (1 - 4 * kappa * kappa).sqrt())
-    pieces, mirror = _layout(sums)
-    kept = range(n + 1) if n < 4 else [0, n // 3, n - n // 3, n]
-    rows = _kernel_rows(sums, pieces, mirror, kept)
-
+    with localcontext(sums.wide):
+        eh, e2h = sums.eh, sums.eh * sums.eh
+        t = n - 2 * eh / (e2h - 1)
+        c = (e2h + 1) / (e2h - 1) - n
+        gamma = (eh - 1) / (eh + 1) - Decimal(1) / (2 * n)
+        s = c / t
+        mu = (s * s - 1).sqrt() - s
+        y, layer = gamma / (t + c), mu ** (n - 1)
+        # the end rows: P a_0 + Q b_0 = Y and P b_n + Q a_n = -Y
+        a_0, b_0 = c - 1 + t * mu, ((c - 1) * mu + t) * layer
+        a_n, b_n = 1 + c + t * mu, (t + (1 + c) * mu) * layer
+        det = a_0 * a_n - b_0 * b_n
+        p, q = y * (a_n + b_0) / det, -y * (a_0 + b_n) / det
+        step, half = (1 - mu) * n, Decimal(1) / (2 * n)
+        amplitudes = [half - step * (p - q * layer), half - step * (q - p * layer),
+                      step * (1 - mu) * p, step * (1 - mu) * q]
+    sums.mu = +mu  # the unary plus rounds to the working digits
+    amplitudes = (*(+a for a in amplitudes), 1)
+    pieces = _layout(sums)
+    rows = _kernel_rows(sums, pieces)
+    row_0, row_n = (_fsum(a * r for a, r in zip(amplitudes, rows[i])) for i in (0, n))
     e = sums.exp(n)
-    free = n + 1 if n < 4 else 4
-    matrix, rhs = [], []
-    for i in kept:
-        y, ep, en = Decimal(i) / n, sums.exp(i), sums.exp(-i)
-        moment_i = (ep + en + en * e + ep / e - 4) / 4 - (y * y + (1 - y) * (1 - y)) / 4
-        matrix.append([*rows[i][:free], Decimal(1), en])
-        rhs.append(moment_i - sum(rows[i][free:]))
-    for shift, target in ((0, 1), (-1, 1 - 1 / e)):
-        sums_p = [_piece_sum(sums, piece, 0, shift) for piece in pieces]
-        matrix.append([*sums_p[:free], Decimal(0), Decimal(0)])
-        rhs.append(target - sum(sums_p[free:]))
-    *amplitudes, b0, d = _gauss_solve(matrix, rhs)
-    amplitudes += [1] * (len(pieces) - free)
-    return _ExactSolution(sums, pieces, mirror, tuple(amplitudes), rows, b0, d)
+    d = (row_n - row_0) / (1 - 1 / e)
+    b0 = (e + 1 / e - 3) / 4 - row_0 - d  # moment(0) = (e + 1/e - 3)/4
+    return _ExactSolution(sums, pieces, amplitudes, rows, b0, d)
 
 
 def _printed_solution(n: int) -> _ExactSolution:
@@ -371,8 +360,7 @@ def _printed_solution(n: int) -> _ExactSolution:
     -Kscaled (1 - e^h q) q and 1.  lambda1, Kscaled and the end weights
     cancel O(1) terms down to h^3, about 3 log10 n digits, so they are
     formed in the grid's guard-digit context (ExpSums.wide, 4 digits(n) +
-    12 past the working digits) from its e^h.  Only the rows of the
-    deltas are kept, which is all route 1 reads.
+    12 past the working digits) from its e^h.
     """
     sums = ExpSums(n)
     with localcontext(sums.wide):
@@ -386,28 +374,22 @@ def _printed_solution(n: int) -> _ExactSolution:
         ks = (2 * em1 - h * eh - h) * (lam - 1) / (2 * em1 * em1 * (1 + qn))
         corr = ks * (qn - q)
         c_0, c_n = (em1 - h) / em1 - corr, (h * eh - em1) / em1 - corr * eh
-        alpha, beta = -ks * (eh - q), -ks * (1 - eh * q)  # of q^b and q^(n-b)
-        if n < 4:
-            amplitudes = [c_0, *(h + alpha * q**b + beta * q ** (n - b) for b in range(1, n)), c_n]
-        else:
-            amplitudes = [c_0, c_n, alpha * q, beta * q, 1]
+        amplitudes = [c_0, c_n, -ks * (eh - q) * q, -ks * (1 - eh * q) * q, 1]
     sums.mu = +q  # the unary plus rounds to the working digits
-    pieces, mirror = _layout(sums)
-    rows = _kernel_rows(sums, pieces, mirror, range(n + 1) if n < 4 else (0, n))
-    return _ExactSolution(sums, pieces, mirror, tuple(+a for a in amplitudes), rows)
+    pieces = _layout(sums)
+    return _ExactSolution(sums, pieces, tuple(+a for a in amplitudes), _kernel_rows(sums, pieces))
 
 
 def _kernel_form(sol: _ExactSolution):
     """sum_ij c_i c_j psi_2(|i - j| h) over the pieces, in O(1) decimal operations.
 
-    A delta piece at node k pairs with every piece through kernel row k,
-    which the solution kept; two spread pieces pair through their pair sum
-    (the first one's row expansion summed against the second), which
-    equals that of their mirror images.
+    The delta at node k, 0 or n, pairs with every piece through kernel
+    row k, which the solution keeps; two spread pieces pair through their
+    pair sum (the first one's row expansion summed against the second),
+    which equals that of their mirror images.
     """
-    pieces, amps, mirror = sol.pieces, sol.amplitudes, sol.mirror
-    deltas = [p for p, piece in enumerate(pieces) if piece.lo == piece.hi]
-    spread = [p for p, piece in enumerate(pieces) if piece.lo < piece.hi]
+    pieces, amps = sol.pieces, sol.amplitudes
+    deltas, spread = range(2), range(2, len(pieces))  # _layout's order
     terms = []
     for p in deltas:
         row = sol.rows[pieces[p].lo]
@@ -416,7 +398,7 @@ def _kernel_form(sol: _ExactSolution):
     pairs = {}
     for k, p in enumerate(spread):
         for q in spread[k:]:
-            key = min(tuple(sorted((p, q))), tuple(sorted((mirror[p], mirror[q]))))
+            key = min(tuple(sorted((p, q))), tuple(sorted((_MIRROR[p], _MIRROR[q]))))
             if key not in pairs:
                 a, b = pieces[key[0]], pieces[key[1]]
                 pairs[key] = a.scale * b.scale * sol.sums.pair(a.ratio, b.ratio, a.lo, a.hi)
@@ -512,12 +494,9 @@ def _window_width(sol: _ExactSolution) -> int:
 
     Its layers mu^(j-1) and mu^(n-1-j), amplitudes 2 and 3 in _layout's
     order, start one node in, so the width is one more than
-    spectral.layer_width of the larger; below n = 4 every weight is a
-    piece of its own and the one window is the whole grid.
+    spectral.layer_width of the larger.
     """
     sums = sol.sums
-    if sums.mu is None:
-        return sums.n + 1
     return 1 + layer_width(float(max(map(abs, sol.amplitudes[2:4]))), float(sums.mu), float(sums.h))
 
 
@@ -627,9 +606,10 @@ def build_report(n: int) -> NormReport:
     """Evaluate all four routes and classify their agreement.
 
     The three reduction routes are compared on the exact solution of the
-    system, solved and evaluated in 56 digits at every n (multiplier_source
-    is always "dense_solve"); see minimizer_audit.  The printed rule's norm
-    is closed_rule_norm.
+    system, formed and evaluated in 56 digits at every n; see
+    minimizer_audit.  multiplier_source is the fixed string "dense_solve",
+    kept for the record's schema.  The printed rule's norm is
+    closed_rule_norm.
     """
     _check_n(n, "the norm report")
     audit = minimizer_audit(n)

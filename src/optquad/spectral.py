@@ -28,10 +28,7 @@ printed rule's in q and the minimizer's in mu, is float(h) outside its
 end windows: layer_width is the one rule for how far in from its anchor
 a layer can still move float(h), closed_width applies it to the printed
 weights, and end_windows gives the node ranges of a width at both ends.
-filter_band is the band the stationarity system's filter leaves (see
-wiener_hopf), whose root inside the unit circle is the minimizer's
-boundary-layer ratio mu, for float64 and Decimal arguments alike.  This
-module, like norm, runs on the standard library alone: `import optquad`,
+This module, like norm, runs on the standard library alone: `import optquad`,
 the norm report and `validate` load no numpy.  SpectralConstants is a
 namedtuple, as every record in the package is.
 """
@@ -48,7 +45,6 @@ __all__ = [
     "closed_width",
     "constants",
     "end_windows",
-    "filter_band",
     "lambda1",
     "layer_width",
 ]
@@ -176,13 +172,3 @@ def closed_weights(sc: SpectralConstants, first: int, last: int) -> list[float]:
         c[-1] = (h * eh - em1) / em1 - corr * eh  # (he^h - e^h + 1)/(e^h - 1) - corr*e^h
     return c
 
-
-def filter_band(psi1, psi2, psi3, a):
-    """(g0, g1): the band that the stationarity system's filter leaves of the kernel rows.
-
-    psi1, psi2, psi3 are psi_2(h), psi_2(2h), psi_2(3h) and a = 2 cosh h;
-    the result has their type, so float64 and Decimal arguments both serve.
-    """
-    g0 = 2 * psi2 - 2 * (a + 2) * psi1
-    g1 = psi3 - (a + 2) * psi2 + (2 * a + 3) * psi1
-    return g0, g1

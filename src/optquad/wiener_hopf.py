@@ -9,28 +9,26 @@ one kernel row per node,
 plus the constraint rows sum C = 1 and sum C e^(-x) = 1 - e^-1, where b0 and
 d are the Lagrange multipliers of the constraints.
 
-On the uniform grid with n subintervals it is solved by Sobolev's discrete
-analogue of the operator (Sobolev, Introduction to the Theory of Cubature
-Formulas, 1974; Hayotov, Milovanovic and Shadimetov, Numer. Algorithms 57,
-2011).  The samples psi_2(kh) satisfy the recurrence with characteristic
-polynomial (z-1)^2 (z-e^h) (z-e^-h), so the filter
-
-    [1, -(a+2), 2a+2, -(a+2), 1],  a = 2 cosh h,
-
-applied to kernel rows i-2 .. i+2 removes both multiplier columns and
-leaves the band g1 C_(i-1) + g0 C_i + g1 C_(i+1) (spectral.filter_band)
-with the right-hand side (g0 + 2 g1) h, for every i = 2 .. n-2.  Its
-solutions are h plus A mu^(b-1) + B mu^(n-1-b) on the interior nodes, mu
-the root of g1 z^2 + g0 z + g1 inside the unit circle.  The amplitudes A
-and B, the end weights and both multipliers then solve a bordered system
-of at most 6 x 6: four unfiltered kernel rows and the two constraints.
-Below n = 4 no row is filtered and the same bordered solve keeps every
-row.  That solve is norm's exact minimizer, every entry a closed-form sum
-in 56-digit decimal, O(1) work at every n; the norm report and `norm
---methods multiplier|expanded` read it too.
+On the uniform grid with n subintervals its solution is known in closed
+form.  By Schoenberg's theorem (Bull. AMS 70, 1964) the minimizing rule
+integrates the natural spline of span{1, x, e^x, e^-x} through the
+samples (an exponential spline in tension 1), so its weights are the
+trapezoid weights plus the second differences over h of the solution of
+that spline's adjoint tridiagonal system.  The system is Toeplitz inside
+with two end rows, so its solution is a constant plus mu^k and mu^(n-k),
+mu the root of its symbol inside the unit circle, and the end rows fix
+the two amplitudes through one 2 x 2 system.  The weights are h plus
+two geometric boundary layers in mu at every n >= 1, and the kernel rows
+0 and n give the multipliers.  That is norm's exact minimizer, formed in
+56-digit decimal in O(1) work at every n; the norm report and `norm
+--methods multiplier|expanded` read it too.  (Sobolev's discrete
+analogue of the operator, a five-tap filter on the kernel rows, gives
+the same layers: Sobolev, Introduction to the Theory of Cubature
+Formulas, 1974; Hayotov, Milovanovic and Shadimetov, Numer. Algorithms
+57, 2011.  The tests keep that bordered solve as an oracle.)
 
 solve_uniform returns its weights and multipliers in float64 together
-with their residual in the unfiltered system, which `coeffs --method
+with their residual in the system above, which `coeffs --method
 system` prints: the worst kernel row, an O(n^2) convolution that keeps
 the size cap of spectral.DENSE_MAX_N subintervals, or either of the
 constraint residuals printed beside it (coefficients.constraint_residuals,
@@ -66,7 +64,7 @@ def solve_uniform(n: int) -> SystemSolution:
 
     The weights, b0 and d are norm.minimizer_weights(n), the exact
     minimizer in float64; the nodes are k/n, correctly rounded.
-    residual_inf is the largest residual in the unfiltered system: the
+    residual_inf is the largest residual in the system: the
     worst kernel row, an O(n^2) convolution, or either of the two
     constraint_residuals, which it carries for `coeffs` to print beside it.
     """

@@ -193,3 +193,49 @@ def piece_weights(sol):
         for j in range(lo, hi + 1):
             c[j] += amp * ratio**j
     return c
+
+
+def spline_weights(n):
+    """The minimizer's weights from the natural exponential spline, in O(n) mp operations.
+
+    Schoenberg's theorem (I. J. Schoenberg, "Spline interpolation and best
+    quadrature formulae", Bull. AMS 70, 1964): the rule that is optimal in
+    the sense of Sard integrates the natural spline interpolant of the
+    samples.  For the seminorm int (f'' + f')^2 that spline is piecewise in
+    span{1, x, e^x, e^-x}, the kernel of D^4 - D^2, C^2 at the nodes, with
+    s'' + s' = 0 at 0 and 1: an exponential spline in tension 1.  Written
+    s = M + l on each piece, with M'' = M, M(x_k) = m_k and l linear, C^1
+    at the nodes is a tridiagonal system in m, and int s is the trapezoid
+    rule plus sum g_k m_k.  So the weights are the trapezoid weights plus
+    the second differences over h of the adjoint solution y_0 .. y_n of
+
+        (c - 1) y_0 + t y_1                = gamma,
+        t y_(k-1) + 2c y_k + t y_(k+1)     = 2 gamma    (0 < k < n),
+        t y_(n-1) + (1 + c) y_n            = gamma,
+
+    t = 1/h - 1/sinh h, c = coth h - 1/h and gamma = tanh(h/2) - h/2:
+    C_0 = h/2 + (y_1 - y_0)/h, C_b = h + (y_(b-1) - 2 y_b + y_(b+1))/h and
+    C_n = h/2 + (y_(n-1) - y_n)/h.  The matrix is diagonally dominant, so
+    the Thomas algorithm solves it without pivoting.  t, c and gamma cancel
+    about 2 log10 n digits, so the solve runs that many digits past DPS;
+    the weights are rounded to DPS digits.
+    """
+    with mp.workdps(DPS + 2 * len(str(n)) + 10):
+        h = mp.mpf(1) / n
+        t = 1 / h - 1 / mp.sinh(h)
+        c = mp.coth(h) - 1 / h
+        gamma = mp.tanh(h / 2) - h / 2
+        diag = [c - 1, *[2 * c] * (n - 1), 1 + c]
+        rhs = [gamma, *[2 * gamma] * (n - 1), gamma]
+        for k in range(1, n + 1):  # every off-diagonal entry is t
+            f = t / diag[k - 1]
+            diag[k] -= f * t
+            rhs[k] -= f * rhs[k - 1]
+        y = [rhs[n] / diag[n]]
+        for k in range(n - 1, -1, -1):
+            y.append((rhs[k] - t * y[-1]) / diag[k])
+        y.reverse()
+        slope = [n * (b - a) for a, b in zip(y, y[1:])]  # (y_(k+1) - y_k)/h
+        w = [h / 2 + slope[0], *(h + b - a for a, b in zip(slope, slope[1:])), h / 2 - slope[-1]]
+    with mp.workdps(DPS):
+        return [+x for x in w]

@@ -11,9 +11,12 @@ rule, feasible or not, in O(count^2); norm_peano integrates the Peano
 kernel of any feasible rule in O(count), the float64 check on optquad's
 exact closed_rule_norm.  float_weights spells out every float64 weight of
 an exact solution, the O(n) check on the report's end-window
-coefficient_max_deviation.  closed_weights_array and float_weights_on are
-the numpy forms of the printed weights and of the exact solution's window
-weights, which the package forms in Python floats.  make_rule packages
+coefficient_max_deviation.  bordered_solution is the exact minimizer as
+the package once found it, a filtered band and a 6 x 6 bordered system
+in decimal (filter_band, gauss_solve), the check on norm's closed form.
+closed_weights_array and float_weights_on are the numpy forms of the
+printed weights and of the exact solution's window weights, which the
+package forms in Python floats.  make_rule packages
 any checked nodes and weights as a QuadratureRule, and trapezoid_rule is
 a deliberately suboptimal comparison rule.
 
@@ -28,10 +31,13 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Callable
 
 import numpy as np
 
+from optquad import norm
+from optquad._expsums import ONE, ExpSums
 from optquad.coefficients import QuadratureRule, constraint_residuals
 from optquad.kernel import moment, psi
 from optquad.norm import double_moment
@@ -329,6 +335,85 @@ def float_weights_on(sol, first: int, last: int) -> np.ndarray:
         distance = np.arange(hi - a, hi - b - 1, -1) if grows else np.arange(a - lo, b - lo + 1)
         c[a - first:b - first + 1] += start * float(1 / step if grows else step) ** distance
     return c
+
+
+def filter_band(psi1, psi2, psi3, a):
+    """(g0, g1): the band that the stationarity system's filter leaves of the kernel rows.
+
+    The samples psi_2(kh) satisfy the recurrence with characteristic
+    polynomial (z-1)^2 (z-e^h) (z-e^-h), so the filter
+    [1, -(a+2), 2a+2, -(a+2), 1] applied to kernel rows i-2 .. i+2 removes
+    both multiplier columns and leaves g1 C_(i-1) + g0 C_i + g1 C_(i+1),
+    with the right-hand side (g0 + 2 g1) h (Sobolev's discrete analogue of
+    the operator).  psi1, psi2, psi3 are psi_2(h), psi_2(2h), psi_2(3h)
+    and a = 2 cosh h; the result has their type.
+    """
+    g0 = 2 * psi2 - 2 * (a + 2) * psi1
+    g1 = psi3 - (a + 2) * psi2 + (2 * a + 3) * psi1
+    return g0, g1
+
+
+def gauss_solve(matrix, rhs):
+    """Solve a small dense Decimal system by Gaussian elimination with partial pivoting.
+
+    It has no condition check: a singular matrix ends in a decimal
+    ArithmeticError, never in a returned solution.
+    """
+    size = len(rhs)
+    a = [list(row) + [r] for row, r in zip(matrix, rhs)]
+    for k in range(size):
+        pivot = max(range(k, size), key=lambda i: abs(a[i][k]))
+        a[k], a[pivot] = a[pivot], a[k]
+        for i in range(k + 1, size):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, size + 1):
+                a[i][j] -= f * a[k][j]
+    x = [None] * size
+    for k in reversed(range(size)):
+        x[k] = (a[k][size] - norm._fsum(p * q for p, q in zip(a[k][k + 1:size], x[k + 1:]))) / a[k][k]
+    return x
+
+
+def bordered_solution(n: int):
+    """The exact minimizer by the filtered band and a bordered solve, as an optquad.norm._ExactSolution.
+
+    From n = 4 the band (filter_band) holds on every row i = 2 .. n-2, so
+    the interior weights are h + A mu^(b-1) + B mu^(n-1-b), mu the root of
+    g1 z^2 + g0 z + g1 inside the unit circle: norm's five pieces.  c_0,
+    c_n, A, B, b0 and d then solve the kernel rows 0, n//3, n - n//3 and n
+    and the two constraints, a 6 x 6 system of closed-form sums (ExpSums)
+    solved by gauss_solve.  Once the band holds, the kernel rows' residual
+    is a combination of 1, x, e^x and e^-x over the nodes, so any four
+    rows fix the same solution.  Below n = 4 the unknowns are every
+    weight, one delta per node, and every row is kept.  In norm's working
+    digits; mu from the short-lag kernel values carries their
+    cancellation, 6.6e-37 relative at n = 10^6.  rows is None.
+    """
+    with localcontext(norm._CONTEXT):
+        sums = ExpSums(n)
+        if n < 4:
+            pieces, kept, free = tuple(norm._Piece(1, ONE, k, k) for k in range(n + 1)), range(n + 1), n + 1
+        else:
+            a = sums.exp(1) + sums.exp(-1)
+            g0, g1 = filter_band(sums.kernel(1), sums.kernel(2), sums.kernel(3), a)
+            kappa = g1 / g0
+            sums.mu = -2 * kappa / (1 + (1 - 4 * kappa * kappa).sqrt())
+            pieces, kept, free = norm._layout(sums), (0, n // 3, n - n // 3, n), 4
+        e = sums.exp(n)
+        matrix, rhs = [], []
+        for i in kept:
+            row = [piece.scale * sums.row(piece.ratio, i, piece.lo, piece.hi) for piece in pieces]
+            y, ep, en = Decimal(i) / n, sums.exp(i), sums.exp(-i)
+            moment_i = (ep + en + en * e + ep / e - 4) / 4 - (y * y + (1 - y) * (1 - y)) / 4
+            matrix.append([*row[:free], Decimal(1), en])
+            rhs.append(moment_i - sum(row[free:]))
+        for shift, target in ((0, 1), (-1, 1 - 1 / e)):
+            sums_p = [norm._piece_sum(sums, piece, 0, shift) for piece in pieces]
+            matrix.append([*sums_p[:free], Decimal(0), Decimal(0)])
+            rhs.append(target - sum(sums_p[free:]))
+        *amplitudes, b0, d = gauss_solve(matrix, rhs)
+        amplitudes += [1] * (len(pieces) - free)
+        return norm._ExactSolution(sums, pieces, tuple(amplitudes), None, b0, d)
 
 
 def make_rule(nodes, coefficients) -> QuadratureRule:

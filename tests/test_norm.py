@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -25,7 +26,6 @@ from optquad.norm import (
     _exact_routes,
     _exact_solution,
     _float_weights_on,
-    _gauss_solve,
     _kernel_form,
     _moment_sums,
     _printed_solution,
@@ -44,6 +44,7 @@ from highprec import (
     psi2_ref,
     psi2_rows,
     quadratic_form_ref,
+    spline_weights,
     theorem2_ref,
 )
 import oracles
@@ -142,9 +143,9 @@ def test_norm_routes_build_no_printed_rule(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 16, DENSE_MAX_N])
 def test_build_report_factors_its_system_once(monkeypatch, capsys, n):
-    # every uniform-grid path solves the 6 x 6 bordered system in decimal,
-    # once: numpy's LAPACK is never called, so the dense (n+3)-size system
-    # is never factored
+    # every uniform-grid path forms the system's solution in closed form,
+    # in decimal, once: numpy's LAPACK is never called, so the dense
+    # (n+3)-size system is never factored
     def refused(*args):
         raise AssertionError("np.linalg called")
 
@@ -162,12 +163,12 @@ def test_build_report_factors_its_system_once(monkeypatch, capsys, n):
 
 
 def test_gauss_solve_raises_on_a_zero_pivot():
-    # the decimal bordered solve has no condition check of its own: a
-    # singular matrix ends in a decimal ArithmeticError, which the CLI
-    # reports with exit 2
+    # the bordered oracle's elimination has no condition check of its own:
+    # a singular matrix, such as the four kept rows 0, 0, 2, 2 would give at
+    # n = 2, ends in a decimal ArithmeticError, never in a solution
     with localcontext(_CONTEXT):
         with pytest.raises(ArithmeticError):
-            _gauss_solve([[Decimal(1), Decimal(1)], [Decimal(1), Decimal(1)]], [Decimal(1)] * 2)
+            oracles.gauss_solve([[Decimal(1), Decimal(1)], [Decimal(1), Decimal(1)]], [Decimal(1)] * 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 16])
@@ -294,7 +295,7 @@ def test_report_norm_decreases():
 @pytest.mark.parametrize("n", [DENSE_MAX_N + 1, 600, 4096, 100_000, 1_000_000])
 def test_report_above_the_cap_solves_the_system(n):
     # the report has no cap: above it the exact 56-digit solve still gives
-    # three positive, agreeing routes (measured worst 5.0e-29, at 10^6),
+    # three positive, agreeing routes (measured worst 4.5e-30, at 10^6),
     # and the printed rule's norm is not below the minimizer's (720 n^4 N:
     # 1.0000036191 against 1.0000028868 at 10^6)
     rep = build_report(n)
@@ -427,7 +428,7 @@ def test_closed_rule_norm_is_not_below_the_minimum():
         closed = closed_rule_norm(n)
         assert rep.closed_rule_quadratic_form == closed, n
         assert closed >= rep.via_quadratic_form, n
-        # measured worst over every n <= 513: 1.7e-37, at n = 476
+        # measured worst over every n <= 513: 5.0e-42, at n = 470
         assert max(rep.rel_diff_qf_mult, rep.rel_diff_qf_expanded) <= 1e-20, n
 
 
@@ -436,9 +437,9 @@ def test_closed_rule_norm_is_not_below_the_minimum():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 64, 257])
 def test_closed_rule_norm_matches_highprec(n):
-    # below n = 4 the printed rule is one unit delta per node (a one-node
-    # piece would be paired as a unit delta); measured worst 7.9e-17
-    # relative, at n = 1, the rounding of the float64 result
+    # the five pieces hold at every n, with one- or two-node layers below
+    # n = 4 and none at n = 1; measured worst 7.9e-17 relative, at n = 1,
+    # the rounding of the float64 result
     ref = float(closed_quadratic_form_ref(n))
     assert abs(closed_rule_norm(n) - ref) <= 1e-15 * ref
 
@@ -529,7 +530,7 @@ def test_refined_solution_solves_the_exact_system(n):
         assert worst <= mp.mpf("1e-30")
 
 
-@pytest.mark.parametrize("n", [4, 5, 16, 64, 4096])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 4096])
 def test_kernel_form_matches_the_o_n_quadratic_form(n):
     # route 1 from kept rows and pair sums against the O(n) oracle, for
     # random amplitudes of the five pieces, the mirrored one included;
@@ -546,6 +547,82 @@ def test_kernel_form_matches_the_o_n_quadratic_form(n):
         ref = mp.fsum(c * psi2_rows(x, ep, en, c))
         gross = mp.fsum(np.abs(c) * psi2_rows(x, ep, en, np.abs(c)))
         assert abs(mp.mpf(str(value)) - ref) <= mp.mpf("1e-35") * gross
+
+
+# ---------------------------------- the closed form against its two oracles
+
+
+def _assert_closed_form_is_the_bordered_solve(n, rtol):
+    # the amplitudes within rtol relative (below n = 4, where the bordered
+    # solve has one delta per node, the weights).  b0 and d cancel kernel
+    # rows near moment(0) ~ 0.02 down to O(h^4), which carries the bordered
+    # solve's mu error into its b0 (up to 5.5e-42 relative at n <= 600),
+    # so both are compared on the scale of moment(0): measured worst
+    # 4.9e-53 of it, at n = 313
+    with localcontext(_CONTEXT):
+        sol, ref = _exact_solution(n), oracles.bordered_solution(n)
+        if n >= 4:
+            gap = float(max(abs(a - b) / abs(b) for a, b in zip(sol.amplitudes, ref.amplitudes)))
+        else:
+            with mp.workdps(DPS):
+                gap = float(max(abs(a - b) / abs(b) for a, b in zip(piece_weights(sol), piece_weights(ref))))
+        assert gap <= rtol, (n, gap)
+        e = sol.sums.exp(n)
+        scale = (e + 1 / e - 3) / 4  # moment(0)
+        assert max(abs(sol.b0 - ref.b0), abs(sol.d - ref.d)) <= Decimal("1e-50") * scale, n
+
+
+def test_closed_form_is_the_bordered_solve_up_to_600():
+    # measured worst 1.8e-46, the bordered solve's own mu error
+    for n in range(1, 601):
+        _assert_closed_form_is_the_bordered_solve(n, 1e-45)
+
+
+@pytest.mark.parametrize("n, rtol", [(10**4, 1.3e-42), (10**6, 7e-37), (10**9, 2.1e-28)])
+def test_closed_form_is_the_bordered_solve_on_a_ladder(n, rtol):
+    # the bordered solve's mu, from the short-lag kernel values, is 1.24e-42,
+    # 6.6e-37 and 2.0e-28 relative off its closed form there, and its
+    # amplitudes 0.42 of that off the closed form's
+    _assert_closed_form_is_the_bordered_solve(n, rtol)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 16, 513, 10**4, 10**6, 10**9])
+def test_mu_is_its_closed_form(n):
+    # mu = -s + sqrt(s^2 - 1), s = (h cosh h - sinh h)/(sinh h - h), in
+    # 120-digit mpmath; measured worst 1.7e-56, at n = 4 (1.1e-56 at n = 1)
+    with localcontext(_CONTEXT):
+        mu = _exact_solution(n).sums.mu
+    with mp.workdps(120):
+        h = mp.mpf(1) / n
+        s = (h * mp.cosh(h) - mp.sinh(h)) / (mp.sinh(h) - h)
+        ref = -s + mp.sqrt(s * s - 1)
+        assert abs(mp.mpf(str(mu)) - ref) <= mp.mpf("1e-54") * abs(ref)
+
+
+_spline = functools.cache(spline_weights)  # two tests read n <= 64
+
+
+@pytest.mark.parametrize("ns", [range(1, 129), (513, 10**4)], ids=["1-128", "ladder"])
+def test_minimizer_weights_are_the_splines(ns):
+    # the natural exponential spline's weights, which share no code with
+    # the package: every float64 weight within one ulp of them.  A weight
+    # that is the spline's rounded to nearest is within half an ulp; the
+    # others measured at most 0.995 ulp off, at n = 513
+    for n in ns:
+        off = [(x, w) for x, w in zip(minimizer_weights(n)[0], _spline(n)) if x != float(w)]
+        with mp.workdps(DPS):
+            worst = max((abs(x - w) / math.ulp(float(w)) for x, w in off), default=0)
+        assert worst <= 1, (n, worst)
+
+
+def test_exact_solution_weights_are_the_splines():
+    # the 56-digit weights within 1e-45 relative; measured worst 1.0e-50
+    for n in range(1, 65):
+        with localcontext(_CONTEXT):
+            sol = _exact_solution(n)
+        with mp.workdps(DPS):
+            worst = max(abs(a - b) / abs(b) for a, b in zip(piece_weights(sol), _spline(n)))
+        assert worst <= mp.mpf("1e-45"), (n, worst)
 
 
 # Route 1 at the two largest grids, from the same closed forms in 80-digit
@@ -619,14 +696,38 @@ def _assert_window_weights_are_the_numpy_form(sol, n):
             oracles.float_weights_on(sol, first, last).view(np.uint64), err_msg=f"{n} {first}..{last}")
 
 
+@functools.cache
+def _oracle_weights(n):
+    """_exact_solution(n) and the oracle's every float64 weight of it, O(n), once per n.
+
+    The two tests that read both share them.  A ladder grid's array holds
+    up to 80 MB, so the weights are kept as their middle one and the
+    (index, value) pairs whose bits differ from it, at most a few hundred
+    past n = 2048; _solution_and_oracle rebuilds the array bit for bit.
+    """
+    with localcontext(_CONTEXT):
+        sol = _exact_solution(n)
+        weights = oracles.float_weights(sol)
+    middle = weights[n // 2]
+    other = np.flatnonzero(weights.view(np.uint64) != middle.view(np.uint64))
+    return sol, middle, other, weights[other]
+
+
+def _solution_and_oracle(n):
+    sol, middle, other, values = _oracle_weights(n)
+    weights = np.full(n + 1, middle)
+    weights[other] = values
+    return sol, weights
+
+
 def _assert_windowed_deviation_is_the_oracle(ns):
     # the oracle takes every weight of both rules, O(n); the audit reads
     # them on the end windows alone
     for n in ns:
+        sol, weights = _solution_and_oracle(n)
         with localcontext(_CONTEXT):
-            sol = _exact_solution(n)
             printed = optimal_coefficients(n).coefficients
-            oracle = float(np.max(np.abs(oracles.float_weights(sol) - printed))).hex()
+            oracle = float(np.max(np.abs(weights - printed))).hex()
             assert _coefficient_max_deviation(sol).hex() == oracle, n
             _assert_window_weights_are_the_numpy_form(sol, n)
 
@@ -659,8 +760,7 @@ def test_minimizer_weights_are_the_oracles_every_weight(ns):
     # puts float(h) between them; the oracle steps out every weight, O(n)
     for n in ns:
         c = minimizer_weights(n)[0]
-        with localcontext(_CONTEXT):
-            oracle = oracles.float_weights(_exact_solution(n))
+        oracle = _solution_and_oracle(n)[1]
         np.testing.assert_array_equal(np.array(c).view(np.uint64), oracle.view(np.uint64), err_msg=str(n))
 
 

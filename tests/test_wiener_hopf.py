@@ -11,11 +11,11 @@ from optquad.kernel import moment, psi
 from optquad.norm import _CONTEXT, _exact_solution
 from optquad.cli import main
 from optquad.norm import minimizer_weights
-from optquad.spectral import DENSE_MAX_N, filter_band
+from optquad.spectral import DENSE_MAX_N
 from optquad.wiener_hopf import solve_uniform
 
 from highprec import DPS, moment_ref, mp_grid, piece_weights, psi2_ref, psi2_rows
-from oracles import SingularSystemError, _equilibrated_solve, build_system, make_rule, solve_dense
+from oracles import SingularSystemError, _equilibrated_solve, build_system, filter_band, make_rule, solve_dense
 
 # Frozen 50-digit dense solution of the uniform 3-node system.
 DENSE_C_N2 = [0.18147809599809316, 0.62654229512702072, 0.19197960887488613]
