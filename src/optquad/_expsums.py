@@ -6,19 +6,20 @@ boundary layers.  psi_2(|i - j| h) = g(|i - j|) with the odd function
 
     g(k) = (e^(kh) - e^(-kh))/4 - k h/2,
 
-which separates into products of i- and j-factors.  So every moment, every
-kernel row sum and every pairwise kernel sum of such pieces has a closed
-form in O(1) decimal operations, whatever the range (Sobolev's discrete
-analogue of the operator: Sobolev, Introduction to the Theory of Cubature
-Formulas, 1974).  Inside its range the kernel image of a piece r^j on
-lo .. hi is a short exponential-polynomial in i, sum c i^k rho^i with rho
-in e^h, e^-h, r and 1, whose coefficients come from the piece's end powers
-over 1 - r and 1 - r e^(+-h) (a ratio among those that is exactly 1 gives
-the terms i e^(+-ih), i and i^2 instead).  Outside its range a row is
-one-sided and comes from the range's sums of j^k (r e^(0, +-h))^j.  A pair
-sum is then the expansion summed against the other piece: one geometric
-sum per term, on the same range and ratios as the moments, plus the
-ratio r1 r2.
+which separates into products of i- and j-factors.  So every moment and
+every pairwise kernel sum of such pieces has a closed form in O(1)
+decimal operations, whatever the range (Sobolev's discrete analogue of
+the operator: Sobolev, Introduction to the Theory of Cubature Formulas,
+1974).  Inside its range the kernel image of a piece r^j on lo .. hi is a
+short exponential-polynomial in i, sum c i^k rho^i with rho in e^h,
+e^-h, r and 1, whose coefficients come from the piece's end powers over
+1 - r and 1 - r e^(+-h) (a ratio among those that is exactly 1 gives the
+terms i e^(+-ih), i and i^2 instead).  A pair sum is the expansion summed
+against the other piece: one geometric sum per term, on the same range
+and ratios as the moments, plus the ratio r1 r2.  The kernel rows 0 and
+n of a whole rule need no sums here: psi_2(x) and psi_2(1 - x) lie in
+span{e^x, e^-x, x, 1} on [0, 1], so norm reads them off the rule's moment
+sums.
 
 A ratio r is carried as its integer exponents (a, b), r = mu^a e^(b h),
 so the sums recognise a ratio of exactly 1 by (a, b) == (0, 0) instead of
@@ -54,15 +55,15 @@ def _power_sum(k: int, m: int) -> int:
 
 
 class ExpSums:
-    """Sums of j^k r^j and of psi_2 against them, grid n, boundary ratio mu.
+    """Sums of j^k r^j and pair sums of psi_2 against them, grid n, boundary ratio mu.
 
     mu is read only by ratios with a != 0 and may be set after
     construction.  wide is the grid's guard-digit context, the working
     precision plus 4 digits(n) + 12, and eh is e^h in it, taken once at
     construction.  Powers of mu and of e^h, the gaps 1 - r, the sums of
-    j^k r^j and the pieces' row expansions are cached on the instance, so
-    the sums of one grid share them; an instance therefore serves the
-    working precision it was made in.
+    j^k r^j and pair's row expansions are cached on the instance, so the
+    sums of one grid share them; an instance therefore serves the working
+    precision it was made in.
     """
 
     def __init__(self, n: int, mu=None):
@@ -76,7 +77,7 @@ class ExpSums:
         self._mu = {0: Decimal(1)}
         self._gap = {}
         self._geom = {}
-        self._rows = {}
+        self._expansions = {}
 
     def wide_eh(self):
         """e^h in wide: the grid's one Decimal.exp."""
@@ -160,7 +161,7 @@ class ExpSums:
         per (r, lo, hi).
         """
         key = (r, lo, hi)
-        if key not in self._rows:
+        if key not in self._expansions:
             terms = {}
 
             def add(k, rho, c):
@@ -185,26 +186,8 @@ class ExpSums:
                 add(1, ONE, lag * (r_lo + r_end) / g)
                 add(0, r, lag * 2 * step / (g * g))
                 add(0, ONE, -lag * ((lo * r_lo + hi * r_end) / g + (step * r_lo + r_end) / (g * g)))
-            self._rows[key] = [(c, k, rho) for (k, rho), c in terms.items()]
-        return self._rows[key]
-
-    def row(self, r, i: int, lo: int, hi: int):
-        """sum_{j=lo}^{hi} psi_2(|i - j| h) r^j: kernel row i of the piece r^j.
-
-        Inside the range the row is the piece's exponential-polynomial
-        (_expansion).  Outside it psi_2(|i - j| h) is -g(i - j) for every j
-        (i < lo) or g(i - j) (i > hi), and g(i - j) separates into
-        (e^(ih) (r e^-h)^j - e^(-ih) (r e^h)^j)/4 - (i - j) h r^j/2, so the
-        row comes from the whole range's sums of j^k (r e^(0, +-h))^j.
-        """
-        if hi == lo:
-            return self.power(r, lo) * self.kernel(i - lo)
-        if lo <= i <= hi:
-            return sum(c * i**k * self.power(rho, i) for c, k, rho in self._expansion(r, lo, hi))
-        exps = (self.exp(i) * self.geom(0, _times(r, (0, -1)), lo, hi)
-                - self.exp(-i) * self.geom(0, _times(r, (0, 1)), lo, hi))
-        odd = exps / 4 - (i * self.geom(0, r, lo, hi) - self.geom(1, r, lo, hi)) * self.h / 2
-        return -odd if i < lo else odd
+            self._expansions[key] = [(c, k, rho) for (k, rho), c in terms.items()]
+        return self._expansions[key]
 
     def pair(self, r1, r2, lo: int, hi: int):
         """sum_{i=lo}^{hi} sum_{j=lo}^{hi} r1^i r2^j psi_2(|i - j| h).

@@ -34,30 +34,31 @@ multipliers in closed form: by Schoenberg's theorem the minimizer
 integrates the natural spline of span{1, x, e^x, e^-x} through the
 samples, whose adjoint tridiagonal system is solved exactly by one 2 x 2
 (_exact_solution).  psi_2 is exponential-polynomial, so every sum the
-routes take -- route 1's quadratic form included, from the kernel rows
-0 and n and pair sums of the pieces -- has a closed form (ExpSums).
-Each spread piece's kernel image is one short
-exponential-polynomial in the row index, so its rows inside the range
-and its pair sums reuse the geometric sums the moments take; the rows 0
-and n, outside the 1 .. n-1 pieces, are one-sided sums over the whole
-range.  The report's decimal work is therefore the same at
-every n, and the report has one path with no size cap.  Route 1 sums
-terms near 1 down to about h^4/720, which costs about 4 log10 n + 3
-digits (27 at n = 10^6); 56 digits leave room for that well past
-n = 10^6.  Each grid has one guard-digit context, 4 digits(n) + 12 past
-the working digits (ExpSums.wide), and takes one Decimal.exp there, of
-e^h; every e^(kh) and 1 - e^(bh) is formed there and rounded once.
-The printed rule has the same pieces with q = 1/lambda1 for mu, its
-constants formed in the same context, so its norm (closed_rule_norm) is
-route 1 from the same sums, and coefficient_max_deviation reads both
-float64 weight sets, in Python floats, on the end windows only
-(spectral.end_windows), outside which both are float(h)
-(spectral.layer_width).  The same solve serves every caller that needs
-the system's solution: multiplier_routes(n, method), behind `norm
---methods multiplier|expanded`, forms route 2 or route 3 of it alone,
-written once with the report, so it prints the report's own values;
-minimizer_weights steps its weights out in float64 on the two end
-windows, 30 nodes each, and puts float(h) between them, for `coeffs
+routes take has a closed form (ExpSums).  Each solution forms its five
+moment sums (sum c, sum c e^(+-x), sum c x, sum c x^2) once; on [0, 1]
+psi_2(x) and psi_2(1 - x) lie in span{e^x, e^-x, x, 1}, so the kernel
+rows 0 and n, which give the multipliers and route 1's delta terms, are
+fixed combinations of them (_end_rows).  The rest of route 1's quadratic
+form is the pair sums of the spread pieces on 1 .. n-1: each one's
+kernel image is one short exponential-polynomial in the row index, so
+they reuse the geometric sums the moments take.  The report's decimal
+work is therefore the same at every n, and the report has one path with
+no size cap.  Route 1 sums terms near 1 down to about h^4/720, which
+costs about 4 log10 n + 3 digits (27 at n = 10^6); 56 digits leave room
+for that well past n = 10^6.  Each grid has one guard-digit context,
+4 digits(n) + 12 past the working digits (ExpSums.wide), and takes one
+Decimal.exp there, of e^h; every e^(kh) and 1 - e^(bh) is formed there
+and rounded once.  The printed rule has the same pieces with
+q = 1/lambda1 for mu, its constants formed in the same context, so its
+norm (closed_rule_norm) is route 1 from the same moment and pair sums,
+and coefficient_max_deviation reads both float64 weight sets, in Python
+floats, on the end windows only (spectral.end_windows), outside which
+both are float(h) (spectral.layer_width).  The same solve serves every
+caller that needs the system's solution: multiplier_routes(n, method),
+behind `norm --methods multiplier|expanded`, forms route 2 or route 3 of
+it alone, written once with the report, so it prints the report's own
+values; minimizer_weights steps its weights out in float64 on the two
+end windows, 30 nodes each, and puts float(h) between them, for `coeffs
 --method system` (wiener_hopf.solve_uniform).  The module runs on the
 standard library alone, and so do `norm` and `validate`.  Its records
 are namedtuples, as every record in the package is.
@@ -241,13 +242,17 @@ def geometric_sums(lam: float, n: int) -> tuple[float, float]:
 _Piece = namedtuple("_Piece", ["scale", "ratio", "lo", "hi"])
 _Piece.__doc__ = "Weights scale * ratio^j for lo <= j <= hi, ratio as ExpSums exponents."
 
-_ExactSolution = namedtuple("_ExactSolution", ["sums", "pieces", "amplitudes", "rows", "b0", "d"],
+_Moments = namedtuple("_Moments", ["c", "ep", "en", "x", "xx", "moment"])
+_Moments.__doc__ = "sum c, sum c e^x, sum c e^-x, sum c x, sum c x^2 and sum c moment(x) of a rule."
+
+_ExactSolution = namedtuple("_ExactSolution", ["sums", "pieces", "amplitudes", "moments", "b0", "d"],
                             defaults=(None, None))
 _ExactSolution.__doc__ = """A uniform-grid rule in decimal, weights c_j = sum_p amplitude_p piece_p(j).
 
-sums is the grid's ExpSums and pieces are _layout's _Piece tuples.  rows
-maps the rows 0 and n to the kernel row sums sum_j psi_2(|i - j| h)
-piece_p(j).  b0 and d are the system's multipliers; the printed rule
+sums is the grid's ExpSums and pieces are _layout's _Piece tuples.
+moments are the weights' _Moments (_moment_sums), formed once; the
+kernel rows 0 and n (_end_rows), the multipliers and the routes read
+them.  b0 and d are the system's multipliers; the printed rule
 (_printed_solution) has none.
 """
 
@@ -273,16 +278,6 @@ def _layout(sums: ExpSums) -> tuple[_Piece, ...]:
     )
 
 
-def _kernel_rows(sums: ExpSums, pieces) -> dict:
-    """{i: [sum_j psi_2(|i - j| h) piece_p(j) for each piece p] for i in 0 and n}.
-
-    A piece's row n is row 0 of its mirror image (mu^(n-1-j) of mu^(j-1),
-    c_n of c_0, h of itself), so row 0 gives both.
-    """
-    row_0 = [piece.scale * sums.row(piece.ratio, 0, piece.lo, piece.hi) for piece in pieces]
-    return {0: row_0, sums.n: [row_0[q] for q in _MIRROR]}
-
-
 def _piece_sum(sums: ExpSums, piece: _Piece, k: int, shift: int):
     """sum_j j^k e^(shift x_j) piece(j)."""
     ratio = (piece.ratio[0], piece.ratio[1] + shift)
@@ -296,6 +291,37 @@ def _fsum(terms):
         wide.prec *= 2
         total = sum(terms, Decimal(0))
     return +total  # rounds to the working digits
+
+
+def _moment_sums(sums: ExpSums, pieces, amplitudes) -> _Moments:
+    """The _Moments of the weights sum_p amplitude_p piece_p(j), in decimal."""
+    h = sums.h
+
+    def weighted(k, shift):
+        """sum_j j^k e^(shift x_j) c_j."""
+        return _fsum(a * _piece_sum(sums, p, k, shift) for a, p in zip(amplitudes, pieces))
+
+    e = sums.exp(sums.n)
+    s_c, s_ep, s_en = weighted(0, 0), weighted(0, 1), weighted(0, -1)
+    s_x, s_xx = h * weighted(1, 0), h * h * weighted(2, 0)
+    # moment(x) = ((1 + 1/e) e^x + (1 + e) e^-x)/4 - 5/4 - x^2/2 + x/2
+    s_m = _fsum([(1 + 1 / e) * s_ep / 4, (1 + e) * s_en / 4, -s_c * 5 / 4, -s_xx / 2, s_x / 2])
+    return _Moments(s_c, s_ep, s_en, s_x, s_xx, s_m)
+
+
+def _end_rows(sums: ExpSums, m: _Moments):
+    """(row_0, row_n) of the rule whose _Moments are m, on sums' grid.
+
+    The rows are sum_j c_j psi_2(x_j) and sum_j c_j psi_2(1 - x_j).  On
+    [0, 1] psi_2(x) = (e^x - e^-x)/4 - x/2 and
+    psi_2(1 - x) = (e e^-x - e^x/e)/4 - 1/2 + x/2, so both rows are fixed
+    combinations of the moment sums sum c e^x, sum c e^-x, sum c x and
+    sum c, whatever the pieces.
+    """
+    e = sums.exp(sums.n)
+    row_0 = _fsum([m.ep / 4, -m.en / 4, -m.x / 2])
+    row_n = _fsum([e * m.en / 4, -m.ep / (4 * e), -m.c / 2, m.x / 2])
+    return row_0, row_n
 
 
 def _exact_solution(n: int) -> _ExactSolution:
@@ -320,9 +346,10 @@ def _exact_solution(n: int) -> _ExactSolution:
     at every n >= 1.  t, c and gamma cancel O(1/h) or O(h) terms down to
     O(h), about 2 log10 n digits, so mu and the amplitudes are formed in
     the grid's guard-digit context (ExpSums.wide) from its e^h.  The
-    multipliers follow from the kernel rows 0 and n, which route 1 keeps:
-    b0 + d = moment(0) - row_0 and b0 + d/e = moment(1) - row_n, where
-    moment(0) = moment(1).  No size cap: the cost does not grow with n.
+    multipliers follow from the kernel rows 0 and n, read off the moment
+    sums (_end_rows): b0 + d = moment(0) - row_0 and
+    b0 + d/e = moment(1) - row_n, where moment(0) = moment(1).  No size
+    cap: the cost does not grow with n.
     """
     sums = ExpSums(n)
     with localcontext(sums.wide):
@@ -344,12 +371,12 @@ def _exact_solution(n: int) -> _ExactSolution:
     sums.mu = +mu  # the unary plus rounds to the working digits
     amplitudes = (*(+a for a in amplitudes), 1)
     pieces = _layout(sums)
-    rows = _kernel_rows(sums, pieces)
-    row_0, row_n = (_fsum(a * r for a, r in zip(amplitudes, rows[i])) for i in (0, n))
+    moments = _moment_sums(sums, pieces, amplitudes)
+    row_0, row_n = _end_rows(sums, moments)
     e = sums.exp(n)
     d = (row_n - row_0) / (1 - 1 / e)
     b0 = (e + 1 / e - 3) / 4 - row_0 - d  # moment(0) = (e + 1/e - 3)/4
-    return _ExactSolution(sums, pieces, amplitudes, rows, b0, d)
+    return _ExactSolution(sums, pieces, amplitudes, moments, b0, d)
 
 
 def _printed_solution(n: int) -> _ExactSolution:
@@ -376,25 +403,29 @@ def _printed_solution(n: int) -> _ExactSolution:
         c_0, c_n = (em1 - h) / em1 - corr, (h * eh - em1) / em1 - corr * eh
         amplitudes = [c_0, c_n, -ks * (eh - q) * q, -ks * (1 - eh * q) * q, 1]
     sums.mu = +q  # the unary plus rounds to the working digits
+    amplitudes = tuple(+a for a in amplitudes)
     pieces = _layout(sums)
-    return _ExactSolution(sums, pieces, tuple(+a for a in amplitudes), _kernel_rows(sums, pieces))
+    return _ExactSolution(sums, pieces, amplitudes, _moment_sums(sums, pieces, amplitudes))
 
 
 def _kernel_form(sol: _ExactSolution):
     """sum_ij c_i c_j psi_2(|i - j| h) over the pieces, in O(1) decimal operations.
 
-    The delta at node k, 0 or n, pairs with every piece through kernel
-    row k, which the solution keeps; two spread pieces pair through their
-    pair sum (the first one's row expansion summed against the second),
-    which equals that of their mirror images.
+    With c the deltas c_0 and c_n at the nodes 0 and n plus the spread
+    pieces s on 1 .. n-1, the form is
+
+        2 c_0 row_0 + 2 c_n row_n - 2 c_0 c_n psi_2(1) + s^T G s,
+
+    the rows of the whole rule read off its moment sums (_end_rows), which
+    count the pair c_0 c_n twice over.  Two spread pieces pair through
+    their pair sum (the first one's row expansion summed against the
+    second), which equals that of their mirror images.
     """
     pieces, amps = sol.pieces, sol.amplitudes
-    deltas, spread = range(2), range(2, len(pieces))  # _layout's order
-    terms = []
-    for p in deltas:
-        row = sol.rows[pieces[p].lo]
-        terms += [amps[p] * amps[q] * row[q] for q in deltas]
-        terms += [2 * amps[p] * amps[q] * row[q] for q in spread]
+    row_0, row_n = _end_rows(sol.sums, sol.moments)
+    c_0, c_n = amps[:2]  # _layout's order: the deltas, then the spread pieces
+    terms = [2 * c_0 * row_0, 2 * c_n * row_n, -2 * c_0 * c_n * sol.sums.kernel(sol.sums.n)]
+    spread = range(2, len(pieces))
     pairs = {}
     for k, p in enumerate(spread):
         for q in spread[k:]:
@@ -406,49 +437,33 @@ def _kernel_form(sol: _ExactSolution):
     return _fsum(terms)
 
 
-def _moment_sums(sol: _ExactSolution):
-    """sum c, sum c e^x, sum c e^-x, sum c x, sum c x^2 and sum c moment(x), in decimal."""
-    sums, h = sol.sums, sol.sums.h
-
-    def weighted(k, shift):
-        """sum_j j^k e^(shift x_j) c_j."""
-        return _fsum(a * _piece_sum(sums, p, k, shift) for a, p in zip(sol.amplitudes, sol.pieces))
-
-    e = sums.exp(sums.n)
-    s_c, s_ep, s_en = weighted(0, 0), weighted(0, 1), weighted(0, -1)
-    s_x, s_xx = h * weighted(1, 0), h * h * weighted(2, 0)
-    # moment(x) = ((1 + 1/e) e^x + (1 + e) e^-x)/4 - 5/4 - x^2/2 + x/2
-    s_m = _fsum([(1 + 1 / e) * s_ep / 4, (1 + e) * s_en / 4, -s_c * 5 / 4, -s_xx / 2, s_x / 2])
-    return s_c, s_ep, s_en, s_x, s_xx, s_m
+def _route1(sol: _ExactSolution):
+    """Route 1, the quadratic form of sol's weights."""
+    return _fsum([_kernel_form(sol), -2 * sol.moments.moment, _DOUBLE_MOMENT])
 
 
-def _route1(sol: _ExactSolution, s_m):
-    """Route 1, the quadratic form of sol's weights, given their sum c moment(x)."""
-    return _fsum([_kernel_form(sol), -2 * s_m, _DOUBLE_MOMENT])
+def _route2(sol: _ExactSolution):
+    """Route 2, the multiplier form of sol and its multipliers."""
+    m = sol.moments
+    return _fsum([-sol.d * m.en, -sol.b0 * m.c, -m.moment, _DOUBLE_MOMENT])
 
 
-def _route2(sol: _ExactSolution, moments):
-    """Route 2, the multiplier form of sol and its multipliers, given _moment_sums(sol)."""
-    s_c, _, s_en, _, _, s_m = moments
-    return _fsum([-sol.d * s_en, -sol.b0 * s_c, -s_m, _DOUBLE_MOMENT])
-
-
-def _route3(sol: _ExactSolution, moments):
-    """Route 3, the expanded form of sol and its multipliers, given _moment_sums(sol).
+def _route3(sol: _ExactSolution):
+    """Route 3, the expanded form of sol and its multipliers.
 
     Route 2 with the moment sum written out through sum c e^x, sum c x,
     sum c x^2 and the two constraints.
     """
-    _, s_ep, _, s_x, s_xx, _ = moments
+    m = sol.moments
     e = sol.sums.exp(sol.sums.n)
     return _fsum([
         -sol.b0,
         (1 - e) / e * sol.d,
-        -(e + 1) / (4 * e) * s_ep,
+        -(e + 1) / (4 * e) * m.ep,
         -(1 + e) / 4 * (1 - 1 / e),
         Decimal(5) / 4,
-        s_xx / 2,
-        -s_x / 2,
+        m.xx / 2,
+        -m.x / 2,
         _DOUBLE_MOMENT,
     ])
 
@@ -459,8 +474,7 @@ _REDUCED_ROUTES = {"multiplier": _route2, "expanded": _route3}
 
 def _exact_routes(sol: _ExactSolution):
     """Routes 1-3 on the exact solution, in decimal, from closed-form sums."""
-    moments = _moment_sums(sol)
-    return _route1(sol, moments[-1]), _route2(sol, moments), _route3(sol, moments)
+    return _route1(sol), _route2(sol), _route3(sol)
 
 
 def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> list[float]:
@@ -534,12 +548,13 @@ def closed_rule_norm(n: int) -> float:
     """Squared norm of the printed rule optimal_coefficients(n), exact, in O(1).
 
     Route 1 of _printed_solution, from the closed-form sums the report
-    takes for the minimizer.  Raises ValueError unless 1 <= n <= 10^9.
+    takes for the minimizer: the end rows read off the rule's moment sums
+    and the pair sums of its spread pieces.  Raises ValueError unless
+    1 <= n <= 10^9.
     """
     _check_n(n, "the printed rule's norm")
     with localcontext(_CONTEXT):
-        sol = _printed_solution(n)
-        return float(_route1(sol, _moment_sums(sol)[-1]))
+        return float(_route1(_printed_solution(n)))
 
 
 def minimizer_weights(n: int) -> tuple[list[float], float, float]:
@@ -574,8 +589,7 @@ def multiplier_routes(n: int, method: str) -> float:
         raise ValueError(f"method must be 'multiplier' or 'expanded', got {method!r}")
     _check_n(n, f"the {method} route")
     with localcontext(_CONTEXT):
-        sol = _exact_solution(n)
-        return float(route(sol, _moment_sums(sol)))
+        return float(route(_exact_solution(n)))
 
 
 def minimizer_audit(n: int) -> dict:

@@ -13,7 +13,9 @@ exact closed_rule_norm.  float_weights spells out every float64 weight of
 an exact solution, the O(n) check on the report's end-window
 coefficient_max_deviation.  bordered_solution is the exact minimizer as
 the package once found it, a filtered band and a 6 x 6 bordered system
-in decimal (filter_band, gauss_solve), the check on norm's closed form.
+in decimal (filter_band, gauss_solve, kernel_row), the check on norm's
+closed form; kernel_row is the one-sided or in-range kernel row of one
+piece in ExpSums' closed forms.
 closed_weights_array and float_weights_on are the numpy forms of the
 printed weights and of the exact solution's window weights, which the
 package forms in Python floats.  make_rule packages
@@ -374,6 +376,26 @@ def gauss_solve(matrix, rhs):
     return x
 
 
+def kernel_row(sums: ExpSums, r, i: int, lo: int, hi: int):
+    """sum_{j=lo}^{hi} psi_2(|i - j| h) r^j: kernel row i of the piece r^j, in sums' closed forms.
+
+    Inside the range the row is the piece's exponential-polynomial
+    (ExpSums._expansion), the row that ExpSums.pair sums against the
+    other piece.  Outside it psi_2(|i - j| h) is -g(i - j) for every j
+    (i < lo) or g(i - j) (i > hi), and g(i - j) separates into
+    (e^(ih) (r e^-h)^j - e^(-ih) (r e^h)^j)/4 - (i - j) h r^j/2, so the
+    row comes from the whole range's sums of j^k (r e^(0, +-h))^j.
+    """
+    if hi == lo:
+        return sums.power(r, lo) * sums.kernel(i - lo)
+    if lo <= i <= hi:
+        return sum(c * i**k * sums.power(rho, i) for c, k, rho in sums._expansion(r, lo, hi))
+    down, up = (r[0], r[1] - 1), (r[0], r[1] + 1)
+    exps = sums.exp(i) * sums.geom(0, down, lo, hi) - sums.exp(-i) * sums.geom(0, up, lo, hi)
+    odd = exps / 4 - (i * sums.geom(0, r, lo, hi) - sums.geom(1, r, lo, hi)) * sums.h / 2
+    return -odd if i < lo else odd
+
+
 def bordered_solution(n: int):
     """The exact minimizer by the filtered band and a bordered solve, as an optquad.norm._ExactSolution.
 
@@ -387,7 +409,8 @@ def bordered_solution(n: int):
     rows fix the same solution.  Below n = 4 the unknowns are every
     weight, one delta per node, and every row is kept.  In norm's working
     digits; mu from the short-lag kernel values carries their
-    cancellation, 6.6e-37 relative at n = 10^6.  rows is None.
+    cancellation, 6.6e-37 relative at n = 10^6.  Its kernel rows are
+    kernel_row's, per piece; its moments are norm._moment_sums'.
     """
     with localcontext(norm._CONTEXT):
         sums = ExpSums(n)
@@ -402,7 +425,7 @@ def bordered_solution(n: int):
         e = sums.exp(n)
         matrix, rhs = [], []
         for i in kept:
-            row = [piece.scale * sums.row(piece.ratio, i, piece.lo, piece.hi) for piece in pieces]
+            row = [piece.scale * kernel_row(sums, piece.ratio, i, piece.lo, piece.hi) for piece in pieces]
             y, ep, en = Decimal(i) / n, sums.exp(i), sums.exp(-i)
             moment_i = (ep + en + en * e + ep / e - 4) / 4 - (y * y + (1 - y) * (1 - y)) / 4
             matrix.append([*row[:free], Decimal(1), en])
@@ -412,8 +435,8 @@ def bordered_solution(n: int):
             matrix.append([*sums_p[:free], Decimal(0), Decimal(0)])
             rhs.append(target - sum(sums_p[free:]))
         *amplitudes, b0, d = gauss_solve(matrix, rhs)
-        amplitudes += [1] * (len(pieces) - free)
-        return norm._ExactSolution(sums, pieces, tuple(amplitudes), None, b0, d)
+        amplitudes = (*amplitudes, *[1] * (len(pieces) - free))
+        return norm._ExactSolution(sums, pieces, amplitudes, norm._moment_sums(sums, pieces, amplitudes), b0, d)
 
 
 def make_rule(nodes, coefficients) -> QuadratureRule:

@@ -1,0 +1,87 @@
+"""The exact core's float64 results, bit for bit, as one SHA-256 digest per field.
+
+A change to how the 56-digit solve or its routes are formed should leave
+every float64 it returns as it was.  Each digest covers the float.hex of
+one field at every n of GRIDS (n = 1..600 and a ladder to 10^5) and, for
+the fields that are O(1) to form, at every n of LARGE as well:
+
+  closed_rule_norm(n);
+  minimizer_audit(n)'s via_* and coefficient_max_deviation;
+  multiplier_routes(n, "multiplier") and multiplier_routes(n, "expanded");
+  minimizer_weights(n)'s b0, d and every weight (GRIDS only).
+
+minimizer_audit's rel_diff_qf_* are left out: they are the rounding noise
+of 56-digit sums that agree to about 1e-41, and move with the order of
+the sums.  A change that moves a field on purpose records the old and new
+digests and why in CHANGES.md; print the digests with
+
+    PYTHONPATH=src python tests/test_exact_core_bits.py
+"""
+import hashlib
+from decimal import localcontext
+
+from optquad.norm import (
+    _CONTEXT,
+    _exact_solution,
+    closed_rule_norm,
+    minimizer_audit,
+    minimizer_weights,
+    multiplier_routes,
+)
+
+GRIDS = (*range(1, 601), 1024, 2048, 4096, 10**4, 12345, 10**5)
+LARGE = (10**6, 10**7, 10**8, 10**9)
+
+_AUDITED = ("via_quadratic_form", "via_multipliers", "via_expanded", "coefficient_max_deviation")
+
+# recorded at the commit before the end rows were read off the moment sums
+DIGESTS = {
+    "b0": "63eea6fc413bfc9cb5010b50884a3673bce42440ca2d3a7fdd6d7f5ea7232fad",
+    "closed_rule_norm": "9e36a127fc2277efb2e7453736ae9b216e473c738e7404deeb13d55f7afa50d0",
+    "coefficient_max_deviation": "7a59f4dbfad1df8b025ea7afab41d24d203985918094eaa0c14736401ef9e9b0",
+    "d": "2de38b8323e9faddd1c0d1e32316b9bbb0e4e435cbe9ec4aa303dc43a43f0c71",
+    "multiplier_routes.expanded": "9b0bc114e0940dd44425b8e4e179de544ad08204208bf88c4d9d17acb1ce62e6",
+    "multiplier_routes.multiplier": "66d1619353a40aebfc49e68cfdfe5409908fe71fe13f55bd92e33c9c9970a828",
+    "via_expanded": "9b0bc114e0940dd44425b8e4e179de544ad08204208bf88c4d9d17acb1ce62e6",
+    "via_multipliers": "66d1619353a40aebfc49e68cfdfe5409908fe71fe13f55bd92e33c9c9970a828",
+    "via_quadratic_form": "66d1619353a40aebfc49e68cfdfe5409908fe71fe13f55bd92e33c9c9970a828",
+    "weights": "e26af65aac44e3b7a105505f9f881a806359f83ef839f45a670898ecbd72c53a",
+}
+
+
+def _fields(n: int, weights: bool) -> dict:
+    """{field: [float, ...]} at n; the weights only when weights is true."""
+    audit = minimizer_audit(n)
+    fields = {name: [audit[name]] for name in _AUDITED}
+    fields["closed_rule_norm"] = [closed_rule_norm(n)]
+    for method in ("multiplier", "expanded"):
+        fields[f"multiplier_routes.{method}"] = [multiplier_routes(n, method)]
+    if weights:
+        c, b0, d = minimizer_weights(n)
+        fields["weights"] = c
+    else:  # minimizer_weights' multipliers, without its O(n) weight list
+        with localcontext(_CONTEXT):
+            sol = _exact_solution(n)
+            b0, d = float(sol.b0), float(sol.d)
+    fields["b0"], fields["d"] = [b0], [d]
+    return fields
+
+
+def digests() -> dict:
+    """{field: SHA-256 hex digest of 'n value.hex() ...' lines over every n}."""
+    hashes = {}
+    for ns, weights in ((GRIDS, True), (LARGE, False)):
+        for n in ns:
+            for name, values in _fields(n, weights).items():
+                line = f"{n} {' '.join(map(float.hex, values))}\n"
+                hashes.setdefault(name, hashlib.sha256()).update(line.encode())
+    return {name: h.hexdigest() for name, h in sorted(hashes.items())}
+
+
+def test_exact_core_is_bit_identical():
+    assert digests() == DIGESTS
+
+
+if __name__ == "__main__":
+    for name, digest in digests().items():
+        print(f'    "{name}": "{digest}",')

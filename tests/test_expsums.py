@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from optquad._expsums import ONE, ExpSums
 
 from highprec import DPS, psi2_ref
+from oracles import kernel_row
 
 ratios = st.tuples(st.integers(-1, 1), st.integers(-2, 2))
 
@@ -42,7 +43,7 @@ def test_sums_match_brute_force(n, mu, r1, r2, lo, width, i):
     with localcontext(Context(prec=40)):
         sums = ExpSums(n, Decimal(mu))
         closed = [sums.geom(k, r1, lo, hi) for k in range(3)]
-        closed += [sums.row(r1, i, lo, hi), sums.pair(r1, r2, lo, hi)]
+        closed += [kernel_row(sums, r1, i, lo, hi), sums.pair(r1, r2, lo, hi)]
     with mp.workdps(DPS):
         *geoms, row, pair = [mp.mpf(str(value)) for value in closed]
         mu = mp.mpf(mu)
@@ -83,11 +84,11 @@ def test_powers_of_the_wide_exponential(n):
 
 
 # The production ratios on 1 .. n-1 at n = 10^6, in the norm's 56 digits,
-# against the same closed forms in 90: rows at the kept rows 0, n//3,
-# n - n//3 and n, and the four pair sums the quadratic form takes (the
-# others are their mirror images).  A 1 - e^(bh) formed in the working
-# digits instead of the guard digits puts the rows and pairs of the ratio 1
-# about 1e-48 off.  Where the row or pair is a one-sided sum of a layer
+# against the same closed forms in 90: kernel_row at the bordered solve's
+# kept rows 0, n//3, n - n//3 and n, and the four pair sums the quadratic
+# form takes (the others are their mirror images).  A 1 - e^(bh) formed
+# in the working digits instead of the guard digits puts the rows and
+# pairs of the ratio 1 about 1e-48 off.  Where the row or pair is a one-sided sum of a layer
 # decaying away from it (mu^j at row 0, mu^-j at row n) or a layer paired
 # with itself, psi_2's parts e^(+-x)/4 and x/2 cancel to about h^3 of
 # their size, in any precision, so that value is pinned against its parts'
@@ -110,7 +111,7 @@ def _pin(digits, pin):
     with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         sums = ExpSums(_PIN_N, _PIN_MU)
         if kind == "row":
-            return sums.row(r, other, 1, _PIN_N - 1)
+            return kernel_row(sums, r, other, 1, _PIN_N - 1)
         return sums.pair(r, other, 1, _PIN_N - 1)
 
 

@@ -23,9 +23,11 @@ from optquad.norm import (
     norm_theorem2,
     _CONTEXT,
     _coefficient_max_deviation,
+    _end_rows,
     _exact_routes,
     _exact_solution,
     _float_weights_on,
+    _fsum,
     _kernel_form,
     _moment_sums,
     _printed_solution,
@@ -428,7 +430,7 @@ def test_closed_rule_norm_is_not_below_the_minimum():
         closed = closed_rule_norm(n)
         assert rep.closed_rule_quadratic_form == closed, n
         assert closed >= rep.via_quadratic_form, n
-        # measured worst over every n <= 513: 5.0e-42, at n = 470
+        # measured worst over every n <= 513: 5.1e-42, at n = 487
         assert max(rep.rel_diff_qf_mult, rep.rel_diff_qf_expanded) <= 1e-20, n
 
 
@@ -446,8 +448,7 @@ def test_closed_rule_norm_matches_highprec(n):
 
 def _printed_route1(n, digits):
     with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        sol = _printed_solution(n)
-        return _route1(sol, _moment_sums(sol)[-1])
+        return _route1(_printed_solution(n))
 
 
 @pytest.mark.parametrize("n", [10**6, 10**7, 10**8])
@@ -530,16 +531,74 @@ def test_refined_solution_solves_the_exact_system(n):
         assert worst <= mp.mpf("1e-30")
 
 
+def _trial(n):
+    """_exact_solution(n) with random amplitudes for its five pieces, and their moment sums.
+
+    The moment sums are formed again for the new amplitudes: the end rows
+    and route 1 read them, and _replace alone would leave the solution's.
+    In the working context.
+    """
+    rng = random.Random(n)
+    sol = _exact_solution(n)
+    amplitudes = tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in sol.amplitudes)
+    return sol._replace(amplitudes=amplitudes, moments=_moment_sums(sol.sums, sol.pieces, amplitudes))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 4096])
+def test_end_rows_match_the_o_n_rows(n):
+    # the kernel rows 0 and n read off the moment sums against the O(n)
+    # oracle, for random amplitudes of the five pieces; measured worst
+    # 1.2e-48 of the gross row, at n = 4096
+    with localcontext(_CONTEXT):
+        trial = _trial(n)
+        rows = _end_rows(trial.sums, trial.moments)
+    with mp.workdps(DPS):
+        c = piece_weights(trial)
+        x, ep, en, _ = mp_grid(n)
+        ref = psi2_rows(x, ep, en, c)
+        gross = psi2_rows(x, ep, en, np.abs(c))  # psi_2 >= 0
+        for i, value in zip((0, n), rows):
+            assert abs(mp.mpf(str(value)) - ref[i]) <= mp.mpf("1e-35") * gross[i], (n, i)
+
+
+def _row_parts(sol, i):
+    """Row i of sol's weights with psi_2(|i - j| h) replaced by its parts' sizes
+    cosh((i - j) h) + (i + j) h and each piece's terms by their absolute values,
+    in 90 digits: the sizes of the terms that either form of the row cancels."""
+    with localcontext(Context(prec=90, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        sums = ExpSums(sol.sums.n, abs(sol.sums.mu))
+
+        def s(k, piece, shift=0):
+            return sums.geom(k, (piece.ratio[0], piece.ratio[1] + shift), piece.lo, piece.hi)
+
+        return sum(abs(a * p.scale) * ((sums.exp(i) * s(0, p, -1) + sums.exp(-i) * s(0, p, 1)) / 2
+                                       + sums.h * (i * s(0, p) + s(1, p)))
+                   for a, p in zip(sol.amplitudes, sol.pieces))
+
+
+@pytest.mark.parametrize("n", [10**6, 10**9])
+def test_end_rows_are_the_one_sided_row_sums(n):
+    # past the O(n) oracle's reach: the rows read off the moment sums
+    # against the one-sided closed-form row sums of each piece
+    # (oracles.kernel_row), both in the working digits, on the scale of
+    # their parts; measured worst 4.6e-57 of them (row n at 10^6)
+    with localcontext(_CONTEXT):
+        trial = _trial(n)
+        rows = _end_rows(trial.sums, trial.moments)
+        one_sided = [_fsum(a * p.scale * oracles.kernel_row(trial.sums, p.ratio, i, p.lo, p.hi)
+                           for a, p in zip(trial.amplitudes, trial.pieces)) for i in (0, n)]
+    for i, value, ref in zip((0, n), rows, one_sided):
+        assert abs(value - ref) <= Decimal("1e-50") * _row_parts(trial, i), (n, i)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 4096])
 def test_kernel_form_matches_the_o_n_quadratic_form(n):
-    # route 1 from kept rows and pair sums against the O(n) oracle, for
-    # random amplitudes of the five pieces, the mirrored one included;
-    # measured worst 4.0e-49 of the gross sum, at n = 4096
-    rng = random.Random(n)
+    # route 1's quadratic form, from the end rows and the spread pieces'
+    # pair sums, against the O(n) oracle, for random amplitudes of the
+    # five pieces, the mirrored one included; measured worst 8.5e-49 of
+    # the gross sum, at n = 4096
     with localcontext(_CONTEXT):
-        sol = _exact_solution(n)
-        trial = sol._replace(
-            amplitudes=tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in sol.amplitudes))
+        trial = _trial(n)
         value = _kernel_form(trial)
     with mp.workdps(DPS):
         c = piece_weights(trial)
