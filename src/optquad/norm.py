@@ -34,18 +34,23 @@ multipliers in closed form: by Schoenberg's theorem the minimizer
 integrates the natural spline of span{1, x, e^x, e^-x} through the
 samples, whose adjoint tridiagonal system is solved exactly by one 2 x 2
 (_exact_solution).  psi_2 is exponential-polynomial, so every sum the
-routes take has a closed form (ExpSums).  Each solution forms its five
-moment sums (sum c, sum c e^(+-x), sum c x, sum c x^2) once; on [0, 1]
-psi_2(x) and psi_2(1 - x) lie in span{e^x, e^-x, x, 1}, so the kernel
-rows 0 and n, which give the multipliers and route 1's delta terms, are
-fixed combinations of them (_end_rows).  The rest of route 1's quadratic
-form is the pair sums of the spread pieces on 1 .. n-1: each one's
-kernel image is one short exponential-polynomial in the row index, so
-they reuse the geometric sums the moments take.  The report's decimal
-work is therefore the same at every n, and the report has one path with
-no size cap.  Route 1 sums terms near 1 down to about h^4/720, which
-costs about 4 log10 n + 3 digits (27 at n = 10^6); 56 digits leave room
-for that well past n = 10^6.  Each grid has one guard-digit context,
+routes take has a closed form, and since every rule here has the same
+five-piece layout (_layout) they are taken straight-line: S_k(r) =
+sum_{j=1}^{n-1} j^k r^j, k <= 2, once for each of the ratios mu,
+mu e^(+-h) and e^(+-h) (_layout_sums), the mirror layer mu^(n-1-j)
+read off the layer mu^(j-1) from the other end.  Each solution forms its
+five moment sums (sum c, sum c e^(+-x), sum c x, sum c x^2) from them
+once (_moment_sums); on [0, 1] psi_2(x) and psi_2(1 - x) lie in
+span{e^x, e^-x, x, 1}, so the kernel rows 0 and n, which give the
+multipliers and route 1's delta terms, are fixed combinations of them
+(_end_rows), also formed once.  The rest of route 1's quadratic form is
+the four pair sums of the spread pieces on 1 .. n-1 (_pair_sums): each
+piece's kernel image is one short exponential-polynomial in the row
+index, summed against the other piece by the same S_k.  The report's
+decimal work is therefore the same at every n, and the report has one
+path with no size cap.  Route 1 sums terms near 1 down to about
+h^4/720, which costs about 4 log10 n + 3 digits (27 at n = 10^6); 56
+digits leave room for that well past n = 10^6.  Each grid has one guard-digit context,
 4 digits(n) + 12 past the working digits (ExpSums.wide), and takes one
 Decimal.exp there, of e^h; every e^(kh) and 1 - e^(bh) is formed there
 and rounded once.  The printed rule has the same pieces with
@@ -71,6 +76,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import reduce
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 from ._expsums import ONE, ExpSums
@@ -110,11 +116,12 @@ def double_moment(kind=float):
 # sums of about 1.25) down to about h^4/720, 5.4e-30 at n = 4e6, so it
 # keeps about _DIGITS - 4 log10 n - 3 of them.  56 hold route 1 within
 # 1.0e-26 relative of an 80-digit evaluation at n = 4e6 (3e-29 at 10^6);
-# 52 would leave it 2.5e-22 off there.  The pair sums form mu^(-2n), past
-# the default exponent range from about n = 2e6, so the range is the
-# widest decimal allows.
+# 52 would leave it 2.5e-22 off there.  The window weights' anchors form
+# mu^-(n-1), past the default exponent range from about n = 1.75e6, so
+# the range is the widest decimal allows.
 _DIGITS = 56
 _CONTEXT = Context(prec=_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_SUM = Context(prec=2 * _DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)  # _fsum's, twice the working digits
 
 
 def _working_double_moment() -> Decimal:
@@ -242,23 +249,28 @@ def geometric_sums(lam: float, n: int) -> tuple[float, float]:
 _Piece = namedtuple("_Piece", ["scale", "ratio", "lo", "hi"])
 _Piece.__doc__ = "Weights scale * ratio^j for lo <= j <= hi, ratio as ExpSums exponents."
 
+_LayoutSums = namedtuple("_LayoutSums", ["mu_n", "s0", "s1", "s2", "up", "down", "flat_up", "flat_down"])
+_LayoutSums.__doc__ = """S_k(r) = sum_{j=1}^{n-1} j^k r^j of the ratios of _layout's spread pieces.
+
+s0, s1 and s2 are S_0, S_1 and S_2 of mu; up and down are S_0 of mu e^h
+and mu e^-h, flat_up and flat_down S_0 of e^h and e^-h; mu_n is mu^n.
+The sums of the ratio 1 are integers, formed where they are read.
+"""
+
 _Moments = namedtuple("_Moments", ["c", "ep", "en", "x", "xx", "moment"])
 _Moments.__doc__ = "sum c, sum c e^x, sum c e^-x, sum c x, sum c x^2 and sum c moment(x) of a rule."
 
-_ExactSolution = namedtuple("_ExactSolution", ["sums", "pieces", "amplitudes", "moments", "b0", "d"],
+_ExactSolution = namedtuple("_ExactSolution",
+                            ["sums", "pieces", "amplitudes", "layout_sums", "moments", "rows", "b0", "d"],
                             defaults=(None, None))
 _ExactSolution.__doc__ = """A uniform-grid rule in decimal, weights c_j = sum_p amplitude_p piece_p(j).
 
-sums is the grid's ExpSums and pieces are _layout's _Piece tuples.
-moments are the weights' _Moments (_moment_sums), formed once; the
-kernel rows 0 and n (_end_rows), the multipliers and the routes read
-them.  b0 and d are the system's multipliers; the printed rule
-(_printed_solution) has none.
+sums is the grid's ExpSums and pieces are _layout's _Piece tuples.  Each
+rule forms once (_rule) its _LayoutSums, its weights' _Moments and from
+them its kernel rows (row_0, row_n) (_end_rows); the multipliers and the
+routes read them.  b0 and d are the system's multipliers; the printed
+rule (_printed_solution) has none.
 """
-
-# _layout's mirror map: piece p read from the other end, piece_p(j) = piece_q(n - j)
-# with q = _MIRROR[p]
-_MIRROR = (1, 0, 3, 2, 4)
 
 
 def _layout(sums: ExpSums) -> tuple[_Piece, ...]:
@@ -266,7 +278,8 @@ def _layout(sums: ExpSums) -> tuple[_Piece, ...]:
 
     The deltas at 0 and n come first, then mu^(j-1) and mu^(n-1-j) on
     1 .. n-1 and the constant h there, at every n >= 1: below n = 4 the
-    last three ranges hold one or two nodes, and none at n = 1.
+    last three ranges hold one or two nodes, and none at n = 1.  The
+    second layer is the first read from the other end, j -> n - j.
     """
     n, mu = sums.n, sums.mu
     return (
@@ -278,32 +291,53 @@ def _layout(sums: ExpSums) -> tuple[_Piece, ...]:
     )
 
 
-def _piece_sum(sums: ExpSums, piece: _Piece, k: int, shift: int):
-    """sum_j j^k e^(shift x_j) piece(j)."""
-    ratio = (piece.ratio[0], piece.ratio[1] + shift)
-    return piece.scale * sums.geom(k, ratio, piece.lo, piece.hi)
+def _layout_sums(sums: ExpSums) -> _LayoutSums:
+    """The _LayoutSums on sums' grid, mu read from sums; straight-line, O(1).
+
+    With m = n - 1, (1 - r) S_0 = r - r^n, (1 - r) S_1 = S_0 - m r^n and
+    (1 - r) S_2 = 2 S_1 - S_0 - m^2 r^n: each ratio takes its end power,
+    mu^n times one of 1 and e^(+-1), and its gap.  1 - e^(+-h) cancel
+    about log10 n digits and are the grid's guard-digit gaps (ExpSums.gap).
+    """
+    n, mu = sums.n, sums.mu
+    m = n - 1
+    e, ei, eh, ehi = sums.exp(n), sums.exp(-n), sums.exp(1), sums.exp(-1)
+    mu_n, gap = mu**n, 1 - mu
+    s0 = (mu - mu_n) / gap
+    s1 = (s0 - m * mu_n) / gap
+    up, down = mu * eh, mu * ehi
+    return _LayoutSums(mu_n, s0, s1, (2 * s1 - s0 - m * m * mu_n) / gap,
+                       (up - mu_n * e) / (1 - up), (down - mu_n * ei) / (1 - down),
+                       (eh - e) / sums.gap((0, 1)), (ehi - ei) / sums.gap((0, -1)))
 
 
 def _fsum(terms):
-    """Sum Decimals in twice the working digits, then round once to them."""
-    terms = list(terms)  # a generator's terms are formed in the working digits
-    with localcontext() as wide:
-        wide.prec *= 2
-        total = sum(terms, Decimal(0))
-    return +total  # rounds to the working digits
+    """Sum Decimals in twice the working digits (_SUM), then round once to them.
+
+    Through _SUM's own add, with no local context entered per call.
+    """
+    return +reduce(_SUM.add, terms, Decimal(0))  # the unary plus rounds to the working digits
 
 
-def _moment_sums(sums: ExpSums, pieces, amplitudes) -> _Moments:
-    """The _Moments of the weights sum_p amplitude_p piece_p(j), in decimal."""
-    h = sums.h
+def _moment_sums(sums: ExpSums, ls: _LayoutSums, amplitudes) -> _Moments:
+    """The _Moments of the weights sum_p amplitude_p piece_p(j) of _layout, from ls; straight-line.
 
-    def weighted(k, shift):
-        """sum_j j^k e^(shift x_j) c_j."""
-        return _fsum(a * _piece_sum(sums, p, k, shift) for a, p in zip(amplitudes, pieces))
-
-    e = sums.exp(sums.n)
-    s_c, s_ep, s_en = weighted(0, 0), weighted(0, 1), weighted(0, -1)
-    s_x, s_xx = h * weighted(1, 0), h * h * weighted(2, 0)
+    The layer mu^(j-1) sums to S_k(mu e^(+-h)) / mu.  The mirror mu^(n-1-j)
+    is the layer read from the other end, j -> n - j, so its sums are the
+    same S_k: e^(+-1) S_0(mu e^(-+h)) / mu, (n S_0 - S_1) / mu and
+    (n^2 S_0 - 2n S_1 + S_2) / mu, with no power of 1/mu.
+    """
+    n, h = sums.n, sums.h
+    m = n - 1
+    e, ei, inv = sums.exp(n), sums.exp(-n), 1 / sums.mu
+    c_0, c_n, a, b, c = amplitudes
+    a, b, c = a * inv, b * inv, c * h  # the amplitudes times the pieces' scales
+    s_c = _fsum([c_0, c_n, a * ls.s0, b * ls.s0, c * m])
+    s_ep = _fsum([c_0, c_n * e, a * ls.up, b * (e * ls.down), c * ls.flat_up])
+    s_en = _fsum([c_0, c_n * ei, a * ls.down, b * (ei * ls.up), c * ls.flat_down])
+    s_x = h * _fsum([c_n * n, a * ls.s1, b * (n * ls.s0 - ls.s1), c * (m * n // 2)])
+    s_xx = h * h * _fsum([c_n * (n * n), a * ls.s2, b * (n * n * ls.s0 - 2 * n * ls.s1 + ls.s2),
+                          c * (m * n * (2 * n - 1) // 6)])
     # moment(x) = ((1 + 1/e) e^x + (1 + e) e^-x)/4 - 5/4 - x^2/2 + x/2
     s_m = _fsum([(1 + 1 / e) * s_ep / 4, (1 + e) * s_en / 4, -s_c * 5 / 4, -s_xx / 2, s_x / 2])
     return _Moments(s_c, s_ep, s_en, s_x, s_xx, s_m)
@@ -322,6 +356,13 @@ def _end_rows(sums: ExpSums, m: _Moments):
     row_0 = _fsum([m.ep / 4, -m.en / 4, -m.x / 2])
     row_n = _fsum([e * m.en / 4, -m.ep / (4 * e), -m.c / 2, m.x / 2])
     return row_0, row_n
+
+
+def _rule(sums: ExpSums, amplitudes) -> _ExactSolution:
+    """The rule of _layout's pieces with these amplitudes on sums' grid, without multipliers."""
+    ls = _layout_sums(sums)
+    moments = _moment_sums(sums, ls, amplitudes)
+    return _ExactSolution(sums, _layout(sums), amplitudes, ls, moments, _end_rows(sums, moments))
 
 
 def _exact_solution(n: int) -> _ExactSolution:
@@ -369,14 +410,12 @@ def _exact_solution(n: int) -> _ExactSolution:
         amplitudes = [half - step * (p - q * layer), half - step * (q - p * layer),
                       step * (1 - mu) * p, step * (1 - mu) * q]
     sums.mu = +mu  # the unary plus rounds to the working digits
-    amplitudes = (*(+a for a in amplitudes), 1)
-    pieces = _layout(sums)
-    moments = _moment_sums(sums, pieces, amplitudes)
-    row_0, row_n = _end_rows(sums, moments)
+    sol = _rule(sums, (*(+a for a in amplitudes), 1))
+    row_0, row_n = sol.rows
     e = sums.exp(n)
     d = (row_n - row_0) / (1 - 1 / e)
     b0 = (e + 1 / e - 3) / 4 - row_0 - d  # moment(0) = (e + 1/e - 3)/4
-    return _ExactSolution(sums, pieces, amplitudes, moments, b0, d)
+    return sol._replace(b0=b0, d=d)
 
 
 def _printed_solution(n: int) -> _ExactSolution:
@@ -403,9 +442,52 @@ def _printed_solution(n: int) -> _ExactSolution:
         c_0, c_n = (em1 - h) / em1 - corr, (h * eh - em1) / em1 - corr * eh
         amplitudes = [c_0, c_n, -ks * (eh - q) * q, -ks * (1 - eh * q) * q, 1]
     sums.mu = +q  # the unary plus rounds to the working digits
-    amplitudes = tuple(+a for a in amplitudes)
-    pieces = _layout(sums)
-    return _ExactSolution(sums, pieces, amplitudes, _moment_sums(sums, pieces, amplitudes))
+    return _rule(sums, tuple(+a for a in amplitudes))
+
+
+def _pair_sums(sums: ExpSums, ls: _LayoutSums):
+    """(layer, mirror, cross, flat): the pair sums of _layout's spread pieces, straight-line.
+
+    A pair sum is sum_{i,j=1}^{n-1} p_i q_j psi_2(|i - j| h); these are the
+    layer mu^(j-1) with itself, with its mirror mu^(n-1-j) and with the
+    constant h, and the constant with itself.  The mirror's pairs with
+    itself and with the constant are the layer's, read from the other end.
+    Row i of a ratio r on 1 .. n-1 splits psi_2 at i: with u = r e^-h its
+    e^(ih) part is e^(ih)/4 times
+    sum_{j <= i} u^j - sum_{j > i} u^j = (u + u^n - 2 u^(i+1)) / (1 - u),
+    its e^(-ih) part the same on u = r e^h, and its lag part -h/2 times
+    sum_j |i - j| r^j = i (r + r^n) / (1 - r) + 2 r^(i+1) / (1 - r)^2
+                        - (r + (n-1) r^n) / (1 - r) - (r^2 + r^n) / (1 - r)^2,
+    or i^2 - n i + n (n - 1)/2 when r is 1.  So the row is
+    al_up e^(ih) + al_down e^(-ih) + beta r^i + gamma i + delta, and the
+    pair sum is that row summed against the other piece: the _LayoutSums,
+    their mirror images as in _moment_sums, and S_0(mu^2).
+    """
+    n, h, mu, mu_n = sums.n, sums.h, sums.mu, ls.mu_n
+    m = n - 1
+    e, ei, eh, ehi = sums.exp(n), sums.exp(-n), sums.exp(1), sums.exp(-1)
+    lag = -h / 2
+
+    def exponentials(up, down, gap_up, gap_down, r_n):
+        """al_up, al_down and the e^(+-x) part of beta for the ratio r = up e^-h = down e^h."""
+        return ((down + r_n * ei) / (4 * gap_down), -(up + r_n * e) / (4 * gap_up),
+                up / (2 * gap_up) - down / (2 * gap_down))
+
+    up, down, gap, inv, sq = mu * eh, mu * ehi, 1 - mu, 1 / mu, mu * mu
+    al_up, al_down, beta = exponentials(up, down, 1 - up, 1 - down, mu_n)
+    beta += lag * 2 * mu / (gap * gap)
+    gamma = lag * (mu + mu_n) / gap
+    delta = -lag * ((mu + m * mu_n) / gap + (sq + mu_n) / (gap * gap))
+    layer = inv * inv * (al_up * ls.up + al_down * ls.down + beta * ((sq - mu_n * mu_n) / (1 - sq))
+                         + gamma * ls.s1 + delta * ls.s0)
+    mirror = inv * inv * (al_up * (e * ls.down) + al_down * (ei * ls.up) + beta * (m * mu_n)
+                          + gamma * (n * ls.s0 - ls.s1) + delta * ls.s0)
+    cross = inv * h * (al_up * ls.flat_up + al_down * ls.flat_down + beta * ls.s0
+                       + gamma * (m * n // 2) + delta * m)
+    al_up, al_down, beta = exponentials(eh, ehi, sums.gap((0, 1)), sums.gap((0, -1)), 1)
+    flat = h * h * (al_up * ls.flat_up + al_down * ls.flat_down + beta * m
+                    + lag * ((n - 2) * m * n // 3))  # sum_ij |i - j| = (n - 2)(n - 1) n / 3
+    return layer, mirror, cross, flat
 
 
 def _kernel_form(sol: _ExactSolution):
@@ -416,25 +498,15 @@ def _kernel_form(sol: _ExactSolution):
 
         2 c_0 row_0 + 2 c_n row_n - 2 c_0 c_n psi_2(1) + s^T G s,
 
-    the rows of the whole rule read off its moment sums (_end_rows), which
-    count the pair c_0 c_n twice over.  Two spread pieces pair through
-    their pair sum (the first one's row expansion summed against the
-    second), which equals that of their mirror images.
+    the rows of the whole rule (sol.rows) counting the pair c_0 c_n twice
+    over, and s^T G s the spread pieces' pair sums (_pair_sums).
     """
-    pieces, amps = sol.pieces, sol.amplitudes
-    row_0, row_n = _end_rows(sol.sums, sol.moments)
-    c_0, c_n = amps[:2]  # _layout's order: the deltas, then the spread pieces
-    terms = [2 * c_0 * row_0, 2 * c_n * row_n, -2 * c_0 * c_n * sol.sums.kernel(sol.sums.n)]
-    spread = range(2, len(pieces))
-    pairs = {}
-    for k, p in enumerate(spread):
-        for q in spread[k:]:
-            key = min(tuple(sorted((p, q))), tuple(sorted((_MIRROR[p], _MIRROR[q]))))
-            if key not in pairs:
-                a, b = pieces[key[0]], pieces[key[1]]
-                pairs[key] = a.scale * b.scale * sol.sums.pair(a.ratio, b.ratio, a.lo, a.hi)
-            terms.append((1 if p == q else 2) * amps[p] * amps[q] * pairs[key])
-    return _fsum(terms)
+    c_0, c_n, a, b, c = sol.amplitudes  # _layout's order
+    row_0, row_n = sol.rows
+    layer, mirror, cross, flat = _pair_sums(sol.sums, sol.layout_sums)
+    return _fsum([2 * c_0 * row_0, 2 * c_n * row_n, -2 * c_0 * c_n * sol.sums.kernel(sol.sums.n),
+                  a * a * layer, 2 * a * b * mirror, 2 * a * c * cross,
+                  b * b * layer, 2 * b * c * cross, c * c * flat])
 
 
 def _route1(sol: _ExactSolution):
@@ -547,10 +619,10 @@ def _check_n(n: int, what: str) -> None:
 def closed_rule_norm(n: int) -> float:
     """Squared norm of the printed rule optimal_coefficients(n), exact, in O(1).
 
-    Route 1 of _printed_solution, from the closed-form sums the report
-    takes for the minimizer: the end rows read off the rule's moment sums
-    and the pair sums of its spread pieces.  Raises ValueError unless
-    1 <= n <= 10^9.
+    Route 1 of _printed_solution, from the straight-line layout sums the
+    report takes for the minimizer (_layout_sums): the end rows read off
+    the rule's moment sums and the pair sums of its spread pieces.  Raises
+    ValueError unless 1 <= n <= 10^9.
     """
     _check_n(n, "the printed rule's norm")
     with localcontext(_CONTEXT):

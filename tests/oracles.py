@@ -14,8 +14,11 @@ an exact solution, the O(n) check on the report's end-window
 coefficient_max_deviation.  bordered_solution is the exact minimizer as
 the package once found it, a filtered band and a 6 x 6 bordered system
 in decimal (filter_band, gauss_solve, kernel_row), the check on norm's
-closed form; kernel_row is the one-sided or in-range kernel row of one
-piece in ExpSums' closed forms.
+closed form.  geom, row_expansion and pair are the generic closed-form
+range sums of pieces r^j on any range, the reference for norm's
+straight-line sums of its one layout; piece_sum and moment_sums take a
+rule's moments and kernel_row the one-sided or in-range kernel row of
+one piece through them.
 closed_weights_array and float_weights_on are the numpy forms of the
 printed weights and of the exact solution's window weights, which the
 package forms in Python floats.  make_rule packages
@@ -376,23 +379,145 @@ def gauss_solve(matrix, rhs):
     return x
 
 
+def _times(r, s):
+    return (r[0] + s[0], r[1] + s[1])
+
+
+def _power_sum(k: int, m: int) -> int:
+    """sum_{j=0}^{m} j^k for k in 0, 1, 2 and m >= -1, in integers."""
+    return (m + 1, m * (m + 1) // 2, m * (m + 1) * (2 * m + 1) // 6)[k]
+
+
+def _closed_sum(k: int, power, gap, lo: int, hi: int):
+    """sum_{j=lo}^{hi} j^k r^j, r^j = power(j) and 1 - r = gap, in the current context.
+
+    From (1 - r) S_k = lo^k r^lo - hi^k r^(hi+1)
+                       + sum_{j=lo+1}^{hi} (j^k - (j-1)^k) r^j.
+    """
+    if hi < lo:
+        return Decimal(0)
+    if hi == lo:
+        return lo**k * power(lo)
+    ends = lo**k * power(lo) - hi**k * power(hi + 1)
+    if k == 1:
+        ends += _closed_sum(0, power, gap, lo + 1, hi)
+    elif k == 2:
+        ends += 2 * _closed_sum(1, power, gap, lo + 1, hi) - _closed_sum(0, power, gap, lo + 1, hi)
+    return ends / gap
+
+
+def geom(sums: ExpSums, k: int, r, lo: int, hi: int):
+    """sum_{j=lo}^{hi} j^k r^j for k in 0, 1, 2 on sums' grid; zero on an empty range.
+
+    The generic range sum: any ratio r = mu^a e^(b h), any range.  norm
+    takes the sums of its one layout straight-line (norm._layout_sums);
+    this is their reference.  A ratio e^(bh) (a = 0) is near 1, and on a
+    short range its closed form cancels the ends against 1 - e^(bh): its
+    sums are formed in the grid's guard digits (ExpSums.wide) on the
+    unrounded powers of e^h, and rounded once to the working digits.
+    """
+    if hi < lo:
+        return Decimal(0)
+    if r == ONE:
+        return Decimal(_power_sum(k, hi) - _power_sum(k, lo - 1))
+    if r[0]:
+        return _closed_sum(k, lambda j: sums.power(r, j), sums.gap(r), lo, hi)
+    with localcontext(sums.wide):
+        total = _closed_sum(k, lambda j: sums.eh ** (r[1] * j), 1 - sums.eh ** r[1], lo, hi)
+    return +total  # the unary plus rounds to the working digits
+
+
+def row_expansion(sums: ExpSums, r, lo: int, hi: int):
+    """Row i of the piece r^j on lo .. hi, for lo <= i <= hi, as [(c, k, rho)].
+
+    row(i) = sum c i^k rho^i with rho in e^h, e^-h, r and 1.  The row
+    splits psi_2 at i into sum_{j <= i} g(i - j) r^j - sum_{j > i} g(i - j) r^j;
+    with u = r e^-h the e^(ih) part is e^(ih)/4 times
+    sum_{j <= i} u^j - sum_{j > i} u^j = (u^lo + u^(hi+1) - 2 u^(i+1)) / (1 - u),
+    or 2 i + 1 - lo - hi when u is 1, and the e^(-ih) part the same on
+    r e^h.  The lag part is -h/2 times
+    sum_j |i - j| r^j = i (r^lo + r^(hi+1)) / (1 - r) + 2 r^(i+1) / (1 - r)^2
+                        - (lo r^lo + hi r^(hi+1)) / (1 - r) - (r^(lo+1) + r^(hi+1)) / (1 - r)^2,
+    or i^2 - (lo + hi) i + (lo (lo - 1) + hi (hi + 1)) / 2 when r is 1.
+    Every 1 - r is ExpSums.gap's, so 1 - e^(bh) keeps the guard digits.
+    """
+    terms = {}
+
+    def add(k, rho, c):
+        terms[k, rho] = terms.get((k, rho), 0) + c
+
+    for side in (1, -1):  # e^(ih) on r e^-h, e^(-ih) on r e^h
+        u, part = _times(r, (0, -side)), Decimal(side) / 4
+        if u == ONE:
+            add(1, (0, side), 2 * part)
+            add(0, (0, side), (1 - lo - hi) * part)
+        else:
+            gu = sums.gap(u)
+            add(0, (0, side), part * (sums.power(u, lo) + sums.power(u, hi + 1)) / gu)
+            add(0, r, -2 * part * sums.power(u, 1) / gu)
+    lag = -sums.h / 2
+    if r == ONE:
+        add(2, ONE, lag)
+        add(1, ONE, -(lo + hi) * lag)
+        add(0, ONE, (lo * (lo - 1) + hi * (hi + 1)) // 2 * lag)
+    else:
+        g, step, r_lo, r_end = sums.gap(r), sums.power(r, 1), sums.power(r, lo), sums.power(r, hi + 1)
+        add(1, ONE, lag * (r_lo + r_end) / g)
+        add(0, r, lag * 2 * step / (g * g))
+        add(0, ONE, -lag * ((lo * r_lo + hi * r_end) / g + (step * r_lo + r_end) / (g * g)))
+    return [(c, k, rho) for (k, rho), c in terms.items()]
+
+
+def pair(sums: ExpSums, r1, r2, lo: int, hi: int):
+    """sum_{i=lo}^{hi} sum_{j=lo}^{hi} r1^i r2^j psi_2(|i - j| h), generically.
+
+    The sum over i of r2^i times row i of r1, whose terms c i^k rho^i
+    (row_expansion) each sum to c times the geometric sum of i^k (r2 rho)^i
+    over the range.
+    """
+    if hi < lo:
+        return Decimal(0)
+    return sum(c * geom(sums, k, _times(r2, rho), lo, hi) for c, k, rho in row_expansion(sums, r1, lo, hi))
+
+
+def piece_sum(sums: ExpSums, piece, k: int, shift: int):
+    """sum_j j^k e^(shift x_j) piece(j) of a norm._Piece, by geom."""
+    return piece.scale * geom(sums, k, (piece.ratio[0], piece.ratio[1] + shift), piece.lo, piece.hi)
+
+
+def moment_sums(sums: ExpSums, pieces, amplitudes):
+    """The norm._Moments of the weights sum_p amplitude_p piece_p(j), for any pieces, by piece_sum."""
+    h = sums.h
+
+    def weighted(k, shift):
+        """sum_j j^k e^(shift x_j) c_j."""
+        return norm._fsum(a * piece_sum(sums, p, k, shift) for a, p in zip(amplitudes, pieces))
+
+    e = sums.exp(sums.n)
+    s_c, s_ep, s_en = weighted(0, 0), weighted(0, 1), weighted(0, -1)
+    s_x, s_xx = h * weighted(1, 0), h * h * weighted(2, 0)
+    # moment(x) = ((1 + 1/e) e^x + (1 + e) e^-x)/4 - 5/4 - x^2/2 + x/2
+    s_m = norm._fsum([(1 + 1 / e) * s_ep / 4, (1 + e) * s_en / 4, -s_c * 5 / 4, -s_xx / 2, s_x / 2])
+    return norm._Moments(s_c, s_ep, s_en, s_x, s_xx, s_m)
+
+
 def kernel_row(sums: ExpSums, r, i: int, lo: int, hi: int):
-    """sum_{j=lo}^{hi} psi_2(|i - j| h) r^j: kernel row i of the piece r^j, in sums' closed forms.
+    """sum_{j=lo}^{hi} psi_2(|i - j| h) r^j: kernel row i of the piece r^j, by the generic sums.
 
     Inside the range the row is the piece's exponential-polynomial
-    (ExpSums._expansion), the row that ExpSums.pair sums against the
-    other piece.  Outside it psi_2(|i - j| h) is -g(i - j) for every j
-    (i < lo) or g(i - j) (i > hi), and g(i - j) separates into
+    (row_expansion), the row that pair sums against the other piece.
+    Outside it psi_2(|i - j| h) is -g(i - j) for every j (i < lo) or
+    g(i - j) (i > hi), and g(i - j) separates into
     (e^(ih) (r e^-h)^j - e^(-ih) (r e^h)^j)/4 - (i - j) h r^j/2, so the
     row comes from the whole range's sums of j^k (r e^(0, +-h))^j.
     """
     if hi == lo:
         return sums.power(r, lo) * sums.kernel(i - lo)
     if lo <= i <= hi:
-        return sum(c * i**k * sums.power(rho, i) for c, k, rho in sums._expansion(r, lo, hi))
+        return sum(c * i**k * sums.power(rho, i) for c, k, rho in row_expansion(sums, r, lo, hi))
     down, up = (r[0], r[1] - 1), (r[0], r[1] + 1)
-    exps = sums.exp(i) * sums.geom(0, down, lo, hi) - sums.exp(-i) * sums.geom(0, up, lo, hi)
-    odd = exps / 4 - (i * sums.geom(0, r, lo, hi) - sums.geom(1, r, lo, hi)) * sums.h / 2
+    exps = sums.exp(i) * geom(sums, 0, down, lo, hi) - sums.exp(-i) * geom(sums, 0, up, lo, hi)
+    odd = exps / 4 - (i * geom(sums, 0, r, lo, hi) - geom(sums, 1, r, lo, hi)) * sums.h / 2
     return -odd if i < lo else odd
 
 
@@ -410,7 +535,8 @@ def bordered_solution(n: int):
     weight, one delta per node, and every row is kept.  In norm's working
     digits; mu from the short-lag kernel values carries their
     cancellation, 6.6e-37 relative at n = 10^6.  Its kernel rows are
-    kernel_row's, per piece; its moments are norm._moment_sums'.
+    kernel_row's, per piece, and its moments moment_sums'; it has no
+    norm._LayoutSums, since below n = 4 its pieces are not norm's layout.
     """
     with localcontext(norm._CONTEXT):
         sums = ExpSums(n)
@@ -431,12 +557,13 @@ def bordered_solution(n: int):
             matrix.append([*row[:free], Decimal(1), en])
             rhs.append(moment_i - sum(row[free:]))
         for shift, target in ((0, 1), (-1, 1 - 1 / e)):
-            sums_p = [norm._piece_sum(sums, piece, 0, shift) for piece in pieces]
+            sums_p = [piece_sum(sums, piece, 0, shift) for piece in pieces]
             matrix.append([*sums_p[:free], Decimal(0), Decimal(0)])
             rhs.append(target - sum(sums_p[free:]))
         *amplitudes, b0, d = gauss_solve(matrix, rhs)
         amplitudes = (*amplitudes, *[1] * (len(pieces) - free))
-        return norm._ExactSolution(sums, pieces, amplitudes, norm._moment_sums(sums, pieces, amplitudes), b0, d)
+        moments = moment_sums(sums, pieces, amplitudes)
+        return norm._ExactSolution(sums, pieces, amplitudes, None, moments, norm._end_rows(sums, moments), b0, d)
 
 
 def make_rule(nodes, coefficients) -> QuadratureRule:

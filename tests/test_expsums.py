@@ -1,4 +1,4 @@
-"""The closed-form exponential-polynomial sums against brute-force 50-digit sums."""
+"""The generic closed-form range sums (oracles.geom, kernel_row, pair) against brute-force 50-digit sums."""
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
 import mpmath as mp
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from optquad._expsums import ONE, ExpSums
 
 from highprec import DPS, psi2_ref
-from oracles import kernel_row
+from oracles import geom, kernel_row, pair
 
 ratios = st.tuples(st.integers(-1, 1), st.integers(-2, 2))
 
@@ -34,6 +34,8 @@ def _size(i, j, h):
 @example(n=40, mu=-0.22, r1=(0, -1), r2=(0, -1), lo=1, width=10, i=5)  # i inside
 @example(n=16, mu=-0.27, r1=(0, -1), r2=(1, 0), lo=0, width=10, i=20)  # i above
 @example(n=33, mu=-0.25, r1=(1, 1), r2=(0, 1), lo=5, width=14, i=0)  # i below
+# e^h on a short range: 1 - e^h cancels the ends, which the guard digits absorb
+@example(n=33, mu=-0.25, r1=(0, 1), r2=(0, 0), lo=0, width=4, i=0)
 def test_sums_match_brute_force(n, mu, r1, r2, lo, width, i):
     # 40-digit decimal closed forms against 50-digit mpmath sums over the
     # range lo .. lo+width-1, each within 1e-36 of a bound on the closed
@@ -42,10 +44,10 @@ def test_sums_match_brute_force(n, mu, r1, r2, lo, width, i):
     hi = lo + width - 1
     with localcontext(Context(prec=40)):
         sums = ExpSums(n, Decimal(mu))
-        closed = [sums.geom(k, r1, lo, hi) for k in range(3)]
-        closed += [kernel_row(sums, r1, i, lo, hi), sums.pair(r1, r2, lo, hi)]
+        closed = [geom(sums, k, r1, lo, hi) for k in range(3)]
+        closed += [kernel_row(sums, r1, i, lo, hi), pair(sums, r1, r2, lo, hi)]
     with mp.workdps(DPS):
-        *geoms, row, pair = [mp.mpf(str(value)) for value in closed]
+        *geoms, row, pair_sum = [mp.mpf(str(value)) for value in closed]
         mu = mp.mpf(mu)
         h = mp.mpf(1) / n
         span = range(lo, hi + 1)
@@ -59,7 +61,7 @@ def test_sums_match_brute_force(n, mu, r1, r2, lo, width, i):
         assert abs(row - ref) <= tol * mp.fsum(_size(i, j, h) * abs(v1[j]) for j in span)
         ref = mp.fsum(psi2_ref((a - b) * h) * v1[a] * v2[b] for a in span for b in span)
         gross = mp.fsum(_size(a, b, h) * abs(v1[a] * v2[b]) for a in span for b in span)
-        assert abs(pair - ref) <= tol * gross
+        assert abs(pair_sum - ref) <= tol * gross
 
 
 def _ulp(value):
@@ -83,10 +85,11 @@ def test_powers_of_the_wide_exponential(n):
             assert abs(sums.gap((0, k)) - gap) <= _ulp(gap), (n, k)
 
 
-# The production ratios on 1 .. n-1 at n = 10^6, in the norm's 56 digits,
-# against the same closed forms in 90: kernel_row at the bordered solve's
-# kept rows 0, n//3, n - n//3 and n, and the four pair sums the quadratic
-# form takes (the others are their mirror images).  A 1 - e^(bh) formed
+# The layout's ratios on 1 .. n-1 at n = 10^6, in the norm's 56 digits,
+# against the same generic closed forms in 90: kernel_row at the bordered
+# solve's kept rows 0, n//3, n - n//3 and n, and the four pair sums the
+# quadratic form takes (the others are their mirror images), which
+# test_norm pins norm's straight-line sums to.  A 1 - e^(bh) formed
 # in the working digits instead of the guard digits puts the rows and
 # pairs of the ratio 1 about 1e-48 off.  Where the row or pair is a one-sided sum of a layer
 # decaying away from it (mu^j at row 0, mu^-j at row n) or a layer paired
@@ -112,7 +115,7 @@ def _pin(digits, pin):
         sums = ExpSums(_PIN_N, _PIN_MU)
         if kind == "row":
             return kernel_row(sums, r, other, 1, _PIN_N - 1)
-        return sums.pair(r, other, 1, _PIN_N - 1)
+        return pair(sums, r, other, 1, _PIN_N - 1)
 
 
 def _parts(pin):
@@ -123,7 +126,7 @@ def _parts(pin):
         sums, h = ExpSums(_PIN_N, abs(_PIN_MU)), Decimal(1) / _PIN_N
 
         def s(k, ratio, shift=0):
-            return sums.geom(k, (ratio[0], ratio[1] + shift), 1, _PIN_N - 1)
+            return geom(sums, k, (ratio[0], ratio[1] + shift), 1, _PIN_N - 1)
 
         if kind == "row":
             i = other

@@ -29,6 +29,7 @@ from optquad.norm import (
     _float_weights_on,
     _fsum,
     _kernel_form,
+    _layout,
     _moment_sums,
     _printed_solution,
     _route1,
@@ -532,16 +533,17 @@ def test_refined_solution_solves_the_exact_system(n):
 
 
 def _trial(n):
-    """_exact_solution(n) with random amplitudes for its five pieces, and their moment sums.
+    """_exact_solution(n) with random amplitudes for its five pieces, and their moment sums and end rows.
 
-    The moment sums are formed again for the new amplitudes: the end rows
-    and route 1 read them, and _replace alone would leave the solution's.
+    The moment sums and rows are formed again for the new amplitudes:
+    route 1 reads them, and _replace alone would leave the solution's.
     In the working context.
     """
     rng = random.Random(n)
     sol = _exact_solution(n)
     amplitudes = tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in sol.amplitudes)
-    return sol._replace(amplitudes=amplitudes, moments=_moment_sums(sol.sums, sol.pieces, amplitudes))
+    moments = _moment_sums(sol.sums, sol.layout_sums, amplitudes)
+    return sol._replace(amplitudes=amplitudes, moments=moments, rows=_end_rows(sol.sums, moments))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 4096])
@@ -551,7 +553,7 @@ def test_end_rows_match_the_o_n_rows(n):
     # 1.2e-48 of the gross row, at n = 4096
     with localcontext(_CONTEXT):
         trial = _trial(n)
-        rows = _end_rows(trial.sums, trial.moments)
+        rows = trial.rows
     with mp.workdps(DPS):
         c = piece_weights(trial)
         x, ep, en, _ = mp_grid(n)
@@ -569,7 +571,7 @@ def _row_parts(sol, i):
         sums = ExpSums(sol.sums.n, abs(sol.sums.mu))
 
         def s(k, piece, shift=0):
-            return sums.geom(k, (piece.ratio[0], piece.ratio[1] + shift), piece.lo, piece.hi)
+            return oracles.geom(sums, k, (piece.ratio[0], piece.ratio[1] + shift), piece.lo, piece.hi)
 
         return sum(abs(a * p.scale) * ((sums.exp(i) * s(0, p, -1) + sums.exp(-i) * s(0, p, 1)) / 2
                                        + sums.h * (i * s(0, p) + s(1, p)))
@@ -581,10 +583,10 @@ def test_end_rows_are_the_one_sided_row_sums(n):
     # past the O(n) oracle's reach: the rows read off the moment sums
     # against the one-sided closed-form row sums of each piece
     # (oracles.kernel_row), both in the working digits, on the scale of
-    # their parts; measured worst 4.6e-57 of them (row n at 10^6)
+    # their parts; measured worst 2.8e-57 of them (row n at 10^6)
     with localcontext(_CONTEXT):
         trial = _trial(n)
-        rows = _end_rows(trial.sums, trial.moments)
+        rows = trial.rows
         one_sided = [_fsum(a * p.scale * oracles.kernel_row(trial.sums, p.ratio, i, p.lo, p.hi)
                            for a, p in zip(trial.amplitudes, trial.pieces)) for i in (0, n)]
     for i, value, ref in zip((0, n), rows, one_sided):
@@ -608,6 +610,75 @@ def test_kernel_form_matches_the_o_n_quadratic_form(n):
         assert abs(mp.mpf(str(value)) - ref) <= mp.mpf("1e-35") * gross
 
 
+# ------------------------- the layout's straight-line sums against the generic
+
+
+_WIDE90 = Context(prec=90, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_UP, _DOWN = (1, 0), (-1, 0)
+# the _LayoutSums fields as generic sums on 1 .. n-1: (k, ratio)
+_LAYOUT_RATIOS = {"s0": (0, _UP), "s1": (1, _UP), "s2": (2, _UP), "up": (0, (1, 1)), "down": (0, (1, -1)),
+                  "flat_up": (0, (0, 1)), "flat_down": (0, (0, -1))}
+
+
+def _generic_layout_sums(n, mu, amplitudes):
+    """({field: S_k}, moments, pairs) of _layout on (n, mu) by the generic range sums
+    (oracles.geom, moment_sums and pair), in the current context."""
+    sums = ExpSums(n, mu)
+    pieces = _layout(sums)
+    layer, mirror, flat = pieces[2:]
+    s = {name: oracles.geom(sums, k, r, 1, n - 1) for name, (k, r) in _LAYOUT_RATIOS.items()}
+    moments = oracles.moment_sums(sums, pieces, amplitudes)
+    pairs = [p.scale * q.scale * oracles.pair(sums, p.ratio, q.ratio, 1, n - 1)
+             for p, q in ((layer, layer), (layer, mirror), (layer, flat), (flat, flat))]
+    return s, moments, pairs
+
+
+def _pair_parts(sums, p, q):
+    """The pair sum of the pieces p and q with psi_2(|i - j| h) replaced by its parts'
+    sizes cosh((i - j) h) + (i + j) h, as in test_expsums._parts; on |mu| in sums."""
+    def s(k, piece, shift=0):
+        return oracles.geom(sums, k, (piece.ratio[0], piece.ratio[1] + shift), 1, sums.n - 1)
+
+    return abs(p.scale * q.scale) * ((s(0, p, 1) * s(0, q, -1) + s(0, p, -1) * s(0, q, 1)) / 2
+                                     + sums.h * (s(1, p) * s(0, q) + s(0, p) * s(1, q)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 513, 4096, 10**6, 10**9])
+@pytest.mark.parametrize("mu", ["random", "printed"])
+def test_layout_sums_are_the_generic_range_sums(n, mu):
+    # norm's straight-line sums of its one layout (_layout_sums, _moment_sums,
+    # _pair_sums) in the working digits against the generic range sums in
+    # 90: each S_k, the six moment sums of random amplitudes and the four
+    # pair sums, within 1e-45 of their parts' size (the same sums on |mu|
+    # and |amplitudes|, psi_2 replaced by cosh((i - j) h) + (i + j) h),
+    # at a random mu in (-0.3, -0.2) and at the printed rule's q; measured
+    # worst 1.0e-55 (S_2 of mu at n = 16)
+    rng = random.Random(n)
+    amplitudes = tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in range(5))
+    with localcontext(_CONTEXT):
+        mu = Decimal(rng.uniform(-0.3, -0.2)) if mu == "random" else _printed_solution(n).sums.mu
+        sums = ExpSums(n, mu)
+        ls = norm._layout_sums(sums)
+        moments = _moment_sums(sums, ls, amplitudes)
+        pairs = norm._pair_sums(sums, ls)
+    with localcontext(_WIDE90):
+        s, ref_moments, ref_pairs = _generic_layout_sums(n, mu, amplitudes)
+        size, size_moments, _ = _generic_layout_sums(n, abs(mu), tuple(map(abs, amplitudes)))
+        e = sums.exp(n)
+        c, ep, en, x, xx, _ = size_moments
+        size_moments = size_moments._replace(moment=(1 + 1 / e) * ep / 4 + (1 + e) * en / 4 + 5 * c / 4 + xx / 2 + x / 2)
+        abs_sums = ExpSums(n, abs(mu))
+        layer, mirror, flat = _layout(abs_sums)[2:]
+        size_pairs = [_pair_parts(abs_sums, p, q) for p, q in ((layer, layer), (layer, mirror), (layer, flat), (flat, flat))]
+        tol = Decimal("1e-45")
+        for name in _LAYOUT_RATIOS:
+            assert abs(getattr(ls, name) - s[name]) <= tol * size[name], (n, name)
+        for name, value, ref, scale in zip(moments._fields, moments, ref_moments, size_moments):
+            assert abs(value - ref) <= tol * scale, (n, name)
+        for k, (value, ref, scale) in enumerate(zip(pairs, ref_pairs, size_pairs)):
+            assert abs(value - ref) <= tol * scale, (n, k)
+
+
 # ---------------------------------- the closed form against its two oracles
 
 
@@ -617,7 +688,7 @@ def _assert_closed_form_is_the_bordered_solve(n, rtol):
     # rows near moment(0) ~ 0.02 down to O(h^4), which carries the bordered
     # solve's mu error into its b0 (up to 5.5e-42 relative at n <= 600),
     # so both are compared on the scale of moment(0): measured worst
-    # 4.9e-53 of it, at n = 313
+    # 5.2e-53 of it, at n = 305
     with localcontext(_CONTEXT):
         sol, ref = _exact_solution(n), oracles.bordered_solution(n)
         if n >= 4:
@@ -695,10 +766,9 @@ ROUTE1_80_DIGITS = {
 
 @pytest.mark.parametrize("n", sorted(ROUTE1_80_DIGITS))
 def test_route1_matches_80_digit_values(n):
-    # O(1) work; measured 3e-29 relative at 10^6 and 1.0e-26 at 4e6.  The
-    # default decimal exponent range overflows on mu^(-2n) from n = 2e6,
-    # and e^(kh) formed as (e^h)^k in the working digits alone is 3e-23
-    # off at 10^6 and 7e-21 at 4e6, so ExpSums takes it in guard digits
+    # O(1) work; measured 3.0e-30 relative at 10^6 and 7.7e-27 at 4e6.
+    # e^(kh) formed as (e^h)^k in the working digits alone is 3e-23 off
+    # at 10^6 and 7e-21 at 4e6, so ExpSums takes it in guard digits
     with localcontext(_CONTEXT):
         qf = _exact_routes(_exact_solution(n))[0]
         ref = Decimal(ROUTE1_80_DIGITS[n])

@@ -4,8 +4,9 @@ Each module keeps its `_`-prefixed names to itself, every name a module
 lists in `__all__` exists and is reachable from `cli.main`, importing the
 package loads no scipy, a norm report loads no mpmath, importing the
 package, every norm route and validate load no numpy, no module imports
-dataclasses and no command loads it, and apply and convergence load no
-kernel.  The source is parsed rather than imported where it can be,
+dataclasses and no command loads it, apply and convergence load no
+kernel, and no module defines the generic range sums geom, pair or
+_expansion.  The source is parsed rather than imported where it can be,
 because importing `__main__` runs the CLI.
 """
 import ast
@@ -61,6 +62,19 @@ def test_no_module_imports_dataclasses():
                 continue
             found += [f"{path.name}: {name}" for name in names
                       if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_no_module_defines_the_generic_range_sums():
+    # the exact core takes its sums straight-line for its one layout
+    # (norm._layout_sums); the generic range sums geom, pair and
+    # _expansion are the tests' reference (tests/oracles.py) and have no
+    # second home in the package, at any nesting
+    found = []
+    for path in SOURCES:
+        found += [f"{path.name}: {node.name}" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name in ("geom", "pair", "_expansion")]
     assert found == []
 
 
