@@ -50,10 +50,10 @@ index, summed against the other piece by the same S_k.  The report's
 decimal work is therefore the same at every n, and the report has one
 path with no size cap.  Route 1 sums terms near 1 down to about
 h^4/720, which costs about 4 log10 n + 3 digits (27 at n = 10^6); 56
-digits leave room for that well past n = 10^6.  Each grid has one guard-digit context,
-4 digits(n) + 12 past the working digits (ExpSums.wide), and takes one
-Decimal.exp there, of e^h; every e^(kh) and 1 - e^(bh) is formed there
-and rounded once.  The printed rule has the same pieces with
+digits leave room for that well past n = 10^6.  Each grid has one
+guard-digit context, 4 digits(n) + 12 past the working digits
+(ExpSums.wide), and takes one Decimal.exp there, of e^h; every e^(kh)
+and 1 - e^(bh) is formed there and rounded once.  The printed rule has the same pieces with
 q = 1/lambda1 for mu, its constants formed in the same context, so its
 norm (closed_rule_norm) is route 1 from the same moment and pair sums,
 and coefficient_max_deviation reads both float64 weight sets, in Python

@@ -666,10 +666,12 @@ def test_layout_sums_are_the_generic_range_sums(n, mu):
         size, size_moments, _ = _generic_layout_sums(n, abs(mu), tuple(map(abs, amplitudes)))
         e = sums.exp(n)
         c, ep, en, x, xx, _ = size_moments
-        size_moments = size_moments._replace(moment=(1 + 1 / e) * ep / 4 + (1 + e) * en / 4 + 5 * c / 4 + xx / 2 + x / 2)
+        size_moments = size_moments._replace(
+            moment=(1 + 1 / e) * ep / 4 + (1 + e) * en / 4 + 5 * c / 4 + xx / 2 + x / 2)
         abs_sums = ExpSums(n, abs(mu))
         layer, mirror, flat = _layout(abs_sums)[2:]
-        size_pairs = [_pair_parts(abs_sums, p, q) for p, q in ((layer, layer), (layer, mirror), (layer, flat), (flat, flat))]
+        size_pairs = [_pair_parts(abs_sums, p, q)
+                      for p, q in ((layer, layer), (layer, mirror), (layer, flat), (flat, flat))]
         tol = Decimal("1e-45")
         for name in _LAYOUT_RATIOS:
             assert abs(getattr(ls, name) - s[name]) <= tol * size[name], (n, name)

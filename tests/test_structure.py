@@ -72,7 +72,8 @@ def test_no_module_defines_the_generic_range_sums():
     # second home in the package, at any nesting
     found = []
     for path in SOURCES:
-        found += [f"{path.name}: {node.name}" for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}: {node.name}" for node in ast.walk(tree)
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and node.name in ("geom", "pair", "_expansion")]
     assert found == []
