@@ -53,20 +53,21 @@ h^4/720, which costs about 4 log10 n + 3 digits (27 at n = 10^6); 56
 digits leave room for that well past n = 10^6.  Each grid has one
 guard-digit context, 4 digits(n) + 12 past the working digits
 (ExpSums.wide), and takes one Decimal.exp there, of e^h; every e^(kh)
-and 1 - e^(bh) is formed there and rounded once.  The printed rule has the same pieces with
-q = 1/lambda1 for mu, its constants formed in the same context, so its
-norm (closed_rule_norm) is route 1 from the same moment and pair sums,
-and coefficient_max_deviation reads both float64 weight sets, in Python
-floats, on the end windows only (spectral.end_windows), outside which
-both are float(h) (spectral.layer_width).  The same solve serves every
-caller that needs the system's solution: multiplier_routes(n, method),
-behind `norm --methods multiplier|expanded`, forms route 2 or route 3 of
-it alone, written once with the report, so it prints the report's own
-values; minimizer_weights steps its weights out in float64 on the two
-end windows, 30 nodes each, and puts float(h) between them, for `coeffs
+and 1 - e^(bh) is formed there and rounded once.  The printed rule has
+the same pieces with q = 1/lambda1 for mu, its constants formed in the
+same context, so its norm (closed_rule_norm) is route 1 from the same
+moment and pair sums, and coefficient_max_deviation reads both float64
+weight sets, in Python floats, on the end windows only
+(spectral.end_windows), outside which both are float(h)
+(spectral.layer_width).  The same solve serves every caller that needs
+the system's solution: multiplier_routes(n, method), behind `norm
+--methods multiplier|expanded`, forms route 2 or route 3 of it alone,
+written once with the report, so it prints the report's own values;
+minimizer_weights steps its weights out in float64 on the two end
+windows, 30 nodes each, and puts float(h) between them, for `coeffs
 --method system` (wiener_hopf.solve_uniform).  The module runs on the
-standard library alone, and so do `norm` and `validate`.  Its records
-are namedtuples, as every record in the package is.
+standard library alone, and so do `norm` and `validate`.  Its records are
+namedtuples, as every record in the package is.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
 magnitude (its h-block diverges like 3/h^2 as the grid refines); the report
