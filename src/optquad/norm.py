@@ -78,7 +78,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import reduce
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
 from ._expsums import ONE, ExpSums
 from .spectral import closed_weights, closed_width, constants, end_windows, layer_width
@@ -122,7 +122,7 @@ def double_moment(kind=float):
 # the range is the widest decimal allows.
 _DIGITS = 56
 _CONTEXT = Context(prec=_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
-_SUM = Context(prec=2 * _DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)  # _fsum's, twice the working digits
+_SUM = Context(prec=2 * _DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)  # _fsum's at the working digits, twice them
 
 
 def _working_double_moment() -> Decimal:
@@ -250,12 +250,16 @@ def geometric_sums(lam: float, n: int) -> tuple[float, float]:
 _Piece = namedtuple("_Piece", ["scale", "ratio", "lo", "hi"])
 _Piece.__doc__ = "Weights scale * ratio^j for lo <= j <= hi, ratio as ExpSums exponents."
 
-_LayoutSums = namedtuple("_LayoutSums", ["mu_n", "s0", "s1", "s2", "up", "down", "flat_up", "flat_down"])
+_LayoutSums = namedtuple("_LayoutSums", ["inv", "gap", "mu_n", "mu_up", "mu_down", "gap_up", "gap_down",
+                                         "s0", "s1", "s2", "up", "down", "flat_up", "flat_down"])
 _LayoutSums.__doc__ = """S_k(r) = sum_{j=1}^{n-1} j^k r^j of the ratios of _layout's spread pieces.
 
 s0, s1 and s2 are S_0, S_1 and S_2 of mu; up and down are S_0 of mu e^h
-and mu e^-h, flat_up and flat_down S_0 of e^h and e^-h; mu_n is mu^n.
-The sums of the ratio 1 are integers, formed where they are read.
+and mu e^-h, flat_up and flat_down S_0 of e^h and e^-h.  The sums of the
+ratio 1 are integers, formed where they are read.  The values the sums
+share are formed once with them and read from here: inv = 1/mu,
+gap = 1 - mu, mu_n = mu^n, mu_up and mu_down = mu e^(+-h), and gap_up
+and gap_down = 1 - mu e^(+-h).
 """
 
 _Moments = namedtuple("_Moments", ["c", "ep", "en", "x", "xx", "moment"])
@@ -307,17 +311,23 @@ def _layout_sums(sums: ExpSums) -> _LayoutSums:
     s0 = (mu - mu_n) / gap
     s1 = (s0 - m * mu_n) / gap
     up, down = mu * eh, mu * ehi
-    return _LayoutSums(mu_n, s0, s1, (2 * s1 - s0 - m * m * mu_n) / gap,
-                       (up - mu_n * e) / (1 - up), (down - mu_n * ei) / (1 - down),
+    gap_up, gap_down = 1 - up, 1 - down
+    return _LayoutSums(1 / mu, gap, mu_n, up, down, gap_up, gap_down,
+                       s0, s1, (2 * s1 - s0 - m * m * mu_n) / gap,
+                       (up - mu_n * e) / gap_up, (down - mu_n * ei) / gap_down,
                        (eh - e) / sums.gap((0, 1)), (ehi - ei) / sums.gap((0, -1)))
 
 
 def _fsum(terms):
-    """Sum Decimals in twice the working digits (_SUM), then round once to them.
+    """Sum Decimals in twice the current context's digits, then round once to them.
 
-    Through _SUM's own add, with no local context entered per call.
+    Through a context's own add, with no local context entered per call:
+    _SUM at the working digits, and at any other precision (the tests'
+    wider references) a context of twice it.
     """
-    return +reduce(_SUM.add, terms, Decimal(0))  # the unary plus rounds to the working digits
+    prec = getcontext().prec
+    wide = _SUM if prec == _DIGITS else Context(prec=2 * prec, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return +reduce(wide.add, terms, Decimal(0))  # the unary plus rounds to the current digits
 
 
 def _moment_sums(sums: ExpSums, ls: _LayoutSums, amplitudes) -> _Moments:
@@ -330,9 +340,9 @@ def _moment_sums(sums: ExpSums, ls: _LayoutSums, amplitudes) -> _Moments:
     """
     n, h = sums.n, sums.h
     m = n - 1
-    e, ei, inv = sums.exp(n), sums.exp(-n), 1 / sums.mu
+    e, ei = sums.exp(n), sums.exp(-n)
     c_0, c_n, a, b, c = amplitudes
-    a, b, c = a * inv, b * inv, c * h  # the amplitudes times the pieces' scales
+    a, b, c = a * ls.inv, b * ls.inv, c * h  # the amplitudes times the pieces' scales
     s_c = _fsum([c_0, c_n, a * ls.s0, b * ls.s0, c * m])
     s_ep = _fsum([c_0, c_n * e, a * ls.up, b * (e * ls.down), c * ls.flat_up])
     s_en = _fsum([c_0, c_n * ei, a * ls.down, b * (ei * ls.up), c * ls.flat_down])
@@ -466,7 +476,7 @@ def _pair_sums(sums: ExpSums, ls: _LayoutSums):
     """
     n, h, mu, mu_n = sums.n, sums.h, sums.mu, ls.mu_n
     m = n - 1
-    e, ei, eh, ehi = sums.exp(n), sums.exp(-n), sums.exp(1), sums.exp(-1)
+    e, ei = sums.exp(n), sums.exp(-n)
     lag = -h / 2
 
     def exponentials(up, down, gap_up, gap_down, r_n):
@@ -474,8 +484,8 @@ def _pair_sums(sums: ExpSums, ls: _LayoutSums):
         return ((down + r_n * ei) / (4 * gap_down), -(up + r_n * e) / (4 * gap_up),
                 up / (2 * gap_up) - down / (2 * gap_down))
 
-    up, down, gap, inv, sq = mu * eh, mu * ehi, 1 - mu, 1 / mu, mu * mu
-    al_up, al_down, beta = exponentials(up, down, 1 - up, 1 - down, mu_n)
+    gap, inv, sq = ls.gap, ls.inv, mu * mu
+    al_up, al_down, beta = exponentials(ls.mu_up, ls.mu_down, ls.gap_up, ls.gap_down, mu_n)
     beta += lag * 2 * mu / (gap * gap)
     gamma = lag * (mu + mu_n) / gap
     delta = -lag * ((mu + m * mu_n) / gap + (sq + mu_n) / (gap * gap))
@@ -485,7 +495,7 @@ def _pair_sums(sums: ExpSums, ls: _LayoutSums):
                           + gamma * (n * ls.s0 - ls.s1) + delta * ls.s0)
     cross = inv * h * (al_up * ls.flat_up + al_down * ls.flat_down + beta * ls.s0
                        + gamma * (m * n // 2) + delta * m)
-    al_up, al_down, beta = exponentials(eh, ehi, sums.gap((0, 1)), sums.gap((0, -1)), 1)
+    al_up, al_down, beta = exponentials(sums.exp(1), sums.exp(-1), sums.gap((0, 1)), sums.gap((0, -1)), 1)
     flat = h * h * (al_up * ls.flat_up + al_down * ls.flat_down + beta * m
                     + lag * ((n - 2) * m * n // 3))  # sum_ij |i - j| = (n - 2)(n - 1) n / 3
     return layer, mirror, cross, flat
@@ -605,8 +615,9 @@ def _coefficient_max_deviation(sol: _ExactSolution) -> float:
 
 
 # Route 1 loses about 4 log10 n + 3 of the working digits: against the
-# same closed forms in 90 digits it is 2.8e-29 relative off at n = 10^6,
-# 1.0e-21 at 10^8 and 3.6e-18 at 10^9, but 5.4e-13 at 10^10 and 3.2e-9 at
+# same closed forms in 90 digits the printed rule's is 3.3e-29 relative off
+# at n = 10^6, 2.6e-21 at 10^8 and 1.1e-17 at 10^9 (the minimizer's
+# 9.0e-30, 5.0e-22 and 5.4e-17), but 7.5e-13 at 10^10 and 5.4e-9 at
 # 10^11, past what a float64 result may carry.  Routes 2 and 3 cancel their
 # terms down to the same h^4/720.
 _MAX_N = 10**9

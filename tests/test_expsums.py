@@ -1,4 +1,5 @@
-"""The generic closed-form range sums (oracles.geom, kernel_row, pair) against brute-force 50-digit sums."""
+"""The generic closed-form range sums (oracles.geom, kernel_row, pair) against brute-force 50-digit sums,
+and norm's straight-line pair sums and the oracle's rows in 56 digits against 90 at n = 10^6."""
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
 import mpmath as mp
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from optquad import norm
 from optquad._expsums import ONE, ExpSums
 
 from highprec import DPS, psi2_ref
@@ -86,12 +88,13 @@ def test_powers_of_the_wide_exponential(n):
 
 
 # The layout's ratios on 1 .. n-1 at n = 10^6, in the norm's 56 digits,
-# against the same generic closed forms in 90: kernel_row at the bordered
-# solve's kept rows 0, n//3, n - n//3 and n, and the four pair sums the
-# quadratic form takes (the others are their mirror images), which
-# test_norm pins norm's straight-line sums to.  A 1 - e^(bh) formed
-# in the working digits instead of the guard digits puts the rows and
-# pairs of the ratio 1 about 1e-48 off.  Where the row or pair is a one-sided sum of a layer
+# against the same sums in 90: the generic oracle's kernel_row at the
+# bordered solve's kept rows 0, n//3, n - n//3 and n (the one-sided rows
+# test_norm reads the end rows against), and norm's own straight-line
+# pair sums (norm._pair_sums), the four the quadratic form takes (the
+# others are their mirror images).  A 1 - e^(bh) formed in the working
+# digits instead of the guard digits puts the rows and pairs of the
+# ratio 1 about 1e-48 off.  Where the row or pair is a one-sided sum of a layer
 # decaying away from it (mu^j at row 0, mu^-j at row n) or a layer paired
 # with itself, psi_2's parts e^(+-x)/4 and x/2 cancel to about h^3 of
 # their size, in any precision, so that value is pinned against its parts'
@@ -107,6 +110,9 @@ _PINS = [
     (("pair", _UP, ONE), False),
     (("pair", ONE, ONE), False),
 ]
+# norm._pair_sums' order: the layer mu^(j-1) with itself, with its mirror
+# mu^(n-1-j) and with the constant h, and the constant with itself
+_LAYOUT_PAIRS = [(_UP, _UP), (_UP, _DOWN), (_UP, ONE), (ONE, ONE)]
 
 
 def _pin(digits, pin):
@@ -115,12 +121,13 @@ def _pin(digits, pin):
         sums = ExpSums(_PIN_N, _PIN_MU)
         if kind == "row":
             return kernel_row(sums, r, other, 1, _PIN_N - 1)
-        return pair(sums, r, other, 1, _PIN_N - 1)
+        return norm._pair_sums(sums, norm._layout_sums(sums))[_LAYOUT_PAIRS.index((r, other))]
 
 
 def _parts(pin):
     """The pin's sum with psi_2(|i - j| h) replaced by cosh((i - j) h) + (i + j) h
-    and r^j by |r^j|, in 90 digits; the sizes of the closed form's terms."""
+    and r^j by |r^j|, in 90 digits; the sizes of the closed form's terms.  A
+    pair carries its pieces' scales in norm._layout, as norm._pair_sums does."""
     kind, r, other = pin
     with localcontext(Context(prec=90, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         sums, h = ExpSums(_PIN_N, abs(_PIN_MU)), Decimal(1) / _PIN_N
@@ -132,8 +139,10 @@ def _parts(pin):
             i = other
             return ((sums.exp(i) * s(0, r, -1) + sums.exp(-i) * s(0, r, 1)) / 2
                     + h * (i * s(0, r) + s(1, r)))
-        return ((s(0, r, 1) * s(0, other, -1) + s(0, r, -1) * s(0, other, 1)) / 2
-                + h * (s(1, r) * s(0, other) + s(0, r) * s(1, other)))
+        scale = {p.ratio: p.scale for p in norm._layout(sums)[2:]}
+        return scale[r] * scale[other] * (
+            (s(0, r, 1) * s(0, other, -1) + s(0, r, -1) * s(0, other, 1)) / 2
+            + h * (s(1, r) * s(0, other) + s(0, r) * s(1, other)))
 
 
 @pytest.mark.parametrize("pin, cancels", _PINS,

@@ -454,8 +454,8 @@ def _printed_route1(n, digits):
 
 @pytest.mark.parametrize("n", [10**6, 10**7, 10**8])
 def test_closed_rule_norm_matches_90_digits(n):
-    # the same closed forms in 90 digits; the 56-digit route is 2.8e-29,
-    # 7.8e-25 and 1.0e-21 relative off them, so only the final rounding shows
+    # the same closed forms in 90 digits; the 56-digit route is 3.3e-29,
+    # 9.6e-25 and 2.6e-21 relative off them, so only the final rounding shows
     ref = _printed_route1(n, 90)
     assert abs(Decimal(closed_rule_norm(n)) - ref) <= Decimal("2.2e-16") * ref
 
@@ -679,6 +679,46 @@ def test_layout_sums_are_the_generic_range_sums(n, mu):
             assert abs(value - ref) <= tol * scale, (n, name)
         for k, (value, ref, scale) in enumerate(zip(pairs, ref_pairs, size_pairs)):
             assert abs(value - ref) <= tol * scale, (n, k)
+
+
+_PIN_N, _PIN_MU = 10**6, Decimal("-0.27")  # test_expsums' pin, near the grids' mu
+
+
+def _pinned_layout(context, mu, amplitudes):
+    """_layout_sums, _moment_sums and _end_rows on (_PIN_N, mu) with these amplitudes, in context."""
+    with localcontext(context):
+        sums = ExpSums(_PIN_N, mu)
+        ls = norm._layout_sums(sums)
+        moments = _moment_sums(sums, ls, amplitudes)
+        return ls, moments, _end_rows(sums, moments)
+
+
+def test_layout_sums_keep_56_digits_at_a_million():
+    # norm's straight-line sums in the working digits against the same
+    # sums in 90, at test_expsums' pin (n = 10^6, mu = -0.27), whose
+    # test_production_sums_keep_56_digits_at_a_million holds the four pair
+    # sums: every _LayoutSums field within 1e-50 relative, and the moment
+    # sums and end rows of random amplitudes within 1e-50 of their parts'
+    # size (the same sums on |mu| and |amplitudes|, every term added);
+    # measured worst 4.5e-56 relative (mu e^h) and 1.9e-56 of the parts
+    # (sum c e^x)
+    rng = random.Random(_PIN_N)
+    amplitudes = tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in range(5))
+    ls, moments, rows = _pinned_layout(_CONTEXT, _PIN_MU, amplitudes)
+    ref_ls, ref_moments, ref_rows = _pinned_layout(_WIDE90, _PIN_MU, amplitudes)
+    _, size, _ = _pinned_layout(_WIDE90, abs(_PIN_MU), tuple(map(abs, amplitudes)))
+    with localcontext(_WIDE90):
+        e = ExpSums(_PIN_N).exp(_PIN_N)
+        size = size._replace(
+            moment=(1 + 1 / e) * size.ep / 4 + (1 + e) * size.en / 4 + 5 * size.c / 4 + size.xx / 2 + size.x / 2)
+        row_sizes = ((size.ep + size.en) / 4 + size.x / 2, (e * size.en + size.ep / e) / 4 + (size.c + size.x) / 2)
+        tol = Decimal("1e-50")
+        for name, value, ref in zip(ls._fields, ls, ref_ls):
+            assert abs(value - ref) <= tol * abs(ref), name
+        for name, value, ref, scale in zip(moments._fields, moments, ref_moments, size):
+            assert abs(value - ref) <= tol * scale, name
+        for i, value, ref, scale in zip((0, _PIN_N), rows, ref_rows, row_sizes):
+            assert abs(value - ref) <= tol * scale, i
 
 
 # ---------------------------------- the closed form against its two oracles
