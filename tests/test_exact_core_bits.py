@@ -8,7 +8,9 @@ the fields that are O(1) to form, at every n of LARGE as well:
   closed_rule_norm(n);
   minimizer_audit(n)'s via_* and coefficient_max_deviation;
   multiplier_routes(n, "multiplier") and multiplier_routes(n, "expanded");
-  minimizer_weights(n)'s b0, d and every weight (GRIDS only).
+  minimizer_weights(n)'s b0, d and every weight (GRIDS only);
+  minimizer_weights(n)'s two end windows (LARGE only), formed as it forms
+  them but without its O(n) list of weights, float(h) between them.
 
 minimizer_audit's rel_diff_qf_* are left out: they are the rounding noise
 of 56-digit sums that agree to about 1e-41, and move with the order of
@@ -23,11 +25,14 @@ from decimal import localcontext
 from optquad.norm import (
     _CONTEXT,
     _exact_solution,
+    _float_weights_on,
+    _window_width,
     closed_rule_norm,
     minimizer_audit,
     minimizer_weights,
     multiplier_routes,
 )
+from optquad.spectral import end_windows
 
 GRIDS = (*range(1, 601), 1024, 2048, 4096, 10**4, 12345, 10**5)
 LARGE = (10**6, 10**7, 10**8, 10**9)
@@ -46,11 +51,21 @@ DIGESTS = {
     "via_multipliers": "66d1619353a40aebfc49e68cfdfe5409908fe71fe13f55bd92e33c9c9970a828",
     "via_quadratic_form": "66d1619353a40aebfc49e68cfdfe5409908fe71fe13f55bd92e33c9c9970a828",
     "weights": "e26af65aac44e3b7a105505f9f881a806359f83ef839f45a670898ecbd72c53a",
+    # recorded at the commit before the grid's values were formed straight-line
+    "windows": "c0c9095cfebc9911a9606bf33625992b2f865b7dc1a9863c1bf1cbbbe046a978",
 }
 
 
+def _windows(n: int) -> list[tuple[int, int, list[float]]]:
+    """[(first, last, weights)]: minimizer_weights(n)'s end windows, formed as it forms them; O(1)."""
+    with localcontext(_CONTEXT):
+        sol = _exact_solution(n)
+        return [(first, last, _float_weights_on(sol, first, last))
+                for first, last in end_windows(n, _window_width(sol))]
+
+
 def _fields(n: int, weights: bool) -> dict:
-    """{field: [float, ...]} at n; the weights only when weights is true."""
+    """{field: [float, ...]} at n; every weight when weights is true, else the end windows."""
     audit = minimizer_audit(n)
     fields = {name: [audit[name]] for name in _AUDITED}
     fields["closed_rule_norm"] = [closed_rule_norm(n)]
@@ -59,10 +74,11 @@ def _fields(n: int, weights: bool) -> dict:
     if weights:
         c, b0, d = minimizer_weights(n)
         fields["weights"] = c
-    else:  # minimizer_weights' multipliers, without its O(n) weight list
+    else:  # minimizer_weights' multipliers and windows, without its O(n) weight list
         with localcontext(_CONTEXT):
             sol = _exact_solution(n)
             b0, d = float(sol.b0), float(sol.d)
+        fields["windows"] = [w for _, _, window in _windows(n) for w in window]
     fields["b0"], fields["d"] = [b0], [d]
     return fields
 
@@ -80,6 +96,18 @@ def digests() -> dict:
 
 def test_exact_core_is_bit_identical():
     assert digests() == DIGESTS
+
+
+def test_windows_are_minimizer_weights_own():
+    # the windows the LARGE digest covers are minimizer_weights' weights
+    # there, at the smallest n of LARGE, and float(h) lies between them
+    n = LARGE[0]
+    c = minimizer_weights(n)[0]
+    windows = _windows(n)
+    assert [(first, last) for first, last, _ in windows] == [(0, 29), (n - 29, n)]
+    for first, last, window in windows:
+        assert c[first:last + 1] == window
+    assert set(c[30:n - 29]) == {1.0 / n}
 
 
 if __name__ == "__main__":
