@@ -35,10 +35,11 @@ integrates the natural spline of span{1, x, e^x, e^-x} through the
 samples, whose adjoint tridiagonal system is solved exactly by one 2 x 2
 (_exact_solution).  psi_2 is exponential-polynomial, so every sum the
 routes take has a closed form, and since every rule here has the same
-five-piece layout (_layout) they are taken straight-line: S_k(r) =
-sum_{j=1}^{n-1} j^k r^j, k <= 2, once for each of the ratios mu,
-mu e^(+-h) and e^(+-h) (_layout_sums), the mirror layer mu^(n-1-j)
-read off the layer mu^(j-1) from the other end.  Each solution forms its
+five pieces (_ExactSolution: the deltas c_0 and c_n, and h and the
+layers mu^(j-1) and mu^(n-1-j) on 1 .. n-1) they are taken
+straight-line: S_k(r) = sum_{j=1}^{n-1} j^k r^j, k <= 2, once for each
+of the ratios mu, mu e^(+-h) and e^(+-h) (_layout_sums), the mirror
+layer mu^(n-1-j) read off the layer mu^(j-1) from the other end.  Each solution forms its
 five moment sums (sum c, sum c e^(+-x), sum c x, sum c x^2) from them
 once (_moment_sums); on [0, 1] psi_2(x) and psi_2(1 - x) lie in
 span{e^x, e^-x, x, 1}, so the kernel rows 0 and n, which give the
@@ -50,13 +51,14 @@ index, summed against the other piece by the same S_k.  The report's
 decimal work is therefore the same at every n, and the report has one
 path with no size cap.  Route 1 sums terms near 1 down to about
 h^4/720, which costs about 4 log10 n + 3 digits (27 at n = 10^6); 56
-digits leave room for that well past n = 10^6.  Each grid has one
-guard-digit context, 4 digits(n) + 12 past the working digits
-(ExpSums.wide), and takes one Decimal.exp there, of e^h; every e^(kh)
-and 1 - e^(bh) is formed there and rounded once.  The printed rule has
-the same pieces with q = 1/lambda1 for mu, its constants formed in the
-same context, so its norm (closed_rule_norm) is route 1 from the same
-moment and pair sums, and coefficient_max_deviation reads both float64
+digits leave room for that well past n = 10^6.  Each grid's values are
+formed once, straight-line, into one record (_grid): its guard-digit
+context, 4 digits(n) + 12 past the working digits, the one Decimal.exp
+there, of e^h, and from it e^(+-1), e^(+-h), 1 - e^(+-h) and psi_2(1);
+e, e^h and 1 - e^h are formed there and rounded once.  The printed
+rule has the same pieces with q = 1/lambda1 for mu, its constants
+formed in the same context, so its norm (closed_rule_norm) is route 1
+from the same moment and pair sums, and coefficient_max_deviation reads both float64
 weight sets, in Python floats, on the end windows only
 (spectral.end_windows), outside which both are float(h)
 (spectral.layer_width).  The same solve serves every caller that needs
@@ -80,7 +82,6 @@ from collections import namedtuple
 from functools import reduce
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
-from ._expsums import ONE, ExpSums
 from .spectral import closed_weights, closed_width, constants, end_windows, layer_width
 
 __all__ = [
@@ -247,75 +248,89 @@ def geometric_sums(lam: float, n: int) -> tuple[float, float]:
 # ------------------------------------------------------------- the report
 
 
-_Piece = namedtuple("_Piece", ["scale", "ratio", "lo", "hi"])
-_Piece.__doc__ = "Weights scale * ratio^j for lo <= j <= hi, ratio as ExpSums exponents."
+_Grid = namedtuple("_Grid", ["n", "h", "wide", "wide_eh", "e", "ei", "eh", "ehi", "gap_eh", "gap_ehi",
+                             "psi_1"])
+_Grid.__doc__ = """The values of grid n that both rules read, each formed once (_grid).
 
-_LayoutSums = namedtuple("_LayoutSums", ["inv", "gap", "mu_n", "mu_up", "mu_down", "gap_up", "gap_down",
+wide is the grid's guard-digit context and wide_eh is e^h in it; the
+rest are in the working digits: h = 1/n, e and ei = e^(+-1), eh and
+ehi = e^(+-h), the gaps gap_eh and gap_ehi = 1 - e^(+-h) and
+psi_1 = psi_2(1).
+"""
+
+_LayoutSums = namedtuple("_LayoutSums", ["mu", "inv", "gap", "mu_n", "mu_up", "mu_down", "gap_up", "gap_down",
                                          "s0", "s1", "s2", "up", "down", "flat_up", "flat_down"])
-_LayoutSums.__doc__ = """S_k(r) = sum_{j=1}^{n-1} j^k r^j of the ratios of _layout's spread pieces.
+_LayoutSums.__doc__ = """S_k(r) = sum_{j=1}^{n-1} j^k r^j of the ratios of a rule's spread pieces.
 
-s0, s1 and s2 are S_0, S_1 and S_2 of mu; up and down are S_0 of mu e^h
-and mu e^-h, flat_up and flat_down S_0 of e^h and e^-h.  The sums of the
-ratio 1 are integers, formed where they are read.  The values the sums
-share are formed once with them and read from here: inv = 1/mu,
-gap = 1 - mu, mu_n = mu^n, mu_up and mu_down = mu e^(+-h), and gap_up
-and gap_down = 1 - mu e^(+-h).
+mu is the rule's layer ratio.  s0, s1 and s2 are S_0, S_1 and S_2 of mu;
+up and down are S_0 of mu e^h and mu e^-h, flat_up and flat_down S_0 of
+e^h and e^-h.  The sums of the ratio 1 are integers, formed where they
+are read.  The values the sums share are formed once with them and read
+from here: inv = 1/mu, gap = 1 - mu, mu_n = mu^n, mu_up and
+mu_down = mu e^(+-h), and gap_up and gap_down = 1 - mu e^(+-h).
 """
 
 _Moments = namedtuple("_Moments", ["c", "ep", "en", "x", "xx", "moment"])
 _Moments.__doc__ = "sum c, sum c e^x, sum c e^-x, sum c x, sum c x^2 and sum c moment(x) of a rule."
 
 _ExactSolution = namedtuple("_ExactSolution",
-                            ["sums", "pieces", "amplitudes", "layout_sums", "moments", "rows", "b0", "d"],
+                            ["grid", "amplitudes", "layout_sums", "moments", "rows", "b0", "d"],
                             defaults=(None, None))
-_ExactSolution.__doc__ = """A uniform-grid rule in decimal, weights c_j = sum_p amplitude_p piece_p(j).
+_ExactSolution.__doc__ = """A uniform-grid rule in decimal: the five pieces with these amplitudes.
 
-sums is the grid's ExpSums and pieces are _layout's _Piece tuples.  Each
-rule forms once (_rule) its _LayoutSums, its weights' _Moments and from
+The weights are c_0 at node 0 and c_n at node n, and
+A mu^(j-1) + B mu^(n-1-j) + C h at the nodes j = 1 .. n-1, for the
+amplitudes (c_0, c_n, A, B, C); below n = 4 those ranges hold one or two
+nodes, and none at n = 1.  grid is the _Grid.  Each rule forms once
+(_rule) its _LayoutSums, which carry mu, its weights' _Moments and from
 them its kernel rows (row_0, row_n) (_end_rows); the multipliers and the
 routes read them.  b0 and d are the system's multipliers; the printed
 rule (_printed_solution) has none.
 """
 
 
-def _layout(sums: ExpSums) -> tuple[_Piece, ...]:
-    """The pieces of a rule on sums' grid, mu read from sums.
+def _grid(n: int) -> _Grid:
+    """The _Grid of n in the current context; straight-line, one Decimal.exp.
 
-    The deltas at 0 and n come first, then mu^(j-1) and mu^(n-1-j) on
-    1 .. n-1 and the constant h there, at every n >= 1: below n = 4 the
-    last three ranges hold one or two nodes, and none at n = 1.  The
-    second layer is the first read from the other end, j -> n - j.
+    wide is the working precision plus 4 digits(n) + 12, and e^h is taken
+    there.  e^h and e = e^(nh), its integer power n in wide, are rounded
+    once to the working precision, and e^(-kh) is 1 / e^(kh).  1 - e^h
+    cancels about log10 n digits, so it is formed in wide too, and
+    1 - e^-h = -(1 - e^h) e^-h.  The power's relative error is about n
+    guard-digit ulps: 10^-98 at n = 10^9 in 56 working digits, far below
+    one working ulp.
     """
-    n, mu = sums.n, sums.mu
-    return (
-        _Piece(1, ONE, 0, 0),
-        _Piece(1, ONE, n, n),
-        _Piece(1 / mu, (1, 0), 1, n - 1),
-        _Piece(mu ** (n - 1), (-1, 0), 1, n - 1),
-        _Piece(sums.h, ONE, 1, n - 1),
-    )
+    wide = getcontext().copy()
+    wide.prec += 4 * len(str(n)) + 12
+    with localcontext(wide):
+        wide_eh = (1 / Decimal(n)).exp()
+        e, expm1 = wide_eh**n, wide_eh - 1
+    h = Decimal(1) / n
+    e, eh = +e, +wide_eh  # the unary plus rounds to the working precision
+    ei, ehi = 1 / e, 1 / eh
+    gap_eh = -expm1  # the negation rounds to the working precision
+    return _Grid(n, h, wide, wide_eh, e, ei, eh, ehi, gap_eh, -gap_eh * ehi, (e - ei) / 4 - n * h / 2)
 
 
-def _layout_sums(sums: ExpSums) -> _LayoutSums:
-    """The _LayoutSums on sums' grid, mu read from sums; straight-line, O(1).
+def _layout_sums(grid: _Grid, mu) -> _LayoutSums:
+    """The _LayoutSums of the layer ratio mu on grid; straight-line, O(1).
 
     With m = n - 1, (1 - r) S_0 = r - r^n, (1 - r) S_1 = S_0 - m r^n and
     (1 - r) S_2 = 2 S_1 - S_0 - m^2 r^n: each ratio takes its end power,
     mu^n times one of 1 and e^(+-1), and its gap.  1 - e^(+-h) cancel
-    about log10 n digits and are the grid's guard-digit gaps (ExpSums.gap).
+    about log10 n digits and are the grid's guard-digit gaps.
     """
-    n, mu = sums.n, sums.mu
+    n, e, ei, eh, ehi = grid.n, grid.e, grid.ei, grid.eh, grid.ehi
     m = n - 1
-    e, ei, eh, ehi = sums.exp(n), sums.exp(-n), sums.exp(1), sums.exp(-1)
     mu_n, gap = mu**n, 1 - mu
     s0 = (mu - mu_n) / gap
     s1 = (s0 - m * mu_n) / gap
     up, down = mu * eh, mu * ehi
     gap_up, gap_down = 1 - up, 1 - down
-    return _LayoutSums(1 / mu, gap, mu_n, up, down, gap_up, gap_down,
+    return _LayoutSums(mu, 1 / mu, gap, mu_n, up, down, gap_up, gap_down,
                        s0, s1, (2 * s1 - s0 - m * m * mu_n) / gap,
                        (up - mu_n * e) / gap_up, (down - mu_n * ei) / gap_down,
-                       (eh - e) / sums.gap((0, 1)), (ehi - ei) / sums.gap((0, -1)))
+                       (eh - e) / grid.gap_eh, (ehi - ei) / grid.gap_ehi)
 
 
 def _fsum(terms):
@@ -330,17 +345,16 @@ def _fsum(terms):
     return +reduce(wide.add, terms, Decimal(0))  # the unary plus rounds to the current digits
 
 
-def _moment_sums(sums: ExpSums, ls: _LayoutSums, amplitudes) -> _Moments:
-    """The _Moments of the weights sum_p amplitude_p piece_p(j) of _layout, from ls; straight-line.
+def _moment_sums(grid: _Grid, ls: _LayoutSums, amplitudes) -> _Moments:
+    """The _Moments of the five pieces with these amplitudes, from ls; straight-line.
 
     The layer mu^(j-1) sums to S_k(mu e^(+-h)) / mu.  The mirror mu^(n-1-j)
     is the layer read from the other end, j -> n - j, so its sums are the
     same S_k: e^(+-1) S_0(mu e^(-+h)) / mu, (n S_0 - S_1) / mu and
     (n^2 S_0 - 2n S_1 + S_2) / mu, with no power of 1/mu.
     """
-    n, h = sums.n, sums.h
+    n, h, e, ei = grid.n, grid.h, grid.e, grid.ei
     m = n - 1
-    e, ei = sums.exp(n), sums.exp(-n)
     c_0, c_n, a, b, c = amplitudes
     a, b, c = a * ls.inv, b * ls.inv, c * h  # the amplitudes times the pieces' scales
     s_c = _fsum([c_0, c_n, a * ls.s0, b * ls.s0, c * m])
@@ -354,8 +368,8 @@ def _moment_sums(sums: ExpSums, ls: _LayoutSums, amplitudes) -> _Moments:
     return _Moments(s_c, s_ep, s_en, s_x, s_xx, s_m)
 
 
-def _end_rows(sums: ExpSums, m: _Moments):
-    """(row_0, row_n) of the rule whose _Moments are m, on sums' grid.
+def _end_rows(grid: _Grid, m: _Moments):
+    """(row_0, row_n) of the rule whose _Moments are m, on grid.
 
     The rows are sum_j c_j psi_2(x_j) and sum_j c_j psi_2(1 - x_j).  On
     [0, 1] psi_2(x) = (e^x - e^-x)/4 - x/2 and
@@ -363,17 +377,17 @@ def _end_rows(sums: ExpSums, m: _Moments):
     combinations of the moment sums sum c e^x, sum c e^-x, sum c x and
     sum c, whatever the pieces.
     """
-    e = sums.exp(sums.n)
+    e = grid.e
     row_0 = _fsum([m.ep / 4, -m.en / 4, -m.x / 2])
     row_n = _fsum([e * m.en / 4, -m.ep / (4 * e), -m.c / 2, m.x / 2])
     return row_0, row_n
 
 
-def _rule(sums: ExpSums, amplitudes) -> _ExactSolution:
-    """The rule of _layout's pieces with these amplitudes on sums' grid, without multipliers."""
-    ls = _layout_sums(sums)
-    moments = _moment_sums(sums, ls, amplitudes)
-    return _ExactSolution(sums, _layout(sums), amplitudes, ls, moments, _end_rows(sums, moments))
+def _rule(grid: _Grid, mu, amplitudes) -> _ExactSolution:
+    """The rule of the five pieces with layer ratio mu and these amplitudes on grid, without multipliers."""
+    ls = _layout_sums(grid, mu)
+    moments = _moment_sums(grid, ls, amplitudes)
+    return _ExactSolution(grid, amplitudes, ls, moments, _end_rows(grid, moments))
 
 
 def _exact_solution(n: int) -> _ExactSolution:
@@ -390,22 +404,22 @@ def _exact_solution(n: int) -> _ExactSolution:
     with Y = gamma/(t + c) and mu = -s + sqrt(s^2 - 1), s = c/t, the root
     of t z^2 + 2c z + t inside the unit circle; the two end rows are a
     2 x 2 system for P and Q, solved by Cramer's rule.  The weights are
-    then _layout's pieces with the amplitudes
+    then the five pieces with the amplitudes
 
         c_0 = h/2 - (1 - mu)(P - Q mu^(n-1))/h,  A = (1 - mu)^2 P/h,
         c_n = h/2 - (1 - mu)(Q - P mu^(n-1))/h,  B = (1 - mu)^2 Q/h,
 
     at every n >= 1.  t, c and gamma cancel O(1/h) or O(h) terms down to
     O(h), about 2 log10 n digits, so mu and the amplitudes are formed in
-    the grid's guard-digit context (ExpSums.wide) from its e^h.  The
+    the grid's guard-digit context (_Grid.wide) from its e^h.  The
     multipliers follow from the kernel rows 0 and n, read off the moment
     sums (_end_rows): b0 + d = moment(0) - row_0 and
     b0 + d/e = moment(1) - row_n, where moment(0) = moment(1).  No size
     cap: the cost does not grow with n.
     """
-    sums = ExpSums(n)
-    with localcontext(sums.wide):
-        eh, e2h = sums.eh, sums.eh * sums.eh
+    grid = _grid(n)
+    with localcontext(grid.wide):
+        eh, e2h = grid.wide_eh, grid.wide_eh * grid.wide_eh
         t = n - 2 * eh / (e2h - 1)
         c = (e2h + 1) / (e2h - 1) - n
         gamma = (eh - 1) / (eh + 1) - Decimal(1) / (2 * n)
@@ -420,29 +434,29 @@ def _exact_solution(n: int) -> _ExactSolution:
         step, half = (1 - mu) * n, Decimal(1) / (2 * n)
         amplitudes = [half - step * (p - q * layer), half - step * (q - p * layer),
                       step * (1 - mu) * p, step * (1 - mu) * q]
-    sums.mu = +mu  # the unary plus rounds to the working digits
-    sol = _rule(sums, (*(+a for a in amplitudes), 1))
+    # the unary plus rounds to the working digits
+    sol = _rule(grid, +mu, (*(+a for a in amplitudes), 1))
     row_0, row_n = sol.rows
-    e = sums.exp(n)
-    d = (row_n - row_0) / (1 - 1 / e)
-    b0 = (e + 1 / e - 3) / 4 - row_0 - d  # moment(0) = (e + 1/e - 3)/4
+    e, ei = grid.e, grid.ei
+    d = (row_n - row_0) / (1 - ei)
+    b0 = (e + ei - 3) / 4 - row_0 - d  # moment(0) = (e + 1/e - 3)/4
     return sol._replace(b0=b0, d=d)
 
 
 def _printed_solution(n: int) -> _ExactSolution:
     """The printed rule optimal_coefficients(n) in the working decimal context; O(1) per n.
 
-    Its weights are _layout's pieces with mu = q = 1/lambda1 (see the
+    Its weights are the five pieces with mu = q = 1/lambda1 (see the
     coefficients module), amplitudes c_0, c_n, -Kscaled (e^h - q) q,
     -Kscaled (1 - e^h q) q and 1.  lambda1, Kscaled and the end weights
     cancel O(1) terms down to h^3, about 3 log10 n digits, so they are
-    formed in the grid's guard-digit context (ExpSums.wide, 4 digits(n) +
+    formed in the grid's guard-digit context (_Grid.wide, 4 digits(n) +
     12 past the working digits) from its e^h.
     """
-    sums = ExpSums(n)
-    with localcontext(sums.wide):
+    grid = _grid(n)
+    with localcontext(grid.wide):
         h = Decimal(1) / n
-        eh = sums.eh
+        eh = grid.wide_eh
         em1, e2h = eh - 1, eh * eh
         root = (h * h * (eh + 1) ** 2 - 2 * h * em1).sqrt()
         lam = (h * (e2h + 1) - e2h + 1 - em1 * root) / (1 - e2h + 2 * h * eh)
@@ -452,12 +466,12 @@ def _printed_solution(n: int) -> _ExactSolution:
         corr = ks * (qn - q)
         c_0, c_n = (em1 - h) / em1 - corr, (h * eh - em1) / em1 - corr * eh
         amplitudes = [c_0, c_n, -ks * (eh - q) * q, -ks * (1 - eh * q) * q, 1]
-    sums.mu = +q  # the unary plus rounds to the working digits
-    return _rule(sums, tuple(+a for a in amplitudes))
+    # the unary plus rounds to the working digits
+    return _rule(grid, +q, tuple(+a for a in amplitudes))
 
 
-def _pair_sums(sums: ExpSums, ls: _LayoutSums):
-    """(layer, mirror, cross, flat): the pair sums of _layout's spread pieces, straight-line.
+def _pair_sums(grid: _Grid, ls: _LayoutSums):
+    """(layer, mirror, cross, flat): the pair sums of the spread pieces, straight-line.
 
     A pair sum is sum_{i,j=1}^{n-1} p_i q_j psi_2(|i - j| h); these are the
     layer mu^(j-1) with itself, with its mirror mu^(n-1-j) and with the
@@ -474,9 +488,8 @@ def _pair_sums(sums: ExpSums, ls: _LayoutSums):
     pair sum is that row summed against the other piece: the _LayoutSums,
     their mirror images as in _moment_sums, and S_0(mu^2).
     """
-    n, h, mu, mu_n = sums.n, sums.h, sums.mu, ls.mu_n
+    n, h, e, ei, mu, mu_n = grid.n, grid.h, grid.e, grid.ei, ls.mu, ls.mu_n
     m = n - 1
-    e, ei = sums.exp(n), sums.exp(-n)
     lag = -h / 2
 
     def exponentials(up, down, gap_up, gap_down, r_n):
@@ -495,7 +508,7 @@ def _pair_sums(sums: ExpSums, ls: _LayoutSums):
                           + gamma * (n * ls.s0 - ls.s1) + delta * ls.s0)
     cross = inv * h * (al_up * ls.flat_up + al_down * ls.flat_down + beta * ls.s0
                        + gamma * (m * n // 2) + delta * m)
-    al_up, al_down, beta = exponentials(sums.exp(1), sums.exp(-1), sums.gap((0, 1)), sums.gap((0, -1)), 1)
+    al_up, al_down, beta = exponentials(grid.eh, grid.ehi, grid.gap_eh, grid.gap_ehi, 1)
     flat = h * h * (al_up * ls.flat_up + al_down * ls.flat_down + beta * m
                     + lag * ((n - 2) * m * n // 3))  # sum_ij |i - j| = (n - 2)(n - 1) n / 3
     return layer, mirror, cross, flat
@@ -512,10 +525,10 @@ def _kernel_form(sol: _ExactSolution):
     the rows of the whole rule (sol.rows) counting the pair c_0 c_n twice
     over, and s^T G s the spread pieces' pair sums (_pair_sums).
     """
-    c_0, c_n, a, b, c = sol.amplitudes  # _layout's order
+    c_0, c_n, a, b, c = sol.amplitudes
     row_0, row_n = sol.rows
-    layer, mirror, cross, flat = _pair_sums(sol.sums, sol.layout_sums)
-    return _fsum([2 * c_0 * row_0, 2 * c_n * row_n, -2 * c_0 * c_n * sol.sums.kernel(sol.sums.n),
+    layer, mirror, cross, flat = _pair_sums(sol.grid, sol.layout_sums)
+    return _fsum([2 * c_0 * row_0, 2 * c_n * row_n, -2 * c_0 * c_n * sol.grid.psi_1,
                   a * a * layer, 2 * a * b * mirror, 2 * a * c * cross,
                   b * b * layer, 2 * b * c * cross, c * c * flat])
 
@@ -537,8 +550,7 @@ def _route3(sol: _ExactSolution):
     Route 2 with the moment sum written out through sum c e^x, sum c x,
     sum c x^2 and the two constraints.
     """
-    m = sol.moments
-    e = sol.sums.exp(sol.sums.n)
+    m, e = sol.moments, sol.grid.e
     return _fsum([
         -sol.b0,
         (1 - e) / e * sol.d,
@@ -555,46 +567,39 @@ def _route3(sol: _ExactSolution):
 _REDUCED_ROUTES = {"multiplier": _route2, "expanded": _route3}
 
 
-def _exact_routes(sol: _ExactSolution):
-    """Routes 1-3 on the exact solution, in decimal, from closed-form sums."""
-    return _route1(sol), _route2(sol), _route3(sol)
-
-
 def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> list[float]:
     """The weights in float64 from the Decimal amplitudes, at the nodes first..last.
 
-    Each piece is anchored at the end of its range where it is largest and
-    stepped from there by its float64 ratio, ratio ** (distance from the
-    anchor), so nothing overflows.  The ratios are mu < 0 and 1, whose
-    powers libm's pow and numpy's power form alike.  A power that
-    underflows adds an exact 0.0, which leaves every weight as it is (none
-    is ever -0.0).
+    c_0 and c_n are rounded at the nodes 0 and n.  Each layer is anchored
+    at its end of 1 .. n-1 where it is largest, mu^(j-1) at node 1 and
+    mu^(n-1-j) at node n - 1, and stepped from there by its float64 ratio,
+    ratio ** (distance from the anchor), so nothing overflows: between the
+    deltas the weight is ((0.0 + A' r_a^(j-1)) + B' r_b^(n-1-j)) + float(C h),
+    A' and B' the layers' rounded starts.  r_a is mu and r_b is 1/(1/mu),
+    both negative, whose powers libm's pow and numpy's power form alike.
+    A power that underflows adds an exact 0.0, which leaves every weight
+    as it is (none is ever -0.0).
     """
-    c = [0.0] * (last - first + 1)
-    for amp, (scale, ratio, lo, hi) in zip(sol.amplitudes, sol.pieces):
-        a, b = max(first, lo), min(last, hi)
-        if a > b:
-            continue
-        step = sol.sums.power(ratio, 1)
-        grows = abs(step) > 1
-        r = float(1 / step if grows else step)
-        anchor = hi if grows else lo
-        start = float(amp * scale * sol.sums.power(ratio, anchor))
-        distance = range(hi - a, hi - b - 1, -1) if grows else range(a - lo, b - lo + 1)
-        window = slice(a - first, b - first + 1)
-        c[window] = [x + start * r**d for x, d in zip(c[window], distance)]
-    return c
+    n, ls = sol.grid.n, sol.layout_sums
+    mu = ls.mu
+    c_0, c_n, a, b, c = sol.amplitudes
+    r_a, start_a = float(mu), float(a * ls.inv * mu)
+    r_b, start_b = float(1 / mu**-1), float(b * mu ** (n - 1) * mu ** -(n - 1))
+    flat = float(c * sol.grid.h)
+    return [float(c_0) if j == 0 else float(c_n) if j == n
+            else ((0.0 + start_a * r_a ** (j - 1)) + start_b * r_b ** (n - 1 - j)) + flat
+            for j in range(first, last + 1)]
 
 
 def _window_width(sol: _ExactSolution) -> int:
     """The end-window width outside which sol's float64 weights are float(h).
 
-    Its layers mu^(j-1) and mu^(n-1-j), amplitudes 2 and 3 in _layout's
-    order, start one node in, so the width is one more than
-    spectral.layer_width of the larger.
+    Its layers mu^(j-1) and mu^(n-1-j), amplitudes A and B, start one
+    node in, so the width is one more than spectral.layer_width of the
+    larger.
     """
-    sums = sol.sums
-    return 1 + layer_width(float(max(map(abs, sol.amplitudes[2:4]))), float(sums.mu), float(sums.h))
+    return 1 + layer_width(float(max(map(abs, sol.amplitudes[2:4]))), float(sol.layout_sums.mu),
+                           float(sol.grid.h))
 
 
 def _coefficient_max_deviation(sol: _ExactSolution) -> float:
@@ -605,7 +610,7 @@ def _coefficient_max_deviation(sol: _ExactSolution) -> float:
     of the wider hold the maximum.  From n = 2 * 30 = 60 they are two, and
     below it the one window is the whole grid.
     """
-    n = sol.sums.n
+    n = sol.grid.n
     sc = constants(n)
     return max(
         abs(x - y)
@@ -653,7 +658,7 @@ def minimizer_weights(n: int) -> tuple[list[float], float, float]:
     _check_n(n, "the minimizer's weights")
     with localcontext(_CONTEXT):
         sol = _exact_solution(n)
-        c = [float(sol.sums.h)] * (n + 1)
+        c = [float(sol.grid.h)] * (n + 1)
         for first, last in end_windows(n, _window_width(sol)):
             c[first:last + 1] = _float_weights_on(sol, first, last)
         return c, float(sol.b0), float(sol.d)
@@ -689,7 +694,7 @@ def minimizer_audit(n: int) -> dict:
     _check_n(n, "the minimizer audit")
     with localcontext(_CONTEXT):
         sol = _exact_solution(n)
-        qf, mult, expanded = _exact_routes(sol)
+        qf, mult, expanded = _route1(sol), _route2(sol), _route3(sol)
         return {
             "via_quadratic_form": float(qf),
             "via_multipliers": float(mult),

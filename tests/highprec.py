@@ -176,19 +176,19 @@ def psi2_rows(x, ep, en, c):
     return (ep * s_en - en * s_ep) / 4 - (x * s_c - s_x) / 2
 
 
-def piece_weights(sol):
-    """The weights of norm's exact solution in working-precision mp.
+def piece_weights(rule):
+    """The weights of an oracles.PieceRule in working-precision mp.
 
     One term per piece and node, amplitude * scale * ratio^j, with the
     Decimal amplitudes, scales and mu read through str and the ratio
     mu^a e^(b h) formed here; O(n) mp work.
     """
-    n = sol.sums.n
+    n = rule.sums.n
     c = np.array([mp.mpf(0)] * (n + 1), dtype=object)
-    for amp, (scale, (a, b), lo, hi) in zip(sol.amplitudes, sol.pieces):
+    for amp, (scale, (a, b), lo, hi) in zip(rule.amplitudes, rule.pieces):
         ratio = mp.exp(mp.mpf(b) / n)
         if a:
-            ratio *= mp.mpf(str(sol.sums.mu)) ** a
+            ratio *= mp.mpf(str(rule.sums.mu)) ** a
         amp = mp.mpf(str(amp)) * mp.mpf(str(scale))
         for j in range(lo, hi + 1):
             c[j] += amp * ratio**j

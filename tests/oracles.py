@@ -9,16 +9,23 @@ the multipliers d and b0, implemented verbatim as a formula under test
 (README defect 3).  norm_quadratic_form sums the kernel quadratic form of any
 rule, feasible or not, in O(count^2); norm_peano integrates the Peano
 kernel of any feasible rule in O(count), the float64 check on optquad's
-exact closed_rule_norm.  float_weights spells out every float64 weight of
-an exact solution, the O(n) check on the report's end-window
-coefficient_max_deviation.  bordered_solution is the exact minimizer as
-the package once found it, a filtered band and a 6 x 6 bordered system
-in decimal (filter_band, gauss_solve, kernel_row), the check on norm's
-closed form.  geom, row_expansion and pair are the generic closed-form
-range sums of pieces r^j on any range, the reference for norm's
-straight-line sums of its one layout; piece_sum and moment_sums take a
-rule's moments and kernel_row the one-sided or in-range kernel row of
-one piece through them.
+exact closed_rule_norm.
+
+The exact rules' decimal reference starts from the grid's generic
+primitives: ExpSums, e^(kh), mu powers and the gaps 1 - r for any ratio
+r = mu^a e^(b h), written as its exponents (a, b), and a rule as Pieces
+scale * r^j on index ranges (a PieceRule); layout gives norm's five
+pieces, and piece_rule writes one of norm's exact solutions in that
+form.  float_weights spells out every float64 weight of a PieceRule, the
+O(n) check on the report's end-window coefficient_max_deviation.
+bordered_solution is the exact minimizer as the package once found it,
+a filtered band and a 6 x 6 bordered system in decimal (filter_band,
+gauss_solve, kernel_row), the check on norm's closed form.  geom,
+row_expansion and pair are the generic closed-form range sums of pieces
+r^j on any range, the reference for norm's straight-line sums of its one
+layout; piece_sum and moment_sums take a rule's moments and kernel_row
+the one-sided or in-range kernel row of one piece through them.  None of
+them shares exponential code with the package.
 closed_weights_array and float_weights_on are the numpy forms of the
 printed weights and of the exact solution's window weights, which the
 package forms in Python floats.  make_rule packages
@@ -36,13 +43,12 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, getcontext, localcontext
 from typing import Callable
 
 import numpy as np
 
 from optquad import norm
-from optquad._expsums import ONE, ExpSums
 from optquad.coefficients import QuadratureRule, constraint_residuals
 from optquad.kernel import moment, psi
 from optquad.norm import double_moment
@@ -281,18 +287,18 @@ def norm_peano(rule: QuadratureRule) -> float:
     return math.fsum(panels)
 
 
-def float_weights(sol) -> np.ndarray:
-    """Every weight of an exact solution (optquad.norm) in float64; O(n) float work.
+def float_weights(rule) -> np.ndarray:
+    """Every weight of a PieceRule in float64; O(n) float work.
 
     Each piece is anchored at the end of its range where it is largest and
     stepped from there by its ratio, so nothing overflows or underflows.
     """
-    c = np.zeros(sol.sums.n + 1)
-    for amp, (scale, ratio, lo, hi) in zip(sol.amplitudes, sol.pieces):
-        step = sol.sums.power(ratio, 1)
+    c = np.zeros(rule.sums.n + 1)
+    for amp, (scale, ratio, lo, hi) in zip(rule.amplitudes, rule.pieces):
+        step = rule.sums.power(ratio, 1)
         grows = abs(step) > 1
         anchor = hi if grows else lo
-        start = float(amp * scale * sol.sums.power(ratio, anchor))
+        start = float(amp * scale * rule.sums.power(ratio, anchor))
         steps = float(1 / step if grows else step) ** np.arange(hi - lo + 1)
         c[lo:hi + 1] += start * (steps[::-1] if grows else steps)
     return c
@@ -320,8 +326,8 @@ def closed_weights_array(sc, b: np.ndarray) -> np.ndarray:
     return c
 
 
-def float_weights_on(sol, first: int, last: int) -> np.ndarray:
-    """The float64 weights of an exact solution (optquad.norm) at the nodes first..last, in numpy.
+def float_weights_on(rule, first: int, last: int) -> np.ndarray:
+    """The float64 weights of a PieceRule at the nodes first..last, in numpy.
 
     The array form of optquad.norm's window weights, which forms them in
     Python floats; tests pin that one to this, bit for bit.  Each piece is
@@ -329,14 +335,14 @@ def float_weights_on(sol, first: int, last: int) -> np.ndarray:
     there by its float64 ratio, ratio ** (distance from the anchor).
     """
     c = np.zeros(last - first + 1)
-    for amp, (scale, ratio, lo, hi) in zip(sol.amplitudes, sol.pieces):
+    for amp, (scale, ratio, lo, hi) in zip(rule.amplitudes, rule.pieces):
         a, b = max(first, lo), min(last, hi)
         if a > b:
             continue
-        step = sol.sums.power(ratio, 1)
+        step = rule.sums.power(ratio, 1)
         grows = abs(step) > 1
         anchor = hi if grows else lo
-        start = float(amp * scale * sol.sums.power(ratio, anchor))
+        start = float(amp * scale * rule.sums.power(ratio, anchor))
         distance = np.arange(hi - a, hi - b - 1, -1) if grows else np.arange(a - lo, b - lo + 1)
         c[a - first:b - first + 1] += start * float(1 / step if grows else step) ** distance
     return c
@@ -377,6 +383,133 @@ def gauss_solve(matrix, rhs):
     for k in reversed(range(size)):
         x[k] = (a[k][size] - norm._fsum(p * q for p, q in zip(a[k][k + 1:size], x[k + 1:]))) / a[k][k]
     return x
+
+
+# ------------------------------------------------ the grid's generic primitives
+#
+# On the grid x_j = j h, h = 1/n, the exact rules' weights are a few
+# pieces r^j over index ranges: deltas, a constant and two geometric
+# boundary layers in mu.  psi_2(|i - j| h) = g(|i - j|) with the odd function
+#
+#     g(k) = (e^(kh) - e^(-kh))/4 - k h/2,
+#
+# which separates into products of i- and j-factors, so every moment and
+# every pairwise kernel sum of such pieces has a closed form in O(1)
+# decimal operations (Sobolev's discrete analogue of the operator:
+# Sobolev, Introduction to the Theory of Cubature Formulas, 1974).  norm
+# takes those closed forms straight-line for its one five-piece layout,
+# from its per-grid values (norm._grid); what follows takes them for any
+# pieces on any range, the reference they are checked against.  A ratio r
+# is carried as its integer exponents (a, b), r = mu^a e^(b h).
+
+# The exponents (a, b) of the ratio 1.
+ONE = (0, 0)
+
+
+class ExpSums:
+    """The exponential primitives of grid n with boundary ratio mu, for any ratio (a, b).
+
+    mu is read only by ratios with a != 0 and may be set after
+    construction.  wide is the grid's guard-digit context, the working
+    precision plus 4 digits(n) + 12, and eh is e^h in it, taken once at
+    construction, as norm._grid takes it.  e^(kh) for k > 0 is its integer
+    power k in wide, rounded once to the working precision, and e^(-kh) is
+    1 / e^(kh); 1 - e^(bh) for b > 0 is 1 - (e^h)^b in wide too, since the
+    subtraction cancels about log10(n / b) of the guard digits.  Powers of
+    mu and of e^h and the gaps 1 - r are cached on the instance, so the
+    sums of one grid share them; an instance therefore serves the working
+    precision it was made in.
+    """
+
+    def __init__(self, n: int, mu=None):
+        self.n = n
+        self.h = Decimal(1) / n
+        self.mu = mu
+        self.wide = getcontext().copy()
+        self.wide.prec += 4 * len(str(n)) + 12
+        with localcontext(self.wide):
+            self.eh = (1 / Decimal(n)).exp()
+        self._exp = {0: Decimal(1)}
+        self._mu = {0: Decimal(1)}
+        self._gap = {}
+
+    def exp(self, k: int):
+        """e^(k h); e^(-kh) as 1 / e^(kh), one rounding more for one power less."""
+        if k not in self._exp:
+            if k < 0:
+                self._exp[k] = 1 / self.exp(-k)
+            else:
+                with localcontext(self.wide):
+                    power = self.eh**k
+                self._exp[k] = +power  # the unary plus rounds to the working precision
+        return self._exp[k]
+
+    def kernel(self, k: int):
+        """psi_2(k h) = g(|k|)."""
+        k = abs(k)
+        return (self.exp(k) - self.exp(-k)) / 4 - k * self.h / 2
+
+    def power(self, r, j: int):
+        """r^j = mu^(a j) e^(b j h)."""
+        a, b = r[0] * j, r[1] * j
+        if a == 0:
+            return self.exp(b)
+        if a not in self._mu:
+            self._mu[a] = self.mu**a
+        return self._mu[a] * self.exp(b) if b else self._mu[a]
+
+    def gap(self, r):
+        """1 - r, for r != 1."""
+        if r not in self._gap:
+            a, b = r
+            if a:
+                self._gap[r] = 1 - self.power(r, 1)
+            elif b > 0:
+                with localcontext(self.wide):
+                    expm1 = self.eh**b - 1
+                self._gap[r] = -expm1  # the negation rounds to the working precision
+            else:  # 1 - e^-x = (e^x - 1) e^-x
+                self._gap[r] = -self.gap((0, -b)) * self.exp(b)
+        return self._gap[r]
+
+
+Piece = namedtuple("Piece", ["scale", "ratio", "lo", "hi"])
+Piece.__doc__ = "Weights scale * ratio^j for lo <= j <= hi, ratio as ExpSums exponents."
+
+PieceRule = namedtuple("PieceRule", ["sums", "pieces", "amplitudes", "b0", "d"])
+PieceRule.__doc__ = """A rule on sums' grid, weights c_j = sum_p amplitude_p piece_p(j).
+
+float_weights, float_weights_on and highprec.piece_weights read it;
+bordered_solution returns one, and piece_rule writes each of norm's
+exact solutions as one.  b0 and d are the system's multipliers, None for
+a rule without them.
+"""
+
+
+def layout(sums: ExpSums) -> tuple:
+    """norm's five pieces on sums' grid, mu read from sums, as Pieces.
+
+    The deltas at 0 and n come first, then mu^(j-1) and mu^(n-1-j) on
+    1 .. n-1 and the constant h there, in the order of norm's amplitudes
+    (c_0, c_n, A, B, C), at every n >= 1: below n = 4 the last three
+    ranges hold one or two nodes, and none at n = 1.  The second layer is
+    the first read from the other end, j -> n - j.
+    """
+    n, mu = sums.n, sums.mu
+    return (
+        Piece(1, ONE, 0, 0),
+        Piece(1, ONE, n, n),
+        Piece(1 / mu, (1, 0), 1, n - 1),
+        Piece(mu ** (n - 1), (-1, 0), 1, n - 1),
+        Piece(sums.h, ONE, 1, n - 1),
+    )
+
+
+def piece_rule(sol) -> PieceRule:
+    """One of norm's exact solutions as a PieceRule, its pieces formed in norm's working digits."""
+    with localcontext(norm._CONTEXT):
+        sums = ExpSums(sol.grid.n, sol.layout_sums.mu)
+        return PieceRule(sums, layout(sums), sol.amplitudes, sol.b0, sol.d)
 
 
 def _times(r, s):
@@ -481,7 +614,7 @@ def pair(sums: ExpSums, r1, r2, lo: int, hi: int):
 
 
 def piece_sum(sums: ExpSums, piece, k: int, shift: int):
-    """sum_j j^k e^(shift x_j) piece(j) of a norm._Piece, by geom."""
+    """sum_j j^k e^(shift x_j) piece(j) of a Piece, by geom."""
     return piece.scale * geom(sums, k, (piece.ratio[0], piece.ratio[1] + shift), piece.lo, piece.hi)
 
 
@@ -522,11 +655,11 @@ def kernel_row(sums: ExpSums, r, i: int, lo: int, hi: int):
 
 
 def bordered_solution(n: int):
-    """The exact minimizer by the filtered band and a bordered solve, as an optquad.norm._ExactSolution.
+    """The exact minimizer by the filtered band and a bordered solve, as a PieceRule.
 
     From n = 4 the band (filter_band) holds on every row i = 2 .. n-2, so
     the interior weights are h + A mu^(b-1) + B mu^(n-1-b), mu the root of
-    g1 z^2 + g0 z + g1 inside the unit circle: norm's five pieces.  c_0,
+    g1 z^2 + g0 z + g1 inside the unit circle: norm's five pieces (layout).  c_0,
     c_n, A, B, b0 and d then solve the kernel rows 0, n//3, n - n//3 and n
     and the two constraints, a 6 x 6 system of closed-form sums (ExpSums)
     solved by gauss_solve.  Once the band holds, the kernel rows' residual
@@ -535,19 +668,18 @@ def bordered_solution(n: int):
     weight, one delta per node, and every row is kept.  In norm's working
     digits; mu from the short-lag kernel values carries their
     cancellation, 6.6e-37 relative at n = 10^6.  Its kernel rows are
-    kernel_row's, per piece, and its moments moment_sums'; it has no
-    norm._LayoutSums, since below n = 4 its pieces are not norm's layout.
+    kernel_row's, per piece, and its constraint sums piece_sum's.
     """
     with localcontext(norm._CONTEXT):
         sums = ExpSums(n)
         if n < 4:
-            pieces, kept, free = tuple(norm._Piece(1, ONE, k, k) for k in range(n + 1)), range(n + 1), n + 1
+            pieces, kept, free = tuple(Piece(1, ONE, k, k) for k in range(n + 1)), range(n + 1), n + 1
         else:
             a = sums.exp(1) + sums.exp(-1)
             g0, g1 = filter_band(sums.kernel(1), sums.kernel(2), sums.kernel(3), a)
             kappa = g1 / g0
             sums.mu = -2 * kappa / (1 + (1 - 4 * kappa * kappa).sqrt())
-            pieces, kept, free = norm._layout(sums), (0, n // 3, n - n // 3, n), 4
+            pieces, kept, free = layout(sums), (0, n // 3, n - n // 3, n), 4
         e = sums.exp(n)
         matrix, rhs = [], []
         for i in kept:
@@ -561,9 +693,7 @@ def bordered_solution(n: int):
             matrix.append([*sums_p[:free], Decimal(0), Decimal(0)])
             rhs.append(target - sum(sums_p[free:]))
         *amplitudes, b0, d = gauss_solve(matrix, rhs)
-        amplitudes = (*amplitudes, *[1] * (len(pieces) - free))
-        moments = moment_sums(sums, pieces, amplitudes)
-        return norm._ExactSolution(sums, pieces, amplitudes, None, moments, norm._end_rows(sums, moments), b0, d)
+        return PieceRule(sums, pieces, (*amplitudes, *[1] * (len(pieces) - free)), b0, d)
 
 
 def make_rule(nodes, coefficients) -> QuadratureRule:

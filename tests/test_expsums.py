@@ -1,4 +1,5 @@
 """The generic closed-form range sums (oracles.geom, kernel_row, pair) against brute-force 50-digit sums,
+norm's grid values (norm._grid) and the oracle's other powers of e^h against 120-digit exponentials,
 and norm's straight-line pair sums and the oracle's rows in 56 digits against 90 at n = 10^6."""
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
@@ -8,10 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optquad import norm
-from optquad._expsums import ONE, ExpSums
 
 from highprec import DPS, psi2_ref
-from oracles import geom, kernel_row, pair
+from oracles import ONE, ExpSums, geom, kernel_row, layout, pair
 
 ratios = st.tuples(st.integers(-1, 1), st.integers(-2, 2))
 
@@ -66,19 +66,40 @@ def test_sums_match_brute_force(n, mu, r1, r2, lo, width, i):
         assert abs(pair_sum - ref) <= tol * gross
 
 
-def _ulp(value):
-    """One unit in the last place of value in the current precision."""
-    return Decimal(1).scaleb(value.adjusted() - getcontext().prec + 1)
+def _ulp(value, digits=None):
+    """One unit in the last place of value in digits, by default the current precision."""
+    return Decimal(1).scaleb(value.adjusted() - (digits or getcontext().prec) + 1)
 
 
-@pytest.mark.parametrize("n", [4, 64, 513, 10**6, 10**9])
+@pytest.mark.parametrize("n", [1, 4, 64, 513, 10**6, 10**9])
 def test_powers_of_the_wide_exponential(n):
-    # e^(kh) as a power of the one wide e^h, and 1 - e^(kh) from it, each
-    # within one working ulp of a direct exponential: exp in the working
-    # digits, and a 120-digit expm1 rounded to them
+    # norm's grid values against 120-digit exponentials: e^(+-1), e^(+-h)
+    # and 1 - e^(+-h) each within one working ulp, 10^-55 relative (the
+    # working digits' spacing at 1), and psi_2(1) = (e - 1/e)/4 - 1/2 within
+    # one working ulp of its parts (e + 1/e)/4 + 1/2, which it cancels
+    # about a digit of.  e, e^h and 1 - e^h are powers of the one wide e^h
+    # rounded once, each within one ulp of its own; measured worst 0.45 of
+    # it (e^h at n = 64).  The others take one or two roundings more,
+    # measured worst 6.1e-56 relative (1 - e^-h at n = 10^6) and 2.0e-56 of
+    # psi_2(1)'s parts (n = 513)
+    with localcontext(Context(prec=56)):
+        grid = norm._grid(n)
+    with localcontext(Context(prec=120)):
+        x = Decimal(1) / n
+        ref = {"e": Decimal(1).exp(), "eh": x.exp(), "gap_eh": 1 - x.exp(),
+               "ei": Decimal(-1).exp(), "ehi": (-x).exp(), "gap_ehi": 1 - (-x).exp()}
+        psi_1 = (ref["e"] - ref["ei"]) / 4 - Decimal(1) / 2
+        parts = (ref["e"] + ref["ei"]) / 4 + Decimal(1) / 2
+        for name, value in ref.items():
+            bound = _ulp(value, 56) if name in ("e", "eh", "gap_eh") else Decimal("1e-55") * abs(value)
+            assert abs(getattr(grid, name) - value) <= bound, (n, name)
+        assert abs(grid.psi_1 - psi_1) <= Decimal("1e-55") * parts, n
+    # the oracle's ExpSums forms every other e^(kh) and 1 - e^(kh) the same
+    # way: each within one working ulp of a direct exponential, exp in the
+    # working digits and a 120-digit expm1 rounded to them
     with localcontext(Context(prec=56)):
         sums = ExpSums(n)
-        for k in (1, 2, 3, n // 3, n - n // 3, n, n + 1):
+        for k in sorted({2, 3, n // 3, n - n // 3, n + 1} - {0, 1, n}):
             direct = (Decimal(k) / n).exp()
             assert abs(sums.exp(k) - direct) <= _ulp(direct), (n, k)
             with localcontext(Context(prec=120)):
@@ -118,16 +139,16 @@ _LAYOUT_PAIRS = [(_UP, _UP), (_UP, _DOWN), (_UP, ONE), (ONE, ONE)]
 def _pin(digits, pin):
     kind, r, other = pin
     with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        sums = ExpSums(_PIN_N, _PIN_MU)
         if kind == "row":
-            return kernel_row(sums, r, other, 1, _PIN_N - 1)
-        return norm._pair_sums(sums, norm._layout_sums(sums))[_LAYOUT_PAIRS.index((r, other))]
+            return kernel_row(ExpSums(_PIN_N, _PIN_MU), r, other, 1, _PIN_N - 1)
+        grid = norm._grid(_PIN_N)
+        return norm._pair_sums(grid, norm._layout_sums(grid, _PIN_MU))[_LAYOUT_PAIRS.index((r, other))]
 
 
 def _parts(pin):
     """The pin's sum with psi_2(|i - j| h) replaced by cosh((i - j) h) + (i + j) h
     and r^j by |r^j|, in 90 digits; the sizes of the closed form's terms.  A
-    pair carries its pieces' scales in norm._layout, as norm._pair_sums does."""
+    pair carries its pieces' scales in oracles.layout, as norm._pair_sums does."""
     kind, r, other = pin
     with localcontext(Context(prec=90, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         sums, h = ExpSums(_PIN_N, abs(_PIN_MU)), Decimal(1) / _PIN_N
@@ -139,7 +160,7 @@ def _parts(pin):
             i = other
             return ((sums.exp(i) * s(0, r, -1) + sums.exp(-i) * s(0, r, 1)) / 2
                     + h * (i * s(0, r) + s(1, r)))
-        scale = {p.ratio: p.scale for p in norm._layout(sums)[2:]}
+        scale = {p.ratio: p.scale for p in layout(sums)[2:]}
         return scale[r] * scale[other] * (
             (s(0, r, 1) * s(0, other, -1) + s(0, r, -1) * s(0, other, 1)) / 2
             + h * (s(1, r) * s(0, other) + s(0, r) * s(1, other)))

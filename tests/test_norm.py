@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from optquad import coefficients, norm
-from optquad._expsums import ExpSums
 from optquad.cli import main
 from optquad.coefficients import optimal_coefficients
 from optquad.norm import (
@@ -24,12 +23,10 @@ from optquad.norm import (
     _CONTEXT,
     _coefficient_max_deviation,
     _end_rows,
-    _exact_routes,
     _exact_solution,
     _float_weights_on,
     _fsum,
     _kernel_form,
-    _layout,
     _moment_sums,
     _printed_solution,
     _route1,
@@ -51,6 +48,7 @@ from highprec import (
     theorem2_ref,
 )
 import oracles
+from oracles import ExpSums, layout, piece_rule
 from oracles import make_rule, multipliers_closed_form, norm_peano, norm_quadratic_form, trapezoid_rule
 
 QF_CLOSED_N2 = 2.7556816080848494e-4
@@ -500,7 +498,7 @@ def test_psi2_rows_match_the_toeplitz_sum(n):
         weights = np.array(
             [mp.mpf(rng.getrandbits(130)) / 2**129 - 1 for _ in range(n + 1)], dtype=object
         )
-        exact = piece_weights(sol)
+        exact = piece_weights(piece_rule(sol))
         for c in (weights, exact):
             rows = psi2_rows(x, ep, en, c)
             ref = _toeplitz_rows_ref(n, c)
@@ -516,7 +514,7 @@ def test_refined_solution_solves_the_exact_system(n):
     with localcontext(_CONTEXT):
         sol = _exact_solution(n)
     with mp.workdps(DPS):
-        c = piece_weights(sol)
+        c = piece_weights(piece_rule(sol))
         b0, d = mp.mpf(str(sol.b0)), mp.mpf(str(sol.d))
         x, ep, en, m = mp_grid(n)
         rows = psi2_rows(x, ep, en, c)
@@ -542,8 +540,8 @@ def _trial(n):
     rng = random.Random(n)
     sol = _exact_solution(n)
     amplitudes = tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in sol.amplitudes)
-    moments = _moment_sums(sol.sums, sol.layout_sums, amplitudes)
-    return sol._replace(amplitudes=amplitudes, moments=moments, rows=_end_rows(sol.sums, moments))
+    moments = _moment_sums(sol.grid, sol.layout_sums, amplitudes)
+    return sol._replace(amplitudes=amplitudes, moments=moments, rows=_end_rows(sol.grid, moments))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 4096])
@@ -555,7 +553,7 @@ def test_end_rows_match_the_o_n_rows(n):
         trial = _trial(n)
         rows = trial.rows
     with mp.workdps(DPS):
-        c = piece_weights(trial)
+        c = piece_weights(piece_rule(trial))
         x, ep, en, _ = mp_grid(n)
         ref = psi2_rows(x, ep, en, c)
         gross = psi2_rows(x, ep, en, np.abs(c))  # psi_2 >= 0
@@ -563,19 +561,19 @@ def test_end_rows_match_the_o_n_rows(n):
             assert abs(mp.mpf(str(value)) - ref[i]) <= mp.mpf("1e-35") * gross[i], (n, i)
 
 
-def _row_parts(sol, i):
-    """Row i of sol's weights with psi_2(|i - j| h) replaced by its parts' sizes
+def _row_parts(rule, i):
+    """Row i of the PieceRule's weights with psi_2(|i - j| h) replaced by its parts' sizes
     cosh((i - j) h) + (i + j) h and each piece's terms by their absolute values,
     in 90 digits: the sizes of the terms that either form of the row cancels."""
     with localcontext(Context(prec=90, Emax=MAX_EMAX, Emin=MIN_EMIN)):
-        sums = ExpSums(sol.sums.n, abs(sol.sums.mu))
+        sums = ExpSums(rule.sums.n, abs(rule.sums.mu))
 
         def s(k, piece, shift=0):
             return oracles.geom(sums, k, (piece.ratio[0], piece.ratio[1] + shift), piece.lo, piece.hi)
 
         return sum(abs(a * p.scale) * ((sums.exp(i) * s(0, p, -1) + sums.exp(-i) * s(0, p, 1)) / 2
                                        + sums.h * (i * s(0, p) + s(1, p)))
-                   for a, p in zip(sol.amplitudes, sol.pieces))
+                   for a, p in zip(rule.amplitudes, rule.pieces))
 
 
 @pytest.mark.parametrize("n", [10**6, 10**9])
@@ -586,11 +584,11 @@ def test_end_rows_are_the_one_sided_row_sums(n):
     # their parts; measured worst 2.8e-57 of them (row n at 10^6)
     with localcontext(_CONTEXT):
         trial = _trial(n)
-        rows = trial.rows
-        one_sided = [_fsum(a * p.scale * oracles.kernel_row(trial.sums, p.ratio, i, p.lo, p.hi)
-                           for a, p in zip(trial.amplitudes, trial.pieces)) for i in (0, n)]
+        rows, rule = trial.rows, piece_rule(trial)
+        one_sided = [_fsum(a * p.scale * oracles.kernel_row(rule.sums, p.ratio, i, p.lo, p.hi)
+                           for a, p in zip(rule.amplitudes, rule.pieces)) for i in (0, n)]
     for i, value, ref in zip((0, n), rows, one_sided):
-        assert abs(value - ref) <= Decimal("1e-50") * _row_parts(trial, i), (n, i)
+        assert abs(value - ref) <= Decimal("1e-50") * _row_parts(rule, i), (n, i)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 4096])
@@ -603,7 +601,7 @@ def test_kernel_form_matches_the_o_n_quadratic_form(n):
         trial = _trial(n)
         value = _kernel_form(trial)
     with mp.workdps(DPS):
-        c = piece_weights(trial)
+        c = piece_weights(piece_rule(trial))
         x, ep, en, _ = mp_grid(n)
         ref = mp.fsum(c * psi2_rows(x, ep, en, c))
         gross = mp.fsum(np.abs(c) * psi2_rows(x, ep, en, np.abs(c)))
@@ -621,10 +619,10 @@ _LAYOUT_RATIOS = {"s0": (0, _UP), "s1": (1, _UP), "s2": (2, _UP), "up": (0, (1, 
 
 
 def _generic_layout_sums(n, mu, amplitudes):
-    """({field: S_k}, moments, pairs) of _layout on (n, mu) by the generic range sums
+    """({field: S_k}, moments, pairs) of the five pieces on (n, mu) by the generic range sums
     (oracles.geom, moment_sums and pair), in the current context."""
     sums = ExpSums(n, mu)
-    pieces = _layout(sums)
+    pieces = layout(sums)
     layer, mirror, flat = pieces[2:]
     s = {name: oracles.geom(sums, k, r, 1, n - 1) for name, (k, r) in _LAYOUT_RATIOS.items()}
     moments = oracles.moment_sums(sums, pieces, amplitudes)
@@ -656,20 +654,20 @@ def test_layout_sums_are_the_generic_range_sums(n, mu):
     rng = random.Random(n)
     amplitudes = tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in range(5))
     with localcontext(_CONTEXT):
-        mu = Decimal(rng.uniform(-0.3, -0.2)) if mu == "random" else _printed_solution(n).sums.mu
-        sums = ExpSums(n, mu)
-        ls = norm._layout_sums(sums)
-        moments = _moment_sums(sums, ls, amplitudes)
-        pairs = norm._pair_sums(sums, ls)
+        mu = Decimal(rng.uniform(-0.3, -0.2)) if mu == "random" else _printed_solution(n).layout_sums.mu
+        grid = norm._grid(n)
+        ls = norm._layout_sums(grid, mu)
+        moments = _moment_sums(grid, ls, amplitudes)
+        pairs = norm._pair_sums(grid, ls)
     with localcontext(_WIDE90):
         s, ref_moments, ref_pairs = _generic_layout_sums(n, mu, amplitudes)
         size, size_moments, _ = _generic_layout_sums(n, abs(mu), tuple(map(abs, amplitudes)))
-        e = sums.exp(n)
+        e = grid.e
         c, ep, en, x, xx, _ = size_moments
         size_moments = size_moments._replace(
             moment=(1 + 1 / e) * ep / 4 + (1 + e) * en / 4 + 5 * c / 4 + xx / 2 + x / 2)
         abs_sums = ExpSums(n, abs(mu))
-        layer, mirror, flat = _layout(abs_sums)[2:]
+        layer, mirror, flat = layout(abs_sums)[2:]
         size_pairs = [_pair_parts(abs_sums, p, q)
                       for p, q in ((layer, layer), (layer, mirror), (layer, flat), (flat, flat))]
         tol = Decimal("1e-45")
@@ -687,10 +685,10 @@ _PIN_N, _PIN_MU = 10**6, Decimal("-0.27")  # test_expsums' pin, near the grids' 
 def _pinned_layout(context, mu, amplitudes):
     """_layout_sums, _moment_sums and _end_rows on (_PIN_N, mu) with these amplitudes, in context."""
     with localcontext(context):
-        sums = ExpSums(_PIN_N, mu)
-        ls = norm._layout_sums(sums)
-        moments = _moment_sums(sums, ls, amplitudes)
-        return ls, moments, _end_rows(sums, moments)
+        grid = norm._grid(_PIN_N)
+        ls = norm._layout_sums(grid, mu)
+        moments = _moment_sums(grid, ls, amplitudes)
+        return ls, moments, _end_rows(grid, moments)
 
 
 def test_layout_sums_keep_56_digits_at_a_million():
@@ -708,7 +706,7 @@ def test_layout_sums_keep_56_digits_at_a_million():
     ref_ls, ref_moments, ref_rows = _pinned_layout(_WIDE90, _PIN_MU, amplitudes)
     _, size, _ = _pinned_layout(_WIDE90, abs(_PIN_MU), tuple(map(abs, amplitudes)))
     with localcontext(_WIDE90):
-        e = ExpSums(_PIN_N).exp(_PIN_N)
+        e = norm._grid(_PIN_N).e
         size = size._replace(
             moment=(1 + 1 / e) * size.ep / 4 + (1 + e) * size.en / 4 + 5 * size.c / 4 + size.xx / 2 + size.x / 2)
         row_sizes = ((size.ep + size.en) / 4 + size.x / 2, (e * size.en + size.ep / e) / 4 + (size.c + size.x) / 2)
@@ -737,9 +735,10 @@ def _assert_closed_form_is_the_bordered_solve(n, rtol):
             gap = float(max(abs(a - b) / abs(b) for a, b in zip(sol.amplitudes, ref.amplitudes)))
         else:
             with mp.workdps(DPS):
-                gap = float(max(abs(a - b) / abs(b) for a, b in zip(piece_weights(sol), piece_weights(ref))))
+                gap = float(max(abs(a - b) / abs(b)
+                                for a, b in zip(piece_weights(piece_rule(sol)), piece_weights(ref))))
         assert gap <= rtol, (n, gap)
-        e = sol.sums.exp(n)
+        e = sol.grid.e
         scale = (e + 1 / e - 3) / 4  # moment(0)
         assert max(abs(sol.b0 - ref.b0), abs(sol.d - ref.d)) <= Decimal("1e-50") * scale, n
 
@@ -763,7 +762,7 @@ def test_mu_is_its_closed_form(n):
     # mu = -s + sqrt(s^2 - 1), s = (h cosh h - sinh h)/(sinh h - h), in
     # 120-digit mpmath; measured worst 1.7e-56, at n = 4 (1.1e-56 at n = 1)
     with localcontext(_CONTEXT):
-        mu = _exact_solution(n).sums.mu
+        mu = _exact_solution(n).layout_sums.mu
     with mp.workdps(120):
         h = mp.mpf(1) / n
         s = (h * mp.cosh(h) - mp.sinh(h)) / (mp.sinh(h) - h)
@@ -793,7 +792,7 @@ def test_exact_solution_weights_are_the_splines():
         with localcontext(_CONTEXT):
             sol = _exact_solution(n)
         with mp.workdps(DPS):
-            worst = max(abs(a - b) / abs(b) for a, b in zip(piece_weights(sol), _spline(n)))
+            worst = max(abs(a - b) / abs(b) for a, b in zip(piece_weights(piece_rule(sol)), _spline(n)))
         assert worst <= mp.mpf("1e-45"), (n, worst)
 
 
@@ -810,9 +809,9 @@ ROUTE1_80_DIGITS = {
 def test_route1_matches_80_digit_values(n):
     # O(1) work; measured 3.0e-30 relative at 10^6 and 7.7e-27 at 4e6.
     # e^(kh) formed as (e^h)^k in the working digits alone is 3e-23 off
-    # at 10^6 and 7e-21 at 4e6, so ExpSums takes it in guard digits
+    # at 10^6 and 7e-21 at 4e6, so the grid (_grid) takes it in guard digits
     with localcontext(_CONTEXT):
-        qf = _exact_routes(_exact_solution(n))[0]
+        qf = _route1(_exact_solution(n))
         ref = Decimal(ROUTE1_80_DIGITS[n])
         assert abs(qf - ref) <= Decimal("1e-23") * ref
 
@@ -820,7 +819,7 @@ def test_route1_matches_80_digit_values(n):
 def test_report_exact_work_does_not_grow_with_n(monkeypatch):
     # every high-precision operation of the report is a closed-form sum:
     # the Python lines that the exact solve and routes and the printed
-    # rule's norm run, ExpSums and every other helper included, are as
+    # rule's norm run, _grid and every other helper included, are as
     # many at every n on either side of the cap, where an O(n) decimal loop
     # would add lines per node (measured 3552 per report and 1414 for the
     # printed rule's norm alone, at each n)
@@ -841,7 +840,7 @@ def test_report_exact_work_does_not_grow_with_n(monkeypatch):
                 sys.settrace(outer)
         return wrapper
 
-    for name in ("_exact_solution", "_exact_routes", "closed_rule_norm"):
+    for name in ("_exact_solution", "_route1", "_route2", "_route3", "closed_rule_norm"):
         monkeypatch.setattr(norm, name, traced(getattr(norm, name)))
     for run, ns in ((build_report, (64, 512, DENSE_MAX_N + 1, 100_000)),
                     (norm.closed_rule_norm, (64, 512, 100_000, 10**7))):
@@ -864,7 +863,8 @@ def _assert_window_weights_are_the_numpy_form(sol, n):
     for first, last in [(0, n)] if n <= 2048 else [(0, 1000), (n - 1000, n)]:
         np.testing.assert_array_equal(
             np.array(_float_weights_on(sol, first, last)).view(np.uint64),
-            oracles.float_weights_on(sol, first, last).view(np.uint64), err_msg=f"{n} {first}..{last}")
+            oracles.float_weights_on(piece_rule(sol), first, last).view(np.uint64),
+            err_msg=f"{n} {first}..{last}")
 
 
 @functools.cache
@@ -878,7 +878,7 @@ def _oracle_weights(n):
     """
     with localcontext(_CONTEXT):
         sol = _exact_solution(n)
-        weights = oracles.float_weights(sol)
+        weights = oracles.float_weights(piece_rule(sol))
     middle = weights[n // 2]
     other = np.flatnonzero(weights.view(np.uint64) != middle.view(np.uint64))
     return sol, middle, other, weights[other]
@@ -948,7 +948,7 @@ def test_every_layer_is_below_an_eighth_ulp_past_its_window(n):
         sol = _exact_solution(n)
         wm = _window_width(sol)
         _, _, a, b, _ = sol.amplitudes
-        mu = sol.sums.mu
+        mu = sol.layout_sums.mu
     with localcontext(prec=60):
         tiny = Decimal(math.ulp(sc.h)) / 8
         q = Decimal(sc.q)
@@ -961,20 +961,22 @@ def test_every_layer_is_below_an_eighth_ulp_past_its_window(n):
 
 @pytest.mark.parametrize("n", [64, 10**7])
 def test_one_exponential_per_grid(monkeypatch, n):
-    # every e^(kh) and 1 - e^(bh) of a grid is a power of one wide e^h
+    # every e^(kh) and 1 - e^(bh) of a grid is a power of one wide e^h,
+    # the one Decimal.exp of _grid: one grid per rule, the minimizer's and
+    # the printed rule's
     made = []
-    wide_eh = ExpSums.wide_eh
+    grid = norm._grid
 
-    def counted(self):
-        made.append(self)  # held, so no two instances share an id
-        return wide_eh(self)
+    def counted(m):
+        made.append(m)
+        return grid(m)
 
-    monkeypatch.setattr(ExpSums, "wide_eh", counted)
+    monkeypatch.setattr(norm, "_grid", counted)
     build_report(n)
-    assert len(made) <= 2 and len({id(sums) for sums in made}) == len(made)
+    assert made == [n, n]
     made.clear()
     closed_rule_norm(n)
-    assert len(made) <= 1
+    assert made == [n]
 
 
 def test_build_report_allocates_no_o_n_array():

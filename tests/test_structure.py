@@ -4,10 +4,11 @@ Each module keeps its `_`-prefixed names to itself, every name a module
 lists in `__all__` exists and is reachable from `cli.main`, importing the
 package loads no scipy, a norm report loads no mpmath, importing the
 package, every norm route and validate load no numpy, no module imports
-dataclasses and no command loads it, apply and convergence load no
-kernel, and no module defines the generic range sums geom, pair or
-_expansion.  The source is parsed rather than imported where it can be,
-because importing `__main__` runs the CLI.
+dataclasses and no command loads it, no module defines a class (every
+record is a namedtuple), apply and convergence load no kernel, and no
+module defines the generic range sums geom, pair or _expansion.  The
+source is parsed rather than imported where it can be, because importing
+`__main__` runs the CLI.
 """
 import ast
 import importlib
@@ -62,6 +63,17 @@ def test_no_module_imports_dataclasses():
                 continue
             found += [f"{path.name}: {name}" for name in names
                       if name.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def test_no_module_defines_a_class():
+    # every record in the package is a namedtuple, read with _asdict(),
+    # _replace() and _fields, so no value is set on a record after it is
+    # made; at any nesting
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}: {node.name}" for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
     assert found == []
 
 

@@ -15,7 +15,15 @@ from optquad.spectral import DENSE_MAX_N
 from optquad.wiener_hopf import solve_uniform
 
 from highprec import DPS, moment_ref, mp_grid, piece_weights, psi2_ref, psi2_rows
-from oracles import SingularSystemError, _equilibrated_solve, build_system, filter_band, make_rule, solve_dense
+from oracles import (
+    SingularSystemError,
+    _equilibrated_solve,
+    build_system,
+    filter_band,
+    make_rule,
+    piece_rule,
+    solve_dense,
+)
 
 # Frozen 50-digit dense solution of the uniform 3-node system.
 DENSE_C_N2 = [0.18147809599809316, 0.62654229512702072, 0.19197960887488613]
@@ -155,7 +163,7 @@ def test_solve_uniform_is_closer_to_the_minimizer_than_the_dense_solve():
         with localcontext(_CONTEXT):
             sol = _exact_solution(n)
         with mp.workdps(DPS):
-            ref = piece_weights(sol).astype(float)
+            ref = piece_weights(piece_rule(sol)).astype(float)
         scale = np.abs(ref).max()
         err = np.abs(solve_uniform(n).c - ref).max() / scale
         dense = np.abs(solve_dense(np.linspace(0.0, 1.0, n + 1)).c - ref).max() / scale
@@ -174,7 +182,7 @@ def test_coeffs_system_multipliers_match_60_digits(capsys, n):
         sol = _exact_solution(n)
     with mp.workdps(60):
         x, ep, en, m = mp_grid(n)
-        rows = psi2_rows(x, ep, en, piece_weights(sol))
+        rows = psi2_rows(x, ep, en, piece_weights(piece_rule(sol)))
         lhs0, lhsn = m[0] - rows[0], m[n] - rows[n]
         d = (lhs0 - lhsn) / (1 - en[n])
         b0 = lhs0 - d
