@@ -567,18 +567,23 @@ def _route3(sol: _ExactSolution):
 _REDUCED_ROUTES = {"multiplier": _route2, "expanded": _route3}
 
 
-def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> list[float]:
-    """The weights in float64 from the Decimal amplitudes, at the nodes first..last.
+def _float_weights_on(sol: _ExactSolution, windows) -> list[list[float]]:
+    """The weights in float64 from the Decimal amplitudes, at the nodes first..last of each window.
 
-    c_0 and c_n are rounded at the nodes 0 and n.  Each layer is anchored
-    at its end of 1 .. n-1 where it is largest, mu^(j-1) at node 1 and
-    mu^(n-1-j) at node n - 1, and stepped from there by its float64 ratio,
-    ratio ** (distance from the anchor), so nothing overflows: between the
-    deltas the weight is ((0.0 + A' r_a^(j-1)) + B' r_b^(n-1-j)) + float(C h),
-    A' and B' the layers' rounded starts.  r_a is mu and r_b is 1/(1/mu),
-    both negative, whose powers libm's pow and numpy's power form alike.
-    A power that underflows adds an exact 0.0, which leaves every weight
-    as it is (none is ever -0.0).
+    windows are (first, last) pairs; the layers' float64 starts are
+    formed once for all of them.  c_0 and c_n are rounded at the nodes 0
+    and n.  Each layer is anchored at its end of 1 .. n-1 where it is
+    largest, mu^(j-1) at node 1 and mu^(n-1-j) at node n - 1, and stepped
+    from there by its float64 ratio, ratio ** (distance from the anchor),
+    so nothing overflows: between the deltas the weight is
+    ((0.0 + A' r_a^(j-1)) + B' r_b^(n-1-j)) + float(C h).  The starts A'
+    and B' are the amplitude times the piece's scale (1/mu, mu^(n-1))
+    times the ratio's power at the anchor (mu, mu^-(n-1)), and r_a and
+    r_b are mu and 1/(1/mu), each rounded in the working digits as the
+    tests' piece form (oracles.float_weights_on) rounds them, so the two
+    agree bit for bit.  Both ratios are negative, and libm's pow and
+    numpy's power form their powers alike.  A power that underflows adds
+    an exact 0.0, which leaves every weight as it is (none is ever -0.0).
     """
     n, ls = sol.grid.n, sol.layout_sums
     mu = ls.mu
@@ -586,9 +591,9 @@ def _float_weights_on(sol: _ExactSolution, first: int, last: int) -> list[float]
     r_a, start_a = float(mu), float(a * ls.inv * mu)
     r_b, start_b = float(1 / mu**-1), float(b * mu ** (n - 1) * mu ** -(n - 1))
     flat = float(c * sol.grid.h)
-    return [float(c_0) if j == 0 else float(c_n) if j == n
-            else ((0.0 + start_a * r_a ** (j - 1)) + start_b * r_b ** (n - 1 - j)) + flat
-            for j in range(first, last + 1)]
+    return [[float(c_0) if j == 0 else float(c_n) if j == n
+             else ((0.0 + start_a * r_a ** (j - 1)) + start_b * r_b ** (n - 1 - j)) + flat
+             for j in range(first, last + 1)] for first, last in windows]
 
 
 def _window_width(sol: _ExactSolution) -> int:
@@ -612,10 +617,11 @@ def _coefficient_max_deviation(sol: _ExactSolution) -> float:
     """
     n = sol.grid.n
     sc = constants(n)
+    windows = end_windows(n, max(_window_width(sol), closed_width(sc)))
     return max(
         abs(x - y)
-        for first, last in end_windows(n, max(_window_width(sol), closed_width(sc)))
-        for x, y in zip(_float_weights_on(sol, first, last), closed_weights(sc, first, last))
+        for (first, last), weights in zip(windows, _float_weights_on(sol, windows))
+        for x, y in zip(weights, closed_weights(sc, first, last))
     )
 
 
@@ -659,8 +665,9 @@ def minimizer_weights(n: int) -> tuple[list[float], float, float]:
     with localcontext(_CONTEXT):
         sol = _exact_solution(n)
         c = [float(sol.grid.h)] * (n + 1)
-        for first, last in end_windows(n, _window_width(sol)):
-            c[first:last + 1] = _float_weights_on(sol, first, last)
+        windows = end_windows(n, _window_width(sol))
+        for (first, last), weights in zip(windows, _float_weights_on(sol, windows)):
+            c[first:last + 1] = weights
         return c, float(sol.b0), float(sol.d)
 
 

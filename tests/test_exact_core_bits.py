@@ -60,8 +60,9 @@ def _windows(n: int) -> list[tuple[int, int, list[float]]]:
     """[(first, last, weights)]: minimizer_weights(n)'s end windows, formed as it forms them; O(1)."""
     with localcontext(_CONTEXT):
         sol = _exact_solution(n)
-        return [(first, last, _float_weights_on(sol, first, last))
-                for first, last in end_windows(n, _window_width(sol))]
+        windows = end_windows(n, _window_width(sol))
+        return [(first, last, weights)
+                for (first, last), weights in zip(windows, _float_weights_on(sol, windows))]
 
 
 def _fields(n: int, weights: bool) -> dict:

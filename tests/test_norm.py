@@ -860,11 +860,11 @@ def _assert_window_weights_are_the_numpy_form(sol, n):
     # the Python-float window weights against the numpy array form they
     # replace, on the whole grid up to 2048 and past both end windows above
     # (equal bit patterns: equal float.hex)
-    for first, last in [(0, n)] if n <= 2048 else [(0, 1000), (n - 1000, n)]:
+    windows, rule = [(0, n)] if n <= 2048 else [(0, 1000), (n - 1000, n)], piece_rule(sol)
+    for (first, last), weights in zip(windows, _float_weights_on(sol, windows)):
         np.testing.assert_array_equal(
-            np.array(_float_weights_on(sol, first, last)).view(np.uint64),
-            oracles.float_weights_on(piece_rule(sol), first, last).view(np.uint64),
-            err_msg=f"{n} {first}..{last}")
+            np.array(weights).view(np.uint64),
+            oracles.float_weights_on(rule, first, last).view(np.uint64), err_msg=f"{n} {first}..{last}")
 
 
 @functools.cache
