@@ -659,12 +659,12 @@ def bordered_solution(n: int):
 
     From n = 4 the band (filter_band) holds on every row i = 2 .. n-2, so
     the interior weights are h + A mu^(b-1) + B mu^(n-1-b), mu the root of
-    g1 z^2 + g0 z + g1 inside the unit circle: norm's five pieces (layout).  c_0,
-    c_n, A, B, b0 and d then solve the kernel rows 0, n//3, n - n//3 and n
-    and the two constraints, a 6 x 6 system of closed-form sums (ExpSums)
-    solved by gauss_solve.  Once the band holds, the kernel rows' residual
-    is a combination of 1, x, e^x and e^-x over the nodes, so any four
-    rows fix the same solution.  Below n = 4 the unknowns are every
+    g1 z^2 + g0 z + g1 inside the unit circle: norm's five pieces
+    (layout).  c_0, c_n, A, B, b0 and d then solve the kernel rows 0, n//3,
+    n - n//3 and n and the two constraints, a 6 x 6 system of closed-form
+    sums (ExpSums) solved by gauss_solve.  Once the band holds, the kernel
+    rows' residual is a combination of 1, x, e^x and e^-x over the nodes,
+    so any four rows fix the same solution.  Below n = 4 the unknowns are every
     weight, one delta per node, and every row is kept.  In norm's working
     digits; mu from the short-lag kernel values carries their
     cancellation, 6.6e-37 relative at n = 10^6.  Its kernel rows are

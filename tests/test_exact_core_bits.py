@@ -10,7 +10,8 @@ the fields that are O(1) to form, at every n of LARGE as well:
   multiplier_routes(n, "multiplier") and multiplier_routes(n, "expanded");
   minimizer_weights(n)'s b0, d and every weight (GRIDS only);
   minimizer_weights(n)'s two end windows (LARGE only), formed as it forms
-  them but without its O(n) list of weights, float(h) between them.
+  them but without its O(n) list of weights, which is float(h) between
+  the windows.
 
 minimizer_audit's rel_diff_qf_* are left out: they are the rounding noise
 of 56-digit sums that agree to about 1e-41, and move with the order of
