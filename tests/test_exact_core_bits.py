@@ -13,6 +13,11 @@ the fields that are O(1) to form, at every n of LARGE as well:
   them but without its O(n) list of weights, which is float(h) between
   the windows.
 
+A second set of digests pins the grid record the routes read,
+norm._grid(n) in the working context at every n of GRIDS and LARGE: one
+per _Grid field, over str() of each Decimal (its exact coefficient and
+exponent) and the digits, exponent range and rounding of wide.
+
 minimizer_audit's rel_diff_qf_* are left out: they are the rounding noise
 of 56-digit sums that agree to about 1e-41, and move with the order of
 the sums.  A change that moves a field on purpose records the old and new
@@ -21,12 +26,14 @@ digests and why in CHANGES.md; print the digests with
     PYTHONPATH=src python tests/test_exact_core_bits.py
 """
 import hashlib
-from decimal import localcontext
+from decimal import Context, localcontext
 
 from optquad.norm import (
     _CONTEXT,
+    _Grid,
     _exact_solution,
     _float_weights_on,
+    _grid,
     _window_width,
     closed_rule_norm,
     minimizer_audit,
@@ -54,6 +61,21 @@ DIGESTS = {
     "weights": "e26af65aac44e3b7a105505f9f881a806359f83ef839f45a670898ecbd72c53a",
     # recorded at the commit before the grid's values were formed straight-line
     "windows": "c0c9095cfebc9911a9606bf33625992b2f865b7dc1a9863c1bf1cbbbe046a978",
+}
+
+# recorded at the commit before e^h was summed in integers
+GRID_DIGESTS = {
+    "grid.n": "a61e69a6cc0924fa2b72b4b16d5d42f88b3ca332f4cf792a1f2f444175d443a8",
+    "grid.h": "62770f089761f474faea884b778e23616ff056ec237c739d8fd6b2f838de5035",
+    "grid.wide": "6a70397f68862d65993b76a390f808f8e40bc1a069087042c50b41592f38ea09",
+    "grid.wide_eh": "4cae0e23ca0a2bf5b3ab4b2fcea8feb28ad058254ff557eb89d2cf046847e7ad",
+    "grid.e": "1201a110b83ed9d6033c9a05c4b72163b5f23e4bd471373cf6456d818af22410",
+    "grid.ei": "310e414bdabf450d14764194baa12985c62ad1c328086ae1dee5ac8ede969320",
+    "grid.eh": "f167da20ff122106d1553a3ad18323aaec5e3ce235957f4b322270826b972085",
+    "grid.ehi": "ac0ed3a2040543763cfd2a1bb6dc8edb3743941290ed09dfe90d171317f4b883",
+    "grid.gap_eh": "b69e9abfaaeadacf5650685d04cbb1cdc426e8215742989be720ea1f50b48a71",
+    "grid.gap_ehi": "36ba504c08cebb5c73b2a8718e2f341fe24aabb3a8b501eab207817abb41b298",
+    "grid.psi_1": "e871aff065501dd600894db8ed91a27edf0c6c7674b1b97824d2f457e018059a",
 }
 
 
@@ -96,8 +118,29 @@ def digests() -> dict:
     return {name: h.hexdigest() for name, h in sorted(hashes.items())}
 
 
+def _grid_line(value) -> str:
+    if isinstance(value, Context):
+        return f"{value.prec} {value.Emin} {value.Emax} {value.rounding}"
+    return str(value)
+
+
+def grid_digests() -> dict:
+    """{"grid.field": SHA-256 hex digest of 'n value' lines over every n}, value as _grid_line writes it."""
+    hashes = {name: hashlib.sha256() for name in _Grid._fields}
+    for n in (*GRIDS, *LARGE):
+        with localcontext(_CONTEXT):
+            grid = _grid(n)
+        for name, value in zip(_Grid._fields, grid):
+            hashes[name].update(f"{n} {_grid_line(value)}\n".encode())
+    return {f"grid.{name}": h.hexdigest() for name, h in hashes.items()}
+
+
 def test_exact_core_is_bit_identical():
     assert digests() == DIGESTS
+
+
+def test_grid_is_digit_identical():
+    assert grid_digests() == GRID_DIGESTS
 
 
 def test_windows_are_minimizer_weights_own():
@@ -113,5 +156,5 @@ def test_windows_are_minimizer_weights_own():
 
 
 if __name__ == "__main__":
-    for name, digest in digests().items():
+    for name, digest in (*digests().items(), *grid_digests().items()):
         print(f'    "{name}": "{digest}",')

@@ -41,7 +41,12 @@ CASES = {
     "coeffs_system_n256.csv": (["coeffs", "--method", "system", "--n", "256", "--format", "csv"], 0),
     "norm_n512_multiplier.json": (["norm", "--methods", "multiplier", "--n", "512"], 0),
     "norm_n384_expanded.json": (["norm", "--methods", "expanded", "--n", "384"], 0),
+    # the benchmark's report ops
+    "norm_n64.json": (["norm", "--methods", "all", "--n", "64"], 0),
+    "norm_n128.json": (["norm", "--methods", "all", "--n", "128"], 0),
+    "norm_n256.json": (["norm", "--methods", "all", "--n", "256"], 0),
     # exit 1 by design: the printed weights fail coefficient_agreement
+    "validate_n16.txt": (["validate", "--max-n", "16", "--tol", "1e-9"], 1),
     "validate_n8.txt": (["validate", "--max-n", "8", "--tol", "1e-9"], 1),
     "convergence_sin.json": (["convergence", "--n-list", "2,4,8,16", "--function", "sin"], 0),
     "convergence.csv": (["convergence", "--n-list", "2,4,8,16", "--format", "csv"], 0),
