@@ -247,7 +247,10 @@ def cmd_validate(args) -> int:
         raise ValueError("--tol must be positive")
 
     rng = random.Random(1234)
-    pairs = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(20)]
+    em1 = math.expm1(-1.0)  # the exact sum of c e^(-x), e^(-1) - 1
+    # each pair (a, b) with its exact a s1 + b s2 and the scale |a| + |b|
+    pairs = [(a, b, a - b * em1, abs(a) + abs(b))
+             for a, b in [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(20)]]
     coef = cons = route = exact = 0.0
     for n in range(1, max_n + 1):
         sc = constants(n)
@@ -258,10 +261,9 @@ def cmd_validate(args) -> int:
         # the constraint sums, compensated, at the nodes of optimal_coefficients(n)
         e_neg = map(math.exp, [-j * sc.h for j in range(n)] + [-1.0])
         s1, s2 = math.fsum(c), math.fsum(map(operator.mul, c, e_neg))
-        cons = max(cons, abs(s1 - 1.0), abs(s2 + math.expm1(-1.0)))
-        for a, b in pairs:
-            err = abs(a * s1 + b * s2 - (a - b * math.expm1(-1.0)))
-            exact = max(exact, err / (abs(a) + abs(b)))
+        cons = max(cons, abs(s1 - 1.0), abs(s2 + em1))
+        for a, b, target, scale in pairs:
+            exact = max(exact, abs(a * s1 + b * s2 - target) / scale)
     checks = [
         ("coefficient_agreement", coef),
         ("constraint_residuals", cons),
@@ -271,15 +273,19 @@ def cmd_validate(args) -> int:
 
     rng = random.Random(4321)
     worst = 0.0
+    # g = 1 .. 49 as floats, each exactly g: float ** float and float * float
+    # take the same doubles as with an int g, without converting it each time
+    exponents = [float(g) for g in range(1, 50)]
     for _ in range(200):
         lam = 0.0
         while abs(lam) < 1e-3:
             lam = rng.uniform(-0.9, 0.9)
         n = rng.randint(2, 50)
         s1, s2 = geometric_sums(lam, n)
-        terms = [lam**g * g for g in range(1, n)]
+        gs = exponents[:n - 1]
+        terms = [lam**g * g for g in gs]
         ref1 = math.fsum(terms)
-        ref2 = math.fsum(map(operator.mul, terms, range(1, n)))  # the g^2 terms, t * g
+        ref2 = math.fsum(map(operator.mul, terms, gs))  # the g^2 terms, t * g
         worst = max(
             worst,
             abs(s1 - ref1) / max(abs(ref1), 1e-300),

@@ -53,9 +53,11 @@ path with no size cap.  Route 1 sums terms near 1 down to about
 h^4/720, which costs about 4 log10 n + 3 digits (27 at n = 10^6); 56
 digits leave room for that well past n = 10^6.  Each grid's values are
 formed once, straight-line, into one record (_grid): its guard-digit
-context, 4 digits(n) + 12 past the working digits, the one Decimal.exp
-there, of e^h, and from it e^(+-1), e^(+-h), 1 - e^(+-h) and psi_2(1);
-e, e^h and 1 - e^h are formed there and rounded once.  The printed
+context, 4 digits(n) + 12 past the working digits, e^h there, the
+grid's one exponential, correctly rounded from a short integer Taylor
+sum (_exp_reciprocal; Brent, JACM 23, 1976, with Ziv's rounding test,
+ACM TOMS 17, 1991), and from it e^(+-1), e^(+-h), 1 - e^(+-h) and
+psi_2(1); e, e^h and 1 - e^h are formed there and rounded once.  The printed
 rule has the same pieces with q = 1/lambda1 for mu, its constants
 formed in the same context, so its norm (closed_rule_norm) is route 1
 from the same moment and pair sums, and coefficient_max_deviation reads both float64
@@ -80,6 +82,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import reduce
+from itertools import accumulate, chain, count, takewhile
+from operator import floordiv
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
 from .spectral import closed_weights, closed_width, constants, end_windows, layer_width
@@ -100,6 +104,7 @@ __all__ = [
 CONSISTENCY_RTOL = 1e-6
 
 _TINY = 1e-300
+_DECIMAL_TINY = Decimal(_TINY)  # its exact 756-digit value, converted once
 
 def double_moment(kind=float):
     """Integral of the m=2 kernel over the unit square: sinh(1) - 7/6.
@@ -157,8 +162,8 @@ NormReport.__doc__ = "The four routes at one n, their gaps and verdict, and the 
 
 
 def _rel_diff(a, b):
-    """|a - b| / max(|a|, |b|) in the type of a, float or Decimal."""
-    return abs(a - b) / max(abs(a), abs(b), type(a)(_TINY))
+    """|a - b| / max(|a|, |b|, 1e-300) in the type of a, float or Decimal."""
+    return abs(a - b) / max(abs(a), abs(b), _DECIMAL_TINY if isinstance(a, Decimal) else _TINY)
 
 
 def _verdict(d_mult: float, d_expanded: float, d_thm2: float) -> str:
@@ -289,22 +294,65 @@ rule (_printed_solution) has none.
 """
 
 
+# The guard digits of _exp_reciprocal's first integer sum, and of each retry.
+_EXP_GUARD = 8
+
+
+def _exp_reciprocal(n: int, r: Decimal, wide: Context, guard: int = _EXP_GUARD) -> Decimal:
+    """e^r correctly rounded in wide, where r is 1/n rounded in wide; O(1) decimal work.
+
+    The digits Decimal.exp gives, r.exp() in wide, from integer sums and
+    without its argument reduction.  With p = wide.prec and g = p + guard
+    fraction digits, the terms T_0 = 10^g and T_j = floor(T_(j-1) / (j n))
+    of 10^g e^(1/n) are summed, S, up to the last nonzero one, T_K, by C
+    iterators: no Python loop runs once per term.  The bracket follows
+    from the truncation, nothing in it is tuned:
+
+      * each floor leaves T_j below its exact term t_j by
+        e_j < 1 + e_(j-1)/(j n) < 2, and t_(K+1) = e_(K+1) < 2 starts a
+        tail of ratio at most 1/(3n), so 0 <= 10^g e^(1/n) - S < 2K + 3;
+      * r = a/b is 1/n rounded, delta = r - 1/n = (a n - b)/(n b) exactly,
+        and |delta| < 10^-p (r < 1 from n = 2; r = 1 at n = 1);
+      * 10^g e^r = (10^g e^(1/n)) e^delta lies at or above
+        L = S + floor(S delta) and below L + 2K + 6: the floor's remainder
+        (< 1), S (e^delta - 1 - delta) (< 1 while guard < p) and
+        (2K + 3) e^delta (< 2K + 4) are all nonnegative.
+
+    Rounding is monotone, so when L and L + 2K + 6 round to one value in
+    wide, e^r rounds to it too (Ziv's test).  Otherwise e^r lies within
+    2K + 6 units of a rounding boundary, about 10^-7 of a result ulp at
+    the default guard, and the sum is taken again with _EXP_GUARD more
+    digits; e^r is transcendental, never on a boundary, so the retries
+    end.  wide rounds half-even, as every context of the package does and
+    as Decimal.exp always rounds.
+    """
+    g = wide.prec + guard
+    terms = list(takewhile(bool, accumulate(chain((10**g,), count(n, n)), floordiv)))
+    total = sum(terms)
+    a, b = r.as_integer_ratio()
+    low = total + total * (a * n - b) // (n * b)
+    lo, hi = wide.create_decimal(low), wide.create_decimal(low + 2 * len(terms) + 4)
+    if lo != hi:
+        return _exp_reciprocal(n, r, wide, guard + _EXP_GUARD)
+    return wide.scaleb(lo, -g)
+
+
 def _grid(n: int) -> _Grid:
-    """The _Grid of n in the current context; straight-line, one Decimal.exp.
+    """The _Grid of n in the current context; straight-line, O(1).
 
     wide is the working precision plus 4 digits(n) + 12, and e^h is taken
-    there.  e^h and e = e^(nh), its integer power n in wide, are rounded
-    once to the working precision, and e^(-kh) is 1 / e^(kh).  1 - e^h
-    cancels about log10 n digits, so it is formed in wide too, and
+    there, correctly rounded, from integer sums (_exp_reciprocal).  e^h
+    and e = e^(nh), its integer power n in wide, are rounded once to the
+    working precision, and e^(-kh) is 1 / e^(kh).  1 - e^h cancels about
+    log10 n digits, so it is formed in wide too, and
     1 - e^-h = -(1 - e^h) e^-h.  The power's relative error is about n
     guard-digit ulps: 10^-98 at n = 10^9 in 56 working digits, far below
     one working ulp.
     """
     wide = getcontext().copy()
     wide.prec += 4 * len(str(n)) + 12
-    with localcontext(wide):
-        wide_eh = (1 / Decimal(n)).exp()
-        e, expm1 = wide_eh**n, wide_eh - 1
+    wide_eh = _exp_reciprocal(n, wide.divide(1, n), wide)
+    e, expm1 = wide.power(wide_eh, n), wide.subtract(wide_eh, 1)
     h = Decimal(1) / n
     e, eh = +e, +wide_eh  # the unary plus rounds to the working precision
     ei, ehi = 1 / e, 1 / eh

@@ -1,5 +1,6 @@
 """The generic closed-form range sums (oracles.geom, kernel_row, pair) against brute-force 50-digit sums,
 norm's grid values (norm._grid) and the oracle's other powers of e^h against 120-digit exponentials,
+norm's integer-sum e^h against Decimal.exp, digit for digit,
 and norm's straight-line pair sums and the oracle's rows in 56 digits against 90 at n = 10^6."""
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 
@@ -78,6 +79,7 @@ def test_powers_of_the_wide_exponential(n):
     # working digits' spacing at 1), and psi_2(1) = (e - 1/e)/4 - 1/2 within
     # one working ulp of its parts (e + 1/e)/4 + 1/2, which it cancels
     # about a digit of.  e, e^h and 1 - e^h are powers of the one wide e^h
+    # (norm._exp_reciprocal, an integer sum correctly rounded in wide)
     # rounded once, each within one ulp of its own; measured worst 0.45 of
     # it (e^h at n = 64).  The others take one or two roundings more,
     # measured worst 6.1e-56 relative (1 - e^-h at n = 10^6) and 2.0e-56 of
@@ -106,6 +108,46 @@ def test_powers_of_the_wide_exponential(n):
                 gap = -((Decimal(k) / n).exp() - 1)
             gap = +gap
             assert abs(sums.gap((0, k)) - gap) <= _ulp(gap), (n, k)
+
+
+_EXP_NS = (*range(1, 4097), 12345, *(10**k for k in range(4, 10)), *(10**k + 1 for k in range(4, 10)),
+           *(2**k for k in range(12, 30)))
+
+
+@pytest.mark.parametrize("digits", [56, 80, 90, 110])
+def test_grid_exponential_is_decimal_exp(digits):
+    # norm._grid takes e^h from integer sums; Decimal.exp rounds the same
+    # argument, 1/n rounded in wide, correctly too, so the two agree digit
+    # for digit (as strings: the same coefficient and exponent) at the
+    # working 56 digits and at the tests' wider references
+    for n in _EXP_NS:
+        with localcontext(Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+            grid = norm._grid(n)
+        with localcontext(grid.wide):
+            assert str(grid.wide_eh) == str((1 / Decimal(n)).exp()), (digits, n)
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 1000, 10**9])
+def test_exp_reciprocal_retries_a_bracket_that_straddles(monkeypatch, n):
+    # with no guard digits the bracket of the integer sum, 2K + 6 units
+    # wide, spans a whole result ulp of 10 units, so it straddles a
+    # rounding boundary and the sum is taken again with more guard digits,
+    # which gives Decimal.exp's digits
+    calls = []
+    plain = norm._exp_reciprocal
+
+    def counted(n, r, wide, guard=norm._EXP_GUARD):
+        calls.append(guard)
+        return plain(n, r, wide, guard)
+
+    monkeypatch.setattr(norm, "_exp_reciprocal", counted)
+    with localcontext(Context(prec=56, Emax=MAX_EMAX, Emin=MIN_EMIN)):
+        wide = norm._grid(n).wide
+    calls.clear()
+    got = norm._exp_reciprocal(n, wide.divide(1, n), wide, 0)
+    assert calls[:2] == [0, norm._EXP_GUARD], n
+    with localcontext(wide):
+        assert str(got) == str((1 / Decimal(n)).exp()), n
 
 
 # The layout's ratios on 1 .. n-1 at n = 10^6, in the norm's 56 digits,

@@ -163,6 +163,23 @@ def test_build_report_factors_its_system_once(monkeypatch, capsys, n):
     capsys.readouterr()
 
 
+def test_rel_diff_in_floats_and_decimals():
+    # the symmetric relative gap, in the type of its first argument; the
+    # floor 1e-300 keeps two zeros at 0 in either type, and the Decimal
+    # floor, converted once, is 1e-300's exact value
+    assert norm._DECIMAL_TINY == Decimal(1e-300) and norm._DECIMAL_TINY != Decimal("1e-300")
+    assert norm._rel_diff(1.0, 0.75) == 0.25 and type(norm._rel_diff(1.0, 0.75)) is float
+    assert norm._rel_diff(-2.0, 2.0) == 2.0
+    assert norm._rel_diff(1e-310, 0.0) == 1e-310 / 1e-300
+    with localcontext(_CONTEXT):
+        gap = norm._rel_diff(Decimal(3), Decimal(4))
+        assert type(gap) is Decimal and gap == Decimal("0.25")
+        assert norm._rel_diff(Decimal("1e-400"), Decimal(0)) == Decimal("1e-400") / Decimal(1e-300)
+    assert norm._rel_diff(0.0, 0.0) == 0.0 and type(norm._rel_diff(0.0, 0.0)) is float
+    zero = norm._rel_diff(Decimal(0), Decimal(0))
+    assert zero == 0 and type(zero) is Decimal
+
+
 def test_gauss_solve_raises_on_a_zero_pivot():
     # the bordered oracle's elimination has no condition check of its own:
     # a singular matrix, such as the four kept rows 0, 0, 2, 2 would give at
@@ -962,8 +979,8 @@ def test_every_layer_is_below_an_eighth_ulp_past_its_window(n):
 @pytest.mark.parametrize("n", [64, 10**7])
 def test_one_exponential_per_grid(monkeypatch, n):
     # every e^(kh) and 1 - e^(bh) of a grid is a power of one wide e^h,
-    # the one Decimal.exp of _grid: one grid per rule, the minimizer's and
-    # the printed rule's
+    # the one exponential of _grid (an integer sum, _exp_reciprocal): one
+    # grid per rule, the minimizer's and the printed rule's
     made = []
     grid = norm._grid
 
