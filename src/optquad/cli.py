@@ -247,10 +247,10 @@ def cmd_validate(args) -> int:
         raise ValueError("--tol must be positive")
 
     rng = random.Random(1234)
-    em1 = math.expm1(-1.0)  # the exact sum of c e^(-x), e^(-1) - 1
-    # each pair (a, b) with its exact a s1 + b s2 and the scale |a| + |b|
-    pairs = [(a, b, a - b * em1, abs(a) + abs(b))
-             for a, b in [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(20)]]
+    pairs = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(20)]
+    em1 = math.expm1(-1.0)  # sum c e^(-x) is exactly -em1 = 1 - 1/e
+    # each pair (a, b) with the exact a s1 + b s2 and the scale |a| + |b|
+    pairs = [(a, b, a - b * em1, abs(a) + abs(b)) for a, b in pairs]
     coef = cons = route = exact = 0.0
     for n in range(1, max_n + 1):
         sc = constants(n)

@@ -104,7 +104,7 @@ __all__ = [
 CONSISTENCY_RTOL = 1e-6
 
 _TINY = 1e-300
-_DECIMAL_TINY = Decimal(_TINY)  # its exact 756-digit value, converted once
+_DECIMAL_TINY = Decimal(_TINY)  # its exact 750-digit value, converted once
 
 def double_moment(kind=float):
     """Integral of the m=2 kernel over the unit square: sinh(1) - 7/6.
@@ -298,7 +298,7 @@ rule (_printed_solution) has none.
 _EXP_GUARD = 8
 
 
-def _exp_reciprocal(n: int, r: Decimal, wide: Context, guard: int = _EXP_GUARD) -> Decimal:
+def _exp_reciprocal(n: int, wide: Context, guard: int = _EXP_GUARD) -> Decimal:
     """e^r correctly rounded in wide, where r is 1/n rounded in wide; O(1) decimal work.
 
     The digits Decimal.exp gives, r.exp() in wide, from integer sums and
@@ -329,11 +329,11 @@ def _exp_reciprocal(n: int, r: Decimal, wide: Context, guard: int = _EXP_GUARD) 
     g = wide.prec + guard
     terms = list(takewhile(bool, accumulate(chain((10**g,), count(n, n)), floordiv)))
     total = sum(terms)
-    a, b = r.as_integer_ratio()
+    a, b = wide.divide(1, n).as_integer_ratio()
     low = total + total * (a * n - b) // (n * b)
     lo, hi = wide.create_decimal(low), wide.create_decimal(low + 2 * len(terms) + 4)
     if lo != hi:
-        return _exp_reciprocal(n, r, wide, guard + _EXP_GUARD)
+        return _exp_reciprocal(n, wide, guard + _EXP_GUARD)
     return wide.scaleb(lo, -g)
 
 
@@ -351,7 +351,7 @@ def _grid(n: int) -> _Grid:
     """
     wide = getcontext().copy()
     wide.prec += 4 * len(str(n)) + 12
-    wide_eh = _exp_reciprocal(n, wide.divide(1, n), wide)
+    wide_eh = _exp_reciprocal(n, wide)
     e, expm1 = wide.power(wide_eh, n), wide.subtract(wide_eh, 1)
     h = Decimal(1) / n
     e, eh = +e, +wide_eh  # the unary plus rounds to the working precision

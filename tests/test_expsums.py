@@ -136,15 +136,15 @@ def test_exp_reciprocal_retries_a_bracket_that_straddles(monkeypatch, n):
     calls = []
     plain = norm._exp_reciprocal
 
-    def counted(n, r, wide, guard=norm._EXP_GUARD):
+    def counted(n, wide, guard=norm._EXP_GUARD):
         calls.append(guard)
-        return plain(n, r, wide, guard)
+        return plain(n, wide, guard)
 
     monkeypatch.setattr(norm, "_exp_reciprocal", counted)
     with localcontext(Context(prec=56, Emax=MAX_EMAX, Emin=MIN_EMIN)):
         wide = norm._grid(n).wide
     calls.clear()
-    got = norm._exp_reciprocal(n, wide.divide(1, n), wide, 0)
+    got = norm._exp_reciprocal(n, wide, 0)
     assert calls[:2] == [0, norm._EXP_GUARD], n
     with localcontext(wide):
         assert str(got) == str((1 / Decimal(n)).exp()), n
