@@ -18,6 +18,13 @@ norm._grid(n) in the working context at every n of GRIDS and LARGE: one
 per _Grid field, over str() of each Decimal (its exact coefficient and
 exponent) and the digits, exponent range and rounding of wide.
 
+A third set pins the Decimal layer between the grid and those floats,
+for both rules, _exact_solution(n) and _printed_solution(n), in the
+working context at every n of GRIDS and LARGE: one digest per
+_LayoutSums field, one per _Moments field and one per amplitude
+(c_0, c_n, A, B), each over str() of the minimizer's and the printed
+rule's value.
+
 minimizer_audit's rel_diff_qf_* are left out: they are the rounding noise
 of 56-digit sums that agree to about 1e-41, and move with the order of
 the sums.  A change that moves a field on purpose records the old and new
@@ -31,9 +38,12 @@ from decimal import Context, localcontext
 from optquad.norm import (
     _CONTEXT,
     _Grid,
+    _LayoutSums,
+    _Moments,
     _exact_solution,
     _float_weights_on,
     _grid,
+    _printed_solution,
     _window_width,
     closed_rule_norm,
     minimizer_audit,
@@ -77,6 +87,37 @@ GRID_DIGESTS = {
     "grid.gap_ehi": "36ba504c08cebb5c73b2a8718e2f341fe24aabb3a8b501eab207817abb41b298",
     "grid.psi_1": "e871aff065501dd600894db8ed91a27edf0c6c7674b1b97824d2f457e018059a",
 }
+
+# recorded at the commit before the constant piece lost its amplitude
+LAYER_DIGESTS = {
+    "layout.mu": "d77e05c037fbb15e3f555c1194681b27d88207211bae59fde01bfa6afb2c8bbc",
+    "layout.inv": "9d587e32cb207071a6ecf8af81af11aad41cf50e8f8a6ff81ec212334474d7ee",
+    "layout.gap": "a258d2687c78dc160b305fd8bc41e60a776624c36a0d0ef7bf89a97d487dd2e1",
+    "layout.mu_n": "555fb561b60ecc41dbcb7879962013b2ab7d00a397e9d1d10fe3ca95cb26c411",
+    "layout.mu_up": "8671ab52fcf16e1bc18663ed538e8e418bdfb3b3f8a8df7c4f40c952bf1d46cd",
+    "layout.mu_down": "dadcbf74640a49b69ddb68b5d028126499217ae1635cf1aa500f39b6836fff3f",
+    "layout.gap_up": "7e54c35454989c978c86e1ccda9412af16e4fbd72b181e92ff2c1878881e18d5",
+    "layout.gap_down": "74d76eb776ca53079af2b8a1c9a53893cab931e4b5abee946beb657b1136f17d",
+    "layout.s0": "245aaef064edc8851b6a541f980ab5b6e27885a3f8b87c493d511450d0b9f8c6",
+    "layout.s1": "c6a48ac5c12b5040b0489b159cdd89d5da62c0a98fb4347b6d42e1ade80508d1",
+    "layout.s2": "7eb7b1ac83c41c6d990bf4c2e60546f17a89617a4d2c9f3b63a7c4bb46131e8f",
+    "layout.up": "9568b2140308b9121063569acf83a80094c4e0d6cbe35f3fa5726f5e76777d85",
+    "layout.down": "6ebb87cf1fc853fa58a542ce21a49bdce68906b3dd4dcbe74236f8cc9fcdd52c",
+    "layout.flat_up": "536fbf470a95a94e6de3dc7927c4e9f346b6b5946cb67c57199f82e9729ace48",
+    "layout.flat_down": "3c2fd7a130b9f4e431f5b51a150b5507c46d619bb93c00b9bc8245bc41a44a2f",
+    "moments.c": "c3193a1efbfb12209244daedb1a2af37987a9946c3020051b4179bdf0a1eadec",
+    "moments.ep": "cd6ac6e0a323ab07075cc06becbcd5b003249d20f76bab31b77d6484eed2502f",
+    "moments.en": "8b910876b6b12fbbe3eb2c799501e107d0817f86275be14eee6484873990091e",
+    "moments.x": "a266222a931834d9ee27cff2f7544c86038aa7d5627d8889c8efdf109b9ceb04",
+    "moments.xx": "fe8f5444ada4f6dc2c9aaaead0cd880f54140dc10b024fd1638192ea44ef3d66",
+    "moments.moment": "d97b16bcb8f36eb5825010f2f85d7edcc7b49ab6ed89497f6636d3898419ebc2",
+    "amplitudes.c_0": "4a21dc5fff3eefa54e9c5495c142068398113a7d75b5bb03a501901b0dbbf64b",
+    "amplitudes.c_n": "169a17019d18a0d47a471991471131f559b909102aa2bc94eefa5906a9459351",
+    "amplitudes.A": "d90b7a57346ef0f7691ceb7c7e018d2edec0bf11c7a177eaad23fc9b3b29955c",
+    "amplitudes.B": "0cb1ea58e0ff5e1b5ef10cfae2b11f7fa87ecf746e2af9c66211dad39c244586",
+}
+
+_AMPLITUDES = ("c_0", "c_n", "A", "B")
 
 
 def _windows(n: int) -> list[tuple[int, int, list[float]]]:
@@ -135,12 +176,35 @@ def grid_digests() -> dict:
     return {f"grid.{name}": h.hexdigest() for name, h in hashes.items()}
 
 
+def _layer_values(sol) -> dict:
+    """{"group.field": Decimal} of sol's _LayoutSums, _Moments and amplitudes."""
+    values = {f"layout.{name}": value for name, value in zip(_LayoutSums._fields, sol.layout_sums)}
+    values.update((f"moments.{name}", value) for name, value in zip(_Moments._fields, sol.moments))
+    values.update((f"amplitudes.{name}", value) for name, value in zip(_AMPLITUDES, sol.amplitudes))
+    return values
+
+
+def layer_digests() -> dict:
+    """{"group.field": SHA-256 hex digest of 'n minimizer printed' lines over every n}, values as str()."""
+    hashes = {}
+    for n in (*GRIDS, *LARGE):
+        with localcontext(_CONTEXT):
+            exact, printed = _layer_values(_exact_solution(n)), _layer_values(_printed_solution(n))
+        for name, value in exact.items():
+            hashes.setdefault(name, hashlib.sha256()).update(f"{n} {value} {printed[name]}\n".encode())
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
 def test_exact_core_is_bit_identical():
     assert digests() == DIGESTS
 
 
 def test_grid_is_digit_identical():
     assert grid_digests() == GRID_DIGESTS
+
+
+def test_decimal_layer_is_digit_identical():
+    assert layer_digests() == LAYER_DIGESTS
 
 
 def test_windows_are_minimizer_weights_own():
@@ -156,5 +220,5 @@ def test_windows_are_minimizer_weights_own():
 
 
 if __name__ == "__main__":
-    for name, digest in (*digests().items(), *grid_digests().items()):
+    for name, digest in (*digests().items(), *grid_digests().items(), *layer_digests().items()):
         print(f'    "{name}": "{digest}",')
