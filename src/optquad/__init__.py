@@ -24,11 +24,11 @@ from .norm import (
     build_report,
     closed_rule_norm,
     double_moment,
-    geometric_sums,
     minimizer_audit,
     minimizer_weights,
     multiplier_routes,
     norm_theorem2,
+    power_sums,
 )
 from .spectral import DENSE_MAX_N, SpectralConstants, constants, lambda1
 
@@ -52,7 +52,6 @@ __all__ = [
     "convergence_table",
     "double_moment",
     "error_check",
-    "geometric_sums",
     "lambda1",
     "minimizer_audit",
     "minimizer_weights",
@@ -60,6 +59,7 @@ __all__ = [
     "multiplier_routes",
     "norm_theorem2",
     "optimal_coefficients",
+    "power_sums",
     "psi",
     "solve_uniform",
 ]

@@ -32,10 +32,10 @@ from itertools import chain, repeat
 from .norm import (
     build_report,
     closed_rule_norm,
-    geometric_sums,
     minimizer_audit,
     multiplier_routes,
     norm_theorem2,
+    power_sums,
 )
 from .spectral import DENSE_MAX_N, closed_weights, constants
 
@@ -281,7 +281,7 @@ def cmd_validate(args) -> int:
         while abs(lam) < 1e-3:
             lam = rng.uniform(-0.9, 0.9)
         n = rng.randint(2, 50)
-        s1, s2 = geometric_sums(lam, n)
+        _, _, s1, s2 = power_sums(lam, n)
         gs = exponents[:n - 1]
         terms = [lam**g * g for g in gs]
         ref1 = math.fsum(terms)

@@ -36,42 +36,43 @@ samples, whose adjoint tridiagonal system is solved exactly by one 2 x 2
 (_exact_solution).  psi_2 is exponential-polynomial, so every sum the
 routes take has a closed form, and since every rule here has the same
 five pieces (_ExactSolution: the deltas c_0 and c_n, and h and the
-layers mu^(j-1) and mu^(n-1-j) on 1 .. n-1) they are taken
-straight-line: S_k(r) = sum_{j=1}^{n-1} j^k r^j, k <= 2, once for each
-of the ratios mu, mu e^(+-h) and e^(+-h) (_layout_sums), the mirror
-layer mu^(n-1-j) read off the layer mu^(j-1) from the other end.  Each solution forms its
-five moment sums (sum c, sum c e^(+-x), sum c x, sum c x^2) from them
-once (_moment_sums); on [0, 1] psi_2(x) and psi_2(1 - x) lie in
-span{e^x, e^-x, x, 1}, so the kernel rows 0 and n, which give the
-multipliers and route 1's delta terms, are fixed combinations of them
-(_end_rows), also formed once.  The rest of route 1's quadratic form is
-the four pair sums of the spread pieces on 1 .. n-1 (_pair_sums): each
-piece's kernel image is one short exponential-polynomial in the row
-index, summed against the other piece by the same S_k.  The report's
-decimal work is therefore the same at every n, and the report has one
-path with no size cap.  Route 1 sums terms near 1 down to about
-h^4/720, which costs about 4 log10 n + 3 digits (27 at n = 10^6); 56
-digits leave room for that well past n = 10^6.  Each grid's values are
-formed once, straight-line, into one record (_grid): its guard-digit
-context, 4 digits(n) + 12 past the working digits, e^h there, the
-grid's one exponential, correctly rounded from a short integer Taylor
-sum (_exp_reciprocal; Brent, JACM 23, 1976, with Ziv's rounding test,
-ACM TOMS 17, 1991), and from it e^(+-1), e^(+-h), 1 - e^(+-h) and
-psi_2(1); e, e^h and 1 - e^h are formed there and rounded once.  The printed
-rule has the same pieces with q = 1/lambda1 for mu, its constants
-formed in the same context, so its norm (closed_rule_norm) is route 1
-from the same moment and pair sums, and coefficient_max_deviation reads both float64
-weight sets, in Python floats, on the end windows only
-(spectral.end_windows), outside which both are float(h)
-(spectral.layer_width).  The same solve serves every caller that needs
-the system's solution: multiplier_routes(n, method), behind `norm
---methods multiplier|expanded`, forms route 2 or route 3 of it alone,
-written once with the report, so it prints the report's own values;
-minimizer_weights steps its weights out in float64 on the two end
-windows, 30 nodes each, and puts float(h) between them, for `coeffs
---method system` (wiener_hopf.solve_uniform).  The module runs on the
-standard library alone, and so do `norm` and `validate`.  Its records are
-namedtuples, as every record in the package is.
+layers mu^(j-1) and mu^(n-1-j) on 1 .. n-1; four amplitudes, as h has
+none) they are taken straight-line: S_k(r) = sum_{j=1}^{n-1} j^k r^j,
+k <= 2, of mu from the package's one closed form (power_sums, which
+validate checks), and S_0 of mu e^(+-h) and e^(+-h) (_layout_sums), the
+mirror layer mu^(n-1-j) read off the layer mu^(j-1) from the other end.
+Each solution forms its five moment sums (sum c, sum c e^(+-x),
+sum c x, sum c x^2) from them once (_moment_sums); on [0, 1] psi_2(x)
+and psi_2(1 - x) lie in span{e^x, e^-x, x, 1}, so the kernel rows 0 and
+n, which give the multipliers and route 1's delta terms, are fixed
+combinations of them (_end_rows), also formed once.  The rest of
+route 1's quadratic form is the four pair sums of the spread pieces on
+1 .. n-1 (_pair_sums): each piece's kernel image is one short
+exponential-polynomial in the row index, summed against the other piece
+by the same S_k.  The report's decimal work is therefore the same at
+every n, and the report has one path with no size cap.  Route 1 sums
+terms near 1 down to about h^4/720, which costs about 4 log10 n + 3
+digits (27 at n = 10^6); 56 digits leave room for that well past
+n = 10^6.  Each grid's values are formed once, straight-line, into one
+record (_grid): its guard-digit context, 4 digits(n) + 12 past the
+working digits, e^h there, the grid's one exponential, correctly
+rounded from a short integer Taylor sum (_exp_reciprocal; Brent, JACM
+23, 1976, with Ziv's rounding test, ACM TOMS 17, 1991), and from it
+e^(+-1), e^(+-h), 1 - e^(+-h) and psi_2(1); e, e^h and 1 - e^h are
+formed there and rounded once.  The printed rule has the same pieces
+with q = 1/lambda1 for mu, its constants formed in the same context, so
+its norm (closed_rule_norm) is route 1 from the same moment and pair
+sums, and coefficient_max_deviation reads both float64 weight sets, in
+Python floats, on the end windows only (spectral.end_windows), outside
+which both are float(h) (spectral.layer_width).  The same solve serves
+every caller that needs the system's solution: multiplier_routes(n,
+method), behind `norm --methods multiplier|expanded`, forms route 2 or
+route 3 of it alone, written once with the report, so it prints the
+report's own values; minimizer_weights steps its weights out in float64
+on the two end windows, 30 nodes each, and puts float(h) between them,
+for `coeffs --method system` (wiener_hopf.solve_uniform).  The module
+runs on the standard library alone, and so do `norm` and `validate`.
+Its records are namedtuples, as every record in the package is.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
 magnitude (its h-block diverges like 3/h^2 as the grid refines); the report
@@ -93,11 +94,11 @@ __all__ = [
     "build_report",
     "closed_rule_norm",
     "double_moment",
-    "geometric_sums",
     "minimizer_audit",
     "minimizer_weights",
     "multiplier_routes",
     "norm_theorem2",
+    "power_sums",
 ]
 
 # Verdict threshold on the symmetric relative differences.
@@ -123,9 +124,11 @@ def double_moment(kind=float):
 # sums of about 1.25) down to about h^4/720, 5.4e-30 at n = 4e6, so it
 # keeps about _DIGITS - 4 log10 n - 3 of them.  56 hold route 1 within
 # 1.0e-26 relative of an 80-digit evaluation at n = 4e6 (3e-29 at 10^6);
-# 52 would leave it 2.5e-22 off there.  The window weights' anchors form
-# mu^-(n-1), past the default exponent range from about n = 1.75e6, so
-# the range is the widest decimal allows.
+# 52 would leave it 2.5e-22 off there.  mu^n falls below the default
+# exponent range from about n = 1.75e6, so the range is the widest
+# decimal allows.  From about n = 1.75e18 mu^n underflows even that, to
+# an exact 0 that every sum absorbs; no power of 1/mu is formed, so
+# nothing overflows.
 _DIGITS = 56
 _CONTEXT = Context(prec=_DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _SUM = Context(prec=2 * _DIGITS, Emax=MAX_EMAX, Emin=MIN_EMIN)  # _fsum's at the working digits, twice them
@@ -225,29 +228,28 @@ def norm_theorem2(n: int) -> float:
     return lead + h_block + t1 + t2 + t3
 
 
-# --------------------------------------------------------- geometric sums
+# ------------------------------------------------------------- power sums
 
 
-def geometric_sums(lam: float, n: int) -> tuple[float, float]:
-    """Closed forms for sum_{g=1}^{N-1} lam^g g and sum lam^g g^2.
+def power_sums(r, n: int):
+    """(r^n, S_0, S_1, S_2): S_k = sum_{j=1}^{n-1} j^k r^j in closed form, in the type of r.
 
-    The one production caller, validate, checks them against brute-force
-    sums at random lam in [-0.9, 0.9] and n <= 50, where every lam^N is
-    representable.
+    With m = n - 1, (1 - r) S_0 = r - r^n, (1 - r) S_1 = S_0 - m r^n and
+    (1 - r) S_2 = 2 S_1 - S_0 - m^2 r^n.  The exact core takes them in
+    Decimal, for each rule's layer ratio (_layout_sums); validate checks
+    them in float against brute-force sums at random r in [-0.9, 0.9] and
+    n <= 50.  At n = 1 the range is empty and the sums are 0.  Raises
+    ValueError at r = 1, where the forms are singular, and unless n >= 1.
     """
-    if lam == 1.0:
-        raise ValueError("the closed forms are singular at lam = 1")
-    if n < 2:
-        raise ValueError("need n >= 2 so the summation range 1..n-1 is nonempty")
-    lam = float(lam)
-    ln = lam**n
-    one = 1.0 - lam
-    s1 = (lam - ln * lam - n * ln * one) / (one * one)
-    cube = (lam - 1.0) ** 3
-    s2 = (ln * (lam * lam + lam + n * n * one * one + 2.0 * n * (lam - lam * lam))) / cube - (
-        lam * lam + lam
-    ) / cube
-    return s1, s2
+    if r == 1:
+        raise ValueError("the closed forms are singular at r = 1")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    m = n - 1
+    r_n, gap = r**n, 1 - r
+    s0 = (r - r_n) / gap
+    s1 = (s0 - m * r_n) / gap
+    return r_n, s0, s1, (2 * s1 - s0 - m * m * r_n) / gap
 
 
 # ------------------------------------------------------------- the report
@@ -284,13 +286,13 @@ _ExactSolution = namedtuple("_ExactSolution",
 _ExactSolution.__doc__ = """A uniform-grid rule in decimal: the five pieces with these amplitudes.
 
 The weights are c_0 at node 0 and c_n at node n, and
-A mu^(j-1) + B mu^(n-1-j) + C h at the nodes j = 1 .. n-1, for the
-amplitudes (c_0, c_n, A, B, C); below n = 4 those ranges hold one or two
-nodes, and none at n = 1.  grid is the _Grid.  Each rule forms once
-(_rule) its _LayoutSums, which carry mu, its weights' _Moments and from
-them its kernel rows (row_0, row_n) (_end_rows); the multipliers and the
-routes read them.  b0 and d are the system's multipliers; the printed
-rule (_printed_solution) has none.
+A mu^(j-1) + B mu^(n-1-j) + h at the nodes j = 1 .. n-1, for the four
+amplitudes (c_0, c_n, A, B); the constant piece h has none.  Below
+n = 4 those ranges hold one or two nodes, and none at n = 1.  grid is
+the _Grid.  Each rule forms once (_rule) its _LayoutSums, which carry
+mu, its weights' _Moments and from them its kernel rows (row_0, row_n)
+(_end_rows); the multipliers and the routes read them.  b0 and d are the
+system's multipliers; the printed rule (_printed_solution) has none.
 """
 
 
@@ -363,20 +365,16 @@ def _grid(n: int) -> _Grid:
 def _layout_sums(grid: _Grid, mu) -> _LayoutSums:
     """The _LayoutSums of the layer ratio mu on grid; straight-line, O(1).
 
-    With m = n - 1, (1 - r) S_0 = r - r^n, (1 - r) S_1 = S_0 - m r^n and
-    (1 - r) S_2 = 2 S_1 - S_0 - m^2 r^n: each ratio takes its end power,
-    mu^n times one of 1 and e^(+-1), and its gap.  1 - e^(+-h) cancel
-    about log10 n digits and are the grid's guard-digit gaps.
+    mu's end power and S_k are power_sums'.  The other ratios take S_0
+    alone, (1 - r) S_0 = r - r^n, from their end powers, mu^n times one
+    of 1 and e^(+-1), and their gaps.  1 - e^(+-h) cancel about log10 n
+    digits and are the grid's guard-digit gaps.
     """
-    n, e, ei, eh, ehi = grid.n, grid.e, grid.ei, grid.eh, grid.ehi
-    m = n - 1
-    mu_n, gap = mu**n, 1 - mu
-    s0 = (mu - mu_n) / gap
-    s1 = (s0 - m * mu_n) / gap
+    e, ei, eh, ehi = grid.e, grid.ei, grid.eh, grid.ehi
+    mu_n, s0, s1, s2 = power_sums(mu, grid.n)
     up, down = mu * eh, mu * ehi
     gap_up, gap_down = 1 - up, 1 - down
-    return _LayoutSums(mu, 1 / mu, gap, mu_n, up, down, gap_up, gap_down,
-                       s0, s1, (2 * s1 - s0 - m * m * mu_n) / gap,
+    return _LayoutSums(mu, 1 / mu, 1 - mu, mu_n, up, down, gap_up, gap_down, s0, s1, s2,
                        (up - mu_n * e) / gap_up, (down - mu_n * ei) / gap_down,
                        (eh - e) / grid.gap_eh, (ehi - ei) / grid.gap_ehi)
 
@@ -394,7 +392,7 @@ def _fsum(terms):
 
 
 def _moment_sums(grid: _Grid, ls: _LayoutSums, amplitudes) -> _Moments:
-    """The _Moments of the five pieces with these amplitudes, from ls; straight-line.
+    """The _Moments of the five pieces with these four amplitudes, from ls; straight-line.
 
     The layer mu^(j-1) sums to S_k(mu e^(+-h)) / mu.  The mirror mu^(n-1-j)
     is the layer read from the other end, j -> n - j, so its sums are the
@@ -403,14 +401,14 @@ def _moment_sums(grid: _Grid, ls: _LayoutSums, amplitudes) -> _Moments:
     """
     n, h, e, ei = grid.n, grid.h, grid.e, grid.ei
     m = n - 1
-    c_0, c_n, a, b, c = amplitudes
-    a, b, c = a * ls.inv, b * ls.inv, c * h  # the amplitudes times the pieces' scales
-    s_c = _fsum([c_0, c_n, a * ls.s0, b * ls.s0, c * m])
-    s_ep = _fsum([c_0, c_n * e, a * ls.up, b * (e * ls.down), c * ls.flat_up])
-    s_en = _fsum([c_0, c_n * ei, a * ls.down, b * (ei * ls.up), c * ls.flat_down])
-    s_x = h * _fsum([c_n * n, a * ls.s1, b * (n * ls.s0 - ls.s1), c * (m * n // 2)])
+    c_0, c_n, a, b = amplitudes
+    a, b = a * ls.inv, b * ls.inv  # the amplitudes times the layers' scale 1/mu
+    s_c = _fsum([c_0, c_n, a * ls.s0, b * ls.s0, h * m])
+    s_ep = _fsum([c_0, c_n * e, a * ls.up, b * (e * ls.down), h * ls.flat_up])
+    s_en = _fsum([c_0, c_n * ei, a * ls.down, b * (ei * ls.up), h * ls.flat_down])
+    s_x = h * _fsum([c_n * n, a * ls.s1, b * (n * ls.s0 - ls.s1), h * (m * n // 2)])
     s_xx = h * h * _fsum([c_n * (n * n), a * ls.s2, b * (n * n * ls.s0 - 2 * n * ls.s1 + ls.s2),
-                          c * (m * n * (2 * n - 1) // 6)])
+                          h * (m * n * (2 * n - 1) // 6)])
     # moment(x) = ((1 + 1/e) e^x + (1 + e) e^-x)/4 - 5/4 - x^2/2 + x/2
     s_m = _fsum([(1 + 1 / e) * s_ep / 4, (1 + e) * s_en / 4, -s_c * 5 / 4, -s_xx / 2, s_x / 2])
     return _Moments(s_c, s_ep, s_en, s_x, s_xx, s_m)
@@ -483,7 +481,7 @@ def _exact_solution(n: int) -> _ExactSolution:
         amplitudes = [half - step * (p - q * layer), half - step * (q - p * layer),
                       step * (1 - mu) * p, step * (1 - mu) * q]
     # the unary plus rounds to the working digits
-    sol = _rule(grid, +mu, (*(+a for a in amplitudes), 1))
+    sol = _rule(grid, +mu, tuple(+a for a in amplitudes))
     row_0, row_n = sol.rows
     e, ei = grid.e, grid.ei
     d = (row_n - row_0) / (1 - ei)
@@ -495,8 +493,8 @@ def _printed_solution(n: int) -> _ExactSolution:
     """The printed rule optimal_coefficients(n) in the working decimal context; O(1) per n.
 
     Its weights are the five pieces with mu = q = 1/lambda1 (see the
-    coefficients module), amplitudes c_0, c_n, -Kscaled (e^h - q) q,
-    -Kscaled (1 - e^h q) q and 1.  lambda1, Kscaled and the end weights
+    coefficients module) and amplitudes c_0, c_n, -Kscaled (e^h - q) q and
+    -Kscaled (1 - e^h q) q.  lambda1, Kscaled and the end weights
     cancel O(1) terms down to h^3, about 3 log10 n digits, so they are
     formed in the grid's guard-digit context (_Grid.wide, 4 digits(n) +
     12 past the working digits) from its e^h.
@@ -513,7 +511,7 @@ def _printed_solution(n: int) -> _ExactSolution:
         ks = (2 * em1 - h * eh - h) * (lam - 1) / (2 * em1 * em1 * (1 + qn))
         corr = ks * (qn - q)
         c_0, c_n = (em1 - h) / em1 - corr, (h * eh - em1) / em1 - corr * eh
-        amplitudes = [c_0, c_n, -ks * (eh - q) * q, -ks * (1 - eh * q) * q, 1]
+        amplitudes = [c_0, c_n, -ks * (eh - q) * q, -ks * (1 - eh * q) * q]
     # the unary plus rounds to the working digits
     return _rule(grid, +q, tuple(+a for a in amplitudes))
 
@@ -573,12 +571,12 @@ def _kernel_form(sol: _ExactSolution):
     the rows of the whole rule (sol.rows) counting the pair c_0 c_n twice
     over, and s^T G s the spread pieces' pair sums (_pair_sums).
     """
-    c_0, c_n, a, b, c = sol.amplitudes
+    c_0, c_n, a, b = sol.amplitudes
     row_0, row_n = sol.rows
     layer, mirror, cross, flat = _pair_sums(sol.grid, sol.layout_sums)
     return _fsum([2 * c_0 * row_0, 2 * c_n * row_n, -2 * c_0 * c_n * sol.grid.psi_1,
-                  a * a * layer, 2 * a * b * mirror, 2 * a * c * cross,
-                  b * b * layer, 2 * b * c * cross, c * c * flat])
+                  a * a * layer, 2 * a * b * mirror, 2 * a * cross,
+                  b * b * layer, 2 * b * cross, flat])
 
 
 def _route1(sol: _ExactSolution):
@@ -618,29 +616,27 @@ _REDUCED_ROUTES = {"multiplier": _route2, "expanded": _route3}
 def _float_weights_on(sol: _ExactSolution, windows) -> list[list[float]]:
     """The weights in float64 from the Decimal amplitudes, at the nodes first..last of each window.
 
-    windows are (first, last) pairs; the layers' float64 starts are
-    formed once for all of them.  c_0 and c_n are rounded at the nodes 0
-    and n.  Each layer is anchored at its end of 1 .. n-1 where it is
-    largest, mu^(j-1) at node 1 and mu^(n-1-j) at node n - 1, and stepped
-    from there by its float64 ratio, ratio ** (distance from the anchor),
-    so nothing overflows: between the deltas the weight is
-    ((0.0 + A' r_a^(j-1)) + B' r_b^(n-1-j)) + float(C h).  The starts A'
-    and B' are the amplitude times the piece's scale (1/mu, mu^(n-1))
-    times the ratio's power at the anchor (mu, mu^-(n-1)), and r_a and
-    r_b are mu and 1/(1/mu), each rounded in the working digits as the
-    tests' piece form (oracles.float_weights_on) rounds them, so the two
-    agree bit for bit.  Both ratios are negative, and libm's pow and
-    numpy's power form their powers alike.  A power that underflows adds
-    an exact 0.0, which leaves every weight as it is (none is ever -0.0).
+    windows are (first, last) pairs.  c_0 and c_n are rounded at the
+    nodes 0 and n.  Each layer is its amplitude at its end of 1 .. n-1,
+    where it is largest (mu^(j-1) at node 1, mu^(n-1-j) at node n - 1),
+    and is stepped from there by mu ** (distance from that end) in
+    float64, so nothing overflows: between the deltas the weight is
+    ((0.0 + A' mu'^(j-1)) + B' mu'^(n-1-j)) + float(h), where A', B' and
+    mu' are float(A), float(B) and float(mu).  The tests' piece form
+    (oracles.float_weights_on) starts from A (1/mu) mu and
+    B mu^(n-1) mu^-(n-1) and steps by 1/(1/mu), in the working digits:
+    A, B and mu times 1 + O(10^-55), which round to the same floats
+    unless one lies within that of a float64 rounding boundary; the tests
+    pin the two bit for bit at every n up to 2048, on a ladder to 10^7
+    and at 10^9.  mu is negative, and libm's pow and numpy's power form its
+    powers alike.  A power that underflows adds an exact 0.0, which leaves
+    every weight as it is (none is ever -0.0).
     """
-    n, ls = sol.grid.n, sol.layout_sums
-    mu = ls.mu
-    c_0, c_n, a, b, c = sol.amplitudes
-    r_a, start_a = float(mu), float(a * ls.inv * mu)
-    r_b, start_b = float(1 / mu**-1), float(b * mu ** (n - 1) * mu ** -(n - 1))
-    flat = float(c * sol.grid.h)
-    return [[float(c_0) if j == 0 else float(c_n) if j == n
-             else ((0.0 + start_a * r_a ** (j - 1)) + start_b * r_b ** (n - 1 - j)) + flat
+    n = sol.grid.n
+    c_0, c_n, a, b = map(float, sol.amplitudes)
+    mu, flat = float(sol.layout_sums.mu), float(sol.grid.h)
+    return [[c_0 if j == 0 else c_n if j == n
+             else ((0.0 + a * mu ** (j - 1)) + b * mu ** (n - 1 - j)) + flat
              for j in range(first, last + 1)] for first, last in windows]
 
 
@@ -651,7 +647,7 @@ def _window_width(sol: _ExactSolution) -> int:
     node in, so the width is one more than spectral.layer_width of the
     larger.
     """
-    return 1 + layer_width(float(max(map(abs, sol.amplitudes[2:4]))), float(sol.layout_sums.mu),
+    return 1 + layer_width(float(max(map(abs, sol.amplitudes[2:]))), float(sol.layout_sums.mu),
                            float(sol.grid.h))
 
 

@@ -490,10 +490,11 @@ def layout(sums: ExpSums) -> tuple:
     """norm's five pieces on sums' grid, mu read from sums, as Pieces.
 
     The deltas at 0 and n come first, then mu^(j-1) and mu^(n-1-j) on
-    1 .. n-1 and the constant h there, in the order of norm's amplitudes
-    (c_0, c_n, A, B, C), at every n >= 1: below n = 4 the last three
-    ranges hold one or two nodes, and none at n = 1.  The second layer is
-    the first read from the other end, j -> n - j.
+    1 .. n-1, in the order of norm's amplitudes (c_0, c_n, A, B), and last
+    the constant h there, which norm gives no amplitude (its amplitude
+    here is 1), at every n >= 1: below n = 4 the last three ranges hold
+    one or two nodes, and none at n = 1.  The second layer is the first
+    read from the other end, j -> n - j.
     """
     n, mu = sums.n, sums.mu
     return (
@@ -506,10 +507,13 @@ def layout(sums: ExpSums) -> tuple:
 
 
 def piece_rule(sol) -> PieceRule:
-    """One of norm's exact solutions as a PieceRule, its pieces formed in norm's working digits."""
+    """One of norm's exact solutions as a PieceRule, its pieces formed in norm's working digits.
+
+    norm's four amplitudes, and 1 for the constant piece h.
+    """
     with localcontext(norm._CONTEXT):
         sums = ExpSums(sol.grid.n, sol.layout_sums.mu)
-        return PieceRule(sums, layout(sums), sol.amplitudes, sol.b0, sol.d)
+        return PieceRule(sums, layout(sums), (*sol.amplitudes, 1), sol.b0, sol.d)
 
 
 def _times(r, s):

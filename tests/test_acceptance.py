@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from optquad.coefficients import constraint_residuals, optimal_coefficients
-from optquad.norm import build_report, geometric_sums, norm_theorem2
+from optquad.norm import build_report, norm_theorem2, power_sums
 from optquad.quadrature import TestFunction, apply_rule, convergence_table
 from optquad.spectral import constants, lambda1
 from optquad.wiener_hopf import solve_uniform
@@ -210,7 +210,7 @@ def test_criterion_09_geometric_sum_identities():
             continue
         n = int(rng.integers(2, 51))
         count += 1
-        s1, s2 = geometric_sums(lam, n)
+        _, _, s1, s2 = power_sums(lam, n)
         b1 = math.fsum(lam**g * g for g in range(1, n))
         b2 = math.fsum(lam**g * g * g for g in range(1, n))
         worst = max(

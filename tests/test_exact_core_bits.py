@@ -49,6 +49,7 @@ from optquad.norm import (
     minimizer_audit,
     minimizer_weights,
     multiplier_routes,
+    power_sums,
 )
 from optquad.spectral import end_windows
 
@@ -205,6 +206,17 @@ def test_grid_is_digit_identical():
 
 def test_decimal_layer_is_digit_identical():
     assert layer_digests() == LAYER_DIGESTS
+
+
+def test_layout_sums_are_power_sums():
+    # the layer ratio's end power and S_k are power_sums', digit for digit,
+    # for both rules at every n of the digests
+    for n in (*GRIDS, *LARGE):
+        with localcontext(_CONTEXT):
+            for sol in (_exact_solution(n), _printed_solution(n)):
+                ls = sol.layout_sums
+                sums = (ls.mu_n, ls.s0, ls.s1, ls.s2)
+                assert list(map(str, sums)) == list(map(str, power_sums(ls.mu, n))), n
 
 
 def test_windows_are_minimizer_weights_own():

@@ -11,15 +11,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from optquad import coefficients, norm
+from optquad import cli, coefficients, norm
 from optquad.cli import main
 from optquad.coefficients import optimal_coefficients
 from optquad.norm import (
     build_report,
     closed_rule_norm,
-    geometric_sums,
     multiplier_routes,
     norm_theorem2,
+    power_sums,
     _CONTEXT,
     _coefficient_max_deviation,
     _end_rows,
@@ -33,7 +33,7 @@ from optquad.norm import (
     _window_width,
     minimizer_weights,
 )
-from optquad.spectral import DENSE_MAX_N, closed_width, constants
+from optquad.spectral import DENSE_MAX_N, closed_width, constants, end_windows
 from optquad.wiener_hopf import solve_uniform
 
 from highprec import (
@@ -257,18 +257,40 @@ def test_multipliers_closed_form_vs_dense():
 
 
 def test_geometric_sums_exact_small_cases():
-    s1, s2 = geometric_sums(0.5, 4)
+    r_n, s0, s1, s2 = power_sums(0.5, 4)
+    assert r_n == 0.0625
+    assert s0 == pytest.approx(0.875, rel=1e-15)
     assert s1 == pytest.approx(1.375, rel=1e-15)
     assert s2 == pytest.approx(2.625, rel=1e-15)
-    s1, _ = geometric_sums(0.5, 2)
+    _, s0, s1, _ = power_sums(0.5, 2)
+    assert s0 == pytest.approx(0.5, rel=1e-14)
     assert s1 == pytest.approx(0.5, rel=1e-14)
+    with localcontext(_CONTEXT):
+        assert power_sums(Decimal("0.5"), 4) == (Decimal("0.0625"), Decimal("0.875"), Decimal("1.375"),
+                                                 Decimal("2.625"))
+
+
+def test_power_sums_of_one_node_are_zero():
+    # n = 1: the range 1 .. n-1 is empty, in float and in Decimal
+    assert power_sums(-0.27, 1) == (-0.27, 0.0, 0.0, 0.0)
+    with localcontext(_CONTEXT):
+        mu = Decimal("-0.27")
+        assert power_sums(mu, 1) == (mu, 0, 0, 0)
 
 
 def test_geometric_sums_domain():
     with pytest.raises(ValueError):
-        geometric_sums(1.0, 5)
+        power_sums(1.0, 5)
     with pytest.raises(ValueError):
-        geometric_sums(0.5, 1)
+        power_sums(Decimal(1), 5)
+    with pytest.raises(ValueError):
+        power_sums(0.5, 0)
+
+
+def test_validate_checks_the_exact_cores_power_sums():
+    # validate's geometric_sum_identities row checks the one closed form
+    # of S_k, the one the exact core's layout sums read
+    assert cli.power_sums is norm.power_sums
 
 
 @given(st.floats(-0.9, 0.9), st.integers(2, 50))
@@ -280,7 +302,7 @@ def test_geometric_sums_match_brute_force(lam, n):
     gross1 = math.fsum(abs(lam) ** g * g for g in range(1, n))
     gross2 = math.fsum(abs(lam) ** g * g * g for g in range(1, n))
     assume(abs(b1) > 1e-9 * gross1 and abs(b2) > 1e-9 * gross2)
-    s1, s2 = geometric_sums(lam, n)
+    _, _, s1, s2 = power_sums(lam, n)
     assert s1 == pytest.approx(b1, rel=1e-11)
     assert s2 == pytest.approx(b2, rel=1e-11)
 
@@ -548,7 +570,7 @@ def test_refined_solution_solves_the_exact_system(n):
 
 
 def _trial(n):
-    """_exact_solution(n) with random amplitudes for its five pieces, and their moment sums and end rows.
+    """_exact_solution(n) with random amplitudes (c_0, c_n, A, B), and their moment sums and end rows.
 
     The moment sums and rows are formed again for the new amplitudes:
     route 1 reads them, and _replace alone would leave the solution's.
@@ -564,8 +586,8 @@ def _trial(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 4096])
 def test_end_rows_match_the_o_n_rows(n):
     # the kernel rows 0 and n read off the moment sums against the O(n)
-    # oracle, for random amplitudes of the five pieces; measured worst
-    # 1.2e-48 of the gross row, at n = 4096
+    # oracle, for random amplitudes (c_0, c_n, A, B); measured worst
+    # 9.8e-49 of the gross row, at n = 4096
     with localcontext(_CONTEXT):
         trial = _trial(n)
         rows = trial.rows
@@ -598,7 +620,7 @@ def test_end_rows_are_the_one_sided_row_sums(n):
     # past the O(n) oracle's reach: the rows read off the moment sums
     # against the one-sided closed-form row sums of each piece
     # (oracles.kernel_row), both in the working digits, on the scale of
-    # their parts; measured worst 2.8e-57 of them (row n at 10^6)
+    # their parts; measured worst 7.8e-57 of them (row 0 at 10^9)
     with localcontext(_CONTEXT):
         trial = _trial(n)
         rows, rule = trial.rows, piece_rule(trial)
@@ -611,9 +633,9 @@ def test_end_rows_are_the_one_sided_row_sums(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 16, 64, 4096])
 def test_kernel_form_matches_the_o_n_quadratic_form(n):
     # route 1's quadratic form, from the end rows and the spread pieces'
-    # pair sums, against the O(n) oracle, for random amplitudes of the
-    # five pieces, the mirrored one included; measured worst 8.5e-49 of
-    # the gross sum, at n = 4096
+    # pair sums, against the O(n) oracle, for random amplitudes
+    # (c_0, c_n, A, B), the mirrored layer's included; measured worst
+    # 6.0e-49 of the gross sum, at n = 4096
     with localcontext(_CONTEXT):
         trial = _trial(n)
         value = _kernel_form(trial)
@@ -669,7 +691,7 @@ def test_layout_sums_are_the_generic_range_sums(n, mu):
     # at a random mu in (-0.3, -0.2) and at the printed rule's q; measured
     # worst 1.0e-55 (S_2 of mu at n = 16)
     rng = random.Random(n)
-    amplitudes = tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in range(5))
+    amplitudes = tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in range(4))
     with localcontext(_CONTEXT):
         mu = Decimal(rng.uniform(-0.3, -0.2)) if mu == "random" else _printed_solution(n).layout_sums.mu
         grid = norm._grid(n)
@@ -677,8 +699,9 @@ def test_layout_sums_are_the_generic_range_sums(n, mu):
         moments = _moment_sums(grid, ls, amplitudes)
         pairs = norm._pair_sums(grid, ls)
     with localcontext(_WIDE90):
-        s, ref_moments, ref_pairs = _generic_layout_sums(n, mu, amplitudes)
-        size, size_moments, _ = _generic_layout_sums(n, abs(mu), tuple(map(abs, amplitudes)))
+        # the oracle's layout carries the constant piece's amplitude, 1
+        s, ref_moments, ref_pairs = _generic_layout_sums(n, mu, (*amplitudes, 1))
+        size, size_moments, _ = _generic_layout_sums(n, abs(mu), (*map(abs, amplitudes), 1))
         e = grid.e
         c, ep, en, x, xx, _ = size_moments
         size_moments = size_moments._replace(
@@ -715,10 +738,10 @@ def test_layout_sums_keep_56_digits_at_a_million():
     # sums: every _LayoutSums field within 1e-50 relative, and the moment
     # sums and end rows of random amplitudes within 1e-50 of their parts'
     # size (the same sums on |mu| and |amplitudes|, every term added);
-    # measured worst 4.5e-56 relative (mu e^h) and 1.9e-56 of the parts
+    # measured worst 4.5e-56 relative (mu e^h) and 2.6e-56 of the parts
     # (sum c e^x)
     rng = random.Random(_PIN_N)
-    amplitudes = tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in range(5))
+    amplitudes = tuple(Decimal(rng.uniform(-1.0, 1.0)) for _ in range(4))
     ls, moments, rows = _pinned_layout(_CONTEXT, _PIN_MU, amplitudes)
     ref_ls, ref_moments, ref_rows = _pinned_layout(_WIDE90, _PIN_MU, amplitudes)
     _, size, _ = _pinned_layout(_WIDE90, abs(_PIN_MU), tuple(map(abs, amplitudes)))
@@ -935,6 +958,18 @@ def test_windowed_deviation_is_the_o_n_one_on_a_ladder():
     _assert_windowed_deviation_is_the_oracle(LADDER)
 
 
+def test_window_weights_are_finite_past_the_widest_exponent_range():
+    # the layers start from their amplitudes, with no power of 1/mu: at
+    # n = 2 * 10^18 mu^-(n-1) would overflow even the widest decimal
+    # exponent range, while mu^n underflows to an exact 0
+    n = 2 * 10**18
+    with localcontext(_CONTEXT):
+        sol = _exact_solution(n)
+        weights = _float_weights_on(sol, end_windows(n, _window_width(sol)))
+    assert sol.layout_sums.mu_n == 0
+    assert all(math.isfinite(w) and w > 0.0 for window in weights for w in window)
+
+
 def test_window_weights_at_a_billion_nodes_are_the_numpy_form():
     # up to 10^7 the tests above pin them; the windows hold every weight
     # that is not h, and 1000 nodes are well past them
@@ -964,7 +999,7 @@ def test_every_layer_is_below_an_eighth_ulp_past_its_window(n):
     with localcontext(_CONTEXT):
         sol = _exact_solution(n)
         wm = _window_width(sol)
-        _, _, a, b, _ = sol.amplitudes
+        _, _, a, b = sol.amplitudes
         mu = sol.layout_sums.mu
     with localcontext(prec=60):
         tiny = Decimal(math.ulp(sc.h)) / 8
