@@ -430,7 +430,11 @@ def _end_rows(grid: _Grid, m: _Moments):
 
 
 def _rule(grid: _Grid, mu, amplitudes) -> _ExactSolution:
-    """The rule of the five pieces with layer ratio mu and these amplitudes on grid, without multipliers."""
+    """The rule of the five pieces with ratio mu and these amplitudes on grid, without multipliers.
+
+    mu and the amplitudes are rounded to the working digits first.
+    """
+    mu, amplitudes = +mu, tuple(+a for a in amplitudes)
     ls = _layout_sums(grid, mu)
     moments = _moment_sums(grid, ls, amplitudes)
     return _ExactSolution(grid, amplitudes, ls, moments, _end_rows(grid, moments))
@@ -480,8 +484,7 @@ def _exact_solution(n: int) -> _ExactSolution:
         step, half = (1 - mu) * n, Decimal(1) / (2 * n)
         amplitudes = [half - step * (p - q * layer), half - step * (q - p * layer),
                       step * (1 - mu) * p, step * (1 - mu) * q]
-    # the unary plus rounds to the working digits
-    sol = _rule(grid, +mu, tuple(+a for a in amplitudes))
+    sol = _rule(grid, mu, amplitudes)
     row_0, row_n = sol.rows
     e, ei = grid.e, grid.ei
     d = (row_n - row_0) / (1 - ei)
@@ -512,8 +515,7 @@ def _printed_solution(n: int) -> _ExactSolution:
         corr = ks * (qn - q)
         c_0, c_n = (em1 - h) / em1 - corr, (h * eh - em1) / em1 - corr * eh
         amplitudes = [c_0, c_n, -ks * (eh - q) * q, -ks * (1 - eh * q) * q]
-    # the unary plus rounds to the working digits
-    return _rule(grid, +q, tuple(+a for a in amplitudes))
+    return _rule(grid, q, amplitudes)
 
 
 def _pair_sums(grid: _Grid, ls: _LayoutSums):
