@@ -6,7 +6,10 @@ or output (OSError, e.g. a closed pipe) failure (reported on stderr, no
 traceback); `main` catches exactly these four exception types.  Output is
 JSON or CSV on stdout (or --out FILE), written as it is formatted;
 identical invocations produce byte-identical output.  `main` may be called
-repeatedly in one process, and it builds its parser once.
+repeatedly in one process, and it builds its parser once; a command's
+arguments take one parse pass, by that command's own parser.  Flat JSON
+objects (every scalar payload, and the head of a table) are spelled by
+the C encoder in json.dumps(indent=2)'s layout.
 
 The module imports the standard library and the numpy-free modules (norm,
 spectral) alone, so `norm` and `validate` run without numpy.  The handlers
@@ -57,6 +60,16 @@ _ROWS_PER_CHUNK = 4096
 _CSV_OMITTED = ("command", "method", "function")
 
 
+# A flat dict's members one per line, as json.dumps(indent=2) lays them
+# out; with no indent the C encoder spells them.
+_FLAT_JSON = json.JSONEncoder(separators=(",\n  ", ": "))
+
+
+def _json_object(scalars: dict) -> str:
+    """json.dumps(scalars, indent=2) for a non-empty dict of scalars, from the C encoder."""
+    return "{\n  " + _FLAT_JSON.encode(scalars)[1:-1] + "\n}"
+
+
 @contextlib.contextmanager
 def _sink(out: str | None):
     """Yield the write function of --out FILE, or of sys.stdout as bound now."""
@@ -94,9 +107,12 @@ def _directive(column, fmt: str) -> str:
 def _column_cells(column, start: int, fmt: str) -> tuple[str, list | range]:
     """One chunk of a column from row `start`: the directive and its cells.
 
-    A numeric array chunk spells each distinct value once and gathers the
-    spellings by index, unless every value is distinct: then its values go
-    to the row template's own directive.
+    A numeric array chunk in which no two neighbours are equal gives its
+    values to the row template's own directive.  Otherwise each run of
+    equal values is spelled once, from its head, and the spelling repeated
+    over the run; runs are found by bit pattern in O(k), so -0.0 and 0.0
+    keep their own spellings.  JSON spells NaN and +-Infinity as
+    json.dumps does.
     """
     import numpy as np
 
@@ -111,35 +127,40 @@ def _column_cells(column, start: int, fmt: str) -> tuple[str, list | range]:
             # does inside a payload; none of those spellings contains ", "
             return directive, json.dumps(values)[1:-1].split(", ")
         return directive, list(map(_fmt_cell, values))
-    # distinct bit patterns, so that -0.0 and 0.0 keep their own spellings
-    bits, index = np.unique(part.view(f"u{part.itemsize}"), return_inverse=True)
-    distinct = bits.view(part.dtype)
-    nonfinite = np.flatnonzero(~np.isfinite(distinct)) if fmt == "json" else ()
-    if distinct.size == part.size and not len(nonfinite):
+    bits = part.view(f"u{part.itemsize}")
+    heads = np.flatnonzero(bits[1:] != bits[:-1]) + 1  # where each run after the first starts
+    json_floats = fmt == "json" and part.dtype.kind == "f"
+    if heads.size == part.size - 1 and (not json_floats or np.isfinite(part).all()):
         return directive, part.tolist()
-    values = distinct.tolist()
+    starts = np.concatenate(([0], heads))
+    firsts = part[starts]
+    values = firsts.tolist()
     spelled = ((directive + " ") * len(values) % tuple(values)).split()
-    for i in nonfinite:
-        spelled[i] = json.dumps(values[i])  # NaN, Infinity, -Infinity
-    return "%s", np.array(spelled, dtype=object)[index].tolist()
+    if json_floats:
+        for i in np.flatnonzero(~np.isfinite(firsts)).tolist():
+            spelled[i] = json.dumps(values[i])  # NaN, Infinity, -Infinity
+    runs = np.diff(starts, append=part.size)
+    return "%s", np.repeat(np.array(spelled, dtype=object), runs).tolist()
 
 
 def _emit(scalars: dict, fmt: str, out: str | None, rows: dict | None = None) -> None:
     """Serialize scalars, and optionally a table of rows, as JSON or CSV.
 
-    `rows` maps each row field to its column: a numpy array, range, list
-    or tuple of numbers, booleans or None, all of one length >= 1.  JSON
-    prints the table last, under "rows", as one object per row, laid out as
-    by json.dumps(indent=2).  CSV prints one header row; with a table, each
-    row holds its cells followed by every scalar not in _CSV_OMITTED;
-    without one, a single row holds all scalars.  Scalars are formatted once and
-    rows _ROWS_PER_CHUNK at a time, each chunk written as soon as it is
+    `scalars` is flat: numbers, booleans, None and strings.  `rows` maps
+    each row field to its column: a numpy array, range, list or tuple of
+    numbers, booleans or None, all of one length >= 1.  JSON prints the
+    scalars as _json_object spells them and the table last, under "rows",
+    as one object per row, laid out as by json.dumps(indent=2).  CSV
+    prints one header row; with a table, each row holds its cells
+    followed by every scalar not in _CSV_OMITTED; without one, a single
+    row holds all scalars.  Scalars are formatted once and rows
+    _ROWS_PER_CHUNK at a time, each chunk written as soon as it is
     formatted, so the extra memory does not grow with the table.
     """
     with _sink(out) as write:
         if rows is None:
             if fmt == "json":
-                write(json.dumps(scalars, indent=2) + "\n")
+                write(_json_object(scalars) + "\n")
             else:
                 write(_csv_line(scalars) + _csv_line(map(_fmt_cell, scalars.values())))
             return
@@ -148,7 +169,7 @@ def _emit(scalars: dict, fmt: str, out: str | None, rows: dict | None = None) ->
         # text in it is escaped twice: "%%%%" prints "%"
         suffix_args = ()  # text that ends every row, spelled once per call
         if fmt == "json":
-            head = json.dumps({**scalars, "rows": []}, indent=2)  # ends in "[]\n}"
+            head = _json_object({**scalars, "rows": []})  # ends in "[]\n}"
             write(head[:-4] + "[\n")
             fields = ",\n".join(f"      {json.dumps(k).replace('%', '%%%%')}: %s" for k in rows)
             row, sep, tail = "    {\n" + fields + "\n    }", ",\n", "\n  ]\n}\n"
@@ -347,8 +368,8 @@ def _add_format(p: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by the later ones."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's parser and each command's own parser by name, built once per process."""
     parser = argparse.ArgumentParser(
         prog="optquad",
         description="Optimal uniform-grid quadrature for the (f''+f') seminorm: "
@@ -386,11 +407,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", required=True)
     _add_format(p)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by the later ones."""
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command argv names (sys.argv[1:] when None) and return its exit code.
+
+    An argv that starts with a command is parsed by that command's own
+    parser, in the one pass the top-level parser would hand it; arguments
+    it leaves over are reported by the top-level parser, as parse_args
+    reports them.  Any other argv (help, an unknown command, none at all)
+    goes to the top-level parser.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     # resolved per call, so a handler replaced at module level is the one run
     handlers = {
         "coeffs": cmd_coeffs,

@@ -83,18 +83,19 @@ def moment(y):
     algebraically equal to
     (e^y + e^-y + e^(1-y) + e^(y-1) - 4)/4 - (y^2 + (1-y)^2)/4 but built from
     the stable sinh t - t primitive, so it is exact near the endpoints and
-    manifestly symmetric (moment(y) == moment(1-y)) and positive.
+    manifestly symmetric (moment(y) == moment(1-y)) and positive.  Both
+    halves go through one sinh t - t pass, stacked along a new first axis;
+    every step is elementwise, so each value is the one the halves give
+    apart.
     """
     arr = np.asarray(y, dtype=float)
     if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("moment argument must lie in [0, 1]")
-
-    def half_piece(u):
-        # sinh^2 u - u^2 = (sinh u - u)(sinh u + u), with s = sinh u - u
-        s = _sinh_minus_x(u)
-        return s * (s + 2.0 * u)
-
-    out = half_piece(arr / 2.0) + half_piece((1.0 - arr) / 2.0)
+    u = np.stack((arr, 1.0 - arr)) / 2.0  # y/2 and (1-y)/2
+    # sinh^2 u - u^2 = (sinh u - u)(sinh u + u), with s = sinh u - u
+    s = _sinh_minus_x(u)
+    halves = s * (s + 2.0 * u)
+    out = halves[0] + halves[1]
     if arr.ndim == 0:
         return float(out)
     return out

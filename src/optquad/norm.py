@@ -69,9 +69,10 @@ every caller that needs the system's solution: multiplier_routes(n,
 method), behind `norm --methods multiplier|expanded`, forms route 2 or
 route 3 of it alone, written once with the report, so it prints the
 report's own values; minimizer_weights steps its weights out in float64
-on the two end windows, 30 nodes each, and puts float(h) between them,
-for `coeffs --method system` (wiener_hopf.solve_uniform).  The module
-runs on the standard library alone, and so do `norm` and `validate`.
+on the two end windows, 30 nodes each, and returns them with float(h),
+the weight between them, for `coeffs --method system`
+(wiener_hopf.solve_uniform).  The module runs on the standard library
+alone, and so do `norm` and `validate`.
 Its records are namedtuples, as every record in the package is.
 
 The printed theorem-2 expression disagrees with route 1 by several orders of
@@ -698,23 +699,24 @@ def closed_rule_norm(n: int) -> float:
         return float(_route1(_printed_solution(n)))
 
 
-def minimizer_weights(n: int) -> tuple[list[float], float, float]:
-    """(c, b0, d): the exact minimizer's weights at the nodes 0..n and its multipliers, in float64.
+def minimizer_weights(n: int) -> tuple[list[tuple[int, int, list[float]]], float, float, float]:
+    """(windows, h, b0, d): the exact minimizer's float64 weights and its multipliers; O(1).
 
-    The 56-digit solve of _exact_solution, O(1), with its weights stepped
-    out in float64 (_float_weights_on) on its two end windows, about 30
-    nodes each, and float(h) between them; b0 and d are each rounded once.
-    wiener_hopf.solve_uniform reads them.  Raises ValueError unless
+    windows are (first, last, weights) for the nodes first..last of its
+    two end windows, about 30 nodes each (one window 0..n where they
+    meet), stepped out in float64 from the 56-digit solve of
+    _exact_solution (_float_weights_on).  Every weight between them is h,
+    float(1/n); b0 and d are each rounded once.  wiener_hopf.solve_uniform
+    fills the n + 1 weights from them.  Raises ValueError unless
     1 <= n <= 10^9.
     """
     _check_n(n, "the minimizer's weights")
     with localcontext(_CONTEXT):
         sol = _exact_solution(n)
-        c = [float(sol.grid.h)] * (n + 1)
         windows = end_windows(n, _window_width(sol))
-        for (first, last), weights in zip(windows, _float_weights_on(sol, windows)):
-            c[first:last + 1] = weights
-        return c, float(sol.b0), float(sol.d)
+        return ([(first, last, weights)
+                 for (first, last), weights in zip(windows, _float_weights_on(sol, windows))],
+                float(sol.grid.h), float(sol.b0), float(sol.d))
 
 
 def multiplier_routes(n: int, method: str) -> float:

@@ -63,7 +63,9 @@ def solve_uniform(n: int) -> SystemSolution:
     """The system's solution on the uniform grid with n subintervals, 1 <= n <= DENSE_MAX_N.
 
     The weights, b0 and d are norm.minimizer_weights(n), the exact
-    minimizer in float64; the nodes are k/n, correctly rounded.
+    minimizer in float64: h, with its two end windows filled in, as
+    coefficients.optimal_coefficients fills the printed rule's; the
+    nodes are k/n, correctly rounded.
     residual_inf is the largest residual in the system: the
     worst kernel row, an O(n^2) convolution, or either of the two
     constraint_residuals, which it carries for `coeffs` to print beside it.
@@ -72,9 +74,12 @@ def solve_uniform(n: int) -> SystemSolution:
         raise ValueError("grid size must be >= 1")
     if n > DENSE_MAX_N:
         raise ValueError(f"the system solve is capped at n = {DENSE_MAX_N}")
-    c, b0, d = minimizer_weights(n)
+    windows, h, b0, d = minimizer_weights(n)
+    c = np.full(n + 1, h)
+    for first, last, weights in windows:
+        c[first:last + 1] = weights
     x = np.arange(n + 1) / n
-    rule = QuadratureRule(n=n, h=1.0 / n, nodes=x, coefficients=np.array(c))
+    rule = QuadratureRule(n=n, h=h, nodes=x, coefficients=c)
     samples = psi(2, x)
     toeplitz = np.concatenate([samples[:0:-1], samples])  # matrix-free kernel rows
     rows = np.convolve(toeplitz, rule.coefficients, "valid") + b0 + d * np.exp(-x) - moment(x)

@@ -28,7 +28,8 @@ the one-sided or in-range kernel row of one piece through them.  None of
 them shares exponential code with the package.
 closed_weights_array and float_weights_on are the numpy forms of the
 printed weights and of the exact solution's window weights, which the
-package forms in Python floats.  make_rule packages
+package forms in Python floats.  every_minimizer_weight spreads
+norm.minimizer_weights' windows over the whole grid.  make_rule packages
 any checked nodes and weights as a QuadratureRule, and trapezoid_rule is
 a deliberately suboptimal comparison rule.
 
@@ -698,6 +699,15 @@ def bordered_solution(n: int):
             rhs.append(target - sum(sums_p[free:]))
         *amplitudes, b0, d = gauss_solve(matrix, rhs)
         return PieceRule(sums, pieces, (*amplitudes, *[1] * (len(pieces) - free)), b0, d)
+
+
+def every_minimizer_weight(n: int) -> np.ndarray:
+    """norm.minimizer_weights(n)'s weights at every node 0..n, in float64: h with its windows filled in; O(n)."""
+    windows, h, _, _ = norm.minimizer_weights(n)
+    c = np.full(n + 1, h)
+    for first, last, weights in windows:
+        c[first:last + 1] = weights
+    return c
 
 
 def make_rule(nodes, coefficients) -> QuadratureRule:

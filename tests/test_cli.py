@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 import optquad
-from optquad import kernel
+from optquad import cli, kernel
 from optquad.cli import main
+from test_golden import CASES
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -452,3 +453,92 @@ def test_help_exits_0_on_stdout(capsys):
         main(["--help"])
     assert done.value.code == 0
     assert capsys.readouterr().out.startswith("usage: optquad")
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a SystemExit's code included."""
+    try:
+        code = main(argv)
+    except SystemExit as done:
+        code = done.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+DISPATCHED = [
+    *[argv for argv, _ in CASES.values()],
+    ["-h"], ["norm", "-h"], ["bogus", "--n", "4"], ["norm"], ["norm", "--methods", "all"],
+    ["norm", "--n", "4", "--methods", "bogus"], ["norm", "--n", "4", "--extra", "x"],
+    ["coeffs", "--n", "4", "stray"], ["apply", "--n", "4"], ["validate", "--max-n", "2"], [],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCHED, ids=" ".join)
+def test_direct_dispatch_is_the_top_level_parse(monkeypatch, capsys, argv):
+    # a command's own parser, one pass, against the top-level parser
+    # handing it the same arguments: the same code, stdout and stderr
+    direct = _outcome(capsys, list(argv))
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+    assert _outcome(capsys, list(argv)) == direct
+
+
+@pytest.mark.parametrize("argv", [["norm", "--n", "4", "--methods", "theorem2"], ["norm"], []])
+def test_no_argv_reads_sys_argv(monkeypatch, capsys, argv):
+    expected = _outcome(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["optquad", *argv])
+    assert _outcome(capsys, None) == expected
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+    assert _outcome(capsys, None) == expected
+
+
+def test_a_command_is_parsed_in_one_pass(monkeypatch, capsys):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in (("norm", "--n", "4", "--methods", "theorem2"), ("coeffs", "--n", "4", "--format", "csv"),
+                 ("apply", "--n", "4", "--function", "sin"), ("convergence", "--n-list", "2,4"),
+                 ("validate", "--max-n", "2", "--tol", "1"), ("coeffs", "--n", "0")):
+        calls.clear()
+        run_cli(capsys, *argv)
+        assert calls == [f"optquad {argv[0]}"], argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("norm", "--n", "16"), ("norm", "--n", "16", "--methods", "theorem2"),
+    ("norm", "--n", "16", "--methods", "expanded"), ("apply", "--n", "16", "--function", "exp"),
+    ("coeffs", "--n", "16"), ("coeffs", "--n", "16", "--method", "system"),
+])
+def test_scalar_json_runs_no_pure_python_encoder(monkeypatch, capsys, argv):
+    # json.dumps(indent=2) spells through json.encoder._make_iterencode;
+    # the CLI's flat objects and cells take the C encoder
+    import json.encoder
+
+    assert json.encoder.c_make_encoder is not None
+
+    def refused(*args, **kwargs):
+        raise AssertionError("json.encoder._make_iterencode")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refused)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["command"] == argv[0]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_sorts_no_chunk(monkeypatch, capsys, fmt):
+    # runs of equal cells are found by neighbours, in O(k); most chunks
+    # here repeat h thousands of times
+    def refused(*args, **kwargs):
+        raise AssertionError("np.unique")
+
+    monkeypatch.setattr(np, "unique", refused)
+    for argv in (("coeffs", "--n", "10000"), ("coeffs", "--n", "64", "--method", "system"),
+                 ("convergence", "--n-list", "2,4,8", "--function", "sin")):
+        assert run_cli(capsys, *argv, "--format", fmt)[0] == 0

@@ -7,6 +7,7 @@ is the serializer it replaced, fed the payloads the commands used to build
 import contextlib
 import csv
 import io
+import json
 import tracemalloc
 from unittest import mock
 
@@ -261,3 +262,56 @@ def test_coeffs_csv_at_a_million_nodes(tmp_path):
         assert int(row[0]) == b
         assert float(row[1]) == rule.nodes[b]
         assert float(row[2]) == rule.coefficients[b]
+
+
+# Keys with the characters JSON escapes or the row templates would read as
+# directives, and text past ASCII, which json.dumps escapes as \uXXXX.
+KEYS = st.text(st.sampled_from(list('ab"%\\\n é€😀')), max_size=5)
+FLAT_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([-0.0, 0.0]),
+    st.integers(-10**30, 10**30), st.booleans(), st.none(), st.text(max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars=st.dictionaries(KEYS, FLAT_VALUES, min_size=1, max_size=6))
+def test_flat_objects_are_json_dumps_indent_2(scalars):
+    # the C encoder with the indent's separators spells a flat dict as
+    # the pure-Python encoder's indent=2 does; the table head too
+    assert cli._json_object(scalars) == json.dumps(scalars, indent=2)
+    head = {**scalars, "rows": []}
+    assert cli._json_object(head) == json.dumps(head, indent=2)
+
+
+def _run_cells(*runs):
+    """A float64 column of (value, count) runs, and the same cells as a list."""
+    cells = [value for value, count in runs for _ in range(count)]
+    return np.array(cells, dtype=float), cells
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4, 5, 7, CHUNK])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_runs_match_reference_across_chunk_edges(chunk, fmt):
+    # runs of 1 to 6 equal values, which chunks of 2 to 7 cut anywhere;
+    # -0.0 next to 0.0 and runs of NaN and +-Infinity keep their spellings
+    nan, inf = float("nan"), float("inf")
+    c, cells = _run_cells((0.25, 3), (-0.0, 2), (0.0, 2), (-0.0, 1), (nan, 4), (inf, 1), (-inf, 3),
+                          (inf, 2), (1e-300, 5), (nan, 1), (0.25, 6), (-0.0, 1), (0.0, 1))
+    k = np.array([7] * 5 + [-3] * 4 + [7] * 2 + list(range(c.size - 11)), dtype=np.int64)
+    columns = {"beta": range(c.size), "c": c, "k": k}
+    rows = [{"beta": b, "c": v, "k": j} for b, (v, j) in enumerate(zip(cells, k.tolist()))]
+    with mock.patch.object(cli, "_ROWS_PER_CHUNK", chunk):
+        out = emitted({"command": "runs", "n": c.size - 1}, fmt, columns)
+    assert out == emit_ref({"command": "runs", "n": c.size - 1, "rows": rows}, "rows", fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_column_cells_spell_each_run_once(fmt):
+    # a chunk whose neighbours all differ goes to the row template as its
+    # values; one with a run is spelled run by run, as %s cells
+    distinct = np.array([0.0, -0.0, 1.5, 0.0])
+    assert cli._column_cells(distinct, 0, fmt) == (cli._directive(distinct, fmt), distinct.tolist())
+    directive, cells = cli._column_cells(np.array([2.5, 2.5, 2.5, -0.0, 0.0, 0.0]), 0, fmt)
+    assert directive == "%s"
+    one = {"json": ["2.5", "-0.0", "0.0"], "csv": [f"{v:.16e}" for v in (2.5, -0.0, 0.0)]}[fmt]
+    assert cells == [one[0]] * 3 + [one[1]] + [one[2]] * 2

@@ -8,10 +8,10 @@ the fields that are O(1) to form, at every n of LARGE as well:
   closed_rule_norm(n);
   minimizer_audit(n)'s via_* and coefficient_max_deviation;
   multiplier_routes(n, "multiplier") and multiplier_routes(n, "expanded");
-  minimizer_weights(n)'s b0, d and every weight (GRIDS only);
+  minimizer_weights(n)'s b0, d and every weight (GRIDS only), its
+  windows spread over the grid with h between them;
   minimizer_weights(n)'s two end windows (LARGE only), formed as it forms
-  them but without its O(n) list of weights, which is float(h) between
-  the windows.
+  them.
 
 A second set of digests pins the grid record the routes read,
 norm._grid(n) in the working context at every n of GRIDS and LARGE: one
@@ -52,6 +52,7 @@ from optquad.norm import (
     power_sums,
 )
 from optquad.spectral import end_windows
+from oracles import every_minimizer_weight
 
 GRIDS = (*range(1, 601), 1024, 2048, 4096, 10**4, 12345, 10**5)
 LARGE = (10**6, 10**7, 10**8, 10**9)
@@ -121,15 +122,6 @@ LAYER_DIGESTS = {
 _AMPLITUDES = ("c_0", "c_n", "A", "B")
 
 
-def _windows(n: int) -> list[tuple[int, int, list[float]]]:
-    """[(first, last, weights)]: minimizer_weights(n)'s end windows, formed as it forms them; O(1)."""
-    with localcontext(_CONTEXT):
-        sol = _exact_solution(n)
-        windows = end_windows(n, _window_width(sol))
-        return [(first, last, weights)
-                for (first, last), weights in zip(windows, _float_weights_on(sol, windows))]
-
-
 def _fields(n: int, weights: bool) -> dict:
     """{field: [float, ...]} at n; every weight when weights is true, else the end windows."""
     audit = minimizer_audit(n)
@@ -137,14 +129,11 @@ def _fields(n: int, weights: bool) -> dict:
     fields["closed_rule_norm"] = [closed_rule_norm(n)]
     for method in ("multiplier", "expanded"):
         fields[f"multiplier_routes.{method}"] = [multiplier_routes(n, method)]
+    windows, _, b0, d = minimizer_weights(n)
     if weights:
-        c, b0, d = minimizer_weights(n)
-        fields["weights"] = c
-    else:  # minimizer_weights' multipliers and windows, without its O(n) weight list
-        with localcontext(_CONTEXT):
-            sol = _exact_solution(n)
-            b0, d = float(sol.b0), float(sol.d)
-        fields["windows"] = [w for _, _, window in _windows(n) for w in window]
+        fields["weights"] = every_minimizer_weight(n).tolist()
+    else:
+        fields["windows"] = [w for _, _, window in windows for w in window]
     fields["b0"], fields["d"] = [b0], [d]
     return fields
 
@@ -220,15 +209,17 @@ def test_layout_sums_are_power_sums():
 
 
 def test_windows_are_minimizer_weights_own():
-    # the windows the LARGE digest covers are minimizer_weights' weights
-    # there, at the smallest n of LARGE, and float(h) lies between them
+    # the windows the LARGE digest covers are the ones _float_weights_on
+    # steps out on the minimizer's window width, at the smallest n of LARGE
     n = LARGE[0]
-    c = minimizer_weights(n)[0]
-    windows = _windows(n)
-    assert [(first, last) for first, last, _ in windows] == [(0, 29), (n - 29, n)]
-    for first, last, window in windows:
-        assert c[first:last + 1] == window
-    assert set(c[30:n - 29]) == {1.0 / n}
+    windows, h, _, _ = minimizer_weights(n)
+    with localcontext(_CONTEXT):
+        sol = _exact_solution(n)
+        own = end_windows(n, _window_width(sol))
+        assert own == [(0, 29), (n - 29, n)]
+        assert [(first, last, weights) for (first, last), weights
+                in zip(own, _float_weights_on(sol, own))] == windows
+    assert h == 1.0 / n
 
 
 if __name__ == "__main__":

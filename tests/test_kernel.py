@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optquad.kernel import _sinh_minus_x_direct, _sinh_minus_x_series, moment, psi
+from optquad.kernel import _sinh_minus_x, _sinh_minus_x_direct, _sinh_minus_x_series, moment, psi
 from optquad.norm import double_moment
 
 from highprec import DPS, double_moment_ref, moment_ref, psi2_ref
@@ -80,6 +80,34 @@ def test_moment_domain():
         moment(-0.01)
     with pytest.raises(ValueError):
         moment(1.01)
+
+
+def _two_pass_moment(y):
+    """moment as it was formed before its halves shared one sinh t - t pass."""
+    arr = np.asarray(y, dtype=float)
+
+    def half_piece(u):
+        s = _sinh_minus_x(u)
+        return s * (s + 2.0 * u)
+
+    out = half_piece(arr / 2.0) + half_piece((1.0 - arr) / 2.0)
+    return float(out) if arr.ndim == 0 else out
+
+
+def test_moment_is_the_two_pass_form_bit_for_bit():
+    # both halves in one pass change no bit: every step is elementwise
+    for n in range(1, 514):
+        y = np.arange(n + 1) / n
+        np.testing.assert_array_equal(moment(y).view(np.uint64), _two_pass_moment(y).view(np.uint64),
+                                      err_msg=str(n))
+    for y in (0.0, 0.25, 1 / 3, 0.5, 1.0, np.float64(0.7), np.array(0.9)):
+        value = moment(y)
+        assert type(value) is float and value.hex() == _two_pass_moment(y).hex(), y
+    grid = np.random.default_rng(5).random((9, 7))
+    grid[0, :3] = 0.0, 0.5, 1.0
+    out = moment(grid)
+    assert out.shape == grid.shape
+    np.testing.assert_array_equal(out.view(np.uint64), _two_pass_moment(grid).view(np.uint64))
 
 
 def test_moment_against_adaptive_oracle():

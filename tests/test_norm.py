@@ -49,7 +49,8 @@ from highprec import (
 )
 import oracles
 from oracles import ExpSums, layout, piece_rule
-from oracles import make_rule, multipliers_closed_form, norm_peano, norm_quadratic_form, trapezoid_rule
+from oracles import every_minimizer_weight, make_rule, multipliers_closed_form, norm_peano, norm_quadratic_form
+from oracles import trapezoid_rule
 
 QF_CLOSED_N2 = 2.7556816080848494e-4
 QF_DENSE_N2 = 1.9522972545191564e-4
@@ -389,13 +390,30 @@ def test_report_rejects_bad_n():
 @pytest.mark.parametrize("n", [0, -3, 10**9 + 1])
 @pytest.mark.parametrize("public", ["minimizer_audit", "minimizer_weights"])
 def test_minimizer_entries_reject_bad_n(monkeypatch, public, n):
-    # each checks n before its 56-digit solve, and so before the O(n) weights
+    # each checks n before its 56-digit solve
     def refused(n):
         raise AssertionError(f"_exact_solution({n})")
 
     monkeypatch.setattr(norm, "_exact_solution", refused)
     with pytest.raises(ValueError, match=r"1 <= n <= 10\^9, got " + str(n)):
         getattr(norm, public)(n)
+
+
+@pytest.mark.parametrize("n", [1, 59, 60, 10**9])
+def test_minimizer_weights_are_its_windows_and_h(n):
+    # O(1) at every n it accepts: the two end windows (one where they
+    # meet, below 60) and float(h) for the nodes between them; a list of
+    # every weight would take 8 GB of pointers at 10^9
+    tracemalloc.start()
+    try:
+        windows, h, b0, d = minimizer_weights(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert h == 1.0 / n
+    assert [(first, last) for first, last, _ in windows] == end_windows(n, 30)
+    assert all(len(weights) == last - first + 1 for first, last, weights in windows)
 
 
 # ------------------------------------------------------------ Peano kernel
@@ -820,7 +838,7 @@ def test_minimizer_weights_are_the_splines(ns):
     # that is the spline's rounded to nearest is within half an ulp; the
     # others measured at most 0.995 ulp off, at n = 513
     for n in ns:
-        off = [(x, w) for x, w in zip(minimizer_weights(n)[0], _spline(n)) if x != float(w)]
+        off = [(x, w) for x, w in zip(every_minimizer_weight(n).tolist(), _spline(n)) if x != float(w)]
         with mp.workdps(DPS):
             worst = max((abs(x - w) / math.ulp(float(w)) for x, w in off), default=0)
         assert worst <= 1, (n, worst)
@@ -980,11 +998,12 @@ def test_window_weights_at_a_billion_nodes_are_the_numpy_form():
 @pytest.mark.parametrize("ns", [range(1, 2049), LADDER], ids=["1-2048", "ladder"])
 def test_minimizer_weights_are_the_oracles_every_weight(ns):
     # minimizer_weights steps the weights out on the end windows only and
-    # puts float(h) between them; the oracle steps out every weight, O(n)
+    # returns float(h) for the nodes between them; the oracle steps out
+    # every weight, O(n)
     for n in ns:
-        c = minimizer_weights(n)[0]
+        c = every_minimizer_weight(n)
         oracle = _solution_and_oracle(n)[1]
-        np.testing.assert_array_equal(np.array(c).view(np.uint64), oracle.view(np.uint64), err_msg=str(n))
+        np.testing.assert_array_equal(c.view(np.uint64), oracle.view(np.uint64), err_msg=str(n))
 
 
 @pytest.mark.parametrize("n", [4, 64, 513, 10**4, 10**6, 10**9])
